@@ -1,0 +1,105 @@
+"""Golden CLI outputs: stdout and exit code, byte for byte.
+
+Each case runs one ``ncdiff`` command line in process and compares its
+stdout with ``tests/golden/<case>.txt`` and its exit code with the table
+below.  The ``{rfree}`` placeholder stands for the gl-pq2 model file with
+its ``subst r = p*q;`` line removed, whose twists then break the relations.
+
+After an intended output change, regenerate the files with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from ncdiff.cli import main
+from ncdiff.models import model_source
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+_EXPRESSIONS = {
+    "quantum-torus": "d(x*y) + y^-1*x*t1 - (1 - r)^-2*x^2",
+    "gl-pq2": "d(a*d) + v4*b - (q/p)*D*t1",
+    "gl-pq2-localized": "Dinv*a*D + d(Dinv)*c",
+}
+
+_RELATIONS = {
+    "quantum-torus": ["--forms", "dx,dy", "--elements", "x,y"],
+    "gl-pq2": ["--forms", "v1,v2,v3,v4", "--elements", "a,b,c,d"],
+    "gl-pq2-localized": ["--forms", "t1,t2,t3,t4",
+                         "--elements", "Dinv,a,b,D"],
+}
+
+
+def _cases():
+    cases = []
+    for model in ("quantum-torus", "gl-pq2", "gl-pq2-localized"):
+        spec = "builtin:" + model
+        for fmt in ("plain", "latex", "json"):
+            cases.append(("%s.nf.%s" % (model, fmt),
+                          ["nf", spec, "-e", _EXPRESSIONS[model],
+                           "--format", fmt], 0))
+        for fmt in ("plain", "json"):
+            cases.append(("%s.verify.%s" % (model, fmt),
+                          ["verify", spec, "--format", fmt], 0))
+        for fmt in ("plain", "latex", "json"):
+            cases.append(("%s.relations.%s" % (model, fmt),
+                          ["relations", spec] + _RELATIONS[model]
+                          + ["--format", fmt], 0))
+        for fmt in ("plain", "json"):
+            cases.append(("%s.confluence.%s" % (model, fmt),
+                          ["confluence", spec, "--format", fmt], 0))
+    cases.append(("gl-pq2-rfree.verify.plain", ["verify", "{rfree}"], 1))
+    return cases
+
+
+CASES = _cases()
+
+
+def _rfree_source() -> str:
+    text = model_source("gl-pq2")
+    assert "subst r = p*q;\n" in text
+    return text.replace("subst r = p*q;\n", "")
+
+
+def _run(argv, tmp_dir: pathlib.Path):
+    if "{rfree}" in argv:
+        path = tmp_dir / "gl_pq2_rfree.ncd"
+        path.write_text(_rfree_source())
+        argv = [str(path) if a == "{rfree}" else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+@pytest.fixture(autouse=True)
+def clean_seed(monkeypatch):
+    monkeypatch.delenv("NCDIFF_SEED", raising=False)
+
+
+@pytest.mark.parametrize("name,argv,exit_code", CASES,
+                         ids=[case[0] for case in CASES])
+def test_golden(name, argv, exit_code, tmp_path):
+    rc, out = _run(argv, tmp_path)
+    expected = (GOLDEN_DIR / (name + ".txt")).read_bytes()
+    assert out.encode() == expected
+    assert rc == exit_code
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    os.environ.pop("NCDIFF_SEED", None)
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv, exit_code in CASES:
+            rc, out = _run(argv, pathlib.Path(tmp))
+            (GOLDEN_DIR / (name + ".txt")).write_bytes(out.encode())
+            note = "" if rc == exit_code else " (exit %d, expected %d)" % (
+                rc, exit_code)
+            print("%s: %d bytes%s" % (name, len(out), note))
