@@ -452,9 +452,9 @@ def random_element(algebra: Algebra, rng, max_terms: int = 3,
     """A random element: short words, coefficients from a small pool."""
     params = algebra.params
     pool = [RationalFunction.from_value(params, 1),
-            RationalFunction.from_value(params, -1),
-            RationalFunction.parameter(params, params.names[0]),
-            RationalFunction.parameter(params, params.names[1], -1)]
+            RationalFunction.from_value(params, -1)]
+    pool += [RationalFunction.parameter(params, name, power)
+             for name, power in zip(params.names, (1, -1))]
     n_symbols = len(algebra.table.symbols)
     terms = {}
     for _ in range(rng.randint(1, max_terms)):

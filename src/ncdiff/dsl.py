@@ -13,7 +13,7 @@ the identity on documents.
 from __future__ import annotations
 
 from .algebra import (Algebra, AlgebraError, Element, GeneratorTable,
-                      UnsupportedRelationError, concat_words, single_word)
+                      word_letters)
 from .calculus import Calculus, CalculusError, Form
 from .coeff import ParameterSet, RationalFunction
 from .geometry import Connection, FormExtension, Geometry, GeometryError, TensorForm
@@ -136,20 +136,39 @@ def tokenize(text: str):
 #   ("neg", node, loc)         ("pow", node, exponent, loc)
 #   ("bin", op, left, right, loc)
 
-def strip_locations(node):
+def _child_slots(node):
+    """Tuple positions of the node's child expressions, left to right."""
     kind = node[0]
     if kind in ("num", "name"):
-        return node[:-1]
+        return ()
     if kind == "call":
-        arg = node[2]
-        return ("call", node[1], None if arg is None else strip_locations(arg))
-    if kind == "neg":
-        return ("neg", strip_locations(node[1]))
-    if kind == "pow":
-        return ("pow", strip_locations(node[1]), node[2])
+        return () if node[2] is None else (2,)
+    if kind in ("neg", "pow"):
+        return (1,)
     if kind == "bin":
-        return ("bin", node[1], strip_locations(node[2]), strip_locations(node[3]))
+        return (2, 3)
     raise ValueError("unknown node kind %r" % kind)
+
+
+def _map_children(node, fn):
+    """A copy of the node with fn applied to each child expression."""
+    out = list(node)
+    for i in _child_slots(node):
+        out[i] = fn(node[i])
+    return tuple(out)
+
+
+def _iter_nodes(node):
+    """Every node of the expression, parents first, left to right."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node[i] for i in reversed(_child_slots(node)))
+
+
+def strip_locations(node):
+    return _map_children(node, strip_locations)[:-1]
 
 
 def node_location(node):
@@ -158,61 +177,17 @@ def node_location(node):
 
 def rename_atoms(node, mapping: dict):
     """A copy of the expression with name atoms renamed."""
-    kind = node[0]
-    if kind == "num":
-        return node
-    if kind == "name":
-        new = mapping.get(node[1])
-        return node if new is None else ("name", new, node[2])
-    if kind == "call":
-        arg = node[2]
-        return ("call", node[1],
-                None if arg is None else rename_atoms(arg, mapping), node[3])
-    if kind == "neg":
-        return ("neg", rename_atoms(node[1], mapping), node[2])
-    if kind == "pow":
-        return ("pow", rename_atoms(node[1], mapping), node[2], node[3])
-    if kind == "bin":
-        return ("bin", node[1], rename_atoms(node[2], mapping),
-                rename_atoms(node[3], mapping), node[4])
-    raise ValueError("unknown node kind %r" % kind)
+    if node[0] == "name" and node[1] in mapping:
+        return ("name", mapping[node[1]], node[2])
+    return _map_children(node, lambda child: rename_atoms(child, mapping))
 
 
-def expression_names(node, out=None):
-    if out is None:
-        out = []
-    kind = node[0]
-    if kind == "name":
-        out.append((node[1], node[2]))
-    elif kind == "call":
-        if node[2] is not None:
-            expression_names(node[2], out)
-    elif kind == "neg":
-        expression_names(node[1], out)
-    elif kind == "pow":
-        expression_names(node[1], out)
-    elif kind == "bin":
-        expression_names(node[2], out)
-        expression_names(node[3], out)
-    return out
+def expression_names(node):
+    return [(n[1], n[2]) for n in _iter_nodes(node) if n[0] == "name"]
 
 
-def expression_calls(node, out=None):
-    if out is None:
-        out = []
-    kind = node[0]
-    if kind == "call":
-        out.append((node[1], node[3]))
-        if node[2] is not None:
-            expression_calls(node[2], out)
-    elif kind == "neg":
-        expression_calls(node[1], out)
-    elif kind == "pow":
-        expression_calls(node[1], out)
-    elif kind == "bin":
-        expression_calls(node[2], out)
-        expression_calls(node[3], out)
-    return out
+def expression_calls(node):
+    return [(n[1], n[3]) for n in _iter_nodes(node) if n[0] == "call"]
 
 
 def expression_to_text(node, required: int = 0) -> str:
@@ -644,6 +619,26 @@ class _StaticChecker:
                 raise ModelSemanticError(
                     "unknown function %r" % fname, loc[0], loc[1])
 
+    def _no_basis_powers(self, expr, labels):
+        """Reject a power whose base holds a basis form.
+
+        Nested offenders report the innermost one, where evaluation stops.
+        """
+        found = None
+        scope = expr
+        while True:
+            hit = next((n for n in _iter_nodes(scope) if n[0] == "pow"
+                        and any(name in labels
+                                for name, _ in expression_names(n[1]))),
+                       None)
+            if hit is None:
+                break
+            found, scope = hit, hit[1]
+        if found is not None:
+            loc = node_location(found)
+            raise ModelSemanticError("cannot raise basis forms to a power",
+                                     loc[0], loc[1])
+
     def check(self, stmt: Statement) -> None:
         kind = stmt.kind
         if kind == "model":
@@ -752,6 +747,7 @@ class _StaticChecker:
                             "unknown basis label %r" % lab, stmt.line, stmt.col)
                 self._no_calls(expr, "a wedge rule")
                 self._check_names(expr, self.params | labels, "a wedge rule")
+                self._no_basis_powers(expr, labels)
         elif kind == "extension":
             name, entries = stmt.data
             if name not in self.autos:
@@ -955,12 +951,7 @@ class _Evaluator:
         if isinstance(base, Element):
             if n >= 0:
                 return base ** n
-            inverted = _invert_element(base)
-            if inverted is None:
-                raise ModelSemanticError(
-                    "negative powers need a single invertible generator",
-                    loc[0], loc[1])
-            return inverted ** (-n)
+            return _invert_element(base, loc) ** (-n)
         raise ModelSemanticError("cannot raise a form to a power",
                                  loc[0], loc[1])
 
@@ -990,237 +981,39 @@ class _Evaluator:
         raise ValueError("unknown operator %r" % op)
 
 
-def _invert_element(element: Element):
-    if len(element.terms) != 1:
-        return None
-    (word, coeff), = element.terms.items()
-    if len(word) != 1 or not coeff.is_one():
-        return None
-    sym, count = word[0]
-    table = element.algebra.table
-    partner = table.inverse_index.get(sym)
-    if partner is None:
-        return None
-    return Element(element.algebra, {((partner, count),):
-                                     coeff})
-
-
-class _FreeEvaluator:
-    """Evaluates relation sides into free word sums, without rewriting."""
-
-    def __init__(self, params: ParameterSet, table: GeneratorTable,
-                 param_env: dict):
-        self.params = params
-        self.table = table
-        self.param_env = param_env
-        self.one = RationalFunction.from_value(params, 1)
-
-    def eval(self, node):
-        kind = node[0]
-        loc = node_location(node)
-        if kind == "num":
-            return RationalFunction.from_value(self.params, node[1])
-        if kind == "name":
-            name = node[1]
-            if name in self.param_env:
-                return self.param_env[name]
-            if name in self.table:
-                return {single_word(self.table.index(name)): self.one}
-            raise ModelSemanticError("unknown name %r" % name, loc[0], loc[1])
-        if kind == "neg":
-            return _free_scale(self.eval(node[1]), -self.one)
-        if kind == "pow":
-            base = self.eval(node[1])
-            n = node[2]
-            if isinstance(base, RationalFunction):
-                return base ** n
-            if n < 0:
-                word = _free_single_word(base)
-                if word is None:
-                    raise ModelSemanticError(
-                        "negative powers need a single invertible generator",
-                        loc[0], loc[1])
-                sym, count = word[0]
-                partner = self.table.inverse_index.get(sym)
-                if partner is None:
-                    raise ModelSemanticError(
-                        "generator %r is not invertible"
-                        % self.table.symbols[sym], loc[0], loc[1])
-                return {((partner, count * (-n)),): self.one}
-            out = {(): self.one}
-            for _ in range(n):
-                out = _free_mul(out, base)
-            return out
-        if kind == "bin":
-            op = node[1]
-            left = self.eval(node[2])
-            right = self.eval(node[3])
-            if op == "/":
-                if not isinstance(right, RationalFunction):
-                    raise ModelSemanticError(
-                        "division by a noncommutative expression",
-                        loc[0], loc[1])
-                if right.is_zero():
-                    raise ModelSemanticError("division by zero", loc[0], loc[1])
-                inv = right.inverse()
-                if isinstance(left, RationalFunction):
-                    return left * inv
-                return _free_scale(left, inv)
-            if op == "+":
-                return _free_add(left, right, self.params)
-            if op == "-":
-                return _free_add(left, _free_scale(right, -self.one),
-                                 self.params)
-            if op == "*":
-                return _free_mul_any(left, right, self.params)
-        raise ModelSemanticError("expression not allowed in a relation",
-                                 loc[0], loc[1])
-
-
-def _as_free(value, params):
-    if isinstance(value, RationalFunction):
-        if value.is_zero():
-            return {}
-        return {(): value}
-    return value
-
-
-def _free_add(a, b, params):
-    a = _as_free(a, params)
-    b = _as_free(b, params)
-    out = dict(a)
-    for w, c in b.items():
-        s = out.get(w)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = s
-    return out
-
-
-def _free_scale(value, factor):
-    if isinstance(value, RationalFunction):
-        return value * factor
-    return {w: c * factor for w, c in value.items()}
-
-
-def _free_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            w = concat_words(w1, w2)
-            c = c1 * c2
-            prev = out.get(w)
-            s = c if prev is None else prev + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-    return out
-
-
-def _free_mul_any(a, b, params):
-    if isinstance(a, RationalFunction) and isinstance(b, RationalFunction):
-        return a * b
-    return _free_mul(_as_free(a, params), _as_free(b, params))
-
-
-def _free_single_word(value):
-    if not isinstance(value, dict) or len(value) != 1:
-        return None
-    (word, coeff), = value.items()
-    if len(word) != 1 or not coeff.is_one():
-        return None
-    return word
-
-
-class _ThetaPolyEvaluator:
-    """Evaluates wedge-rule right-hand sides before the calculus exists."""
-
-    def __init__(self, params: ParameterSet, param_env: dict, labels):
-        self.params = params
-        self.param_env = param_env
-        self.labels = list(labels)
-        self.one = RationalFunction.from_value(params, 1)
-
-    def eval(self, node):
-        kind = node[0]
-        loc = node_location(node)
-        if kind == "num":
-            return RationalFunction.from_value(self.params, node[1])
-        if kind == "name":
-            name = node[1]
-            if name in self.param_env:
-                return self.param_env[name]
-            if name in self.labels:
-                return {(name,): self.one}
-            raise ModelSemanticError("unknown name %r" % name, loc[0], loc[1])
-        if kind == "neg":
-            return _theta_scale(self.eval(node[1]), -self.one)
-        if kind == "pow":
-            base = self.eval(node[1])
-            if not isinstance(base, RationalFunction):
+def _invert_element(element: Element, loc) -> Element:
+    """The inverse of a lone generator symbol, which must be invertible."""
+    if len(element.terms) == 1:
+        (word, coeff), = element.terms.items()
+        if len(word) == 1 and coeff.is_one():
+            sym, count = word[0]
+            table = element.algebra.table
+            partner = table.inverse_index.get(sym)
+            if partner is None:
                 raise ModelSemanticError(
-                    "cannot raise basis forms to a power", loc[0], loc[1])
-            return base ** node[2]
-        if kind == "bin":
-            op = node[1]
-            left = self.eval(node[2])
-            right = self.eval(node[3])
-            if op == "/":
-                if not isinstance(right, RationalFunction) or right.is_zero():
-                    raise ModelSemanticError("invalid divisor in a wedge rule",
-                                             loc[0], loc[1])
-                return _theta_scale(left, right.inverse()) \
-                    if not isinstance(left, RationalFunction) else left / right
-            if op == "+":
-                return _theta_add(left, right)
-            if op == "-":
-                return _theta_add(left, _theta_scale(right, -self.one))
-            if op == "*":
-                return self._mul(left, right, loc)
-        raise ModelSemanticError("expression not allowed in a wedge rule",
-                                 loc[0], loc[1])
-
-    def _mul(self, left, right, loc):
-        if isinstance(left, RationalFunction) and isinstance(right, RationalFunction):
-            return left * right
-        if isinstance(left, RationalFunction):
-            return _theta_scale(right, left)
-        if isinstance(right, RationalFunction):
-            return _theta_scale(left, right)
-        out = {}
-        for k1, c1 in left.items():
-            for k2, c2 in right.items():
-                key = k1 + k2
-                prev = out.get(key)
-                s = c1 * c2 if prev is None else prev + c1 * c2
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return out
+                    "generator %r is not invertible" % table.symbols[sym],
+                    loc[0], loc[1])
+            return Element(element.algebra, {((partner, count),): coeff})
+    raise ModelSemanticError(
+        "negative powers need a single invertible generator", loc[0], loc[1])
 
 
-def _theta_add(a, b):
-    a = a if isinstance(a, dict) else ({} if a.is_zero() else {(): a})
-    b = b if isinstance(b, dict) else ({} if b.is_zero() else {(): b})
-    out = dict(a)
-    for k, c in b.items():
-        prev = out.get(k)
-        s = c if prev is None else prev + c
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
+def _rule_free_algebra(params: ParameterSet, table: GeneratorTable) -> Algebra:
+    """An algebra on the table whose products only concatenate words."""
+    algebra = Algebra(params, table)
+    algebra.rules.clear()
+    return algebra
 
 
-def _theta_scale(value, factor):
+def _free_terms(node, free: Algebra, param_env: dict) -> dict:
+    """Evaluate an expression over a rule-free algebra into a word sum."""
+    env = dict(param_env)
+    for name in free.table.base_names:
+        env[name] = free.gen(name)
+    value = _Evaluator(env, free.params, free, None).eval(node)
     if isinstance(value, RationalFunction):
-        return value * factor
-    return {k: c * factor for k, c in value.items()}
+        value = free.scalar(value)
+    return value.terms
 
 
 def build_model(doc: ModelDocument, substitute: bool = True,
@@ -1230,6 +1023,7 @@ def build_model(doc: ModelDocument, substitute: bool = True,
     param_env = {n: RationalFunction.parameter(params, n) for n in doc.params}
     table = GeneratorTable(doc.gens, doc.invertible)
     algebra = Algebra(params, table)
+    free_words = _rule_free_algebra(params, table)
     env = dict(param_env)
     autos = {}
     calculus = None
@@ -1260,25 +1054,17 @@ def build_model(doc: ModelDocument, substitute: bool = True,
         if kind in ("param", "gen", "invertible"):
             continue
         if kind == "rel":
-            free = _FreeEvaluator(params, table, param_env)
-            lhs = _as_free(free.eval(stmt.data[0]), params)
-            rhs = _as_free(free.eval(stmt.data[1]), params)
+            lhs = _free_terms(stmt.data[0], free_words, param_env)
+            rhs = _free_terms(stmt.data[1], free_words, param_env)
             try:
                 algebra.add_relation(lhs, rhs)
-            except UnsupportedRelationError as exc:
-                raise ModelSemanticError(str(exc), stmt.line, stmt.col) from None
             except AlgebraError as exc:
                 raise ModelSemanticError(str(exc), stmt.line, stmt.col) from None
             continue
         if kind == "subst":
             if substitute:
                 target, expr = stmt.data
-                free = _FreeEvaluator(params, table, param_env)
-                value = free.eval(expr)
-                if not isinstance(value, RationalFunction):
-                    raise ModelSemanticError(
-                        "substitution value must be a coefficient",
-                        stmt.line, stmt.col)
+                value = _Evaluator(param_env, params, None, None).eval(expr)
                 param_env[target] = value
                 env[target] = value
                 substitutions[target] = value
@@ -1322,24 +1108,19 @@ def build_model(doc: ModelDocument, substitute: bool = True,
                         "weight of %r must be an element" % lab,
                         stmt.line, stmt.col)
                 weights[lab] = value
-            rule_eval = _ThetaPolyEvaluator(params, param_env, labels)
+            free_thetas = _rule_free_algebra(params, GeneratorTable(labels))
             theta_rules = {}
             for lab1, lab2, expr in data["wedges"]:
-                value = rule_eval.eval(expr)
+                terms = _free_terms(expr, free_thetas, param_env)
                 entries = []
-                if isinstance(value, RationalFunction):
-                    if not value.is_zero():
+                for word, rf in terms.items():
+                    key = tuple(labels[s] for s in word_letters(word))
+                    if len(key) != 2:
                         raise ModelSemanticError(
                             "wedge rule must be a sum of basis pairs",
                             stmt.line, stmt.col)
-                else:
-                    for key, rf in sorted(value.items()):
-                        if len(key) != 2:
-                            raise ModelSemanticError(
-                                "wedge rule must be a sum of basis pairs",
-                                stmt.line, stmt.col)
-                        entries.append((rf, key))
-                theta_rules[(lab1, lab2)] = entries
+                    entries.append((rf, key))
+                theta_rules[(lab1, lab2)] = sorted(entries, key=lambda e: e[1])
             try:
                 calculus = Calculus(algebra, labels, twists, weights,
                                     theta_rules)

