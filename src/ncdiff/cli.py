@@ -12,6 +12,7 @@ environment variable, then zero.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,16 +20,14 @@ import sys
 from .algebra import render_word
 from .calculus import CalculusError, Form
 from .dsl import ModelError, load_model
-from .models import build_glpq, build_quantum_torus, run_suite
+from .models import MODEL_FILES, build_builtin, build_glpq, run_suite
 from .render import (latex_relation, latex_value, relation_to_dict,
                      report_to_dict)
 
-_BUILTINS = {
-    "quantum-torus": lambda: build_quantum_torus(verify=False),
-    "gl-pq2": lambda: build_glpq(verify=False),
-    "gl-pq2-localized": lambda: build_glpq(adjoin_det_inverse=True,
-                                           verify=False),
-}
+_BUILTINS = {name: functools.partial(build_builtin, name, verify=False)
+             for name in MODEL_FILES}
+_BUILTINS["gl-pq2-localized"] = functools.partial(
+    build_glpq, adjoin_det_inverse=True, verify=False)
 
 
 class UsageError(Exception):

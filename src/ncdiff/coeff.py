@@ -5,6 +5,14 @@ coefficients.  No multivariate gcd is attempted: a quotient is normalized by
 clearing the denominator's Laurent-monomial content and scaling it monic with
 respect to the graded-lexicographic order, and equality is decided by the
 cross-multiplication zero test, which is exact in an integral domain.
+
+Arithmetic on values that are already normalized skips the normalization
+whose outcome is known.  It relies on this invariant: a denominator with one
+term is exactly 1, so a value whose numerator and denominator both have one
+term is a Laurent unit ``u = c*p^a*q^b...`` over 1.  Multiplying a normalized
+N/D by such a unit needs no trial division: D divides u*N only if it divides
+N, u*N divides D only if N does, and D already has no content and leading
+coefficient 1, so the product is exactly u*N/D.
 """
 
 from __future__ import annotations
@@ -67,6 +75,14 @@ class Polynomial:
         self.terms = clean
 
     @classmethod
+    def _make(cls, params: ParameterSet, terms: dict) -> "Polynomial":
+        """Wrap terms that already map tuples to nonzero Fractions."""
+        poly = object.__new__(cls)
+        poly.params = params
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def constant(cls, params: ParameterSet, value) -> "Polynomial":
         return cls(params, {(0,) * len(params): Fraction(value)})
 
@@ -80,8 +96,10 @@ class Polynomial:
         return not self.terms
 
     def is_one(self) -> bool:
-        zero_mono = (0,) * len(self.params)
-        return self.terms == {zero_mono: Fraction(1)}
+        if len(self.terms) != 1:
+            return False
+        (mono, c), = self.terms.items()
+        return c == 1 and not any(mono)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polynomial) and self.params == other.params
@@ -91,7 +109,8 @@ class Polynomial:
         return hash((self.params, frozenset(self.terms.items())))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.params, {m: -c for m, c in self.terms.items()})
+        return Polynomial._make(self.params,
+                                {m: -c for m, c in self.terms.items()})
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
@@ -101,12 +120,19 @@ class Polynomial:
                 out[m] = s
             else:
                 out.pop(m, None)
-        return Polynomial(self.params, out)
+        return Polynomial._make(self.params, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            poly, single = ((self, other) if len(other.terms) == 1
+                            else (other, self))
+            (mono, factor), = single.terms.items()
+            return Polynomial._make(self.params, {
+                tuple(a + b for a, b in zip(m, mono)): c * factor
+                for m, c in poly.terms.items()})
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -116,15 +142,20 @@ class Polynomial:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        return Polynomial(self.params, out)
+        return Polynomial._make(self.params, out)
 
     def scale(self, factor) -> "Polynomial":
         factor = Fraction(factor)
-        return Polynomial(self.params, {m: c * factor for m, c in self.terms.items()})
+        if not factor:
+            return Polynomial(self.params)
+        return Polynomial._make(self.params,
+                                {m: c * factor for m, c in self.terms.items()})
 
     def shift(self, vector) -> "Polynomial":
         """Multiply by the Laurent monomial with the given exponent vector."""
-        return Polynomial(self.params, {
+        if not any(vector):
+            return self
+        return Polynomial._make(self.params, {
             tuple(a + b for a, b in zip(m, vector)): c for m, c in self.terms.items()})
 
     def leading_monomial(self):
@@ -161,9 +192,7 @@ class Polynomial:
                 else:
                     work.pop(key, None)
         back = tuple(a - b for a, b in zip(shift_f, shift_g))
-        return Polynomial(self.params, {
-            tuple(a + b for a, b in zip(m, back)): c
-            for m, c in quotient.items()})
+        return Polynomial._make(self.params, quotient).shift(back)
 
     def evaluate(self, point: dict) -> Fraction:
         """Evaluate at a dict of Fraction values, one per parameter."""
@@ -257,6 +286,18 @@ class RationalFunction:
         self.den = den
 
     @classmethod
+    def _make(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """Wrap a numerator and denominator that are already normalized."""
+        value = object.__new__(cls)
+        value.num = num
+        value.den = den
+        return value
+
+    def _is_unit(self) -> bool:
+        """True for a nonzero Laurent monomial c*p^a*q^b... (over 1)."""
+        return len(self.num.terms) == 1 and len(self.den.terms) == 1
+
+    @classmethod
     def from_value(cls, params: ParameterSet, value) -> "RationalFunction":
         return cls(Polynomial.constant(params, value))
 
@@ -290,7 +331,7 @@ class RationalFunction:
         return (self.num * other.den - other.num * self.den).is_zero()
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._make(-self.num, self.den)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -319,7 +360,20 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        if self.is_zero():
+            return self
+        if other.is_zero():
+            return other
+        if other._is_unit():
+            unit, value = other, self
+        elif self._is_unit():
+            unit, value = self, other
+        else:
+            return RationalFunction(self.num * other.num,
+                                    self.den * other.den)
+        if unit.num.is_one():
+            return value
+        return RationalFunction._make(unit.num * value.num, value.den)
 
     __rmul__ = __mul__
 

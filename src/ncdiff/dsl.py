@@ -1025,6 +1025,8 @@ def build_model(doc: ModelDocument, substitute: bool = True,
     algebra = Algebra(params, table)
     free_words = _rule_free_algebra(params, table)
     env = dict(param_env)
+    for sym_name in table.symbols:
+        env[sym_name] = algebra.symbol_element(table.index(sym_name))
     autos = {}
     calculus = None
     geometry = None
@@ -1034,15 +1036,7 @@ def build_model(doc: ModelDocument, substitute: bool = True,
     connections = {}
     checks = []
     substitutions = {}
-    gens_added = False
     theta_positions = {}
-
-    def ensure_generators():
-        nonlocal gens_added
-        if not gens_added:
-            for sym_name in table.symbols:
-                env[sym_name] = algebra.symbol_element(table.index(sym_name))
-            gens_added = True
 
     def evaluator():
         return _Evaluator(env, params, algebra, calculus)
@@ -1069,7 +1063,6 @@ def build_model(doc: ModelDocument, substitute: bool = True,
                 env[target] = value
                 substitutions[target] = value
             continue
-        ensure_generators()
         if kind == "auto":
             name, entries = stmt.data
             algebra.normalize_rules()

@@ -92,6 +92,12 @@ def build_glpq(adjoin_det_inverse: bool = False, substitute_r: bool = True,
     return bundle
 
 
+def build_builtin(name: str, verify: bool = True) -> ModelBundle:
+    """Build the shipped model ``name``, a key of MODEL_FILES."""
+    builders = {"quantum-torus": build_quantum_torus, "gl-pq2": build_glpq}
+    return builders[name](verify=verify)
+
+
 def _with_mirror_checks(doc: ModelDocument) -> ModelDocument:
     """Append the a -> c, b -> d mirror image of every mc check."""
     mirror = {"a": "c", "b": "d"}

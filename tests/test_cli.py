@@ -21,6 +21,12 @@ rel z*y = y*z;
 rel z*x = x*z + 1;
 """
 
+NO_LATE_STATEMENT = """model "tiny";
+param q;
+gen x, y;
+rel y*x = q*x*y;
+"""
+
 NO_CALCULUS = """model "bare";
 gen x, y;
 rel y*x = x*y;
@@ -130,12 +136,23 @@ class TestNf:
         assert rc == 2
         assert "unknown builtin" in err
         assert "quantum-torus" in err
+        assert err == ("error: unknown builtin 'nonesuch'; available: "
+                       "gl-pq2, gl-pq2-localized, quantum-torus\n")
 
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, ["nf", str(tmp_path / "absent.ncd"),
                                       "-e", "1"])
         assert rc == 2
         assert "cannot read" in err
+
+    @pytest.mark.parametrize("tail", ["", "let z = x;\n"],
+                             ids=["bare", "with-let"])
+    def test_generators_known_without_late_statement(self, capsys, tmp_path,
+                                                     tail):
+        path = tmp_path / "tiny.ncd"
+        path.write_text(NO_LATE_STATEMENT + tail)
+        rc, out, err = run_cli(capsys, ["nf", str(path), "-e", "y*x"])
+        assert (rc, out, err) == (0, "q * x*y\n", "")
 
     def test_model_from_file(self, capsys, tmp_path):
         path = tmp_path / "torus.ncd"

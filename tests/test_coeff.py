@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -187,3 +188,71 @@ class TestSolveLinear:
         solution, free = solve_linear(rows, rhs, params)
         assert free == [1]
         assert solution[0].is_one() and solution[1].is_zero()
+
+
+def _reference_product(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Term-by-term product accumulated through the public constructor."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            s = out.get(m, 0) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return Polynomial(a.params, out)
+
+
+class TestFastPathsMatchNormalization:
+    """Products and negations agree with full normalization, term for term."""
+
+    PARAMS = ParameterSet(("p", "q", "r"))
+
+    def _monomial(self, rng, low=-2, high=2):
+        return tuple(rng.randint(low, high) for _ in range(3))
+
+    def _polynomial(self, rng, size):
+        terms = {}
+        while len(terms) < size:
+            terms[self._monomial(rng, 0, 2)] = Fraction(
+                rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+        return Polynomial(self.PARAMS, terms)
+
+    def _value(self, rng, pool):
+        params = self.PARAMS
+        kind = rng.randrange(7)
+        if kind == 0:
+            return RationalFunction.from_value(params, 0)
+        if kind == 1:
+            return RationalFunction.from_value(params, rng.choice([1, -1]))
+        unit = Polynomial(params, {self._monomial(rng): Fraction(
+            rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))})
+        if kind == 2:
+            return RationalFunction(unit)
+        if kind == 3:
+            return RationalFunction(unit * self._polynomial(rng, 3))
+        if kind == 4:
+            return RationalFunction(unit, rng.choice(pool))
+        num = unit * rng.choice(pool)
+        den = rng.choice(pool)
+        if kind == 6:
+            den = den * rng.choice(pool)
+        return RationalFunction(num, den)
+
+    def _assert_same(self, got, expected):
+        assert list(got.num.terms.items()) == list(expected.num.terms.items())
+        assert list(got.den.terms.items()) == list(expected.den.terms.items())
+
+    def test_random_pairs(self):
+        rng = random.Random(20240611)
+        pool = [self._polynomial(rng, rng.randint(2, 3)) for _ in range(4)]
+        for _ in range(3000):
+            a = self._value(rng, pool)
+            b = self._value(rng, pool)
+            self._assert_same(a * b, RationalFunction(
+                _reference_product(a.num, b.num),
+                _reference_product(a.den, b.den)))
+            negated = Polynomial(a.params,
+                                 {m: -c for m, c in a.num.terms.items()})
+            self._assert_same(-a, RationalFunction(negated, a.den))
