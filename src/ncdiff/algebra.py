@@ -3,10 +3,35 @@
 Words over the generator alphabet are stored run-length encoded.  A
 presentation is a list of relations whose orientation (largest word in the
 degree-then-lexicographic order becomes the left-hand side) yields rewriting
-rules with two-letter left-hand sides.  Normal forms are computed by leftmost
-reduction with memoization; local confluence is checked on all length-three
-overlap words, which by the diamond lemma suffices for confluence of a
-terminating two-letter system.
+rules with two-letter left-hand sides.  Local confluence is checked on all
+length-three overlap words, which by the diamond lemma suffices for
+confluence of a terminating two-letter system.
+
+Normal forms are computed by leftmost reduction, always with the first
+right-hand side listed for a pair, in the reduction system of Bergman's
+diamond lemma.  The reduction is a loop over an explicit stack of frames,
+one per word being reduced, so its depth is bounded by memory rather than by
+the interpreter's recursion limit; rules decrease words in the deg-lex
+order, so it terminates.  Every word whose normal form is computed is
+memoized.
+
+A step may move a whole run at once, where one-letter leftmost reduction
+would take the same steps in a row with nothing else in between:
+
+* a swap rule ``v*u -> c*u*v`` (``v != u``) with a Laurent-unit coefficient
+  ``c`` rewrites ``v^a*u^b`` to ``c^(a*b)*u^b*v^a``.  The whole ``u`` run
+  moves only when ``b == 1`` or when none of ``(t, u)``, ``(u, u)`` and
+  ``(u, v)`` is a rule, ``t`` being the symbol before ``v^a``; otherwise
+  one ``u`` moves, giving ``c^a*u*v^a*u^(b-1)``;
+* a cancel rule ``v*u -> c`` (``v != u``, ``c`` a unit) rewrites
+  ``v^a*u^b`` to ``c^m*v^(a-m)*u^(b-m)`` with ``m = min(a, b)``.
+
+Such a step skips only intermediate words, which are then not memoized.
+The results are identical, term for term and in dict order: the one-letter
+steps would multiply the same normal form by ``c`` once per step, and since
+multiplying by a unit never renormalizes (see ``coeff``), ``c^n*K`` has
+exactly the terms of ``c*(c*(...*K))``.  ``reduction_count`` counts each
+step, run steps included, as one reduction.
 """
 
 from __future__ import annotations
@@ -180,9 +205,8 @@ class Element:
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                c = c1 * c2
-                for w, k in alg.normal_form_word(concat_words(w1, w2)).items():
-                    _accumulate(out, w, c * k)
+                _accumulate_scaled(out, alg.normal_form_word(
+                    concat_words(w1, w2)), c1 * c2)
         return Element(alg, out)
 
     def __rmul__(self, other):
@@ -230,6 +254,11 @@ def _accumulate(terms: dict, word, coeff) -> None:
             terms[word] = s
 
 
+def _accumulate_scaled(terms: dict, add: dict, coeff) -> None:
+    for word, c in add.items():
+        _accumulate(terms, word, coeff * c)
+
+
 class ConfluenceViolation:
     """A length-three overlap (or duplicated pair) with distinct normal forms."""
 
@@ -255,6 +284,7 @@ class Algebra:
         self._one = RationalFunction.from_value(params, 1)
         self.relations = []
         self.rules = {}
+        self._runs = {}
         self._nf_cache = {}
         self.reduction_count = 0
         for g in table.base_names:
@@ -271,7 +301,25 @@ class Algebra:
 
     def _add_rule(self, pair, rhs_terms: dict) -> None:
         self.rules.setdefault(pair, []).append(dict(rhs_terms))
+        self._index_run(pair)
         self._nf_cache.clear()
+
+    def rules_changed(self) -> None:
+        """Rebuild what is derived from ``rules`` after an in-place change."""
+        self._runs = {}
+        for pair in self.rules:
+            self._index_run(pair)
+        self._nf_cache.clear()
+
+    def _index_run(self, pair) -> None:
+        """Record whether the first rule for a pair is a unit swap or cancel."""
+        self._runs.pop(pair, None)
+        v, u = pair
+        rhs = self.rules[pair][0]
+        if v != u and len(rhs) == 1:
+            (mid, c), = rhs.items()
+            if c._is_unit() and mid in ((), ((u, 1), (v, 1))):
+                self._runs[pair] = (bool(mid), c)
 
     def add_relation(self, lhs_terms: dict, rhs_terms: dict) -> None:
         """Orient lhs = rhs into a rule with a two-letter left-hand side."""
@@ -336,6 +384,7 @@ class Algebra:
         for pair in list(self.rules):
             self.rules[pair] = [self.normal_form_terms(rhs)
                                 for rhs in self.rules[pair]]
+            self._index_run(pair)
         self._nf_cache.clear()
 
     # -- elements ---------------------------------------------------------
@@ -370,45 +419,91 @@ class Algebra:
         for w, c in terms.items():
             if c.is_zero():
                 continue
-            for w2, k in self.normal_form_word(w).items():
-                _accumulate(out, w2, c * k)
+            _accumulate_scaled(out, self.normal_form_word(w), c)
         return out
 
     def normal_form_word(self, word) -> dict:
-        cached = self._nf_cache.get(word)
-        if cached is not None:
-            return cached
-        result = self._reduce_word(word)
-        self._nf_cache[word] = result
+        """The memoized normal form of a word; callers must not mutate it."""
+        cache = self._nf_cache
+        result = cache.get(word)
+        if result is not None:
+            return result
+        children = self._step(word)
+        if children is None:
+            result = cache[word] = {word: self._one}
+            return result
+        # A frame reduces one word: [word, its pending (child, coefficient)
+        # pairs, its output, the coefficient of the child being reduced].
+        stack = [[word, iter(children), {}, None]]
+        while stack:
+            frame = stack[-1]
+            if result is not None:
+                _accumulate_scaled(frame[2], result, frame[3])
+            for child, c in frame[1]:
+                result = cache.get(child)
+                if result is None:
+                    children = self._step(child)
+                    if children is not None:
+                        frame[3] = c
+                        stack.append([child, iter(children), {}, None])
+                        break
+                    result = cache[child] = {child: self._one}
+                _accumulate_scaled(frame[2], result, c)
+            else:
+                stack.pop()
+                result = cache[frame[0]] = frame[2]
         return result
 
-    def _reduce_word(self, word) -> dict:
+    def _step(self, word):
+        """The (word, coefficient) terms of one leftmost reduction step.
+
+        Returns None for a word in normal form.
+        """
+        rules = self.rules
         for i in range(len(word)):
             sym, count = word[i]
             if i > 0:
                 prev_sym, prev_count = word[i - 1]
-                rules = self.rules.get((prev_sym, sym))
-                if rules:
+                pair = (prev_sym, sym)
+                rhs_list = rules.get(pair)
+                if rhs_list:
+                    self.reduction_count += 1
+                    run = self._runs.get(pair)
+                    if run is not None:
+                        return [self._run_step(word, i, run)]
                     prefix = word[:i - 1] + ((prev_sym, prev_count - 1),)
                     suffix = ((sym, count - 1),) + word[i + 1:]
-                    return self._splice(rules[0], prefix, suffix)
+                    return self._splice(rhs_list[0], prefix, suffix)
             if count >= 2:
-                rules = self.rules.get((sym, sym))
-                if rules:
-                    prefix = word[:i]
+                rhs_list = rules.get((sym, sym))
+                if rhs_list:
+                    self.reduction_count += 1
                     suffix = ((sym, count - 2),) + word[i + 1:]
-                    return self._splice(rules[0], prefix, suffix)
-        return {word: self._one}
+                    return self._splice(rhs_list[0], word[:i], suffix)
+        return None
 
-    def _splice(self, rhs: dict, prefix, suffix) -> dict:
-        self.reduction_count += 1
-        out = {}
-        for mid, c in rhs.items():
-            spliced = concat_words(word_from_runs(prefix), mid,
-                                   word_from_runs(suffix))
-            for w, k in self.normal_form_word(spliced).items():
-                _accumulate(out, w, c * k)
-        return out
+    @staticmethod
+    def _splice(rhs: dict, prefix, suffix):
+        return [(concat_words(prefix, mid, suffix), c)
+                for mid, c in rhs.items()]
+
+    def _run_step(self, word, i, run):
+        """Apply a swap or cancel rule to the runs ``word[i-1], word[i]``."""
+        swap, c = run
+        v, a = word[i - 1]
+        u, b = word[i]
+        if swap:
+            rules = self.rules
+            moved = b
+            if b > 1 and ((u, u) in rules or (u, v) in rules
+                          or (i > 1 and (word[i - 2][0], u) in rules)):
+                moved = 1
+            mid = ((u, moved), (v, a), (u, b - moved))
+            power = a * moved
+        else:
+            power = min(a, b)
+            mid = ((v, a - power), (u, b - power))
+        return concat_words(word[:i - 1], mid, word[i + 1:]), c ** power
 
     # -- diagnostics ---------------------------------------------------------
 

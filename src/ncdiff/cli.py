@@ -193,7 +193,7 @@ def _cmd_confluence(args) -> int:
         }, indent=2))
     else:
         if not violations:
-            print("model %s: all %d rule overlaps close"
+            print("model %s: all overlaps of its %d rules close"
                   % (bundle.name, len(alg.rules)))
         else:
             for v in violations:

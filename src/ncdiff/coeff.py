@@ -398,8 +398,15 @@ class RationalFunction:
         if n == 0:
             return RationalFunction.from_value(self.params, 1)
         base = self if n > 0 else self.inverse()
+        n = abs(n)
+        if n > 1 and base._is_unit():
+            (mono, c), = base.num.terms.items()
+            return RationalFunction._make(
+                Polynomial._make(self.params,
+                                 {tuple(e * n for e in mono): c ** n}),
+                base.den)
         out = base
-        for _ in range(abs(n) - 1):
+        for _ in range(n - 1):
             out = out * base
         return out
 

@@ -1002,6 +1002,7 @@ def _rule_free_algebra(params: ParameterSet, table: GeneratorTable) -> Algebra:
     """An algebra on the table whose products only concatenate words."""
     algebra = Algebra(params, table)
     algebra.rules.clear()
+    algebra.rules_changed()
     return algebra
 
 

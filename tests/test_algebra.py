@@ -3,11 +3,13 @@ import random
 import pytest
 
 from ncdiff.algebra import (Algebra, AlgebraError, GeneratorTable,
-                            UnsupportedRelationError, concat_words,
-                            deg_lex_key, derive_inverse_rules, random_element,
-                            render_element, render_word, single_word,
-                            word_degree, word_from_runs, word_letters)
+                            UnsupportedRelationError, _accumulate,
+                            concat_words, deg_lex_key, derive_inverse_rules,
+                            random_element, render_element, render_word,
+                            single_word, word_degree, word_from_runs,
+                            word_letters)
 from ncdiff.coeff import ParameterSet, RationalFunction
+from ncdiff.dsl import load_model
 
 
 @pytest.fixture()
@@ -272,3 +274,171 @@ class TestRandomElements:
             value = random_element(alg, rng)
             again = alg.element(dict(value.terms))
             assert again.terms == value.terms
+
+
+_Q_PLUS_ONE = """model "q-plus-one";
+param q;
+gen x, y;
+rel y*x = (q + 1)*x*y;
+"""
+
+_RANK_4 = """model "rank-4";
+param q34, q12, q24, q13, q23, q14;
+gen x3, x1, x4, x2;
+invertible x1, x4;
+rel x2*x1 = q12*x1*x2;
+rel x3*x1 = q13*x1*x3;
+rel x4*x1 = -q14*x1*x4;
+rel x3*x2 = q23*x2*x3;
+rel x4*x2 = q24*x2*x4;
+rel x4*x3 = q34*x3*x4;
+"""
+
+
+class TestLongWords:
+    """Chains far past the interpreter's recursion limit."""
+
+    def test_torus_runs(self, torus):
+        alg = torus.algebra
+        x, y = alg.gen("x"), alg.gen("y")
+        q = RationalFunction.parameter(alg.params, "q")
+        assert y ** 600 * x ** 600 == q ** -360000 * x ** 600 * y ** 600
+        assert (y * x) ** 1000 == q ** -500500 * x ** 1000 * y ** 1000
+
+    def test_non_unit_swap(self):
+        alg = load_model(_Q_PLUS_ONE).algebra
+        x, y = alg.table.index("x"), alg.table.index("y")
+        before = alg.reduction_count
+        nf = alg.normal_form_word(((y, 20), (x, 20)))
+        assert alg.reduction_count - before == 400
+        (word, coeff), = nf.items()
+        assert word == ((x, 20), (y, 20))
+        assert coeff.evaluate({"q": 1}) == 2 ** 400
+        assert coeff.evaluate({"q": 2}) == 3 ** 400
+
+
+class RecursiveCore:
+    """The recursive leftmost reduction that the iterative core replaced.
+
+    Kept as a test oracle: one-letter steps only, with its own memo table.
+    """
+
+    def __init__(self, algebra):
+        self.algebra = algebra
+        self.cache = {}
+
+    def normal_form_word(self, word) -> dict:
+        cached = self.cache.get(word)
+        if cached is not None:
+            return cached
+        result = self._reduce_word(word)
+        self.cache[word] = result
+        return result
+
+    def _reduce_word(self, word) -> dict:
+        rules_of = self.algebra.rules
+        for i in range(len(word)):
+            sym, count = word[i]
+            if i > 0:
+                prev_sym, prev_count = word[i - 1]
+                rules = rules_of.get((prev_sym, sym))
+                if rules:
+                    prefix = word[:i - 1] + ((prev_sym, prev_count - 1),)
+                    suffix = ((sym, count - 1),) + word[i + 1:]
+                    return self._splice(rules[0], prefix, suffix)
+            if count >= 2:
+                rules = rules_of.get((sym, sym))
+                if rules:
+                    prefix = word[:i]
+                    suffix = ((sym, count - 2),) + word[i + 1:]
+                    return self._splice(rules[0], prefix, suffix)
+        return {word: self.algebra._one}
+
+    def _splice(self, rhs: dict, prefix, suffix) -> dict:
+        out = {}
+        for mid, c in rhs.items():
+            spliced = concat_words(word_from_runs(prefix), mid,
+                                   word_from_runs(suffix))
+            for w, k in self.normal_form_word(spliced).items():
+                _accumulate(out, w, c * k)
+        return out
+
+
+def _random_rule_system(rng):
+    """Random rules: unit and non-unit swaps beside degree-lowering rules.
+
+    Most of these systems are not confluent, so a run step that took a
+    different path from one-letter leftmost reduction would show.
+    """
+    params = ParameterSet(("p", "q", "r"))
+    n = rng.randint(2, 4)
+    alg = Algebra(params, GeneratorTable(tuple("abcd"[:n])))
+
+    def coeff():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rf(params, rng.choice([1, -1, 2]))
+        value = RationalFunction.parameter(params, rng.choice("pqr"),
+                                           rng.choice([1, -1, 2]))
+        return value + 1 if kind == 3 else value
+
+    shorter = [()] + [single_word(s) for s in range(n)]
+    for v in range(n):
+        for u in range(n):
+            lead = concat_words(single_word(v), single_word(u))
+            roll = rng.random()
+            if v > u and roll < 0.7:
+                rhs = {concat_words(single_word(u), single_word(v)): coeff()}
+            elif roll < 0.3:
+                rhs = {w: coeff() for w in rng.sample(shorter, 2)}
+            else:
+                continue
+            alg.add_relation({lead: rf(params, 1)}, rhs)
+    return alg
+
+
+def _dump(nf: dict):
+    return [(w, list(c.num.terms.items()), list(c.den.terms.items()))
+            for w, c in nf.items()]
+
+
+class TestMatchesRecursiveCore:
+    """Same dicts, term for term and in order, as the one-letter core."""
+
+    def _random_word(self, rng, n_symbols, max_runs, max_count):
+        return word_from_runs(
+            (rng.randrange(n_symbols), rng.randint(1, max_count))
+            for _ in range(rng.randint(1, max_runs)))
+
+    def _compare(self, alg, rng, count, max_runs=5, max_count=4):
+        oracle = RecursiveCore(alg)
+        n_symbols = len(alg.table.symbols)
+        alg._nf_cache.clear()
+        for i in range(count):
+            word = self._random_word(rng, n_symbols, max_runs, max_count)
+            if i % 2:
+                alg._nf_cache.clear()
+                oracle.cache.clear()
+            expected = _dump(oracle.normal_form_word(word))
+            assert _dump(alg.normal_form_word(word)) == expected, word
+
+    def test_quantum_torus(self, torus):
+        self._compare(torus.algebra, random.Random(1), 3000)
+
+    def test_gl_pq2(self, glpq):
+        self._compare(glpq.algebra, random.Random(2), 3000, 4, 3)
+
+    def test_gl_pq2_localized(self, glpq_localized):
+        self._compare(glpq_localized.algebra, random.Random(3), 3000, 4, 3)
+
+    def test_rank_4(self):
+        self._compare(load_model(_RANK_4).algebra, random.Random(4), 3000)
+
+    def test_non_unit_swap(self):
+        self._compare(load_model(_Q_PLUS_ONE).algebra, random.Random(5), 3000,
+                      4, 3)
+
+    def test_random_rule_systems(self):
+        rng = random.Random(6)
+        for _ in range(100):
+            self._compare(_random_rule_system(rng), rng, 30, 4, 3)

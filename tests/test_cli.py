@@ -297,7 +297,7 @@ class TestConfluence:
     def test_clean_model(self, capsys):
         rc, out, _ = run_cli(capsys, ["confluence", "builtin:gl-pq2"])
         assert rc == 0
-        assert out == "model gl-pq2: all 17 rule overlaps close\n"
+        assert out == "model gl-pq2: all overlaps of its 17 rules close\n"
 
     def test_clean_json(self, capsys):
         rc, out, _ = run_cli(capsys, ["confluence", "builtin:quantum-torus",

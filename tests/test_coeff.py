@@ -256,3 +256,61 @@ class TestFastPathsMatchNormalization:
             negated = Polynomial(a.params,
                                  {m: -c for m, c in a.num.terms.items()})
             self._assert_same(-a, RationalFunction(negated, a.den))
+
+
+def _repeated_power(value: RationalFunction, n: int) -> RationalFunction:
+    """value ** n by |n| - 1 products, after inverting for n < 0."""
+    if n == 0:
+        return RationalFunction.from_value(value.params, 1)
+    base = value if n > 0 else value.inverse()
+    out = base
+    for _ in range(abs(n) - 1):
+        out = out * base
+    return out
+
+
+class TestUnitPowers:
+    """A Laurent unit to the power n matches repeated multiplication."""
+
+    PARAMS = ParameterSet(("p", "q", "r"))
+
+    def _assert_same(self, got, expected):
+        assert list(got.num.terms.items()) == list(expected.num.terms.items())
+        assert list(got.den.terms.items()) == list(expected.den.terms.items())
+
+    def _unit(self, rng):
+        params = self.PARAMS
+        if rng.random() < 0.2:
+            return RationalFunction.from_value(params, rng.choice([1, -1]))
+        mono = tuple(rng.randint(-2, 2) for _ in range(3))
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
+        return RationalFunction(Polynomial(params, {mono: c}))
+
+    def test_random_units(self):
+        rng = random.Random(4401)
+        for _ in range(300):
+            unit = self._unit(rng)
+            n = rng.randint(-60, 60)
+            self._assert_same(unit ** n, _repeated_power(unit, n))
+
+    def test_units_skip_products_and_non_units_keep_them(self, monkeypatch):
+        params = self.PARAMS
+        products = []
+        original = RationalFunction.__mul__
+
+        def counting_mul(self, other):
+            products.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(RationalFunction, "__mul__", counting_mul)
+        unit = RationalFunction(Polynomial(params, {(1, -2, 0): Fraction(-2, 3)}))
+        unit ** 40
+        unit ** -40
+        assert products == []
+        q = RationalFunction.parameter(params, "q")
+        for base in (q + 1, q / (q + 1)):
+            for n in (7, -7):
+                del products[:]
+                got = base ** n
+                assert len(products) == 6
+                self._assert_same(got, _repeated_power(base, n))
