@@ -537,11 +537,6 @@ class Algebra:
         return True
 
 
-def derive_inverse_rules(algebra: Algebra, pair, rhs_terms: dict):
-    """Expose the conjugation-derived rules for one oriented swap rule."""
-    return algebra._conjugated(pair, rhs_terms)
-
-
 def random_element(algebra: Algebra, rng, max_terms: int = 3,
                    max_length: int = 3) -> Element:
     """A random element: short words, coefficients from a small pool."""
@@ -578,14 +573,25 @@ def render_word(table: GeneratorTable, word) -> str:
     return "*".join(parts)
 
 
-def _coeff_term(coeff: RationalFunction, word_s: str, lead: bool) -> str:
-    s = str(coeff)
-    sign = "+"
+def _signed_text(value, render):
+    """The sign and text of a term: ("-", render(-value)) when negating
+    removes the leading minus of render(value), else ("+", render(value))."""
+    s = render(value)
     if s.startswith("-"):
-        s2 = str(-coeff)
-        if not s2.startswith("-"):
-            sign = "-"
-            s = s2
+        negated = render(-value)
+        if not negated.startswith("-"):
+            return "-", negated
+    return "+", s
+
+
+def _join_term(sign: str, body: str, lead: bool) -> str:
+    if lead:
+        return body if sign == "+" else "-" + body
+    return (" + " if sign == "+" else " - ") + body
+
+
+def _coeff_term(coeff: RationalFunction, word_s: str, lead: bool) -> str:
+    sign, s = _signed_text(coeff, str)
     if " " in s or "/" in s:
         s = "(%s)" % s
     if word_s == "1":
@@ -594,9 +600,7 @@ def _coeff_term(coeff: RationalFunction, word_s: str, lead: bool) -> str:
         body = word_s
     else:
         body = "%s * %s" % (s, word_s)
-    if lead:
-        return body if sign == "+" else "-" + body
-    return (" + " if sign == "+" else " - ") + body
+    return _join_term(sign, body, lead)
 
 
 def render_element(element: Element) -> str:

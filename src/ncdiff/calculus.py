@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Algebra, AlgebraError, Element, random_element
+from .algebra import (Algebra, AlgebraError, Element, _coeff_term,
+                      _join_term, _signed_text, random_element,
+                      render_element)
 from .coeff import RationalFunction, solve_linear
 from .morphism import Endomorphism, TwistedDerivation
 
@@ -422,62 +424,32 @@ class DerivedRelation:
         lhs = "%s * %s" % self.left
         if not self.terms:
             return "%s = 0" % lhs
-        parts = []
-        for coeff, names in self.terms:
-            body = "%s * %s" % names
-            s = str(coeff)
-            sign = "+"
-            if s.startswith("-"):
-                s2 = str(-coeff)
-                if not s2.startswith("-"):
-                    sign = "-"
-                    s = s2
-            if " " in s or "/" in s:
-                s = "(%s)" % s
-            term = body if s == "1" else "%s * %s" % (s, body)
-            if not parts:
-                parts.append(term if sign == "+" else "-" + term)
-            else:
-                parts.append((" + " if sign == "+" else " - ") + term)
-        return "%s = %s" % (lhs, "".join(parts))
+        return "%s = %s" % (lhs, "".join(
+            _coeff_term(coeff, "%s * %s" % names, i == 0)
+            for i, (coeff, names) in enumerate(self.terms)))
 
     def __repr__(self):
         return self.render()
 
 
 def render_form(form: Form) -> str:
-    from .algebra import render_element
     if not form.terms:
         return "0"
     labels = form.calculus.labels
     parts = []
-    for key in sorted(form.terms, key=lambda k: (len(k), k)):
+    for i, key in enumerate(sorted(form.terms, key=lambda k: (len(k), k))):
         coeff = form.terms[key]
-        theta_s = "*".join(labels[i] for i in key)
-        elt_s = render_element(coeff)
-        if not key:
-            body = elt_s
-        elif elt_s == "1":
-            body = theta_s
-        elif len(coeff.terms) == 1:
-            body = "%s * %s" % (elt_s, theta_s)
+        theta_s = "*".join(labels[n] for n in key)
+        if key and len(coeff.terms) > 1:
+            sign = "+"
+            body = "(%s) * %s" % (render_element(coeff), theta_s)
         else:
-            body = "(%s) * %s" % (elt_s, theta_s)
-        sign = "+"
-        if body.startswith("-"):
-            alt = render_element(-coeff)
-            if not alt.startswith("-"):
-                sign = "-"
-                if not key:
-                    body = alt
-                elif alt == "1":
-                    body = theta_s
-                elif len(coeff.terms) == 1:
-                    body = "%s * %s" % (alt, theta_s)
-                else:
-                    body = "(%s) * %s" % (alt, theta_s)
-        if not parts:
-            parts.append(body if sign == "+" else "-" + body)
-        else:
-            parts.append((" + " if sign == "+" else " - ") + body)
+            sign, elt_s = _signed_text(coeff, render_element)
+            if not key:
+                body = elt_s
+            elif elt_s == "1":
+                body = theta_s
+            else:
+                body = "%s * %s" % (elt_s, theta_s)
+        parts.append(_join_term(sign, body, i == 0))
     return "".join(parts)

@@ -349,6 +349,12 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "punct" and tok.value == value
 
+    def expect_eof(self) -> None:
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ModelSyntaxError("unexpected trailing input",
+                                   tok.line, tok.col)
+
     # expression grammar:  expr > term > factor > power > atom
 
     def parse_expression(self):
@@ -453,6 +459,15 @@ def parse_model(text: str) -> ModelDocument:
         statements.append(stmt)
     doc = ModelDocument(statements, name)
     return doc
+
+
+def parse_statement(text: str) -> Statement:
+    """Parse the text of one statement, without the static name checks."""
+    parser = _Parser(tokenize(text))
+    tok = parser.advance()
+    stmt = _parse_statement(parser, tok.value, tok)
+    parser.expect_eof()
+    return stmt
 
 
 def _parse_statement(parser: _Parser, kind: str, tok: _Token) -> Statement:
@@ -880,9 +895,7 @@ class ModelBundle:
         """Evaluate one expression in the model's environment."""
         parser = _Parser(tokenize(text))
         node = parser.parse_expression()
-        tok = parser.peek()
-        if tok.kind != "eof":
-            raise ModelSyntaxError("unexpected trailing input", tok.line, tok.col)
+        parser.expect_eof()
         return _Evaluator(self._env, self.params, self.algebra,
                           self.calculus).eval(node)
 
@@ -1258,9 +1271,7 @@ def parse_coefficient(text: str, params: ParameterSet) -> RationalFunction:
     """Parse a coefficient expression over the given parameters."""
     parser = _Parser(tokenize(text))
     node = parser.parse_expression()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ModelSyntaxError("unexpected trailing input", tok.line, tok.col)
+    parser.expect_eof()
     env = {n: RationalFunction.parameter(params, n) for n in params.names}
     value = _Evaluator(env, params, None, None).eval(node)
     if not isinstance(value, RationalFunction):

@@ -20,14 +20,12 @@ from __future__ import annotations
 import random
 from importlib import resources
 
-from .algebra import Algebra, Element, GeneratorTable, random_element
-from .calculus import Calculus, Form
-from .coeff import RationalFunction
-from .dsl import (CheckCase, ModelBundle, ModelDocument, Statement,
-                  build_model, parse_coefficient, parse_model, rename_atoms)
-from .geometry import (FormExtension, Geometry, GeometryError,
-                       derive_theta_action)
-from .morphism import Endomorphism
+from .algebra import Element, random_element
+from .calculus import Calculus
+from .dsl import (ModelBundle, ModelDocument, Statement, build_model,
+                  parse_coefficient, parse_model, parse_statement,
+                  rename_atoms)
+from .geometry import FormExtension, GeometryError, derive_theta_action
 
 MODEL_FILES = {
     "quantum-torus": "quantum_torus.ncd",
@@ -84,11 +82,16 @@ def build_glpq(adjoin_det_inverse: bool = False, substitute_r: bool = True,
     doc = parse_model(model_source("gl-pq2"))
     doc = _with_mirror_checks(doc)
     bundle = build_model(doc, substitute_r, verify)
+    if adjoin_det_inverse:
+        lambdas, sigmas = _det_scales(bundle)
+        doc = _adjoin_det_inverse(doc, lambdas, sigmas)
+        bundle = build_model(doc, substitute_r, verify)
+        bundle.extras["localized"] = {
+            "generator": "Dinv",
+            "lambdas": {n: str(lam) for n, lam in lambdas.items()}}
     bundle.extras["twisted_basis"] = [("tt%d" % s, "phit%d" % s)
                                       for s in range(1, 5)]
     bundle.extras["det"] = {"element": "D", "lambdas": _GL_DET_LAMBDAS}
-    if adjoin_det_inverse:
-        bundle = _adjoin_det_inverse(bundle)
     return bundle
 
 
@@ -128,130 +131,61 @@ def scalar_ratio(left: Element, right: Element):
     return ratio
 
 
-def _adjoin_det_inverse(bundle: ModelBundle) -> ModelBundle:
-    """Extend the algebra by a formal inverse of the determinant.
-
-    The new generator commutes past every symbol with the inverse of the
-    scale the determinant itself picks up, and every twist maps it to the
-    inverse scale of its action on the determinant; both tables are derived
-    here from the base model, not entered by hand.  The unit identity with
-    the determinant is not imposed, since rewriting is restricted to
-    two-letter rules; products with the determinant stay formal.
-    """
-    base_alg = bundle.algebra
-    params = bundle.params
+def _det_scales(bundle: ModelBundle):
+    """The scalars lam_g with D*g = lam_g*g*D, one per symbol in table
+    order, and sig_phi with phi(D) = sig_phi*D, one per automorphism."""
     det = bundle.named["D"]
-    base_table = base_alg.table
-    new_table = GeneratorTable(tuple(base_table.base_names) + ("Dinv",),
-                               base_table.invertible)
-    new_alg = Algebra(params, new_table)
-    for lhs, rhs in base_alg.relations:
-        new_alg.add_relation(dict(lhs), dict(rhs))
-    one = RationalFunction.from_value(params, 1)
-    det_index = new_table.index("Dinv")
+    alg = bundle.algebra
     lambdas = {}
-    for sym, sym_name in enumerate(base_table.symbols):
-        g = base_alg.symbol_element(sym)
+    for sym, sym_name in enumerate(alg.table.symbols):
+        g = alg.symbol_element(sym)
         lam = scalar_ratio(det * g, g * det)
         if lam is None:
             raise ValueError(
                 "determinant does not scale-commute past %r" % sym_name)
         lambdas[sym_name] = lam
-        new_alg.add_relation({((det_index, 1), (sym, 1)): one},
-                             {((sym, 1), (det_index, 1)): lam.inverse()})
-    new_alg.normalize_rules()
-
-    def transfer(element: Element) -> Element:
-        return Element(new_alg, dict(element.terms))
-
-    def transfer_form(calc: Calculus, form: Form) -> Form:
-        return Form(calc, {idx: transfer(coeff)
-                           for idx, coeff in form.terms.items()})
-
-    autos = {}
-    for name in sorted(bundle.autos):
-        endo = bundle.autos[name]
+    sigmas = {}
+    for name, endo in bundle.autos.items():
         sigma = scalar_ratio(endo.apply(det), det)
         if sigma is None:
             raise ValueError("twist %r does not scale the determinant" % name)
-        images = {g: transfer(endo.images[base_table.index(g)])
-                  for g in base_table.base_names}
-        images["Dinv"] = Element(new_alg, {((det_index, 1),): sigma.inverse()})
-        autos[name] = Endomorphism(new_alg, images, name)
-        if not autos[name].respects_relations():
-            raise ValueError(
-                "twist %r breaks the localized relations" % name)
-
-    calc = bundle.calculus
-    calculus = None
-    geometry = None
-    named = dict()
-    checks = []
-    env = {n: RationalFunction.parameter(params, n) for n in params.names}
-    env.update(bundle.substitutions)
-    for sym_name in new_table.symbols:
-        env[sym_name] = new_alg.symbol_element(new_table.index(sym_name))
-    if calc is not None:
-        twist_names = _twist_names(bundle.doc)
-        label_rules = {}
-        for (i, j), entries in calc.theta_rules.items():
-            label_rules[(calc.labels[i], calc.labels[j])] = [
-                (rf, (calc.labels[k], calc.labels[m]))
-                for rf, (k, m) in entries]
-        calculus = Calculus(
-            new_alg, calc.labels,
-            {lab: autos[twist_names[lab]] for lab in calc.labels},
-            {lab: transfer(calc.weights[lab]) for lab in calc.labels},
-            label_rules)
-        for lab in calc.labels:
-            env[lab] = calculus.theta(lab)
-        extensions = {}
-        for lab in calc.labels:
-            old = bundle.geometry.extension(lab)
-            action = {src: [(rf, calc.labels[j])
-                            for j, rf in enumerate(old.matrix[k])
-                            if not rf.is_zero()]
-                      for k, src in enumerate(calc.labels)}
-            extensions[lab] = FormExtension(
-                calculus, autos[twist_names[lab]], action)
-        geometry = Geometry(calculus, extensions)
-        for name, value in bundle.named.items():
-            if isinstance(value, Element):
-                named[name] = transfer(value)
-            elif isinstance(value, Form):
-                named[name] = transfer_form(calculus, value)
-            else:
-                named[name] = value
-            env[name] = named[name]
-        for case in bundle.checks:
-            checks.append(CheckCase(
-                case.name,
-                _transfer_value(case.lhs, transfer, transfer_form, calculus),
-                _transfer_value(case.rhs, transfer, transfer_form, calculus)))
-
-    out = ModelBundle(bundle.doc, bundle.name + "-localized", params, new_alg,
-                      autos, calculus, geometry, named, {}, {}, checks,
-                      dict(bundle.substitutions), env)
-    out.extras = dict(bundle.extras)
-    out.extras["localized"] = {"generator": "Dinv",
-                               "lambdas": {n: str(l)
-                                           for n, l in lambdas.items()}}
-    return out
+        sigmas[name] = sigma
+    return lambdas, sigmas
 
 
-def _transfer_value(value, transfer, transfer_form, calculus):
-    if isinstance(value, Element):
-        return transfer(value)
-    if isinstance(value, Form):
-        return transfer_form(calculus, value)
-    return value
+def _adjoin_det_inverse(doc: ModelDocument, lambdas: dict,
+                        sigmas: dict) -> ModelDocument:
+    """Extend the document by a formal inverse Dinv of the determinant.
 
-
-def _twist_names(doc: ModelDocument) -> dict:
-    for stmt in doc.statements:
-        if stmt.kind == "calc":
-            return dict(stmt.data["twists"])
-    return {}
+    The new generator commutes past every symbol with the inverse of the
+    scale the determinant itself picks up, and every twist maps it to the
+    inverse scale of its action on the determinant.  Both tables, derived
+    from the base model by _det_scales, are written into the document as
+    one rel line per symbol, placed after the last base relation, and one
+    Dinv image per auto block.  The unit identity with the determinant is
+    not imposed, since rewriting is restricted to two-letter rules;
+    products with the determinant stay formal.
+    """
+    name = doc.name + "-localized"
+    statements = list(doc.statements)
+    last = {stmt.kind: i for i, stmt in enumerate(statements)}
+    for i, stmt in enumerate(statements):
+        if stmt.kind == "model":
+            statements[i] = Statement("model", name, stmt.line, stmt.col)
+        elif stmt.kind == "gen" and i == last["gen"]:
+            statements[i] = Statement("gen", stmt.data + ["Dinv"],
+                                      stmt.line, stmt.col)
+        elif stmt.kind == "auto":
+            auto, entries = stmt.data
+            image = parse_statement("auto %s { Dinv -> (%s)*Dinv; }"
+                                    % (auto, sigmas[auto].inverse()))
+            statements[i] = Statement("auto", (auto, entries + image.data[1]),
+                                      stmt.line, stmt.col)
+    statements[last["rel"] + 1:last["rel"] + 1] = [
+        parse_statement("rel Dinv*%s = (%s)*%s*Dinv;"
+                        % (g, lam.inverse(), g))
+        for g, lam in lambdas.items()]
+    return ModelDocument(statements, name)
 
 
 # -- the suite ----------------------------------------------------------------

@@ -39,26 +39,28 @@ def latex_polynomial(poly: Polynomial) -> str:
     if poly.is_zero():
         return "0"
     monos = sorted(poly.terms, key=lambda m: (sum(m), m), reverse=True)
-    pieces = []
-    for mono in monos:
-        coeff = poly.terms[mono]
-        body = _latex_monomial(poly.params, mono)
-        if not body:
-            text = latex_fraction(coeff)
-        elif coeff == 1:
-            text = body
-        elif coeff == -1:
-            text = "-" + body
-        else:
-            text = "%s %s" % (latex_fraction(coeff), body)
-        if pieces and not text.startswith("-"):
-            pieces.append("+")
-            pieces.append(text)
-        elif pieces:
-            pieces.append("-")
-            pieces.append(text[1:])
-        else:
-            pieces.append(text)
+    return _signed_join(_latex_poly_term(poly.terms[mono],
+                                         _latex_monomial(poly.params, mono))
+                        for mono in monos)
+
+
+def _latex_poly_term(coeff: Fraction, body: str) -> str:
+    if not body:
+        return latex_fraction(coeff)
+    if coeff == 1:
+        return body
+    if coeff == -1:
+        return "-" + body
+    return "%s %s" % (latex_fraction(coeff), body)
+
+
+def _signed_join(texts) -> str:
+    """Join term texts with + and -, taking the sign from a leading -."""
+    texts = iter(texts)
+    pieces = [next(texts)]
+    for text in texts:
+        pieces.append("- " + text[1:] if text.startswith("-")
+                      else "+ " + text)
     return " ".join(pieces)
 
 
@@ -93,30 +95,24 @@ def latex_element(element: Element) -> str:
     if element.is_zero():
         return "0"
     table = element.algebra.table
-    pieces = []
-    for word in sorted(element.terms, key=deg_lex_key):
-        coeff = element.terms[word]
-        body = latex_word(table, word)
-        if not word:
-            text = latex_coefficient(coeff) if _is_plain(coeff) \
-                else "\\left(%s\\right)" % latex_coefficient(coeff)
-        elif coeff.is_one():
-            text = body
-        elif (-coeff).is_one():
-            text = "-" + body
-        elif _is_plain(coeff):
-            text = "%s \\, %s" % (latex_coefficient(coeff), body)
-        else:
-            text = "\\left(%s\\right) %s" % (latex_coefficient(coeff), body)
-        if pieces and not text.startswith("-"):
-            pieces.append("+")
-            pieces.append(text)
-        elif pieces:
-            pieces.append("-")
-            pieces.append(text[1:])
-        else:
-            pieces.append(text)
-    return " ".join(pieces)
+    return _signed_join(
+        _latex_scaled(element.terms[word],
+                      latex_word(table, word) if word else "")
+        for word in sorted(element.terms, key=deg_lex_key))
+
+
+def _latex_scaled(coeff: RationalFunction, body: str) -> str:
+    """coeff times body, or coeff alone when body is empty."""
+    if not body:
+        return latex_coefficient(coeff) if _is_plain(coeff) \
+            else "\\left(%s\\right)" % latex_coefficient(coeff)
+    if coeff.is_one():
+        return body
+    if (-coeff).is_one():
+        return "-" + body
+    if _is_plain(coeff):
+        return "%s \\, %s" % (latex_coefficient(coeff), body)
+    return "\\left(%s\\right) %s" % (latex_coefficient(coeff), body)
 
 
 def latex_label(label: str) -> str:
@@ -129,31 +125,21 @@ def latex_form(form: Form) -> str:
     if form.is_zero():
         return "0"
     calc = form.calculus
-    pieces = []
-    for index in sorted(form.terms, key=lambda k: (len(k), k)):
-        coeff = form.terms[index]
-        body = " \\wedge ".join(latex_label(calc.labels[p]) for p in index)
-        if not index:
-            text = latex_element(coeff)
-        elif coeff.is_one():
-            text = body
-        elif len(coeff.terms) == 1:
-            inner = latex_element(coeff)
-            if inner.startswith("-"):
-                text = "-%s \\, %s" % (inner[1:], body)
-            else:
-                text = "%s \\, %s" % (inner, body)
-        else:
-            text = "\\left(%s\\right) %s" % (latex_element(coeff), body)
-        if pieces and not text.startswith("-"):
-            pieces.append("+")
-            pieces.append(text)
-        elif pieces:
-            pieces.append("-")
-            pieces.append(text[1:])
-        else:
-            pieces.append(text)
-    return " ".join(pieces)
+    return _signed_join(
+        _latex_form_term(form.terms[index],
+                         " \\wedge ".join(latex_label(calc.labels[p])
+                                          for p in index))
+        for index in sorted(form.terms, key=lambda k: (len(k), k)))
+
+
+def _latex_form_term(coeff: Element, body: str) -> str:
+    if not body:
+        return latex_element(coeff)
+    if coeff.is_one():
+        return body
+    if len(coeff.terms) == 1:
+        return "%s \\, %s" % (latex_element(coeff), body)
+    return "\\left(%s\\right) %s" % (latex_element(coeff), body)
 
 
 def latex_value(value) -> str:
@@ -170,26 +156,9 @@ def latex_relation(rel: DerivedRelation) -> str:
     left = " \\cdot ".join("\\mathit{%s}" % n for n in rel.left)
     if not rel.terms:
         return "%s = 0" % left
-    pieces = []
-    for rf, names in rel.terms:
-        body = " \\cdot ".join("\\mathit{%s}" % n for n in names)
-        if rf.is_one():
-            text = body
-        elif (-rf).is_one():
-            text = "-" + body
-        elif _is_plain(rf):
-            text = "%s \\, %s" % (latex_coefficient(rf), body)
-        else:
-            text = "\\left(%s\\right) %s" % (latex_coefficient(rf), body)
-        if pieces and not text.startswith("-"):
-            pieces.append("+")
-            pieces.append(text)
-        elif pieces:
-            pieces.append("-")
-            pieces.append(text[1:])
-        else:
-            pieces.append(text)
-    return "%s = %s" % (left, " ".join(pieces))
+    return "%s = %s" % (left, _signed_join(
+        _latex_scaled(rf, " \\cdot ".join("\\mathit{%s}" % n for n in names))
+        for rf, names in rel.terms))
 
 
 def relation_to_dict(rel: DerivedRelation) -> dict:

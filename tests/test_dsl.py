@@ -1,9 +1,12 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from ncdiff.coeff import ParameterSet, RationalFunction
+from ncdiff.coeff import ParameterSet, Polynomial, RationalFunction
 from ncdiff.dsl import (ModelSemanticError, ModelSyntaxError, export_model,
                         load_model, parse_coefficient, parse_model, tokenize)
-from ncdiff.models import model_source
+from ncdiff.models import build_glpq, model_source
 
 BASE_LINES = [
     'model "m";',
@@ -357,9 +360,10 @@ class TestRoundTrip:
         assert export_model(again) == exported
 
     def test_shipped_models_round_trip(self):
-        for name in ("quantum-torus", "gl-pq2"):
-            source = model_source(name)
-            doc = parse_model(source)
+        docs = [parse_model(model_source(name))
+                for name in ("quantum-torus", "gl-pq2")]
+        docs.append(build_glpq(adjoin_det_inverse=True).doc)
+        for doc in docs:
             exported = export_model(doc)
             assert parse_model(exported) == doc
             assert export_model(parse_model(exported)) == exported
@@ -499,3 +503,24 @@ class TestParseCoefficient:
         params = ParameterSet(("p", "q"))
         with pytest.raises(ModelSyntaxError):
             parse_coefficient("p q", params)
+
+    def test_printed_text_reparses_to_the_value(self):
+        """str(rf) is valid coefficient text for rf; the localised model
+        writes its derived scalars into the document this way."""
+        params = ParameterSet(("p", "q", "r"))
+        rng = random.Random(7211)
+
+        def polynomial(max_terms):
+            return Polynomial(params, {
+                tuple(rng.randint(-2, 3) for _ in range(3)):
+                Fraction(rng.choice([-7, -3, -1, 1, 2, 5]),
+                         rng.choice([1, 1, 2, 3]))
+                for _ in range(rng.randint(1, max_terms))})
+
+        for i in range(1200):
+            num = polynomial(4) if i % 50 else Polynomial(params)
+            value = RationalFunction(num, polynomial(rng.choice([1, 3])))
+            text = str(value)
+            again = parse_coefficient(text, params)
+            assert again == value, text
+            assert str(again) == text

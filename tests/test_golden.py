@@ -4,6 +4,9 @@ Each case runs one ``ncdiff`` command line in process and compares its
 stdout with ``tests/golden/<case>.txt`` and its exit code with the table
 below.  The ``{rfree}`` placeholder stands for the gl-pq2 model file with
 its ``subst r = p*q;`` line removed, whose twists then break the relations.
+The ``{localized}`` placeholder stands for the exported document of the
+builtin gl-pq2-localized; its case shares the builtin's golden file, which
+the table ``_SHARED_GOLDEN`` records.
 
 After an intended output change, regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -16,7 +19,8 @@ import pathlib
 import pytest
 
 from ncdiff.cli import main
-from ncdiff.models import model_source
+from ncdiff.dsl import export_model
+from ncdiff.models import build_glpq, model_source
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -53,7 +57,15 @@ def _cases():
             cases.append(("%s.confluence.%s" % (model, fmt),
                           ["confluence", spec, "--format", fmt], 0))
     cases.append(("gl-pq2-rfree.verify.plain", ["verify", "{rfree}"], 1))
+    cases.append(("gl-pq2-localized-exported.nf.plain",
+                  ["nf", "{localized}", "-e",
+                   _EXPRESSIONS["gl-pq2-localized"]], 0))
     return cases
+
+
+_SHARED_GOLDEN = {
+    "gl-pq2-localized-exported.nf.plain": "gl-pq2-localized.nf.plain",
+}
 
 
 CASES = _cases()
@@ -65,11 +77,20 @@ def _rfree_source() -> str:
     return text.replace("subst r = p*q;\n", "")
 
 
+_PLACEHOLDERS = {
+    "{rfree}": ("gl_pq2_rfree.ncd", _rfree_source),
+    "{localized}": ("gl_pq2_localized.ncd",
+                    lambda: export_model(
+                        build_glpq(adjoin_det_inverse=True).doc)),
+}
+
+
 def _run(argv, tmp_dir: pathlib.Path):
-    if "{rfree}" in argv:
-        path = tmp_dir / "gl_pq2_rfree.ncd"
-        path.write_text(_rfree_source())
-        argv = [str(path) if a == "{rfree}" else a for a in argv]
+    for placeholder, (filename, source) in _PLACEHOLDERS.items():
+        if placeholder in argv:
+            path = tmp_dir / filename
+            path.write_text(source())
+            argv = [str(path) if a == placeholder else a for a in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = main(argv)
@@ -85,7 +106,8 @@ def clean_seed(monkeypatch):
                          ids=[case[0] for case in CASES])
 def test_golden(name, argv, exit_code, tmp_path):
     rc, out = _run(argv, tmp_path)
-    expected = (GOLDEN_DIR / (name + ".txt")).read_bytes()
+    golden = _SHARED_GOLDEN.get(name, name)
+    expected = (GOLDEN_DIR / (golden + ".txt")).read_bytes()
     assert out.encode() == expected
     assert rc == exit_code
 
@@ -98,6 +120,8 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv, exit_code in CASES:
+            if name in _SHARED_GOLDEN:
+                continue
             rc, out = _run(argv, pathlib.Path(tmp))
             (GOLDEN_DIR / (name + ".txt")).write_bytes(out.encode())
             note = "" if rc == exit_code else " (exit %d, expected %d)" % (

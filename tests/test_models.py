@@ -3,7 +3,7 @@
 import pytest
 
 from ncdiff.coeff import RationalFunction
-from ncdiff.dsl import load_model, parse_coefficient
+from ncdiff.dsl import ModelSemanticError, load_model, parse_coefficient
 from ncdiff.models import (CheckResult, SuiteReport, available_models,
                            build_glpq, build_quantum_torus, model_source,
                            run_suite, scalar_ratio)
@@ -160,6 +160,17 @@ class TestLocalizedBundle:
         dinv = glpq_localized.value("Dinv")
         da = glpq_localized.calculus.d(dinv)
         assert not da.is_zero()
+
+
+@pytest.mark.parametrize("verify,error,message", [
+    (True, ModelSemanticError,
+     "line 27, column 1: 'phi1' does not respect the relations"),
+    (False, ValueError, "twist 'phi1' does not scale the determinant"),
+], ids=["verify", "no-verify"])
+def test_localization_needs_the_substitution(verify, error, message):
+    with pytest.raises(error) as info:
+        build_glpq(adjoin_det_inverse=True, substitute_r=False, verify=verify)
+    assert str(info.value) == message
 
 
 class TestScalarRatio:
