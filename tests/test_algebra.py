@@ -116,6 +116,19 @@ class TestRewriting:
         assert x_inv * x == alg.one()
         assert (y * y_inv).is_one()
 
+    def test_derive_inverse_rules_exposed(self, params):
+        alg = torus_algebra(params)
+        table = alg.table
+        x, y = table.index("x"), table.index("y")
+        x_inv, y_inv = table.inverse_index[x], table.inverse_index[y]
+        pair = (y, x)
+        q_inv = rf(params, "q").inverse()
+        rhs = {concat_words(single_word(x), single_word(y)): q_inv}
+        derived = dict(alg._conjugated(pair, rhs))
+        assert set(derived) == {(y, x_inv), (y_inv, x), (y_inv, x_inv)}
+        assert derived[(y_inv, x_inv)] == {
+            concat_words(single_word(x_inv), single_word(y_inv)): q_inv}
+
     def test_unsupported_one_letter_lead(self, params):
         table = GeneratorTable(("x", "y"))
         alg = Algebra(params, table)
