@@ -127,7 +127,11 @@ def _cmd_nf(args) -> int:
 def _cmd_verify(args) -> int:
     bundle = _load_bundle(args.model)
     seed = args.seed if args.seed is not None else _default_seed()
-    report = run_suite(bundle, seed=seed, samples=args.samples)
+    try:
+        report = run_suite(bundle, seed=seed, samples=args.samples)
+    except CalculusError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     if args.format == "json":
         print(json.dumps(report_to_dict(report), indent=2))
     else:

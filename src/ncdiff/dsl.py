@@ -948,7 +948,10 @@ class _Evaluator:
                 raise ModelSemanticError("d(...) needs a calc block",
                                          loc[0], loc[1])
             value = self.eval(arg)
-            return self.calculus.d(self.calculus.embed(value))
+            try:
+                return self.calculus.d(self.calculus.embed(value))
+            except CalculusError as exc:
+                raise ModelSemanticError(str(exc), loc[0], loc[1]) from None
         raise ModelSemanticError("unknown function %r" % fname, loc[0], loc[1])
 
     def _pow(self, node):

@@ -32,6 +32,22 @@ gen x, y;
 rel y*x = x*y;
 """
 
+NO_WEDGE_RULES = """model "m";
+param q, r;
+gen x, y;
+invertible x, y;
+rel x*y = q*y*x;
+auto phi1 { x -> x/r; y -> y/r; }
+auto phi2 { x -> x; y -> y/r; }
+calc {
+  theta t1, t2;
+  twist t1 = phi1;
+  twist t2 = phi2;
+  weight t1 = 1;
+  weight t2 = 1;
+}
+"""
+
 ELEMENT_RELATIONS = [
     "x * dx = r * dx * x",
     "x * dy = (r - 1) * dx * y + q * dy * x",
@@ -154,6 +170,13 @@ class TestNf:
         rc, out, err = run_cli(capsys, ["nf", str(path), "-e", "y*x"])
         assert (rc, out, err) == (0, "q * x*y\n", "")
 
+    def test_missing_wedge_rule(self, capsys, tmp_path):
+        path = tmp_path / "nowedge.ncd"
+        path.write_text(NO_WEDGE_RULES)
+        rc, out, err = run_cli(capsys, ["nf", str(path), "-e", "x + d(t1)"])
+        assert (rc, out, err) == (
+            2, "", "error: line 1, column 5: no rule for t1*t1\n")
+
     def test_model_from_file(self, capsys, tmp_path):
         path = tmp_path / "torus.ncd"
         path.write_text(model_source("quantum-torus"))
@@ -224,6 +247,12 @@ class TestVerify:
         # a file-loaded model runs without the builder extras, so the
         # torsion and derived-relation checks of the builtin are absent
         assert lines[-1] == "model quantum-torus: 24 passed, 1 failed"
+
+    def test_missing_wedge_rule(self, capsys, tmp_path):
+        path = tmp_path / "nowedge.ncd"
+        path.write_text(NO_WEDGE_RULES)
+        rc, out, err = run_cli(capsys, ["verify", str(path)])
+        assert (rc, out, err) == (1, "", "error: no rule for t1*t1\n")
 
     def test_samples_flag(self, capsys):
         rc, out, _ = run_cli(capsys, ["verify", "builtin:quantum-torus",

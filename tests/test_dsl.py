@@ -298,6 +298,9 @@ EVALUATION_ERRORS = [
         with_wedge("q*(t1^2)^3"),
         "cannot raise basis forms to a power", 15, 22,
         id="wedge-nested-power"),
+    pytest.param(
+        BASE.replace("  wedge t1*t1 = 0;\n", "") + "let z = d(t1);\n",
+        "no rule for t1*t1", 17, 9, id="d-missing-wedge-rule"),
 ]
 
 
