@@ -12,12 +12,16 @@ the identity on documents.
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import re
+
 from .algebra import (Algebra, AlgebraError, Element, GeneratorTable,
                       word_letters)
-from .calculus import Calculus, CalculusError, Form
+from .calculus import Calculus, Form
 from .coeff import ParameterSet, RationalFunction
-from .geometry import Connection, FormExtension, Geometry, GeometryError, TensorForm
-from .morphism import Endomorphism, MorphismError
+from .geometry import Connection, FormExtension, Geometry, TensorForm
+from .morphism import Endomorphism
 
 
 class ModelError(Exception):
@@ -40,8 +44,8 @@ class ModelSemanticError(ModelError):
 
 # -- tokens -------------------------------------------------------------------
 
-_PUNCT = ("->", "==", "{", "}", "(", ")", "[", "]", ";", ",", ":",
-          "^", "*", "/", "+", "-", "=")
+_PUNCT = {"->", "==", "{", "}", "(", ")", "[", "]", ";", ",", ":",
+          "^", "*", "/", "+", "-", "="}
 
 
 class _Token:
@@ -116,14 +120,12 @@ def tokenize(text: str):
             col += j - i
             i = j
             continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(_Token("punct", punct, line, col))
-                i += len(punct)
-                col += len(punct)
-                break
-        else:
+        punct = text[i:i + 2] if text[i:i + 2] in _PUNCT else ch
+        if punct not in _PUNCT:
             raise ModelSyntaxError("unexpected character %r" % ch, line, col)
+        tokens.append(_Token("punct", punct, line, col))
+        i += len(punct)
+        col += len(punct)
     tokens.append(_Token("eof", None, line, col))
     return tokens
 
@@ -136,26 +138,14 @@ def tokenize(text: str):
 #   ("neg", node, loc)         ("pow", node, exponent, loc)
 #   ("bin", op, left, right, loc)
 
+_CHILD_SLOTS = {"num": (), "name": (), "neg": (1,), "pow": (1,), "bin": (2, 3)}
+
+
 def _child_slots(node):
     """Tuple positions of the node's child expressions, left to right."""
-    kind = node[0]
-    if kind in ("num", "name"):
-        return ()
-    if kind == "call":
+    if node[0] == "call":
         return () if node[2] is None else (2,)
-    if kind in ("neg", "pow"):
-        return (1,)
-    if kind == "bin":
-        return (2, 3)
-    raise ValueError("unknown node kind %r" % kind)
-
-
-def _map_children(node, fn):
-    """A copy of the node with fn applied to each child expression."""
-    out = list(node)
-    for i in _child_slots(node):
-        out[i] = fn(node[i])
-    return tuple(out)
+    return _CHILD_SLOTS[node[0]]
 
 
 def _iter_nodes(node):
@@ -167,10 +157,6 @@ def _iter_nodes(node):
         stack.extend(node[i] for i in reversed(_child_slots(node)))
 
 
-def strip_locations(node):
-    return _map_children(node, strip_locations)[:-1]
-
-
 def node_location(node):
     return node[-1]
 
@@ -179,7 +165,10 @@ def rename_atoms(node, mapping: dict):
     """A copy of the expression with name atoms renamed."""
     if node[0] == "name" and node[1] in mapping:
         return ("name", mapping[node[1]], node[2])
-    return _map_children(node, lambda child: rename_atoms(child, mapping))
+    out = list(node)
+    for i in _child_slots(node):
+        out[i] = rename_atoms(node[i], mapping)
+    return tuple(out)
 
 
 def expression_names(node):
@@ -210,10 +199,7 @@ def expression_to_text(node, required: int = 0) -> str:
         return "(%s)" % text if required > 3 else text
     if kind == "bin":
         op = node[1]
-        if op in "+-":
-            mine = 0
-        else:
-            mine = 1
+        mine = 0 if op in "+-" else 1
         left = expression_to_text(node[2], mine)
         right = expression_to_text(node[3], mine + 1)
         text = "%s %s %s" % (left, op, right)
@@ -223,94 +209,26 @@ def expression_to_text(node, required: int = 0) -> str:
 
 # -- statements ----------------------------------------------------------------
 
-_STAGES = {"model": 0, "param": 1, "gen": 2, "invertible": 3, "rel": 4}
-_LATE_KINDS = ("subst", "auto", "calc", "extension", "let", "metric",
-               "connection", "check")
-
-
-class Statement:
-    __slots__ = ("kind", "data", "line", "col")
-
-    def __init__(self, kind, data, line, col):
-        self.kind = kind
-        self.data = data
-        self.line = line
-        self.col = col
+Statement = collections.namedtuple("Statement", "kind data line col")
 
 
 class ModelDocument:
-    """The parsed form of a model file: ordered statements plus name tables."""
+    """The parsed form of a model file: ordered statements plus the declared
+    parameter, generator and invertible names."""
 
     def __init__(self, statements, name):
         self.statements = statements
         self.name = name
-        self.params = []
-        self.gens = []
-        self.invertible = []
-        self.theta_labels = []
-        self.let_names = []
-        self.auto_names = []
-        self.check_names = []
-        for stmt in statements:
-            if stmt.kind == "param":
-                self.params.extend(stmt.data)
-            elif stmt.kind == "gen":
-                self.gens.extend(stmt.data)
-            elif stmt.kind == "invertible":
-                self.invertible.extend(stmt.data)
-            elif stmt.kind == "calc":
-                self.theta_labels.extend(stmt.data["thetas"])
-            elif stmt.kind == "let":
-                self.let_names.append(stmt.data[0])
-            elif stmt.kind == "auto":
-                self.auto_names.append(stmt.data[0])
-            elif stmt.kind == "check":
-                self.check_names.append(stmt.data[0])
+        self.params, self.gens, self.invertible = (
+            [n for stmt in statements if stmt.kind == kind for n in stmt.data]
+            for kind in ("param", "gen", "invertible"))
 
     def semantic_key(self):
-        out = [self.name]
-        for stmt in self.statements:
-            out.append((stmt.kind, _stmt_key(stmt)))
-        return tuple(out)
+        return (self.name, export_model(self))
 
     def __eq__(self, other):
         return (isinstance(other, ModelDocument)
                 and self.semantic_key() == other.semantic_key())
-
-    def checks(self):
-        return [stmt for stmt in self.statements if stmt.kind == "check"]
-
-
-def _stmt_key(stmt: Statement):
-    kind = stmt.kind
-    data = stmt.data
-    if kind == "model":
-        return data
-    if kind in ("param", "gen", "invertible"):
-        return tuple(data)
-    if kind == "rel":
-        return (strip_locations(data[0]), strip_locations(data[1]))
-    if kind == "subst":
-        return (data[0], strip_locations(data[1]))
-    if kind in ("auto", "extension"):
-        return (data[0], tuple((n, strip_locations(e)) for n, e in data[1]))
-    if kind == "calc":
-        return (tuple(data["thetas"]),
-                tuple(data["twists"]),
-                tuple((lab, strip_locations(e)) for lab, e in data["weights"]),
-                tuple((l1, l2, strip_locations(e))
-                      for l1, l2, e in data["wedges"]))
-    if kind == "let":
-        return (data[0], strip_locations(data[1]))
-    if kind == "metric":
-        return (data[0], tuple((l1, l2, strip_locations(e))
-                               for l1, l2, e in data[1]))
-    if kind == "connection":
-        return (data[0], tuple((s, k, strip_locations(e))
-                               for s, k, e in data[1]))
-    if kind == "check":
-        return (data[0], strip_locations(data[1]), strip_locations(data[2]))
-    raise ValueError("unknown statement kind %r" % kind)
 
 
 class _Parser:
@@ -425,214 +343,226 @@ class _Parser:
             names.append(self.expect_ident().value)
         return names
 
+    def parse_transport_key(self) -> int:
+        key = self.expect_ident("transport key")
+        if not (key.value.startswith("V") and key.value[1:].isdigit()):
+            raise ModelSyntaxError(
+                "transport key must look like V1", key.line, key.col)
+        return int(key.value[1:])
+
 
 def parse_model(text: str) -> ModelDocument:
-    """Parse and statically check a model file."""
+    """Parse and statically check a model file, one statement at a time."""
     parser = _Parser(tokenize(text))
     statements = []
-    name = "model"
     stage = 0
     checker = _StaticChecker()
     while parser.peek().kind != "eof":
-        tok = parser.peek()
-        if tok.kind != "ident":
-            raise ModelSyntaxError("expected a statement keyword",
-                                   tok.line, tok.col)
-        kind = tok.value
-        if kind in _STAGES:
-            required = _STAGES[kind]
-            if required < stage:
-                raise ModelSyntaxError(
-                    "%r cannot appear after later sections" % kind,
-                    tok.line, tok.col)
-            stage = required
-        elif kind in _LATE_KINDS:
-            stage = 5
-        else:
-            raise ModelSyntaxError("unknown statement %r" % kind,
-                                   tok.line, tok.col)
-        parser.advance()
-        stmt = _parse_statement(parser, kind, tok)
-        if kind == "model":
-            name = stmt.data
-        checker.check(stmt)
+        stmt, spec = _parse_statement(parser, stage)
+        stage = spec.stage
+        spec.check(checker, stmt)
         statements.append(stmt)
-    doc = ModelDocument(statements, name)
-    return doc
+    name = "model" if checker.name is None else checker.name
+    return ModelDocument(statements, name)
 
 
 def parse_statement(text: str) -> Statement:
     """Parse the text of one statement, without the static name checks."""
     parser = _Parser(tokenize(text))
-    tok = parser.advance()
-    stmt = _parse_statement(parser, tok.value, tok)
+    stmt, _ = _parse_statement(parser)
     parser.expect_eof()
     return stmt
 
 
-def _parse_statement(parser: _Parser, kind: str, tok: _Token) -> Statement:
-    line, col = tok.line, tok.col
-    if kind == "model":
-        value = parser.expect_string().value
-        parser.expect_punct(";")
-        return Statement(kind, value, line, col)
-    if kind in ("param", "gen", "invertible"):
-        names = parser.parse_ident_list()
-        parser.expect_punct(";")
-        return Statement(kind, names, line, col)
-    if kind == "rel":
-        lhs = parser.parse_expression()
-        parser.expect_punct("=")
-        rhs = parser.parse_expression()
-        parser.expect_punct(";")
-        return Statement(kind, (lhs, rhs), line, col)
-    if kind == "subst":
-        target = parser.expect_ident("parameter name").value
-        parser.expect_punct("=")
-        value = parser.parse_expression()
-        parser.expect_punct(";")
-        return Statement(kind, (target, value), line, col)
-    if kind in ("auto", "extension"):
-        name = parser.expect_ident("name").value
-        parser.expect_punct("{")
+def _error_at(stmt: Statement, message: str) -> ModelSemanticError:
+    return ModelSemanticError(message, stmt.line, stmt.col)
+
+
+def _parse_expression_text(text: str):
+    parser = _Parser(tokenize(text))
+    node = parser.parse_expression()
+    parser.expect_eof()
+    return node
+
+
+def _parse_statement(parser: _Parser, stage: int = 0):
+    """The statement at the parser and its entry in _KINDS; a kind whose
+    stage is below ``stage`` is rejected before its body is read."""
+    tok = parser.peek()
+    if tok.kind != "ident":
+        raise ModelSyntaxError("expected a statement keyword",
+                               tok.line, tok.col)
+    spec = _KINDS.get(tok.value)
+    if spec is None:
+        raise ModelSyntaxError("unknown statement %r" % tok.value,
+                               tok.line, tok.col)
+    if spec.stage < stage:
+        raise ModelSyntaxError(
+            "%r cannot appear after later sections" % tok.value,
+            tok.line, tok.col)
+    parser.advance()
+    stmt = Statement(tok.value, spec.syntax.parse(parser), tok.line, tok.col)
+    return stmt, spec
+
+
+# -- surface syntax -----------------------------------------------------------
+#
+# Each statement kind writes its syntax once, as a template such as
+# "<name> = <expr>;".  Punctuation in a template is expected literally and
+# each <field> is read by its parser in _FIELDS; export substitutes the
+# fields' printed texts into the same template, so reparsing exported text
+# gives the same statements.
+
+def _ident_field(what):
+    return (lambda parser: parser.expect_ident(what).value, str)
+
+
+_FIELDS = {
+    "str": (lambda parser: parser.expect_string().value,
+            lambda text: '"%s"' % text.replace('"', '\\"')),
+    "ids": (_Parser.parse_ident_list, ", ".join),
+    "expr": (_Parser.parse_expression, expression_to_text),
+    "key": (_Parser.parse_transport_key, "V%d".__mod__),
+    "ident": _ident_field("identifier"),
+    "name": _ident_field("name"),
+    "param": _ident_field("parameter name"),
+    "label": _ident_field("basis label"),
+    "auto": _ident_field("automorphism name"),
+}
+
+_TEMPLATE_TOKEN = re.compile(r"<(\w+)>|->|==|\S")
+
+
+class _Line:
+    """A template; one field parses to its value, several to a tuple."""
+
+    def __init__(self, template: str):
+        self.steps = [(_FIELDS[m.group(1)][0] if m.group(1) else None,
+                       m.group())
+                      for m in _TEMPLATE_TOKEN.finditer(template)]
+        self.printers = [_FIELDS[f][1]
+                         for f in re.findall(r"<(\w+)>", template)]
+        self.format = re.sub(r"<\w+>", "%s", template)
+
+    def parse(self, parser: _Parser):
+        values = []
+        for read, punct in self.steps:
+            if read is None:
+                parser.expect_punct(punct)
+            else:
+                values.append(read(parser))
+        return values[0] if len(values) == 1 else tuple(values)
+
+    def render(self, data) -> str:
+        values = (data,) if len(self.printers) == 1 else data
+        return self.format % tuple(
+            show(value) for show, value in zip(self.printers, values))
+
+
+class _Block:
+    """``<name> { entry entry ... }``, parsed to (name, [entry, ...])."""
+
+    _HEADER = _Line("<name> {")
+
+    def __init__(self, entry: str):
+        self.entry = _Line(entry)
+
+    def parse(self, parser: _Parser):
+        name = self._HEADER.parse(parser)
         entries = []
         while not parser.at_punct("}"):
-            source = parser.expect_ident().value
-            parser.expect_punct("->")
-            image = parser.parse_expression()
-            parser.expect_punct(";")
-            entries.append((source, image))
+            entries.append(self.entry.parse(parser))
         parser.expect_punct("}")
-        return Statement(kind, (name, entries), line, col)
-    if kind == "calc":
+        return (name, entries)
+
+    def render(self, data) -> str:
+        name, entries = data
+        lines = [self._HEADER.render(name)]
+        lines += ["  " + self.entry.render(entry) for entry in entries]
+        return "\n".join(lines + ["}"])
+
+
+class _CalcBlock:
+    """``{ item item ... }`` with keyword-led items, grouped on parse.
+
+    The parse gives a dict of theta labels, twists, weights and wedge rules;
+    export prints one theta line, then each group in that order.
+    """
+
+    ITEMS = {"theta": ("thetas", _Line("<ids>;")),
+             "twist": ("twists", _Line("<label> = <auto>;")),
+             "weight": ("weights", _Line("<label> = <expr>;")),
+             "wedge": ("wedges", _Line("<label>*<label> = <expr>;"))}
+
+    def parse(self, parser: _Parser):
         parser.expect_punct("{")
-        thetas = []
-        twists = []
-        weights = []
-        wedges = []
+        data = {group: [] for group, _ in self.ITEMS.values()}
         while not parser.at_punct("}"):
             item = parser.expect_ident("calc item").value
-            if item == "theta":
-                thetas.extend(parser.parse_ident_list())
-                parser.expect_punct(";")
-            elif item == "twist":
-                lab = parser.expect_ident("basis label").value
-                parser.expect_punct("=")
-                auto = parser.expect_ident("automorphism name").value
-                parser.expect_punct(";")
-                twists.append((lab, auto))
-            elif item == "weight":
-                lab = parser.expect_ident("basis label").value
-                parser.expect_punct("=")
-                weights.append((lab, parser.parse_expression()))
-                parser.expect_punct(";")
-            elif item == "wedge":
-                lab1 = parser.expect_ident("basis label").value
-                parser.expect_punct("*")
-                lab2 = parser.expect_ident("basis label").value
-                parser.expect_punct("=")
-                wedges.append((lab1, lab2, parser.parse_expression()))
-                parser.expect_punct(";")
-            else:
+            if item not in self.ITEMS:
+                tok = parser.peek()
                 raise ModelSyntaxError("unknown calc item %r" % item,
-                                       parser.peek().line, parser.peek().col)
+                                       tok.line, tok.col)
+            group, syntax = self.ITEMS[item]
+            value = syntax.parse(parser)
+            data[group] += value if item == "theta" else [value]
         parser.expect_punct("}")
-        data = {"thetas": thetas, "twists": twists, "weights": weights,
-                "wedges": wedges}
-        return Statement(kind, data, line, col)
-    if kind == "let":
-        name = parser.expect_ident("name").value
-        parser.expect_punct("=")
-        value = parser.parse_expression()
-        parser.expect_punct(";")
-        return Statement(kind, (name, value), line, col)
-    if kind == "metric":
-        name = parser.expect_ident("name").value
-        parser.expect_punct("{")
-        entries = []
-        while not parser.at_punct("}"):
-            parser.expect_punct("[")
-            lab1 = parser.expect_ident("basis label").value
-            parser.expect_punct(",")
-            lab2 = parser.expect_ident("basis label").value
-            parser.expect_punct("]")
-            parser.expect_punct("=")
-            entries.append((lab1, lab2, parser.parse_expression()))
-            parser.expect_punct(";")
-        parser.expect_punct("}")
-        return Statement(kind, (name, entries), line, col)
-    if kind == "connection":
-        name = parser.expect_ident("name").value
-        parser.expect_punct("{")
-        entries = []
-        while not parser.at_punct("}"):
-            key = parser.expect_ident("transport key")
-            if not (key.value.startswith("V") and key.value[1:].isdigit()):
-                raise ModelSyntaxError(
-                    "transport key must look like V1", key.line, key.col)
-            index = int(key.value[1:])
-            parser.expect_punct("[")
-            basis = parser.expect_ident("basis label").value
-            parser.expect_punct("]")
-            parser.expect_punct("=")
-            entries.append((index, basis, parser.parse_expression()))
-            parser.expect_punct(";")
-        parser.expect_punct("}")
-        return Statement(kind, (name, entries), line, col)
-    if kind == "check":
-        name = parser.expect_string().value
-        parser.expect_punct(":")
-        lhs = parser.parse_expression()
-        parser.expect_punct("==")
-        rhs = parser.parse_expression()
-        parser.expect_punct(";")
-        return Statement(kind, (name, lhs, rhs), line, col)
-    raise ModelSyntaxError("unknown statement %r" % kind, line, col)
+        return data
 
+    def render(self, data) -> str:
+        lines = ["{"]
+        for item, (group, syntax) in self.ITEMS.items():
+            entries = [data[group]] if item == "theta" else data[group]
+            lines += ["  %s %s" % (item, syntax.render(entry))
+                      for entry in entries]
+        return "\n".join(lines + ["}"])
+
+
+# -- static checks ------------------------------------------------------------
 
 class _StaticChecker:
-    """Name and shape checks that run while parsing."""
+    """Name and shape checks that run while parsing, one method per kind."""
 
     def __init__(self):
+        self.name = None
         self.params = set()
         self.gens = set()
         self.invertible = set()
-        self.thetas = []
+        self.thetas = set()
         self.lets = set()
         self.autos = set()
-        self.metrics = set()
-        self.connections = set()
-        self.checks = set()
-        self.extensions = set()
-        self.seen_model = False
+        self.seen = collections.defaultdict(set)
         self.seen_calc = False
 
-    def _dup(self, name, line, col):
-        raise ModelSemanticError("duplicate name %r" % name, line, col)
+    def _claim(self, seen, key, stmt, shown=None, clash=False):
+        """Add key to seen; a repeat, or a clash elsewhere, is a duplicate."""
+        if clash or key in seen:
+            raise _error_at(stmt, "duplicate name %r"
+                            % (key if shown is None else shown))
+        seen.add(key)
 
     def _known(self, name):
         return (name in self.params or name in self.gens
                 or name in self.thetas or name in self.lets)
 
-    def _check_names(self, expr, allowed, what):
+    def _labels(self, stmt, *labels):
+        for lab in labels:
+            if lab not in self.thetas:
+                raise _error_at(stmt, "unknown basis label %r" % lab)
+
+    def _expression(self, expr, allowed, what, calls=False):
+        """Names must be in allowed; calls must be d or inner, or absent."""
+        for fname, loc in expression_calls(expr):
+            if not calls:
+                raise ModelSemanticError(
+                    "%s cannot use %s(...)" % (what, fname), *loc)
+            if fname not in ("d", "inner"):
+                raise ModelSemanticError(
+                    "unknown function %r" % fname, *loc)
         for name, loc in expression_names(expr):
             if name not in allowed:
                 raise ModelSemanticError(
-                    "unknown name %r in %s" % (name, what), loc[0], loc[1])
-        return expr
-
-    def _no_calls(self, expr, what):
-        calls = expression_calls(expr)
-        if calls:
-            fname, loc = calls[0]
-            raise ModelSemanticError(
-                "%s cannot use %s(...)" % (what, fname), loc[0], loc[1])
-
-    def _check_calls(self, expr):
-        for fname, loc in expression_calls(expr):
-            if fname not in ("d", "inner"):
-                raise ModelSemanticError(
-                    "unknown function %r" % fname, loc[0], loc[1])
+                    "unknown name %r in %s" % (name, what), *loc)
 
     def _no_basis_powers(self, expr, labels):
         """Reject a power whose base holds a basis form.
@@ -650,197 +580,136 @@ class _StaticChecker:
                 break
             found, scope = hit, hit[1]
         if found is not None:
-            loc = node_location(found)
             raise ModelSemanticError("cannot raise basis forms to a power",
-                                     loc[0], loc[1])
+                                     *node_location(found))
 
-    def check(self, stmt: Statement) -> None:
-        kind = stmt.kind
-        if kind == "model":
-            if self.seen_model:
-                raise ModelSemanticError("duplicate model statement",
-                                         stmt.line, stmt.col)
-            self.seen_model = True
-        elif kind == "param":
-            for n in stmt.data:
-                if n in self.params:
-                    self._dup(n, stmt.line, stmt.col)
-                self.params.add(n)
-        elif kind == "gen":
-            for n in stmt.data:
-                if n in self.params or n in self.gens:
-                    self._dup(n, stmt.line, stmt.col)
-                self.gens.add(n)
-        elif kind == "invertible":
-            for n in stmt.data:
-                if n not in self.gens:
-                    raise ModelSemanticError(
-                        "invertible name %r is not a generator" % n,
-                        stmt.line, stmt.col)
-                if n in self.invertible:
-                    self._dup(n, stmt.line, stmt.col)
-                self.invertible.add(n)
-        elif kind == "rel":
-            allowed = self.params | self.gens
-            for side in stmt.data:
-                self._no_calls(side, "a relation")
-                self._check_names(side, allowed, "a relation")
-        elif kind == "subst":
-            target, expr = stmt.data
-            if target not in self.params:
-                raise ModelSemanticError(
-                    "subst target %r is not a parameter" % target,
-                    stmt.line, stmt.col)
-            self._no_calls(expr, "a substitution")
-            self._check_names(expr, self.params, "a substitution")
-        elif kind == "auto":
-            name, entries = stmt.data
-            if self._known(name) or name in self.autos:
-                self._dup(name, stmt.line, stmt.col)
-            self.autos.add(name)
-            seen = set()
-            for gen_name, expr in entries:
-                if gen_name not in self.gens:
-                    raise ModelSemanticError(
-                        "image for unknown generator %r" % gen_name,
-                        stmt.line, stmt.col)
-                if gen_name in seen:
-                    self._dup(gen_name, stmt.line, stmt.col)
-                seen.add(gen_name)
-                self._no_calls(expr, "an automorphism image")
-                self._check_names(expr, self.params | self.gens,
-                                  "an automorphism image")
-            missing = self.gens - seen
-            if missing:
-                raise ModelSemanticError(
-                    "automorphism %r has no image for %r"
-                    % (name, sorted(missing)[0]), stmt.line, stmt.col)
-        elif kind == "calc":
-            if self.seen_calc:
-                raise ModelSemanticError("duplicate calc block",
-                                         stmt.line, stmt.col)
-            self.seen_calc = True
-            data = stmt.data
-            for lab in data["thetas"]:
-                if self._known(lab) or lab in self.autos:
-                    self._dup(lab, stmt.line, stmt.col)
-                self.thetas.append(lab)
-            labels = set(self.thetas)
-            twisted = set()
-            for lab, auto in data["twists"]:
-                if lab not in labels:
-                    raise ModelSemanticError("unknown basis label %r" % lab,
-                                             stmt.line, stmt.col)
-                if auto not in self.autos:
-                    raise ModelSemanticError("unknown automorphism %r" % auto,
-                                             stmt.line, stmt.col)
-                if lab in twisted:
-                    self._dup(lab, stmt.line, stmt.col)
-                twisted.add(lab)
-            weighted = set()
-            for lab, expr in data["weights"]:
-                if lab not in labels:
-                    raise ModelSemanticError("unknown basis label %r" % lab,
-                                             stmt.line, stmt.col)
-                if lab in weighted:
-                    self._dup(lab, stmt.line, stmt.col)
-                weighted.add(lab)
-                self._no_calls(expr, "a weight")
-                self._check_names(expr, self.params | self.gens | self.lets,
-                                  "a weight")
-            for lab in self.thetas:
-                if lab not in twisted:
-                    raise ModelSemanticError("missing twist for %r" % lab,
-                                             stmt.line, stmt.col)
-                if lab not in weighted:
-                    raise ModelSemanticError("missing weight for %r" % lab,
-                                             stmt.line, stmt.col)
-            for lab1, lab2, expr in data["wedges"]:
-                for lab in (lab1, lab2):
-                    if lab not in labels:
-                        raise ModelSemanticError(
-                            "unknown basis label %r" % lab, stmt.line, stmt.col)
-                self._no_calls(expr, "a wedge rule")
-                self._check_names(expr, self.params | labels, "a wedge rule")
-                self._no_basis_powers(expr, labels)
-        elif kind == "extension":
-            name, entries = stmt.data
-            if name not in self.autos:
-                raise ModelSemanticError("unknown automorphism %r" % name,
-                                         stmt.line, stmt.col)
-            if name in self.extensions:
-                self._dup(name, stmt.line, stmt.col)
-            self.extensions.add(name)
-            labels = set(self.thetas)
-            seen = set()
-            for lab, expr in entries:
-                if lab not in labels:
-                    raise ModelSemanticError("unknown basis label %r" % lab,
-                                             stmt.line, stmt.col)
-                if lab in seen:
-                    self._dup(lab, stmt.line, stmt.col)
-                seen.add(lab)
-                self._no_calls(expr, "an extension image")
-                self._check_names(expr, self.params | labels,
-                                  "an extension image")
-        elif kind == "let":
-            name, expr = stmt.data
-            if self._known(name) or name in self.autos:
-                self._dup(name, stmt.line, stmt.col)
-            self._check_calls(expr)
-            self._check_names(expr,
-                              self.params | self.gens | set(self.thetas)
-                              | self.lets, "a definition")
-            self.lets.add(name)
-        elif kind == "metric":
-            name, entries = stmt.data
-            if name in self.metrics:
-                self._dup(name, stmt.line, stmt.col)
-            self.metrics.add(name)
-            labels = set(self.thetas)
-            seen = set()
-            for lab1, lab2, expr in entries:
-                for lab in (lab1, lab2):
-                    if lab not in labels:
-                        raise ModelSemanticError(
-                            "unknown basis label %r" % lab, stmt.line, stmt.col)
-                if (lab1, lab2) in seen:
-                    self._dup("%s,%s" % (lab1, lab2), stmt.line, stmt.col)
-                seen.add((lab1, lab2))
-                self._no_calls(expr, "a metric entry")
-                self._check_names(expr, self.params | self.gens | self.lets,
-                                  "a metric entry")
-        elif kind == "connection":
-            name, entries = stmt.data
-            if name in self.connections:
-                self._dup(name, stmt.line, stmt.col)
-            self.connections.add(name)
-            labels = set(self.thetas)
-            seen = set()
-            for index, basis, expr in entries:
-                if not (1 <= index <= len(self.thetas)):
-                    raise ModelSemanticError(
-                        "transport direction V%d is out of range" % index,
-                        stmt.line, stmt.col)
-                if basis not in labels:
-                    raise ModelSemanticError(
-                        "unknown basis label %r" % basis, stmt.line, stmt.col)
-                if (index, basis) in seen:
-                    self._dup("V%d[%s]" % (index, basis), stmt.line, stmt.col)
-                seen.add((index, basis))
-                self._no_calls(expr, "a transport entry")
-                self._check_names(expr,
-                                  self.params | self.gens | labels | self.lets,
-                                  "a transport entry")
-        elif kind == "check":
-            name, lhs, rhs = stmt.data
-            if name in self.checks:
-                self._dup(name, stmt.line, stmt.col)
-            self.checks.add(name)
-            allowed = self.params | self.gens | set(self.thetas) | self.lets
-            for side in (lhs, rhs):
-                self._check_calls(side)
-                self._check_names(side, allowed, "a check")
+    def model(self, stmt):
+        if self.name is not None:
+            raise _error_at(stmt, "duplicate model statement")
+        self.name = stmt.data
+
+    def param(self, stmt):
+        for n in stmt.data:
+            self._claim(self.params, n, stmt)
+
+    def gen(self, stmt):
+        for n in stmt.data:
+            self._claim(self.gens, n, stmt, clash=n in self.params)
+
+    def invertible(self, stmt):
+        for n in stmt.data:
+            if n not in self.gens:
+                raise _error_at(
+                    stmt, "invertible name %r is not a generator" % n)
+            self._claim(self.invertible, n, stmt)
+
+    def rel(self, stmt):
+        for side in stmt.data:
+            self._expression(side, self.params | self.gens, "a relation")
+
+    def subst(self, stmt):
+        target, expr = stmt.data
+        if target not in self.params:
+            raise _error_at(
+                stmt, "subst target %r is not a parameter" % target)
+        self._expression(expr, self.params, "a substitution")
+
+    def auto(self, stmt):
+        name, entries = stmt.data
+        self._claim(self.autos, name, stmt, clash=self._known(name))
+        seen = set()
+        for gen_name, expr in entries:
+            if gen_name not in self.gens:
+                raise _error_at(
+                    stmt, "image for unknown generator %r" % gen_name)
+            self._claim(seen, gen_name, stmt)
+            self._expression(expr, self.params | self.gens,
+                             "an automorphism image")
+        missing = self.gens - seen
+        if missing:
+            raise _error_at(stmt, "automorphism %r has no image for %r"
+                            % (name, sorted(missing)[0]))
+
+    def calc(self, stmt):
+        if self.seen_calc:
+            raise _error_at(stmt, "duplicate calc block")
+        self.seen_calc = True
+        data = stmt.data
+        for lab in data["thetas"]:
+            self._claim(self.thetas, lab, stmt,
+                        clash=self._known(lab) or lab in self.autos)
+        twisted = set()
+        for lab, auto in data["twists"]:
+            self._labels(stmt, lab)
+            if auto not in self.autos:
+                raise _error_at(stmt, "unknown automorphism %r" % auto)
+            self._claim(twisted, lab, stmt)
+        weighted = set()
+        for lab, expr in data["weights"]:
+            self._labels(stmt, lab)
+            self._claim(weighted, lab, stmt)
+            self._expression(expr, self.params | self.gens | self.lets,
+                             "a weight")
+        for lab in data["thetas"]:
+            if lab not in twisted:
+                raise _error_at(stmt, "missing twist for %r" % lab)
+            if lab not in weighted:
+                raise _error_at(stmt, "missing weight for %r" % lab)
+        for lab1, lab2, expr in data["wedges"]:
+            self._labels(stmt, lab1, lab2)
+            self._expression(expr, self.params | self.thetas, "a wedge rule")
+            self._no_basis_powers(expr, self.thetas)
+
+    def extension(self, stmt):
+        name, entries = stmt.data
+        if name not in self.autos:
+            raise _error_at(stmt, "unknown automorphism %r" % name)
+        self._claim(self.seen[stmt.kind], name, stmt)
+        seen = set()
+        for lab, expr in entries:
+            self._labels(stmt, lab)
+            self._claim(seen, lab, stmt)
+            self._expression(expr, self.params | self.thetas,
+                             "an extension image")
+
+    def let(self, stmt):
+        name, expr = stmt.data
+        if self._known(name) or name in self.autos:
+            raise _error_at(stmt, "duplicate name %r" % name)
+        self._expression(expr, self.params | self.gens | self.thetas
+                         | self.lets, "a definition", calls=True)
+        self.lets.add(name)
+
+    def metric(self, stmt):
+        name, entries = stmt.data
+        self._claim(self.seen[stmt.kind], name, stmt)
+        seen = set()
+        for lab1, lab2, expr in entries:
+            self._labels(stmt, lab1, lab2)
+            self._claim(seen, (lab1, lab2), stmt, "%s,%s" % (lab1, lab2))
+            self._expression(expr, self.params | self.gens | self.lets,
+                             "a metric entry")
+
+    def connection(self, stmt):
+        name, entries = stmt.data
+        self._claim(self.seen[stmt.kind], name, stmt)
+        seen = set()
+        for index, basis, expr in entries:
+            if not (1 <= index <= len(self.thetas)):
+                raise _error_at(
+                    stmt, "transport direction V%d is out of range" % index)
+            self._labels(stmt, basis)
+            self._claim(seen, (index, basis), stmt,
+                        "V%d[%s]" % (index, basis))
+            self._expression(expr, self.params | self.gens | self.thetas
+                             | self.lets, "a transport entry")
+
+    def check(self, stmt):
+        name, lhs, rhs = stmt.data
+        self._claim(self.seen[stmt.kind], name, stmt)
+        for side in (lhs, rhs):
+            self._expression(side, self.params | self.gens | self.thetas
+                             | self.lets, "a check", calls=True)
 
 
 # -- building -----------------------------------------------------------------
@@ -864,24 +733,26 @@ class CheckCase:
 
 
 class ModelBundle:
-    """Built model objects: algebra, automorphisms, calculus, geometry."""
+    """Built model objects: algebra, automorphisms, calculus, geometry.
 
-    def __init__(self, doc, name, params, algebra, autos, calculus, geometry,
-                 named, metrics, connections, checks, substitutions, env):
+    build_model fills the tables one statement at a time.
+    """
+
+    def __init__(self, doc, params, algebra, env):
         self.doc = doc
-        self.name = name
+        self.name = doc.name
         self.params = params
         self.algebra = algebra
-        self.autos = autos
-        self.calculus = calculus
-        self.geometry = geometry
-        self.named = named
-        self.metrics = metrics
-        self.connections = connections
-        self.checks = checks
-        self.substitutions = substitutions
-        self._env = env
+        self.autos = {}
+        self.calculus = None
+        self.geometry = None
         self.extensions_by_auto = {}
+        self.named = {}
+        self.metrics = {}
+        self.connections = {}
+        self.checks = []
+        self.substitutions = {}
+        self._env = env
         self.extras = {}
 
     def value(self, name: str):
@@ -893,9 +764,9 @@ class ModelBundle:
 
     def eval_expression(self, text: str):
         """Evaluate one expression in the model's environment."""
-        parser = _Parser(tokenize(text))
-        node = parser.parse_expression()
-        parser.expect_eof()
+        return self._eval(_parse_expression_text(text))
+
+    def _eval(self, node):
         return _Evaluator(self._env, self.params, self.algebra,
                           self.calculus).eval(node)
 
@@ -917,8 +788,7 @@ class _Evaluator:
         if kind == "name":
             value = self.env.get(node[1])
             if value is None:
-                raise ModelSemanticError("unknown name %r" % node[1],
-                                         loc[0], loc[1])
+                raise ModelSemanticError("unknown name %r" % node[1], *loc)
             return value
         if kind == "call":
             return self._call(node)
@@ -934,25 +804,21 @@ class _Evaluator:
         fname, arg, loc = node[1], node[2], node_location(node)
         if fname == "inner":
             if arg is not None:
-                raise ModelSemanticError("inner() takes no argument",
-                                         loc[0], loc[1])
+                raise ModelSemanticError("inner() takes no argument", *loc)
             if self.calculus is None:
-                raise ModelSemanticError("inner() needs a calc block",
-                                         loc[0], loc[1])
+                raise ModelSemanticError("inner() needs a calc block", *loc)
             return self.calculus.inner_form()
         if fname == "d":
             if arg is None:
-                raise ModelSemanticError("d(...) needs an argument",
-                                         loc[0], loc[1])
+                raise ModelSemanticError("d(...) needs an argument", *loc)
             if self.calculus is None:
-                raise ModelSemanticError("d(...) needs a calc block",
-                                         loc[0], loc[1])
+                raise ModelSemanticError("d(...) needs a calc block", *loc)
             value = self.eval(arg)
             try:
                 return self.calculus.d(self.calculus.embed(value))
-            except CalculusError as exc:
-                raise ModelSemanticError(str(exc), loc[0], loc[1]) from None
-        raise ModelSemanticError("unknown function %r" % fname, loc[0], loc[1])
+            except AlgebraError as exc:
+                raise ModelSemanticError(str(exc), *loc) from None
+        raise ModelSemanticError("unknown function %r" % fname, *loc)
 
     def _pow(self, node):
         base = self.eval(node[1])
@@ -963,13 +829,12 @@ class _Evaluator:
                 return base ** n
             except ZeroDivisionError:
                 raise ModelSemanticError("zero raised to a negative power",
-                                         loc[0], loc[1]) from None
+                                         *loc) from None
         if isinstance(base, Element):
             if n >= 0:
                 return base ** n
             return _invert_element(base, loc) ** (-n)
-        raise ModelSemanticError("cannot raise a form to a power",
-                                 loc[0], loc[1])
+        raise ModelSemanticError("cannot raise a form to a power", *loc)
 
     def _bin(self, node):
         op = node[1]
@@ -979,9 +844,9 @@ class _Evaluator:
         if op == "/":
             if not isinstance(right, RationalFunction):
                 raise ModelSemanticError(
-                    "division by a noncommutative expression", loc[0], loc[1])
+                    "division by a noncommutative expression", *loc)
             if right.is_zero():
-                raise ModelSemanticError("division by zero", loc[0], loc[1])
+                raise ModelSemanticError("division by zero", *loc)
             if isinstance(left, RationalFunction):
                 return left / right
             return left * right.inverse()
@@ -992,8 +857,8 @@ class _Evaluator:
                 return left - right
             if op == "*":
                 return left * right
-        except (AlgebraError, CalculusError) as exc:
-            raise ModelSemanticError(str(exc), loc[0], loc[1]) from None
+        except AlgebraError as exc:
+            raise ModelSemanticError(str(exc), *loc) from None
         raise ValueError("unknown operator %r" % op)
 
 
@@ -1006,12 +871,11 @@ def _invert_element(element: Element, loc) -> Element:
             table = element.algebra.table
             partner = table.inverse_index.get(sym)
             if partner is None:
-                raise ModelSemanticError(
-                    "generator %r is not invertible" % table.symbols[sym],
-                    loc[0], loc[1])
+                raise ModelSemanticError("generator %r is not invertible"
+                                         % table.symbols[sym], *loc)
             return Element(element.algebra, {((partner, count),): coeff})
     raise ModelSemanticError(
-        "negative powers need a single invertible generator", loc[0], loc[1])
+        "negative powers need a single invertible generator", *loc)
 
 
 def _rule_free_algebra(params: ParameterSet, table: GeneratorTable) -> Algebra:
@@ -1033,200 +897,187 @@ def _free_terms(node, free: Algebra, param_env: dict) -> dict:
     return value.terms
 
 
+@contextlib.contextmanager
+def _located(stmt: Statement):
+    """Report an engine error raised in the block at the statement."""
+    try:
+        yield
+    except AlgebraError as exc:
+        raise _error_at(stmt, str(exc)) from None
+
+
+class _Builder:
+    """Builds a document into a ModelBundle, one method per statement kind."""
+
+    def __init__(self, doc: ModelDocument, substitute: bool, verify: bool):
+        self.substitute = substitute
+        self.verify = verify
+        params = ParameterSet(doc.params)
+        self.param_env = {n: RationalFunction.parameter(params, n)
+                          for n in doc.params}
+        table = GeneratorTable(doc.gens, doc.invertible)
+        algebra = Algebra(params, table)
+        self.free_words = _rule_free_algebra(params, table)
+        env = dict(self.param_env)
+        for sym_name in table.symbols:
+            env[sym_name] = algebra.symbol_element(table.index(sym_name))
+        self.bundle = ModelBundle(doc, params, algebra, env)
+
+    def _element(self, expr, message: str, stmt: Statement) -> Element:
+        value = self.bundle._eval(expr)
+        if isinstance(value, RationalFunction):
+            value = self.bundle.algebra.scalar(value)
+        if not isinstance(value, Element):
+            raise _error_at(stmt, message)
+        return value
+
+    def _needs_calculus(self, stmt: Statement) -> Calculus:
+        if self.bundle.calculus is None:
+            raise _error_at(stmt, "%s needs a calc block" % stmt.kind)
+        return self.bundle.calculus
+
+    def _geometry(self) -> Geometry:
+        bundle = self.bundle
+        if bundle.geometry is None:
+            by_label = {}
+            for lab in bundle.calculus.labels:
+                endo = bundle.calculus.twists[lab]
+                for ext in bundle.extensions_by_auto.values():
+                    if ext.base is endo:
+                        by_label[lab] = ext
+                        break
+            bundle.geometry = Geometry(bundle.calculus, by_label)
+        return bundle.geometry
+
+    def rel(self, stmt):
+        lhs, rhs = (_free_terms(side, self.free_words, self.param_env)
+                    for side in stmt.data)
+        with _located(stmt):
+            self.bundle.algebra.add_relation(lhs, rhs)
+
+    def subst(self, stmt):
+        if self.substitute:
+            target, expr = stmt.data
+            value = _Evaluator(self.param_env, self.bundle.params, None,
+                               None).eval(expr)
+            self.param_env[target] = self.bundle._env[target] = value
+            self.bundle.substitutions[target] = value
+
+    def auto(self, stmt):
+        name, entries = stmt.data
+        algebra = self.bundle.algebra
+        algebra.normalize_rules()
+        images = {gen_name: self._element(
+                      expr, "image of %r must be an element" % gen_name, stmt)
+                  for gen_name, expr in entries}
+        with _located(stmt):
+            endo = Endomorphism(algebra, images, name)
+        if self.verify and not endo.respects_relations():
+            raise _error_at(stmt, "%r does not respect the relations" % name)
+        self.bundle.autos[name] = endo
+
+    def calc(self, stmt):
+        data = stmt.data
+        bundle = self.bundle
+        labels = data["thetas"]
+        twists = {lab: bundle.autos[a] for lab, a in data["twists"]}
+        weights = {lab: self._element(
+                       expr, "weight of %r must be an element" % lab, stmt)
+                   for lab, expr in data["weights"]}
+        free_thetas = _rule_free_algebra(bundle.params,
+                                         GeneratorTable(labels))
+        theta_rules = {}
+        for lab1, lab2, expr in data["wedges"]:
+            terms = _free_terms(expr, free_thetas, self.param_env)
+            entries = []
+            for word, rf in terms.items():
+                key = tuple(labels[s] for s in word_letters(word))
+                if len(key) != 2:
+                    raise _error_at(
+                        stmt, "wedge rule must be a sum of basis pairs")
+                entries.append((rf, key))
+            theta_rules[(lab1, lab2)] = sorted(entries, key=lambda e: e[1])
+        with _located(stmt):
+            bundle.calculus = Calculus(bundle.algebra, labels, twists,
+                                       weights, theta_rules)
+        for lab in labels:
+            bundle._env[lab] = bundle.calculus.theta(lab)
+
+    def extension(self, stmt):
+        name, entries = stmt.data
+        calculus = self._needs_calculus(stmt)
+        action = {}
+        for lab, expr in entries:
+            value = self.bundle._eval(expr)
+            if not isinstance(value, Form):
+                raise _error_at(
+                    stmt, "extension image of %r must be a one-form" % lab)
+            row = []
+            for key, coeff in value.terms.items():
+                scalar = _scalar_of(coeff)
+                if len(key) != 1 or scalar is None:
+                    raise _error_at(stmt, "extension image of %r must be a "
+                                    "coefficient combination of basis forms"
+                                    % lab)
+                row.append((scalar, calculus.labels[key[0]]))
+            action[lab] = sorted(row, key=lambda e: e[1])
+        with _located(stmt):
+            self.bundle.extensions_by_auto[name] = FormExtension(
+                calculus, self.bundle.autos[name], action)
+
+    def let(self, stmt):
+        name, expr = stmt.data
+        value = self.bundle.named[name] = self.bundle._eval(expr)
+        self.bundle._env[name] = value
+
+    def metric(self, stmt):
+        name, entries = stmt.data
+        calculus = self._needs_calculus(stmt)
+        terms = {}
+        for lab1, lab2, expr in entries:
+            value = self._element(expr, "metric entries must be elements",
+                                  stmt)
+            key = (calculus.labels.index(lab1), calculus.labels.index(lab2))
+            terms[key] = terms.get(key, self.bundle.algebra.zero()) + value
+        self.bundle.metrics[name] = TensorForm(calculus, terms)
+
+    def connection(self, stmt):
+        name, entries = stmt.data
+        calculus = self._needs_calculus(stmt)
+        table_entries = {}
+        for index, basis, expr in entries:
+            value = calculus.embed(self.bundle._eval(expr))
+            table_entries[(calculus.labels[index - 1], basis)] = value
+        geometry = self._geometry()
+        with _located(stmt):
+            self.bundle.connections[name] = Connection(geometry,
+                                                       table_entries, name)
+
+    def check(self, stmt):
+        name, lhs, rhs = stmt.data
+        bundle = self.bundle
+        sides = [bundle._eval(lhs), bundle._eval(rhs)]
+        if any(isinstance(v, Form) for v in sides):
+            if bundle.calculus is None:
+                raise _error_at(stmt, "form comparison needs a calc block")
+            sides = [bundle.calculus.embed(v) for v in sides]
+        else:
+            sides = [bundle.algebra.scalar(v)
+                     if isinstance(v, RationalFunction) else v
+                     for v in sides]
+        bundle.checks.append(CheckCase(name, *sides))
+
+
 def build_model(doc: ModelDocument, substitute: bool = True,
                 verify: bool = True) -> ModelBundle:
     """Evaluate a document into a bundle of live objects."""
-    params = ParameterSet(doc.params)
-    param_env = {n: RationalFunction.parameter(params, n) for n in doc.params}
-    table = GeneratorTable(doc.gens, doc.invertible)
-    algebra = Algebra(params, table)
-    free_words = _rule_free_algebra(params, table)
-    env = dict(param_env)
-    for sym_name in table.symbols:
-        env[sym_name] = algebra.symbol_element(table.index(sym_name))
-    autos = {}
-    calculus = None
-    geometry = None
-    extensions_by_auto = {}
-    named = {}
-    metrics = {}
-    connections = {}
-    checks = []
-    substitutions = {}
-    theta_positions = {}
-
-    def evaluator():
-        return _Evaluator(env, params, algebra, calculus)
-
+    builder = _Builder(doc, substitute, verify)
     for stmt in doc.statements:
-        kind = stmt.kind
-        if kind == "model":
-            continue
-        if kind in ("param", "gen", "invertible"):
-            continue
-        if kind == "rel":
-            lhs = _free_terms(stmt.data[0], free_words, param_env)
-            rhs = _free_terms(stmt.data[1], free_words, param_env)
-            try:
-                algebra.add_relation(lhs, rhs)
-            except AlgebraError as exc:
-                raise ModelSemanticError(str(exc), stmt.line, stmt.col) from None
-            continue
-        if kind == "subst":
-            if substitute:
-                target, expr = stmt.data
-                value = _Evaluator(param_env, params, None, None).eval(expr)
-                param_env[target] = value
-                env[target] = value
-                substitutions[target] = value
-            continue
-        if kind == "auto":
-            name, entries = stmt.data
-            algebra.normalize_rules()
-            images = {}
-            for gen_name, expr in entries:
-                value = evaluator().eval(expr)
-                if isinstance(value, RationalFunction):
-                    value = algebra.scalar(value)
-                if not isinstance(value, Element):
-                    raise ModelSemanticError(
-                        "image of %r must be an element" % gen_name,
-                        stmt.line, stmt.col)
-                images[gen_name] = value
-            try:
-                endo = Endomorphism(algebra, images, name)
-            except MorphismError as exc:
-                raise ModelSemanticError(str(exc), stmt.line, stmt.col) from None
-            if verify and not endo.respects_relations():
-                raise ModelSemanticError(
-                    "%r does not respect the relations" % name,
-                    stmt.line, stmt.col)
-            autos[name] = endo
-            continue
-        if kind == "calc":
-            data = stmt.data
-            labels = data["thetas"]
-            theta_positions = {lab: i for i, lab in enumerate(labels)}
-            twists = {lab: autos[a] for lab, a in data["twists"]}
-            weights = {}
-            for lab, expr in data["weights"]:
-                value = evaluator().eval(expr)
-                if isinstance(value, RationalFunction):
-                    value = algebra.scalar(value)
-                if not isinstance(value, Element):
-                    raise ModelSemanticError(
-                        "weight of %r must be an element" % lab,
-                        stmt.line, stmt.col)
-                weights[lab] = value
-            free_thetas = _rule_free_algebra(params, GeneratorTable(labels))
-            theta_rules = {}
-            for lab1, lab2, expr in data["wedges"]:
-                terms = _free_terms(expr, free_thetas, param_env)
-                entries = []
-                for word, rf in terms.items():
-                    key = tuple(labels[s] for s in word_letters(word))
-                    if len(key) != 2:
-                        raise ModelSemanticError(
-                            "wedge rule must be a sum of basis pairs",
-                            stmt.line, stmt.col)
-                    entries.append((rf, key))
-                theta_rules[(lab1, lab2)] = sorted(entries, key=lambda e: e[1])
-            try:
-                calculus = Calculus(algebra, labels, twists, weights,
-                                    theta_rules)
-            except CalculusError as exc:
-                raise ModelSemanticError(str(exc), stmt.line, stmt.col) from None
-            for lab in labels:
-                env[lab] = calculus.theta(lab)
-            continue
-        if kind == "extension":
-            name, entries = stmt.data
-            if calculus is None:
-                raise ModelSemanticError("extension needs a calc block",
-                                         stmt.line, stmt.col)
-            action = {}
-            for lab, expr in entries:
-                value = evaluator().eval(expr)
-                if not isinstance(value, Form):
-                    raise ModelSemanticError(
-                        "extension image of %r must be a one-form" % lab,
-                        stmt.line, stmt.col)
-                row = []
-                for key, coeff in value.terms.items():
-                    scalar = _scalar_of(coeff)
-                    if len(key) != 1 or scalar is None:
-                        raise ModelSemanticError(
-                            "extension image of %r must be a coefficient "
-                            "combination of basis forms" % lab,
-                            stmt.line, stmt.col)
-                    row.append((scalar, calculus.labels[key[0]]))
-                action[lab] = sorted(row, key=lambda e: e[1])
-            try:
-                ext = FormExtension(calculus, autos[name], action)
-            except GeometryError as exc:
-                raise ModelSemanticError(str(exc), stmt.line, stmt.col) from None
-            extensions_by_auto[name] = ext
-            continue
-        if kind == "let":
-            name, expr = stmt.data
-            value = evaluator().eval(expr)
-            named[name] = value
-            env[name] = value
-            continue
-        if kind == "metric":
-            name, entries = stmt.data
-            if calculus is None:
-                raise ModelSemanticError("metric needs a calc block",
-                                         stmt.line, stmt.col)
-            terms = {}
-            for lab1, lab2, expr in entries:
-                value = evaluator().eval(expr)
-                if isinstance(value, RationalFunction):
-                    value = algebra.scalar(value)
-                if not isinstance(value, Element):
-                    raise ModelSemanticError(
-                        "metric entries must be elements", stmt.line, stmt.col)
-                key = (theta_positions[lab1], theta_positions[lab2])
-                terms[key] = terms.get(key, algebra.zero()) + value
-            metrics[name] = TensorForm(calculus, terms)
-            continue
-        if kind == "connection":
-            name, entries = stmt.data
-            if calculus is None:
-                raise ModelSemanticError("connection needs a calc block",
-                                         stmt.line, stmt.col)
-            table_entries = {}
-            for index, basis, expr in entries:
-                value = evaluator().eval(expr)
-                value = calculus.embed(value)
-                direction = calculus.labels[index - 1]
-                table_entries[(direction, basis)] = value
-            geometry = _ensure_geometry(calculus, extensions_by_auto, doc,
-                                        geometry)
-            try:
-                connections[name] = Connection(geometry, table_entries, name)
-            except GeometryError as exc:
-                raise ModelSemanticError(str(exc), stmt.line, stmt.col) from None
-            continue
-        if kind == "check":
-            name, lhs_expr, rhs_expr = stmt.data
-            lhs = evaluator().eval(lhs_expr)
-            rhs = evaluator().eval(rhs_expr)
-            lhs, rhs = _align_pair(lhs, rhs, algebra, calculus,
-                                   stmt.line, stmt.col)
-            checks.append(CheckCase(name, lhs, rhs))
-            continue
-        raise ModelSemanticError("unknown statement %r" % kind,
-                                 stmt.line, stmt.col)
-
-    algebra.normalize_rules()
-    if calculus is not None:
-        geometry = _ensure_geometry(calculus, extensions_by_auto, doc, geometry)
-    bundle = ModelBundle(doc, doc.name, params, algebra, autos, calculus,
-                         geometry, named, metrics, connections, checks,
-                         substitutions, env)
-    bundle.extensions_by_auto = extensions_by_auto
-    return bundle
+        _KINDS[stmt.kind].build(builder, stmt)
+    builder.bundle.algebra.normalize_rules()
+    if builder.bundle.calculus is not None:
+        builder._geometry()
+    return builder.bundle
 
 
 def _scalar_of(element: Element):
@@ -1237,34 +1088,6 @@ def _scalar_of(element: Element):
     return element.terms[()]
 
 
-def _align_pair(lhs, rhs, algebra, calculus, line, col):
-    values = [lhs, rhs]
-    if any(isinstance(v, Form) for v in values):
-        if calculus is None:
-            raise ModelSemanticError("form comparison needs a calc block",
-                                     line, col)
-        return calculus.embed(lhs), calculus.embed(rhs)
-    out = []
-    for v in values:
-        if isinstance(v, RationalFunction):
-            v = algebra.scalar(v)
-        out.append(v)
-    return out[0], out[1]
-
-
-def _ensure_geometry(calculus, extensions_by_auto, doc, geometry):
-    if geometry is not None:
-        return geometry
-    by_label = {}
-    for lab in calculus.labels:
-        endo = calculus.twists[lab]
-        for auto_name, ext in extensions_by_auto.items():
-            if ext.base is endo:
-                by_label[lab] = ext
-                break
-    return Geometry(calculus, by_label)
-
-
 def load_model(text: str, substitute: bool = True,
                verify: bool = True) -> ModelBundle:
     return build_model(parse_model(text), substitute, verify)
@@ -1272,70 +1095,54 @@ def load_model(text: str, substitute: bool = True,
 
 def parse_coefficient(text: str, params: ParameterSet) -> RationalFunction:
     """Parse a coefficient expression over the given parameters."""
-    parser = _Parser(tokenize(text))
-    node = parser.parse_expression()
-    parser.expect_eof()
     env = {n: RationalFunction.parameter(params, n) for n in params.names}
-    value = _Evaluator(env, params, None, None).eval(node)
+    value = _Evaluator(env, params, None, None).eval(
+        _parse_expression_text(text))
     if not isinstance(value, RationalFunction):
         raise ModelSemanticError("expected a coefficient", 1, 1)
     return value
 
 
-# -- export -------------------------------------------------------------------
+# -- the statement kinds ------------------------------------------------------
+
+# How each kind is written, checked and built.  ``stage`` orders the file:
+# no statement may follow one of a higher stage.  The algebra's kinds have
+# stages 0 to 4; every later kind has stage 5, so those come in any order,
+# each name defined before use.  The declarations build nothing, since
+# _Builder reads the declared names from the document up front.
+_Kind = collections.namedtuple("_Kind", "stage syntax check build",
+                               defaults=(lambda builder, stmt: None,))
+
+
+_NAMES = _Line("<ids>;")
+_IMAGES = _Block("<ident> -> <expr>;")
+
+_KINDS = {
+    "model": _Kind(0, _Line("<str>;"), _StaticChecker.model),
+    "param": _Kind(1, _NAMES, _StaticChecker.param),
+    "gen": _Kind(2, _NAMES, _StaticChecker.gen),
+    "invertible": _Kind(3, _NAMES, _StaticChecker.invertible),
+    "rel": _Kind(4, _Line("<expr> = <expr>;"), _StaticChecker.rel,
+                 _Builder.rel),
+    "subst": _Kind(5, _Line("<param> = <expr>;"), _StaticChecker.subst,
+                   _Builder.subst),
+    "auto": _Kind(5, _IMAGES, _StaticChecker.auto, _Builder.auto),
+    "calc": _Kind(5, _CalcBlock(), _StaticChecker.calc, _Builder.calc),
+    "extension": _Kind(5, _IMAGES, _StaticChecker.extension,
+                       _Builder.extension),
+    "let": _Kind(5, _Line("<name> = <expr>;"), _StaticChecker.let,
+                 _Builder.let),
+    "metric": _Kind(5, _Block("[<label>, <label>] = <expr>;"),
+                    _StaticChecker.metric, _Builder.metric),
+    "connection": _Kind(5, _Block("<key>[<label>] = <expr>;"),
+                        _StaticChecker.connection, _Builder.connection),
+    "check": _Kind(5, _Line("<str>: <expr> == <expr>;"),
+                   _StaticChecker.check, _Builder.check),
+}
+
 
 def export_model(doc: ModelDocument) -> str:
     """Render a document back to model-file text."""
-    lines = []
-    for stmt in doc.statements:
-        kind = stmt.kind
-        data = stmt.data
-        if kind == "model":
-            lines.append('model "%s";' % data.replace('"', '\\"'))
-        elif kind in ("param", "gen", "invertible"):
-            lines.append("%s %s;" % (kind, ", ".join(data)))
-        elif kind == "rel":
-            lines.append("rel %s = %s;" % (expression_to_text(data[0]),
-                                           expression_to_text(data[1])))
-        elif kind == "subst":
-            lines.append("subst %s = %s;" % (data[0],
-                                             expression_to_text(data[1])))
-        elif kind in ("auto", "extension"):
-            lines.append("%s %s {" % (kind, data[0]))
-            for source, expr in data[1]:
-                lines.append("  %s -> %s;" % (source, expression_to_text(expr)))
-            lines.append("}")
-        elif kind == "calc":
-            lines.append("calc {")
-            lines.append("  theta %s;" % ", ".join(data["thetas"]))
-            for lab, auto in data["twists"]:
-                lines.append("  twist %s = %s;" % (lab, auto))
-            for lab, expr in data["weights"]:
-                lines.append("  weight %s = %s;" % (lab,
-                                                    expression_to_text(expr)))
-            for lab1, lab2, expr in data["wedges"]:
-                lines.append("  wedge %s*%s = %s;"
-                             % (lab1, lab2, expression_to_text(expr)))
-            lines.append("}")
-        elif kind == "let":
-            lines.append("let %s = %s;" % (data[0], expression_to_text(data[1])))
-        elif kind == "metric":
-            lines.append("metric %s {" % data[0])
-            for lab1, lab2, expr in data[1]:
-                lines.append("  [%s, %s] = %s;" % (lab1, lab2,
-                                                   expression_to_text(expr)))
-            lines.append("}")
-        elif kind == "connection":
-            lines.append("connection %s {" % data[0])
-            for index, basis, expr in data[1]:
-                lines.append("  V%d[%s] = %s;" % (index, basis,
-                                                  expression_to_text(expr)))
-            lines.append("}")
-        elif kind == "check":
-            lines.append('check "%s": %s == %s;'
-                         % (data[0].replace('"', '\\"'),
-                            expression_to_text(data[1]),
-                            expression_to_text(data[2])))
-        else:
-            raise ValueError("unknown statement kind %r" % kind)
-    return "\n".join(lines) + "\n"
+    return "\n".join("%s %s" % (stmt.kind,
+                                _KINDS[stmt.kind].syntax.render(stmt.data))
+                     for stmt in doc.statements) + "\n"

@@ -386,10 +386,6 @@ class TestRoundTrip:
         assert doc.params == ["q", "r"]
         assert doc.gens == ["x", "y"]
         assert doc.invertible == ["x", "y"]
-        assert doc.theta_labels == ["t1", "t2"]
-        assert doc.let_names == ["dx", "v"]
-        assert doc.auto_names == ["phi1", "phi2"]
-        assert doc.check_names == ["inner"]
 
     def test_model_line_is_optional(self):
         doc = parse_model("param q;\ngen x;\nrel x*x = q*x;")
