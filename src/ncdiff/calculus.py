@@ -109,9 +109,6 @@ class Calculus:
             return self.zero_form()
         return Form(self, {(): value})
 
-    def label_of(self, position: int) -> str:
-        return self.labels[position]
-
     # -- multiplication ----------------------------------------------------
 
     def pass_coefficient(self, index, coeff: Element) -> Element:

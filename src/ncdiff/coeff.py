@@ -410,33 +410,6 @@ class RationalFunction:
             out = out * base
         return out
 
-    def _map_poly(self, poly: Polynomial, images: dict) -> "RationalFunction":
-        params = self.params
-        total = RationalFunction.from_value(params, 0)
-        for mono, c in poly.terms.items():
-            v = RationalFunction.from_value(params, c)
-            for name, e in zip(params.names, mono):
-                if e:
-                    v = v * images[name] ** e
-            total = total + v
-        return total
-
-    def substitute(self, bindings: dict) -> "RationalFunction":
-        """Replace parameters by rational functions over the same set."""
-        params = self.params
-        images = {n: RationalFunction.parameter(params, n) for n in params.names}
-        for name, value in bindings.items():
-            if name not in params:
-                raise KeyError("unknown parameter %r" % name)
-            if not isinstance(value, RationalFunction):
-                value = RationalFunction.from_value(params, value)
-            images[name] = value
-        num = self._map_poly(self.num, images)
-        den = self._map_poly(self.den, images)
-        if den.is_zero():
-            raise ZeroDivisionError("substitution maps denominator to zero")
-        return num / den
-
     def evaluate(self, point: dict) -> Fraction:
         """Evaluate at a dict of Fraction values; raises PoleError on poles."""
         den = self.den.evaluate(point)

@@ -85,22 +85,6 @@ class Endomorphism:
             out = out + self._apply_word(word).scale(coeff)
         return out
 
-    def compose(self, other: "Endomorphism") -> "Endomorphism":
-        """The endomorphism x -> self(other(x))."""
-        if other.algebra is not self.algebra:
-            raise MorphismError("endomorphisms of different algebras")
-        table = self.algebra.table
-        images = {name: self.apply(other.images[table.index(name)])
-                  for name in table.base_names}
-        name = None
-        if self.name and other.name:
-            name = "%s*%s" % (self.name, other.name)
-        return Endomorphism(self.algebra, images, name)
-
-    def is_identity(self) -> bool:
-        return all(self.images[self.algebra.table.index(n)] == self.algebra.gen(n)
-                   for n in self.algebra.table.base_names)
-
     def diagonal_scaling(self) -> dict | None:
         """The scalar c_g per generator when phi(g) = c_g g, else None."""
         table = self.algebra.table
@@ -159,12 +143,6 @@ def _invert_monomial(img: Element, gen_name: str) -> Element:
         runs.append((partner, count))
     return Element(img.algebra,
                    {word_from_runs(runs): coeff.inverse()})
-
-
-def identity_endomorphism(algebra: Algebra, name: str = "id") -> Endomorphism:
-    return Endomorphism(algebra,
-                        {n: algebra.gen(n) for n in algebra.table.base_names},
-                        name)
 
 
 class TwistedDerivation:

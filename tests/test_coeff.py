@@ -110,17 +110,6 @@ class TestNormalization:
 
 
 class TestSubstitutionAndEvaluation:
-    def test_substitute(self, params):
-        q, r = rf(params, "q"), rf(params, "r")
-        value = 1 / (1 - r)
-        replaced = value.substitute({"r": q * q})
-        assert str(replaced) == "-1/(q^2 - 1)"
-
-    def test_substitute_chained(self, params):
-        q, r = rf(params, "q"), rf(params, "r")
-        value = (r + q).substitute({"r": q * q, "q": q + 1})
-        assert value == (q * q + q + 1)
-
     def test_evaluate_matches_fractions(self, params):
         q, r = rf(params, "q"), rf(params, "r")
         value = (q ** 2 - r) / (q + r)

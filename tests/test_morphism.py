@@ -5,8 +5,7 @@ import pytest
 from ncdiff.algebra import (Algebra, GeneratorTable, concat_words,
                             random_element, single_word)
 from ncdiff.coeff import ParameterSet, RationalFunction
-from ncdiff.morphism import (Endomorphism, MorphismError, TwistedDerivation,
-                             identity_endomorphism)
+from ncdiff.morphism import Endomorphism, MorphismError, TwistedDerivation
 
 
 @pytest.fixture()
@@ -92,20 +91,6 @@ class TestEndomorphism:
         swap = Endomorphism(alg, {"x": alg.gen("y"), "y": alg.gen("x")},
                             "swap")
         assert not swap.respects_relations()
-
-    def test_compose(self, alg, phi1, phi2, params):
-        r = rf(params, "r")
-        composite = phi1.compose(phi2)
-        assert composite.name == "phi1*phi2"
-        assert composite.apply(alg.gen("x")) == r ** -1 * alg.gen("x")
-        assert composite.apply(alg.gen("y")) == r ** -2 * alg.gen("y")
-
-    def test_identity(self, alg, phi1):
-        ident = identity_endomorphism(alg)
-        assert ident.is_identity()
-        assert not phi1.is_identity()
-        assert ident.compose(phi1).apply(alg.gen("x")) == phi1.apply(
-            alg.gen("x"))
 
     def test_diagonal_scaling(self, alg, phi1, params):
         scaling = phi1.diagonal_scaling()
