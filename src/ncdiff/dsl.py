@@ -13,7 +13,6 @@ the identity on documents.
 from __future__ import annotations
 
 import collections
-import contextlib
 import re
 
 from .algebra import (Algebra, AlgebraError, Element, GeneratorTable,
@@ -897,11 +896,10 @@ def _free_terms(node, free: Algebra, param_env: dict) -> dict:
     return value.terms
 
 
-@contextlib.contextmanager
-def _located(stmt: Statement):
-    """Report an engine error raised in the block at the statement."""
+def _located(stmt: Statement, make, *args):
+    """make(*args), with an engine error reported at the statement."""
     try:
-        yield
+        return make(*args)
     except AlgebraError as exc:
         raise _error_at(stmt, str(exc)) from None
 
@@ -923,12 +921,12 @@ class _Builder:
             env[sym_name] = algebra.symbol_element(table.index(sym_name))
         self.bundle = ModelBundle(doc, params, algebra, env)
 
-    def _element(self, expr, message: str, stmt: Statement) -> Element:
+    def _element(self, expr, stmt: Statement, message: str, *args) -> Element:
         value = self.bundle._eval(expr)
         if isinstance(value, RationalFunction):
             value = self.bundle.algebra.scalar(value)
         if not isinstance(value, Element):
-            raise _error_at(stmt, message)
+            raise _error_at(stmt, message % args)
         return value
 
     def _needs_calculus(self, stmt: Statement) -> Calculus:
@@ -952,8 +950,7 @@ class _Builder:
     def rel(self, stmt):
         lhs, rhs = (_free_terms(side, self.free_words, self.param_env)
                     for side in stmt.data)
-        with _located(stmt):
-            self.bundle.algebra.add_relation(lhs, rhs)
+        _located(stmt, self.bundle.algebra.add_relation, lhs, rhs)
 
     def subst(self, stmt):
         if self.substitute:
@@ -968,10 +965,9 @@ class _Builder:
         algebra = self.bundle.algebra
         algebra.normalize_rules()
         images = {gen_name: self._element(
-                      expr, "image of %r must be an element" % gen_name, stmt)
+                      expr, stmt, "image of %r must be an element", gen_name)
                   for gen_name, expr in entries}
-        with _located(stmt):
-            endo = Endomorphism(algebra, images, name)
+        endo = _located(stmt, Endomorphism, algebra, images, name)
         if self.verify and not endo.respects_relations():
             raise _error_at(stmt, "%r does not respect the relations" % name)
         self.bundle.autos[name] = endo
@@ -982,7 +978,7 @@ class _Builder:
         labels = data["thetas"]
         twists = {lab: bundle.autos[a] for lab, a in data["twists"]}
         weights = {lab: self._element(
-                       expr, "weight of %r must be an element" % lab, stmt)
+                       expr, stmt, "weight of %r must be an element", lab)
                    for lab, expr in data["weights"]}
         free_thetas = _rule_free_algebra(bundle.params,
                                          GeneratorTable(labels))
@@ -997,9 +993,8 @@ class _Builder:
                         stmt, "wedge rule must be a sum of basis pairs")
                 entries.append((rf, key))
             theta_rules[(lab1, lab2)] = sorted(entries, key=lambda e: e[1])
-        with _located(stmt):
-            bundle.calculus = Calculus(bundle.algebra, labels, twists,
-                                       weights, theta_rules)
+        bundle.calculus = _located(stmt, Calculus, bundle.algebra, labels,
+                                   twists, weights, theta_rules)
         for lab in labels:
             bundle._env[lab] = bundle.calculus.theta(lab)
 
@@ -1021,9 +1016,8 @@ class _Builder:
                                     % lab)
                 row.append((scalar, calculus.labels[key[0]]))
             action[lab] = sorted(row, key=lambda e: e[1])
-        with _located(stmt):
-            self.bundle.extensions_by_auto[name] = FormExtension(
-                calculus, self.bundle.autos[name], action)
+        self.bundle.extensions_by_auto[name] = _located(
+            stmt, FormExtension, calculus, self.bundle.autos[name], action)
 
     def let(self, stmt):
         name, expr = stmt.data
@@ -1035,8 +1029,8 @@ class _Builder:
         calculus = self._needs_calculus(stmt)
         terms = {}
         for lab1, lab2, expr in entries:
-            value = self._element(expr, "metric entries must be elements",
-                                  stmt)
+            value = self._element(expr, stmt,
+                                  "metric entries must be elements")
             key = (calculus.labels.index(lab1), calculus.labels.index(lab2))
             terms[key] = terms.get(key, self.bundle.algebra.zero()) + value
         self.bundle.metrics[name] = TensorForm(calculus, terms)
@@ -1049,9 +1043,8 @@ class _Builder:
             value = calculus.embed(self.bundle._eval(expr))
             table_entries[(calculus.labels[index - 1], basis)] = value
         geometry = self._geometry()
-        with _located(stmt):
-            self.bundle.connections[name] = Connection(geometry,
-                                                       table_entries, name)
+        self.bundle.connections[name] = _located(
+            stmt, Connection, geometry, table_entries, name)
 
     def check(self, stmt):
         name, lhs, rhs = stmt.data
