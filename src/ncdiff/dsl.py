@@ -41,6 +41,10 @@ class ModelSemanticError(ModelError):
     pass
 
 
+def _error_at(stmt, message: str) -> ModelSemanticError:
+    return ModelSemanticError(message, stmt.line, stmt.col)
+
+
 # -- tokens -------------------------------------------------------------------
 
 _PUNCT = {"->", "==", "{", "}", "(", ")", "[", "]", ";", ",", ":",
@@ -371,10 +375,6 @@ def parse_statement(text: str) -> Statement:
     stmt, _ = _parse_statement(parser)
     parser.expect_eof()
     return stmt
-
-
-def _error_at(stmt: Statement, message: str) -> ModelSemanticError:
-    return ModelSemanticError(message, stmt.line, stmt.col)
 
 
 def _parse_expression_text(text: str):
