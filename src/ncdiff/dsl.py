@@ -105,10 +105,10 @@ def tokenize(text: str):
             col += 1
             tokens.append(_Token("string", "".join(chars), start_line, start_col))
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start_col = col
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("number", int(text[i:j]), line, start_col))
             col += j - i
@@ -348,7 +348,7 @@ class _Parser:
 
     def parse_transport_key(self) -> int:
         key = self.expect_ident("transport key")
-        if not (key.value.startswith("V") and key.value[1:].isdigit()):
+        if not (key.value.startswith("V") and key.value[1:].isdecimal()):
             raise ModelSyntaxError(
                 "transport key must look like V1", key.line, key.col)
         return int(key.value[1:])
@@ -485,7 +485,8 @@ class _CalcBlock:
     """``{ item item ... }`` with keyword-led items, grouped on parse.
 
     The parse gives a dict of theta labels, twists, weights and wedge rules;
-    export prints one theta line, then each group in that order.
+    export prints one theta line (none for no labels), then each group in
+    that order.
     """
 
     ITEMS = {"theta": ("thetas", _Line("<ids>;")),
@@ -511,7 +512,9 @@ class _CalcBlock:
     def render(self, data) -> str:
         lines = ["{"]
         for item, (group, syntax) in self.ITEMS.items():
-            entries = [data[group]] if item == "theta" else data[group]
+            entries = data[group]
+            if item == "theta":
+                entries = [entries] if entries else []
             lines += ["  %s %s" % (item, syntax.render(entry))
                       for entry in entries]
         return "\n".join(lines + ["}"])

@@ -147,6 +147,13 @@ class TestNf:
         assert rc == 2
         assert err.startswith("error:")
 
+    def test_superscript_digit(self, capsys):
+        rc, out, err = run_cli(capsys, ["nf", "builtin:quantum-torus",
+                                        "-e", "x*\u00b2"])
+        assert (rc, out) == (2, "")
+        assert err == ("error: line 1, column 3: "
+                       "unexpected character '\u00b2'\n")
+
     def test_unknown_builtin(self, capsys):
         rc, _, err = run_cli(capsys, ["nf", "builtin:nonesuch", "-e", "1"])
         assert rc == 2

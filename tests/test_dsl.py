@@ -158,6 +158,10 @@ MALFORMED = [
         ModelSyntaxError, "transport key must look like V1", 18, 16,
         id="transport-key-shape"),
     pytest.param(
+        with_base('connection c { V\u00b2[t1] = t1; }'),
+        ModelSyntaxError, "transport key must look like V1", 18, 16,
+        id="transport-key-superscript"),
+    pytest.param(
         with_base('metric g { [t1, t2] = 1; [t1, t2] = 2; }'),
         ModelSemanticError, "duplicate name 't1,t2'", 18, 1,
         id="dup-metric-entry"),
@@ -370,6 +374,13 @@ class TestRoundTrip:
             exported = export_model(doc)
             assert parse_model(exported) == doc
             assert export_model(parse_model(exported)) == exported
+
+    def test_empty_calc_block_round_trips(self):
+        text = 'model "m";\nparam q;\ngen x;\ncalc { }\n'
+        doc = parse_model(text)
+        exported = export_model(doc)
+        assert "theta" not in exported
+        assert parse_model(exported) == doc
 
     def test_comments_and_spacing_do_not_matter(self):
         spaced = BASE.replace("rel x*y = q*y*x;",
