@@ -32,6 +32,15 @@ steps would multiply the same normal form by ``c`` once per step, and since
 multiplying by a unit never renormalizes (see ``coeff``), ``c^n*K`` has
 exactly the terms of ``c*(c*(...*K))``.  ``reduction_count`` counts each
 step, run steps included, as one reduction.
+
+A power of a single word with a Laurent-unit coefficient is taken by
+repeated squaring when the rules are confluent: then normal forms are
+unique, the product is associative, and every order of multiplication ends
+in the same word with the same coefficient, whose stored form (one term over
+exactly 1) depends only on its value.  Without confluence the grouping can
+change the answer, so such powers, like all multi-term ones, multiply the
+base in one factor at a time.  Squaring stops, and the power is taken again
+one factor at a time, as soon as a product is not a single unit term.
 """
 
 from __future__ import annotations
@@ -221,13 +230,42 @@ class Element:
             return self.algebra.zero()
         return Element(self.algebra, {w: c * factor for w, c in self.terms.items()})
 
+    def _is_unit_monomial(self) -> bool:
+        """True for one word with a Laurent-unit coefficient."""
+        if len(self.terms) != 1:
+            return False
+        (c,) = self.terms.values()
+        return c._is_unit()
+
     def __pow__(self, n: int) -> "Element":
         if n < 0:
             raise AlgebraError("negative power of an element")
+        if (n > 1 and self._is_unit_monomial()
+                and self.algebra.is_confluent()):
+            out = self._squared_power(n)
+            if out is not None:
+                return out
         out = self.algebra.one()
         for _ in range(n):
             out = out * self
         return out
+
+    def _squared_power(self, n: int):
+        """self**n by square-and-multiply, or None once a product is not
+        a single unit term."""
+        out = None
+        square = self
+        while True:
+            if n & 1:
+                out = square if out is None else out * square
+                if not out._is_unit_monomial():
+                    return None
+            n >>= 1
+            if not n:
+                return out
+            square = square * square
+            if not square._is_unit_monomial():
+                return None
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -286,6 +324,7 @@ class Algebra:
         self.rules = {}
         self._runs = {}
         self._nf_cache = {}
+        self._confluent = None
         self.reduction_count = 0
         for g in table.base_names:
             if g in table.invertible:
@@ -303,6 +342,7 @@ class Algebra:
         self.rules.setdefault(pair, []).append(dict(rhs_terms))
         self._index_run(pair)
         self._nf_cache.clear()
+        self._confluent = None
 
     def rules_changed(self) -> None:
         """Rebuild what is derived from ``rules`` after an in-place change."""
@@ -310,6 +350,7 @@ class Algebra:
         for pair in self.rules:
             self._index_run(pair)
         self._nf_cache.clear()
+        self._confluent = None
 
     def _index_run(self, pair) -> None:
         """Record whether the first rule for a pair is a unit swap or cancel."""
@@ -386,6 +427,7 @@ class Algebra:
                                 for rhs in self.rules[pair]]
             self._index_run(pair)
         self._nf_cache.clear()
+        self._confluent = None
 
     # -- elements ---------------------------------------------------------
 
@@ -528,6 +570,13 @@ class Algebra:
                             violations.append(
                                 ConfluenceViolation((u, v, w), left, right))
         return violations
+
+    def is_confluent(self) -> bool:
+        """Whether ``check_confluence`` finds no violation; cached until the
+        rules change."""
+        if self._confluent is None:
+            self._confluent = not self.check_confluence()
+        return self._confluent
 
     def verify_relations(self) -> bool:
         """Soundness: both sides of every declared relation have equal NF."""

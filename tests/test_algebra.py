@@ -1,8 +1,11 @@
+import importlib.util
+import os
 import random
+from fractions import Fraction
 
 import pytest
 
-from ncdiff.algebra import (Algebra, AlgebraError, GeneratorTable,
+from ncdiff.algebra import (Algebra, AlgebraError, Element, GeneratorTable,
                             UnsupportedRelationError, _accumulate,
                             concat_words, deg_lex_key, random_element,
                             render_element, render_word, single_word,
@@ -444,3 +447,131 @@ class TestMatchesRecursiveCore:
         rng = random.Random(6)
         for _ in range(100):
             self._compare(_random_rule_system(rng), rng, 30, 4, 3)
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded from the checkout by path."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_NON_CONFLUENT = """model "non-confluent";
+param q;
+gen x, y;
+rel x*x = y;
+rel y*x = q*x*y;
+"""
+
+
+class TestMonomialPowers:
+    """Squared powers of unit monomials against the one-factor loop."""
+
+    # Past this power a base whose powers stopped being unit monomials is
+    # dropped: its powers are taken by the loop itself and grow quickly.
+    FALLBACK_MAX_N = 6
+
+    def _unit_coefficient(self, params, rng):
+        value = RationalFunction.from_value(
+            params, rng.choice((1, -1)) * Fraction(rng.randint(1, 3),
+                                                   rng.randint(1, 3)))
+        for name in params.names:
+            value = value * RationalFunction.parameter(params, name,
+                                                       rng.randint(-2, 2))
+        return value
+
+    def _bases(self, alg, rng, count):
+        """Normal-form words of random words, each with a unit coefficient."""
+        n_symbols = len(alg.table.symbols)
+        bases = []
+        while len(bases) < count:
+            word = word_from_runs((rng.randrange(n_symbols), rng.randint(1, 3))
+                                  for _ in range(rng.randint(1, 3)))
+            for nf_word in alg.normal_form_word(word):
+                coeff = self._unit_coefficient(alg.params, rng)
+                bases.append(Element(alg, {nf_word: coeff}))
+        return bases[:count]
+
+    def _compare(self, alg, bases, max_n=70):
+        """Compare base**n with repeated * for n in 0..max_n; return how many
+        powers were squared and how many fell back to the loop."""
+        squared = fallback = 0
+        for base in bases:
+            linear = alg.one()
+            for n in range(max_n + 1):
+                assert _dump((base ** n).terms) == _dump(linear.terms), (
+                    base, n)
+                if n >= 2:
+                    if base._squared_power(n) is None:
+                        fallback += 1
+                        if n >= self.FALLBACK_MAX_N:
+                            break
+                    else:
+                        squared += 1
+                linear = linear * base
+        return squared, fallback
+
+    def _compare_random(self, alg, seed, *extra):
+        return self._compare(alg, self._bases(alg, random.Random(seed), 8)
+                             + list(extra))
+
+    def test_quantum_torus(self, torus):
+        squared, fallback = self._compare_random(torus.algebra, 11)
+        assert squared and not fallback
+
+    def test_gl_pq2(self, glpq):
+        alg = glpq.algebra
+        # (a*d)^2 picks up the tail of d*a = a*d + ..., so it falls back.
+        squared, fallback = self._compare_random(
+            alg, 12, alg.gen("a") * alg.gen("d"))
+        assert squared and fallback
+
+    def test_gl_pq2_localized(self, glpq_localized):
+        squared, _ = self._compare_random(glpq_localized.algebra, 13)
+        assert squared
+
+    def test_rank_4(self):
+        alg = load_model(_bench_workloads().rank_n_text(4, 14)).algebra
+        squared, fallback = self._compare_random(alg, 14)
+        assert squared and not fallback
+
+    def test_non_unit_swap_falls_back(self):
+        alg = load_model(_Q_PLUS_ONE).algebra
+        assert alg.is_confluent()
+        _, fallback = self._compare_random(alg, 15)
+        assert fallback
+
+    def test_closed_form(self, torus):
+        alg = torus.algebra
+        x, y = alg.gen("x"), alg.gen("y")
+        q = RationalFunction.parameter(alg.params, "q")
+        n = 4096
+        word = ((alg.table.index("x"), n), (alg.table.index("y"), n))
+        expected = Element(alg, {word: q ** -(n * (n + 1) // 2)})
+        assert _dump(((y * x) ** n).terms) == _dump(expected.terms)
+
+    def test_non_confluent_keeps_the_loop(self):
+        alg = load_model(_NON_CONFLUENT).algebra
+        assert not alg.is_confluent()
+        x = alg.gen("x")
+        assert render_element(x ** 3) == "q * x*y"
+        assert _dump((x ** 3).terms) == _dump((x * x * x).terms)
+
+    def test_confluence_cache_resets_on_new_rule(self):
+        params = ParameterSet(("q",))
+        alg = Algebra(params, GeneratorTable(("x", "y")))
+        xi, yi = alg.table.index("x"), alg.table.index("y")
+        alg.add_relation(
+            {concat_words(single_word(yi), single_word(xi)): rf(params, 1)},
+            {concat_words(single_word(xi), single_word(yi)): rf(params, "q")})
+        x = alg.gen("x")
+        assert render_element(x ** 3) == "x^3"
+        assert alg.is_confluent()
+        alg.add_relation({((xi, 2),): rf(params, 1)},
+                         {single_word(yi): rf(params, 1)})
+        assert not alg.is_confluent()
+        assert render_element(x ** 3) == "q * x*y"
+        assert _dump((x ** 3).terms) == _dump((x * x * x).terms)
