@@ -1,5 +1,3 @@
-import importlib.util
-import os
 import random
 from fractions import Fraction
 
@@ -449,16 +447,6 @@ class TestMatchesRecursiveCore:
             self._compare(_random_rule_system(rng), rng, 30, 4, 3)
 
 
-def _bench_workloads():
-    """bench/workloads.py, loaded from the checkout by path."""
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "bench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 _NON_CONFLUENT = """model "non-confluent";
 param q;
 gen x, y;
@@ -533,8 +521,9 @@ class TestMonomialPowers:
         squared, _ = self._compare_random(glpq_localized.algebra, 13)
         assert squared
 
-    def test_rank_4(self):
-        alg = load_model(_bench_workloads().rank_n_text(4, 14)).algebra
+    def test_rank_4(self, repo_module):
+        workloads = repo_module("bench/workloads.py")
+        alg = load_model(workloads.rank_n_text(4, 14)).algebra
         squared, fallback = self._compare_random(alg, 14)
         assert squared and not fallback
 

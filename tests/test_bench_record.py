@@ -1,18 +1,6 @@
-import importlib.util
 import json
-import os
 
 import pytest
-
-
-def _recorder():
-    """tools/bench_record.py, loaded from the checkout by path."""
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "tools", "bench_record.py")
-    spec = importlib.util.spec_from_file_location("bench_record", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _run_file(tmp_path, name, seed, ops_per_s, digest="d"):
@@ -29,17 +17,27 @@ def _run_file(tmp_path, name, seed, ops_per_s, digest="d"):
     return str(path)
 
 
+@pytest.fixture()
+def record(repo_module, tmp_path):
+    """Run tools/bench_record.py; return its nf-torus record."""
+    main = repo_module("tools/bench_record.py").main
+
+    def run(parent, change):
+        out = tmp_path / "record.json"
+        assert main(["--parent", *parent, "--change", *change,
+                     "--out", str(out)]) == 0
+        return json.loads(out.read_text())["workloads"]["nf-torus"]
+    return run
+
+
 class TestBenchRecord:
-    def test_quartiles_wins_and_digests(self, tmp_path):
+    def test_quartiles_wins_and_digests(self, tmp_path, record):
         parent = [_run_file(tmp_path, "p-%d" % i, i, v)
                   for i, v in enumerate([10, 11, 12, 13, 14])]
         change = [_run_file(tmp_path, "c-%d" % i, i, v,
                             "x" if i == 4 else "d")
                   for i, v in enumerate([40, 41, 42, 43, 9])]
-        out = tmp_path / "record.json"
-        assert _recorder().main(["--parent", *parent, "--change", *change,
-                                 "--out", str(out)]) == 0
-        torus = json.loads(out.read_text())["workloads"]["nf-torus"]
+        torus = record(parent, change)
         metric = torus["parent"]["metrics"]["ops_per_s"]
         assert (metric["q1"], metric["median"], metric["q3"]) == (11, 12, 13)
         assert torus["parent"]["seeds"] == [0, 1, 2, 3, 4]
@@ -52,17 +50,12 @@ class TestBenchRecord:
         assert [p["same_digest"] for p in torus["pairs"]] == [True] * 4 + [
             False]
 
-    def test_one_run_per_side(self, tmp_path):
+    def test_one_run_per_side(self, tmp_path, record):
         run = _run_file(tmp_path, "p-0", 1, 5.0)
-        out = tmp_path / "record.json"
-        _recorder().main(["--parent", run, "--change", run, "--out",
-                          str(out)])
-        metric = json.loads(out.read_text())["workloads"]["nf-torus"][
-            "change"]["metrics"]["ops_per_s"]
+        metric = record([run], [run])["change"]["metrics"]["ops_per_s"]
         assert (metric["q1"], metric["median"], metric["q3"]) == (5, 5, 5)
 
-    def test_unpaired_runs_are_refused(self, tmp_path):
+    def test_unpaired_runs_are_refused(self, tmp_path, record):
         run = _run_file(tmp_path, "p-0", 1, 5.0)
         with pytest.raises(SystemExit):
-            _recorder().main(["--parent", run, run, "--change", run,
-                              "--out", str(tmp_path / "record.json")])
+            record([run, run], [run])

@@ -1,4 +1,4 @@
-"""Summarize an alternating parent/change benchmark comparison as one JSON file.
+"""Summarize alternating parent/change benchmark runs in one JSON file.
 
     python3 tools/bench_record.py --parent p/nf-torus-seed1-trace0.json ... \
         --change c/nf-torus-seed1-trace0.json ... --out BENCH_<tag>.json
