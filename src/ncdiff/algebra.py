@@ -294,7 +294,12 @@ def _accumulate(terms: dict, word, coeff) -> None:
 
 def _accumulate_scaled(terms: dict, add: dict, coeff) -> None:
     for word, c in add.items():
-        _accumulate(terms, word, coeff * c)
+        # c is 1 (numerator 1 over a one-term denominator, which is 1) for
+        # a word already in normal form, and coeff * 1 is coeff itself.
+        if len(c.den.terms) == 1 and c.num.is_one():
+            _accumulate(terms, word, coeff)
+        else:
+            _accumulate(terms, word, coeff * c)
 
 
 class ConfluenceViolation:

@@ -1,6 +1,6 @@
 """Exact arithmetic in the field Q(p, q, ...) of rational functions.
 
-Coefficients are quotients of Laurent polynomials with ``fractions.Fraction``
+Coefficients are quotients of Laurent polynomials with rational
 coefficients.  No multivariate gcd is attempted: a quotient is normalized by
 clearing the denominator's Laurent-monomial content and scaling it monic with
 respect to the graded-lexicographic order, and equality is decided by the
@@ -13,6 +13,17 @@ term is a Laurent unit ``u = c*p^a*q^b...`` over 1.  Multiplying a normalized
 N/D by such a unit needs no trial division: D divides u*N only if it divides
 N, u*N divides D only if N does, and D already has no content and leading
 coefficient 1, so the product is exactly u*N/D.
+
+A second invariant fixes how each rational coefficient is stored: an
+integral one is a Python ``int`` and only one whose denominator is greater
+than 1 is a ``fractions.Fraction``; no coefficient is ever a ``float``.
+Integral values are the common case (every builtin and generated model has
+integer coefficients), and ``int`` arithmetic skips the gcd that every
+``Fraction`` operation makes.  A ``Fraction`` result whose denominator is 1
+is turned back into an ``int`` (``_exact``), and a quotient of two ints is
+taken with ``divmod`` (``_quotient``).  An ``int`` and a ``Fraction`` of the
+same value compare and hash equal and print the same, so the stored type
+never shows in a result.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ class PoleError(ZeroDivisionError):
 class ParameterSet:
     """An ordered tuple of parameter names, fixing exponent-vector layout."""
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_one")
 
     def __init__(self, names):
         names = tuple(names)
@@ -35,6 +46,7 @@ class ParameterSet:
             raise ValueError("duplicate parameter name")
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
+        self._one = None
 
     def index(self, name: str) -> int:
         return self._index[name]
@@ -59,8 +71,29 @@ def _grlex_key(mono):
     return (sum(mono), mono)
 
 
+def _exact(value):
+    """A rational coefficient as an int when it is integral, else unchanged."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def _quotient(a, b):
+    """a / b for stored coefficients, kept to the int-or-Fraction invariant."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _exact(a / b)
+
+
+def _demoted(terms: dict) -> dict:
+    """The terms, with any integral Fraction coefficient stored as an int."""
+    if Fraction in map(type, terms.values()):
+        return {m: _exact(c) for m, c in terms.items()}
+    return terms
+
+
 class Polynomial:
-    """A Laurent polynomial: dict from exponent vectors to Fraction."""
+    """A Laurent polynomial: dict from exponent vectors to nonzero
+    coefficients, each an int or a non-integral Fraction."""
 
     __slots__ = ("params", "terms")
 
@@ -69,14 +102,15 @@ class Polynomial:
         clean = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
+                if c.__class__ is not int:
+                    c = _exact(Fraction(c))
                 if c:
                     clean[tuple(mono)] = c
         self.terms = clean
 
     @classmethod
     def _make(cls, params: ParameterSet, terms: dict) -> "Polynomial":
-        """Wrap terms that already map tuples to nonzero Fractions."""
+        """Wrap terms that already map tuples to stored coefficients."""
         poly = object.__new__(cls)
         poly.params = params
         poly.terms = terms
@@ -84,13 +118,13 @@ class Polynomial:
 
     @classmethod
     def constant(cls, params: ParameterSet, value) -> "Polynomial":
-        return cls(params, {(0,) * len(params): Fraction(value)})
+        return cls(params, {(0,) * len(params): value})
 
     @classmethod
     def variable(cls, params: ParameterSet, name: str, power: int = 1) -> "Polynomial":
         mono = [0] * len(params)
         mono[params.index(name)] = power
-        return cls(params, {tuple(mono): Fraction(1)})
+        return cls(params, {tuple(mono): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -120,7 +154,7 @@ class Polynomial:
                 out[m] = s
             else:
                 out.pop(m, None)
-        return Polynomial._make(self.params, out)
+        return Polynomial._make(self.params, _demoted(out))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -130,9 +164,9 @@ class Polynomial:
             poly, single = ((self, other) if len(other.terms) == 1
                             else (other, self))
             (mono, factor), = single.terms.items()
-            return Polynomial._make(self.params, {
+            return Polynomial._make(self.params, _demoted({
                 tuple(a + b for a, b in zip(m, mono)): c * factor
-                for m, c in poly.terms.items()})
+                for m, c in poly.terms.items()}))
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -142,14 +176,15 @@ class Polynomial:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        return Polynomial._make(self.params, out)
+        return Polynomial._make(self.params, _demoted(out))
 
     def scale(self, factor) -> "Polynomial":
-        factor = Fraction(factor)
+        if factor.__class__ is not int:
+            factor = _exact(Fraction(factor))
         if not factor:
             return Polynomial(self.params)
-        return Polynomial._make(self.params,
-                                {m: c * factor for m, c in self.terms.items()})
+        return Polynomial._make(self.params, _demoted(
+            {m: c * factor for m, c in self.terms.items()}))
 
     def shift(self, vector) -> "Polynomial":
         """Multiply by the Laurent monomial with the given exponent vector."""
@@ -182,11 +217,14 @@ class Polynomial:
             step = tuple(a - b for a, b in zip(lead, g_lead))
             if any(e < 0 for e in step):
                 return None
-            c = work[lead] / g_lc
+            c = _quotient(work[lead], g_lc)
             quotient[step] = c
+            fractional = c.__class__ is not int
             for m, cg in g.items():
                 key = tuple(a + b for a, b in zip(step, m))
                 s = work.get(key, 0) - c * cg
+                if fractional:
+                    s = _exact(s)
                 if s:
                     work[key] = s
                 else:
@@ -237,7 +275,12 @@ class Polynomial:
 
 
 def _poly_one(params: ParameterSet) -> Polynomial:
-    return Polynomial.constant(params, 1)
+    """The constant 1, built once per parameter set and shared: no
+    polynomial is ever mutated in place."""
+    one = params._one
+    if one is None:
+        one = params._one = Polynomial._make(params, {(0,) * len(params): 1})
+    return one
 
 
 class RationalFunction:
@@ -279,7 +322,7 @@ class RationalFunction:
             den = den.shift(back)
         lc = den.terms[den.leading_monomial()]
         if lc != 1:
-            inv = 1 / lc
+            inv = _quotient(1, lc)
             num = num.scale(inv)
             den = den.scale(inv)
         self.num = num
@@ -400,6 +443,8 @@ class RationalFunction:
         base = self if n > 0 else self.inverse()
         n = abs(n)
         if n > 1 and base._is_unit():
+            # c ** n of an int is an int, and of a non-integral Fraction is
+            # a non-integral Fraction, so it is stored as it comes.
             (mono, c), = base.num.terms.items()
             return RationalFunction._make(
                 Polynomial._make(self.params,

@@ -5,6 +5,7 @@ import pytest
 
 from ncdiff.algebra import (Algebra, AlgebraError, Element, GeneratorTable,
                             UnsupportedRelationError, _accumulate,
+                            _accumulate_scaled,
                             concat_words, deg_lex_key, random_element,
                             render_element, render_word, single_word,
                             word_degree, word_from_runs, word_letters)
@@ -197,6 +198,48 @@ class TestElementArithmetic:
     def test_scale_by_zero(self, params):
         alg = torus_algebra(params)
         assert alg.gen("x").scale(0).is_zero()
+
+
+def _stored_terms(element):
+    return [(word, list(c.num.terms.items()), list(c.den.terms.items()))
+            for word, c in element.terms.items()]
+
+
+class TestProductsByOne:
+    """A normal-form coefficient of 1 costs no coefficient product."""
+
+    def test_normal_words_take_one_product_per_pair(self, params,
+                                                     monkeypatch):
+        alg = torus_algebra(params)
+        x, y = alg.gen("x"), alg.gen("y")
+        q, r = rf(params, "q"), rf(params, "r")
+        left = x.scale(q + 1) + (x * x).scale(rf(params, -2))
+        right = y.scale(r / (q - 1)) + (y * y * y).scale(q)
+        # x^a*y^b is a normal word, so each pair of words maps to one word
+        # with coefficient 1, as the product multiplied it before.
+        expected = Element(alg, {
+            concat_words(w1, w2): (c1 * c2) * alg._one
+            for w1, c1 in left.terms.items()
+            for w2, c2 in right.terms.items()})
+        products = []
+        original = RationalFunction.__mul__
+
+        def counting_mul(self, other):
+            products.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(RationalFunction, "__mul__", counting_mul)
+        got = left * right
+        assert len(products) == len(left.terms) * len(right.terms) == 4
+        assert _stored_terms(got) == _stored_terms(expected)
+
+    def test_one_over_a_polynomial_is_still_multiplied(self, params):
+        q = rf(params, "q")
+        inverse = 1 / (q + 1)
+        assert inverse.num.is_one()
+        terms = {}
+        _accumulate_scaled(terms, {(): inverse}, q)
+        assert terms == {(): q / (q + 1)}
 
 
 class TestConfluence:
