@@ -3,11 +3,11 @@ import json
 import pytest
 
 
-def _run_file(tmp_path, name, seed, ops_per_s, digest="d"):
+def _run_file(tmp_path, name, seed, ops_per_s, digest="d", commit=None):
     run = {"args": {"workload": "nf-torus", "seed": seed, "seconds": 30,
                     "trace": 0},
            "environment": {"python": "3.11.0", "cpu_count": 2,
-                           "commit": name.split("-")[0]},
+                           "commit": commit or name.split("-")[0]},
            "result": {"correct": True, "attempted": 10, "failed": 0,
                       "metrics": {"ops_per_s": {"value": ops_per_s,
                                                 "unit": "1/s"}}},
@@ -59,3 +59,12 @@ class TestBenchRecord:
         run = _run_file(tmp_path, "p-0", 1, 5.0)
         with pytest.raises(SystemExit):
             record([run, run], [run])
+
+    def test_unknown_commit_is_refused(self, tmp_path, record):
+        parent = _run_file(tmp_path, "p-0", 1, 5.0)
+        change = _run_file(tmp_path, "c-0", 1, 6.0, commit="unknown")
+        with pytest.raises(SystemExit) as refused:
+            record([parent], [change])
+        assert str(refused.value) == (
+            "error: %s records commit unknown; run the benchmark in a "
+            "checkout with .git" % change)

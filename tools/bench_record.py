@@ -42,11 +42,19 @@ def directions():
 
 
 def load_runs(paths):
-    """Run files grouped by workload, in the order given."""
+    """Run files grouped by workload, in the order given.
+
+    A run that records its commit as ``unknown`` came from a copy without
+    ``.git``, so a record made from it could not say what was measured;
+    such a run is refused.
+    """
     runs = {}
     for path in paths:
         with open(path) as handle:
             run = json.load(handle)
+        if run["environment"]["commit"] == "unknown":
+            raise SystemExit("error: %s records commit unknown; run the "
+                             "benchmark in a checkout with .git" % path)
         runs.setdefault(run["args"]["workload"], []).append(run)
     return runs
 
