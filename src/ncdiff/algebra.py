@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import ParameterSet, RationalFunction
+from .coeff import ParameterSet, RationalFunction, int_text
 
 
 class AlgebraError(Exception):
@@ -134,6 +134,16 @@ def concat_words(*words):
     return word_from_runs(runs)
 
 
+def _join_words(w1, w2):
+    """concat_words(w1, w2) for two words: only the runs that meet merge."""
+    if not (w1 and w2):
+        return w1 or w2
+    sym, count = w1[-1]
+    if sym != w2[0][0]:
+        return w1 + w2
+    return w1[:-1] + ((sym, count + w2[0][1]),) + w2[1:]
+
+
 def word_degree(word) -> int:
     return sum(c for _, c in word)
 
@@ -215,7 +225,7 @@ class Element:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 _accumulate_scaled(out, alg.normal_form_word(
-                    concat_words(w1, w2)), c1 * c2)
+                    _join_words(w1, w2)), c1 * c2)
         return Element(alg, out)
 
     def __rmul__(self, other):
@@ -614,16 +624,24 @@ def random_element(algebra: Algebra, rng, max_terms: int = 3,
 def render_word(table: GeneratorTable, word) -> str:
     if not word:
         return "1"
+    try:
+        return _word_text(table, word, str)
+    except ValueError:
+        # str() refused a run count too long for it; print it in pieces.
+        return _word_text(table, word, int_text)
+
+
+def _word_text(table: GeneratorTable, word, text) -> str:
     parts = []
     for sym, count in word:
         name = table.symbols[sym]
         if table.is_inverse_symbol(sym):
             base = table.symbols[table.base_index[sym]]
-            parts.append("%s^-%d" % (base, count))
+            parts.append("%s^-%s" % (base, text(count)))
         elif count == 1:
             parts.append(name)
         else:
-            parts.append("%s^%d" % (name, count))
+            parts.append("%s^%s" % (name, text(count)))
     return "*".join(parts)
 
 

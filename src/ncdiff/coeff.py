@@ -24,11 +24,31 @@ is turned back into an ``int`` (``_exact``), and a quotient of two ints is
 taken with ``divmod`` (``_quotient``).  An ``int`` and a ``Fraction`` of the
 same value compare and hash equal and print the same, so the stored type
 never shows in a result.
+
+Most values the engine meets are over 1: every twist in the paper's setting
+scales generators by parameter monomials, so structure constants and
+normal-form coefficients are Laurent polynomials over 1, and most factors are
+monomials or the constant 1.  The sum and the product of two values over 1
+skip normalization: the denominator stays exactly 1, and normalizing N/1
+finds a zero content shift and a leading coefficient of 1, so it would store
+N as it is.  Products of polynomials by the constant 1 return the other
+factor itself (no polynomial is mutated in place), by another constant only
+scale the coefficients, and by a monomial with coefficient 1 only shift the
+exponent keys.  Each of these builds the terms, in the same dict order, that
+the general path builds, so stored forms are unchanged.  A value whose
+denominator has more than one term is always normalized, trial divisions
+included.
+
+``str()`` and ``int()`` refuse decimal texts longer than
+``sys.get_int_max_str_digits()`` digits.  ``int_text`` and ``parse_int``
+convert an int of any size in pieces below that limit, so printing and
+parsing never depend on it, and the interpreter-wide limit is left alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 
 class PoleError(ZeroDivisionError):
@@ -65,6 +85,51 @@ class ParameterSet:
 
     def __repr__(self) -> str:
         return "ParameterSet%r" % (self.names,)
+
+
+# Pieces of at most this many digits convert with str() and int() under any
+# setting of sys.set_int_max_str_digits, whose least nonzero limit is 640.
+_PIECE_DIGITS = 600
+
+
+def int_text(n: int) -> str:
+    """The decimal text of an int of any size, as str() gives it."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    # powers[i] is 10 ** (_PIECE_DIGITS * 2**i); the last exceeds n.
+    powers = [10 ** _PIECE_DIGITS]
+    while powers[-1] <= n:
+        powers.append(powers[-1] * powers[-1])
+
+    def text(n, level, pad):
+        # n < powers[level + 1]; with pad, zero-filled to its full width.
+        if level < 0:
+            return str(n).zfill(_PIECE_DIGITS) if pad else str(n)
+        high, low = divmod(n, powers[level])
+        if not (high or pad):
+            return text(low, level - 1, False)
+        return text(high, level - 1, pad) + text(low, level - 1, True)
+    return sign + text(n, len(powers) - 2, False)
+
+
+def parse_int(digits: str) -> int:
+    """int(digits) for a string of decimal digits of any length."""
+    if len(digits) <= _PIECE_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return (parse_int(digits[:half]) * 10 ** (len(digits) - half)
+            + parse_int(digits[half:]))
+
+
+def number_text(value) -> str:
+    """str() of a stored coefficient (an int or a Fraction) of any size."""
+    if value.__class__ is int:
+        return int_text(value)
+    return "%s/%s" % (int_text(value.numerator), int_text(value.denominator))
 
 
 def _grlex_key(mono):
@@ -147,36 +212,58 @@ class Polynomial:
                                 {m: -c for m, c in self.terms.items()})
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        # Only a sum of two coefficients can be an integral Fraction; every
+        # other term is stored as it was.
         out = dict(self.terms)
         for m, c in other.terms.items():
             s = out.get(m, 0) + c
             if s:
-                out[m] = s
+                out[m] = s if s.__class__ is int else _exact(s)
             else:
                 out.pop(m, None)
-        return Polynomial._make(self.params, _demoted(out))
+        return Polynomial._make(self.params, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if len(self.terms) == 1 or len(other.terms) == 1:
-            poly, single = ((self, other) if len(other.terms) == 1
-                            else (other, self))
-            (mono, factor), = single.terms.items()
-            return Polynomial._make(self.params, _demoted({
-                tuple(a + b for a, b in zip(m, mono)): c * factor
-                for m, c in poly.terms.items()}))
+        if len(other.terms) == 1:
+            if len(self.terms) == 1 and self.is_one():
+                return other
+            return self._times_term(other)
+        if len(self.terms) == 1:
+            return other._times_term(self)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 s = out.get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 else:
                     out.pop(m, None)
         return Polynomial._make(self.params, _demoted(out))
+
+    def _times_term(self, single: "Polynomial") -> "Polynomial":
+        """self times a one-term polynomial, in the general product's order.
+
+        A factor of exactly 1 gives self, a constant only scales the
+        coefficients, and a monomial with coefficient 1 only shifts the
+        exponents, with no products and no demotion.
+        """
+        (mono, factor), = single.terms.items()
+        if any(mono):
+            if factor == 1:
+                return Polynomial._make(self.params, {
+                    tuple(map(add, m, mono)): c
+                    for m, c in self.terms.items()})
+            return Polynomial._make(self.params, _demoted({
+                tuple(map(add, m, mono)): c * factor
+                for m, c in self.terms.items()}))
+        if factor == 1:
+            return self
+        return Polynomial._make(self.params, _demoted(
+            {m: c * factor for m, c in self.terms.items()}))
 
     def scale(self, factor) -> "Polynomial":
         if factor.__class__ is not int:
@@ -191,7 +278,7 @@ class Polynomial:
         if not any(vector):
             return self
         return Polynomial._make(self.params, {
-            tuple(a + b for a, b in zip(m, vector)): c for m, c in self.terms.items()})
+            tuple(map(add, m, vector)): c for m, c in self.terms.items()})
 
     def leading_monomial(self):
         return max(self.terms, key=_grlex_key)
@@ -205,23 +292,23 @@ class Polynomial:
         n = len(self.params)
         shift_f = [min(m[i] for m in self.terms) for i in range(n)]
         shift_g = [min(m[i] for m in divisor.terms) for i in range(n)]
-        work = {tuple(a - b for a, b in zip(m, shift_f)): c
+        work = {tuple(map(sub, m, shift_f)): c
                 for m, c in self.terms.items()}
-        g = {tuple(a - b for a, b in zip(m, shift_g)): c
+        g = {tuple(map(sub, m, shift_g)): c
              for m, c in divisor.terms.items()}
         g_lead = max(g, key=_grlex_key)
         g_lc = g[g_lead]
         quotient = {}
         while work:
             lead = max(work, key=_grlex_key)
-            step = tuple(a - b for a, b in zip(lead, g_lead))
+            step = tuple(map(sub, lead, g_lead))
             if any(e < 0 for e in step):
                 return None
             c = _quotient(work[lead], g_lc)
             quotient[step] = c
             fractional = c.__class__ is not int
             for m, cg in g.items():
-                key = tuple(a + b for a, b in zip(step, m))
+                key = tuple(map(add, step, m))
                 s = work.get(key, 0) - c * cg
                 if fractional:
                     s = _exact(s)
@@ -229,7 +316,7 @@ class Polynomial:
                     work[key] = s
                 else:
                     work.pop(key, None)
-        back = tuple(a - b for a, b in zip(shift_f, shift_g))
+        back = tuple(map(sub, shift_f, shift_g))
         return Polynomial._make(self.params, quotient).shift(back)
 
     def evaluate(self, point: dict) -> Fraction:
@@ -246,20 +333,20 @@ class Polynomial:
             total += v
         return total
 
-    def _term_str(self, mono, coeff, lead: bool) -> str:
+    def _term_str(self, mono, coeff, lead: bool, text=str) -> str:
         parts = []
         for name, e in zip(self.params.names, mono):
             if e == 1:
                 parts.append(name)
             elif e:
-                parts.append("%s^%d" % (name, e))
+                parts.append("%s^%s" % (name, text(e)))
         mag = -coeff if coeff < 0 else coeff
         if not parts:
-            body = str(mag)
+            body = text(mag)
         elif mag == 1:
             body = "*".join(parts)
         else:
-            body = "*".join([str(mag)] + parts)
+            body = "*".join([text(mag)] + parts)
         if lead:
             return "-" + body if coeff < 0 else body
         return (" - " if coeff < 0 else " + ") + body
@@ -268,8 +355,14 @@ class Polynomial:
         if not self.terms:
             return "0"
         monos = sorted(self.terms, key=_grlex_key, reverse=True)
-        return "".join(self._term_str(m, self.terms[m], i == 0)
-                       for i, m in enumerate(monos))
+        try:
+            return "".join(self._term_str(m, self.terms[m], i == 0)
+                           for i, m in enumerate(monos))
+        except ValueError:
+            # str() refused an int too long for it; print it in pieces.
+            return "".join(self._term_str(m, self.terms[m], i == 0,
+                                          number_text)
+                           for i, m in enumerate(monos))
 
     __repr__ = __str__
 
@@ -380,6 +473,10 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if len(self.den.terms) == 1 and len(other.den.terms) == 1:
+            # Both denominators are exactly 1, and normalizing N/1 would
+            # store N as it is (see the module docstring).
+            return RationalFunction._make(self.num + other.num, self.den)
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(self.num * other.den + other.num * self.den,
@@ -411,6 +508,8 @@ class RationalFunction:
             unit, value = other, self
         elif self._is_unit():
             unit, value = self, other
+        elif len(self.den.terms) == 1 and len(other.den.terms) == 1:
+            return RationalFunction._make(self.num * other.num, self.den)
         else:
             return RationalFunction(self.num * other.num,
                                     self.den * other.den)

@@ -18,7 +18,7 @@ import re
 from .algebra import (Algebra, AlgebraError, Element, GeneratorTable,
                       word_letters)
 from .calculus import Calculus, Form
-from .coeff import ParameterSet, RationalFunction
+from .coeff import ParameterSet, RationalFunction, int_text, parse_int
 from .geometry import Connection, FormExtension, Geometry, TensorForm
 from .morphism import Endomorphism
 
@@ -110,7 +110,8 @@ def tokenize(text: str):
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(_Token("number", int(text[i:j]), line, start_col))
+            tokens.append(_Token("number", parse_int(text[i:j]), line,
+                                 start_col))
             col += j - i
             i = j
             continue
@@ -186,7 +187,7 @@ def expression_to_text(node, required: int = 0) -> str:
     """Render an expression; reparsing yields the identical tree."""
     kind = node[0]
     if kind == "num":
-        return str(node[1])
+        return int_text(node[1])
     if kind == "name":
         return node[1]
     if kind == "call":
@@ -198,7 +199,7 @@ def expression_to_text(node, required: int = 0) -> str:
         return "(%s)" % text if required > 2 else text
     if kind == "pow":
         base = expression_to_text(node[1], 4)
-        text = "%s^%d" % (base, node[2])
+        text = "%s^%s" % (base, int_text(node[2]))
         return "(%s)" % text if required > 3 else text
     if kind == "bin":
         op = node[1]
@@ -351,7 +352,7 @@ class _Parser:
         if not (key.value.startswith("V") and key.value[1:].isdecimal()):
             raise ModelSyntaxError(
                 "transport key must look like V1", key.line, key.col)
-        return int(key.value[1:])
+        return parse_int(key.value[1:])
 
 
 def parse_model(text: str) -> ModelDocument:
@@ -421,7 +422,7 @@ _FIELDS = {
             lambda text: '"%s"' % text.replace('"', '\\"')),
     "ids": (_Parser.parse_ident_list, ", ".join),
     "expr": (_Parser.parse_expression, expression_to_text),
-    "key": (_Parser.parse_transport_key, "V%d".__mod__),
+    "key": (_Parser.parse_transport_key, lambda index: "V" + int_text(index)),
     "ident": _ident_field("identifier"),
     "name": _ident_field("name"),
     "param": _ident_field("parameter name"),
@@ -699,7 +700,8 @@ class _StaticChecker:
         for index, basis, expr in entries:
             if not (1 <= index <= len(self.thetas)):
                 raise _error_at(
-                    stmt, "transport direction V%d is out of range" % index)
+                    stmt, "transport direction V%s is out of range"
+                    % int_text(index))
             self._labels(stmt, basis)
             self._claim(seen, (index, basis), stmt,
                         "V%d[%s]" % (index, basis))

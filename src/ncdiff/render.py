@@ -12,15 +12,17 @@ from fractions import Fraction
 
 from .algebra import Element, deg_lex_key
 from .calculus import DerivedRelation, Form
-from .coeff import Polynomial, RationalFunction
+from .coeff import Polynomial, RationalFunction, int_text
 
 
 def latex_fraction(value: Fraction) -> str:
     if value.denominator == 1:
-        return str(value.numerator)
+        return int_text(value.numerator)
     if value.numerator < 0:
-        return "-\\frac{%d}{%d}" % (-value.numerator, value.denominator)
-    return "\\frac{%d}{%d}" % (value.numerator, value.denominator)
+        return "-\\frac{%s}{%s}" % (int_text(-value.numerator),
+                                    int_text(value.denominator))
+    return "\\frac{%s}{%s}" % (int_text(value.numerator),
+                               int_text(value.denominator))
 
 
 def _latex_monomial(params, mono) -> str:
@@ -31,7 +33,7 @@ def _latex_monomial(params, mono) -> str:
         if power == 1:
             parts.append(name)
         else:
-            parts.append("%s^{%d}" % (name, power))
+            parts.append("%s^{%s}" % (name, int_text(power)))
     return " ".join(parts)
 
 
@@ -78,7 +80,7 @@ def _latex_letter(table, sym: int, count: int) -> str:
         count = -count
     if count == 1:
         return name
-    return "%s^{%d}" % (name, count)
+    return "%s^{%s}" % (name, int_text(count))
 
 
 def latex_word(table, word) -> str:

@@ -5,7 +5,7 @@ import pytest
 
 from ncdiff.algebra import (Algebra, AlgebraError, Element, GeneratorTable,
                             UnsupportedRelationError, _accumulate,
-                            _accumulate_scaled,
+                            _accumulate_scaled, _join_words,
                             concat_words, deg_lex_key, random_element,
                             render_element, render_word, single_word,
                             word_degree, word_from_runs, word_letters)
@@ -81,6 +81,52 @@ class TestWords:
         xxx = ((0, 3),)
         assert deg_lex_key(yx) > deg_lex_key(xy)
         assert deg_lex_key(xxx) > deg_lex_key(yx)
+
+
+def _is_canonical(word) -> bool:
+    """Positive run counts and distinct adjacent symbols."""
+    return (all(count > 0 for _, count in word)
+            and all(a[0] != b[0] for a, b in zip(word, word[1:])))
+
+
+class TestJoinWords:
+    """Element products join two words by merging only the runs that
+    meet, which is what concat_words gives for two canonical words."""
+
+    def _random_word(self, rng, table):
+        letters = [rng.randrange(len(table.symbols))
+                   for _ in range(rng.choice((0, 0, 1, 2, 4, 7)))]
+        return word_from_runs((sym, rng.randint(1, 3)) for sym in letters)
+
+    def test_matches_concat_words(self):
+        table = GeneratorTable(("x", "y", "z"), invertible=("x", "z"))
+        rng = random.Random(7411)
+        merged = empty = inverse = 0
+        for _ in range(3000):
+            w1 = self._random_word(rng, table)
+            w2 = self._random_word(rng, table)
+            if w1 and w2 and rng.random() < 0.3:
+                # Make the boundary runs share their symbol.
+                w2 = ((w1[-1][0], rng.randint(1, 3)),) + w2
+                w2 = word_from_runs(w2)
+            got = _join_words(w1, w2)
+            assert got == concat_words(w1, w2)
+            assert _is_canonical(got)
+            merged += bool(w1 and w2 and w1[-1][0] == w2[0][0])
+            empty += not (w1 and w2)
+            inverse += any(table.is_inverse_symbol(s) for s, _ in got)
+        assert merged and empty and inverse
+
+    def test_products_on_the_builtins_have_canonical_words(
+            self, torus, glpq, glpq_localized):
+        rng = random.Random(2718)
+        for bundle in (torus, glpq, glpq_localized):
+            alg = bundle.algebra
+            for _ in range(40):
+                a = random_element(alg, rng, max_length=4)
+                b = random_element(alg, rng, max_length=4)
+                for product in (a * b, b * a, a * a * b):
+                    assert all(_is_canonical(w) for w in product.terms)
 
 
 class TestRewriting:

@@ -1,5 +1,6 @@
 """Tests for the command line front end."""
 
+import decimal
 import json
 import os
 import pathlib
@@ -190,6 +191,54 @@ class TestNf:
         rc, out, _ = run_cli(capsys, ["nf", str(path), "-e", "y*x"])
         assert rc == 0
         assert out == "q^-1 * x*y\n"
+
+
+def _digits(n: int) -> str:
+    """The decimal text of n through the decimal module, which has no
+    limit on the digits it prints."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 10000
+        return str(decimal.Decimal(n))
+
+
+class TestLongIntegers:
+    """Coefficients and exponents print and parse at any size, past the
+    digits str() and int() take; the interpreter-wide limit is untouched."""
+
+    BIG = _digits(2 ** 15000)
+
+    def test_plain(self, capsys):
+        rc, out, err = run_cli(capsys, ["nf", "builtin:quantum-torus",
+                                        "-e", "2^15000*x"])
+        assert (rc, out, err) == (0, self.BIG + " * x\n", "")
+
+    def test_latex(self, capsys):
+        rc, out, _ = run_cli(capsys, ["nf", "builtin:quantum-torus",
+                                      "-e", "x/3^3000 + 2^15000*x*y",
+                                      "--format", "latex"])
+        assert rc == 0
+        assert out == "\\frac{1}{%s} \\, x + %s \\, x y\n" % (
+            _digits(3 ** 3000), self.BIG)
+
+    def test_json(self, capsys):
+        rc, out, _ = run_cli(capsys, ["nf", "builtin:quantum-torus",
+                                      "-e", "2^15000*x", "--format", "json"])
+        assert rc == 0
+        assert json.loads(out) == {"input": "2^15000*x",
+                                   "value": self.BIG + " * x",
+                                   "latex": self.BIG + " \\, x"}
+
+    def test_long_literal_round_trip(self, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        literal = "7" * 5000
+        rc, out, _ = run_cli(capsys, ["nf", "builtin:quantum-torus",
+                                      "-e", literal + "*x*q^" + literal])
+        assert (rc, out) == (0, "%s*q^%s * x\n" % (literal, literal))
+        rc, again, _ = run_cli(capsys, ["nf", "builtin:quantum-torus",
+                                        "-e", out.strip()])
+        assert (rc, again) == (0, out)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() \
+            == limit
 
 
 class TestVerify:

@@ -1,10 +1,12 @@
+import decimal
 import random
 from fractions import Fraction
 
 import pytest
 
 from ncdiff.coeff import (ParameterSet, PoleError, Polynomial,
-                          RationalFunction, solve_linear)
+                          RationalFunction, int_text, parse_int,
+                          solve_linear)
 
 
 @pytest.fixture()
@@ -247,6 +249,148 @@ class TestFastPathsMatchNormalization:
             self._assert_same(-a, RationalFunction(negated, a.den))
 
 
+def _reference_sum(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Term-by-term sum accumulated through the public constructor."""
+    out = dict(a.terms)
+    for m, c in b.terms.items():
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return Polynomial(a.params, out)
+
+
+def _stored(poly: Polynomial):
+    """The terms in dict order, with the type of each coefficient."""
+    return [(m, c, type(c)) for m, c in poly.terms.items()]
+
+
+class TestFastPathsOverOne:
+    """Sums and products of values over 1, and polynomial products by 1,
+    by constants and by coefficient-1 monomials, store what the general
+    paths they skip store: the same terms, order and coefficient types."""
+
+    RANKS = (ParameterSet(("p", "q", "r")),
+             ParameterSet(tuple("p%d" % i for i in range(11))))
+    COEFFS = (1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-3, 7),
+              Fraction(5, 3), Fraction(2, 9))
+
+    def _monomial(self, rng, params):
+        return tuple(rng.randint(-2, 2) for _ in range(len(params)))
+
+    def _polynomial(self, rng, params, size):
+        terms = {}
+        while len(terms) < size:
+            terms[self._monomial(rng, params)] = rng.choice(self.COEFFS)
+        return Polynomial(params, terms)
+
+    def _single(self, rng, params):
+        """1, another constant, or a monomial with coefficient 1 or not."""
+        kind = rng.randrange(4)
+        zero = (0,) * len(params)
+        if kind == 0:
+            return Polynomial(params, {zero: 1})
+        if kind == 1:
+            return Polynomial(params, {zero: rng.choice(self.COEFFS[1:])})
+        mono = self._monomial(rng, params)
+        return Polynomial(params, {mono: 1 if kind == 2
+                                   else rng.choice(self.COEFFS)})
+
+    def _pairs(self, seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            params = rng.choice(self.RANKS)
+            a = self._polynomial(rng, params, rng.randint(0, 5))
+            b = self._polynomial(rng, params, rng.randint(1, 5))
+            if rng.random() < 0.3:
+                # Shared monomials, so that sums cancel or become integral.
+                b = b + a.scale(rng.choice((-1, Fraction(1, 2), 2)))
+            yield rng, params, a, b
+
+    def test_products_by_one_term(self):
+        for rng, params, poly, _ in self._pairs(90210, 1500):
+            single = self._single(rng, params)
+            for got in (poly * single, single * poly):
+                assert _stored(got) == _stored(
+                    _reference_product(poly, single))
+            if single.is_one():
+                assert poly * single is poly and single * poly is poly
+
+    def test_sums_and_products_over_one(self):
+        for _, _, a, b in self._pairs(31337, 1500):
+            assert _stored(a + b) == _stored(_reference_sum(a, b))
+            if b.is_zero():
+                continue
+            x, y = RationalFunction(a), RationalFunction(b)
+            got, expected = x + y, RationalFunction(x.num + y.num, x.den)
+            assert _stored(got.num) == _stored(expected.num)
+            assert _stored(got.den) == _stored(expected.den)
+            assert got.den.is_one()
+            if x.is_zero() or x._is_unit() or y._is_unit():
+                continue
+            got = x * y
+            expected = RationalFunction(x.num * y.num, x.den * y.den)
+            assert _stored(got.num) == _stored(expected.num)
+            assert _stored(got.den) == _stored(expected.den)
+
+    def test_mix_reaches_every_shape(self):
+        """The seeded pairs meet integral sums of Fractions, cancelling
+        sums and rank-11 values, so the comparisons above cover them."""
+        demoted = cancelled = rank11 = 0
+        for _, params, a, b in self._pairs(31337, 1500):
+            rank11 += len(params) == 11
+            for m, c in b.terms.items():
+                s = a.terms.get(m, 0) + c
+                cancelled += m in a.terms and not s
+                demoted += isinstance(s, Fraction) and s.denominator == 1
+        assert demoted and cancelled and rank11
+
+    def test_zero_sum_is_stored_over_one(self):
+        params = self.RANKS[0]
+        a = RationalFunction(self._polynomial(random.Random(5), params, 3))
+        zero = a + (-a)
+        assert zero.is_zero() and zero.den.is_one()
+
+
+class TestValuesOverOneSkipNormalization:
+    """Sums and products of quantum-torus coefficients over 1 construct no
+    RationalFunction; a sum over q + 1 still normalizes."""
+
+    @pytest.fixture()
+    def inits(self, monkeypatch):
+        calls = []
+        original = RationalFunction.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RationalFunction, "__init__", counting_init)
+        return calls
+
+    def test_sum_and_product_over_one(self, torus, inits):
+        q, r = (RationalFunction.parameter(torus.params, n)
+                for n in ("q", "r"))
+        a = q * r - r.inverse()
+        b = q.inverse() * r + q * q
+        del inits[:]
+        total, product = a + b, a * b
+        assert inits == []
+        assert total == RationalFunction(a.num + b.num)
+        assert product == RationalFunction(a.num * b.num)
+        assert total.den.is_one() and product.den.is_one()
+
+    def test_sum_over_a_polynomial_normalizes(self, torus, inits):
+        q = RationalFunction.parameter(torus.params, "q")
+        one = RationalFunction.from_value(torus.params, 1)
+        a, b = q / (q + one), one / (q + one)
+        del inits[:]
+        total = a + b
+        assert len(inits) == 1
+        assert total.is_one() and total.den.is_one()
+
+
 def _repeated_power(value: RationalFunction, n: int) -> RationalFunction:
     """value ** n by |n| - 1 products, after inverting for n < 0."""
     if n == 0:
@@ -303,3 +447,40 @@ class TestUnitPowers:
                 got = base ** n
                 assert len(products) == 6
                 self._assert_same(got, _repeated_power(base, n))
+
+
+def _decimal_digits(n: int) -> str:
+    """The decimal text of n, through the decimal module's exact power."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40000
+        return str(decimal.Decimal(n))
+
+
+class TestLongIntegers:
+    """Ints of any size convert to and from text, past the digit limit of
+    str() and int()."""
+
+    def test_text_and_parse_round_trip(self):
+        rng = random.Random(8128)
+        for digits in (1, 599, 600, 601, 1199, 1200, 4300, 4301, 5000, 9601,
+                       30000):
+            text = str(rng.randint(1, 9)) + "".join(
+                str(rng.randrange(10)) for _ in range(digits - 1))
+            n = parse_int(text)
+            assert _decimal_digits(n) == text
+            assert int_text(n) == text
+            assert int_text(-n) == "-" + text
+
+    def test_powers_of_ten_keep_their_zeros(self):
+        for digits in (600, 1200, 2400, 4800, 9600):
+            assert int_text(10 ** digits) == "1" + "0" * digits
+            assert int_text(10 ** digits - 1) == "9" * digits
+
+    def test_polynomial_prints_long_coefficients_and_exponents(self):
+        params = ParameterSet(("q",))
+        big = 2 ** 15000
+        poly = Polynomial(params, {(big,): Fraction(-1, 3 ** 3000),
+                                   (0,): big})
+        assert str(poly) == "-1/%s*q^%s + %s" % (
+            _decimal_digits(3 ** 3000), _decimal_digits(big),
+            _decimal_digits(big))
