@@ -624,24 +624,16 @@ def random_element(algebra: Algebra, rng, max_terms: int = 3,
 def render_word(table: GeneratorTable, word) -> str:
     if not word:
         return "1"
-    try:
-        return _word_text(table, word, str)
-    except ValueError:
-        # str() refused a run count too long for it; print it in pieces.
-        return _word_text(table, word, int_text)
-
-
-def _word_text(table: GeneratorTable, word, text) -> str:
     parts = []
     for sym, count in word:
         name = table.symbols[sym]
         if table.is_inverse_symbol(sym):
             base = table.symbols[table.base_index[sym]]
-            parts.append("%s^-%s" % (base, text(count)))
+            parts.append("%s^-%s" % (base, int_text(count)))
         elif count == 1:
             parts.append(name)
         else:
-            parts.append("%s^%s" % (name, text(count)))
+            parts.append("%s^%s" % (name, int_text(count)))
     return "*".join(parts)
 
 

@@ -126,9 +126,9 @@ def parse_int(digits: str) -> int:
 
 
 def number_text(value) -> str:
-    """str() of a stored coefficient (an int or a Fraction) of any size."""
-    if value.__class__ is int:
-        return int_text(value)
+    """str() of an int or a Fraction of any size."""
+    if value.__class__ is int or value.denominator == 1:
+        return int_text(value.numerator)
     return "%s/%s" % (int_text(value.numerator), int_text(value.denominator))
 
 
@@ -252,18 +252,13 @@ class Polynomial:
         exponents, with no products and no demotion.
         """
         (mono, factor), = single.terms.items()
-        if any(mono):
-            if factor == 1:
-                return Polynomial._make(self.params, {
-                    tuple(map(add, m, mono)): c
-                    for m, c in self.terms.items()})
-            return Polynomial._make(self.params, _demoted({
-                tuple(map(add, m, mono)): c * factor
-                for m, c in self.terms.items()}))
         if factor == 1:
-            return self
-        return Polynomial._make(self.params, _demoted(
-            {m: c * factor for m, c in self.terms.items()}))
+            return self.shift(mono)
+        if not any(mono):
+            return self.scale(factor)
+        return Polynomial._make(self.params, _demoted({
+            tuple(map(add, m, mono)): c * factor
+            for m, c in self.terms.items()}))
 
     def scale(self, factor) -> "Polynomial":
         if factor.__class__ is not int:
@@ -333,20 +328,20 @@ class Polynomial:
             total += v
         return total
 
-    def _term_str(self, mono, coeff, lead: bool, text=str) -> str:
+    def _term_str(self, mono, coeff, lead: bool) -> str:
         parts = []
         for name, e in zip(self.params.names, mono):
             if e == 1:
                 parts.append(name)
             elif e:
-                parts.append("%s^%s" % (name, text(e)))
+                parts.append("%s^%s" % (name, int_text(e)))
         mag = -coeff if coeff < 0 else coeff
         if not parts:
-            body = text(mag)
+            body = number_text(mag)
         elif mag == 1:
             body = "*".join(parts)
         else:
-            body = "*".join([text(mag)] + parts)
+            body = "*".join([number_text(mag)] + parts)
         if lead:
             return "-" + body if coeff < 0 else body
         return (" - " if coeff < 0 else " + ") + body
@@ -355,14 +350,8 @@ class Polynomial:
         if not self.terms:
             return "0"
         monos = sorted(self.terms, key=_grlex_key, reverse=True)
-        try:
-            return "".join(self._term_str(m, self.terms[m], i == 0)
-                           for i, m in enumerate(monos))
-        except ValueError:
-            # str() refused an int too long for it; print it in pieces.
-            return "".join(self._term_str(m, self.terms[m], i == 0,
-                                          number_text)
-                           for i, m in enumerate(monos))
+        return "".join(self._term_str(m, self.terms[m], i == 0)
+                       for i, m in enumerate(monos))
 
     __repr__ = __str__
 
