@@ -156,7 +156,31 @@ def word_letters(word):
 
 
 def deg_lex_key(word):
-    return (word_degree(word), word_letters(word))
+    """A sort key ordering words by degree, then by their letters
+    lexicographically, as ``(word_degree(word), word_letters(word))`` does,
+    without expanding runs.
+
+    Run ``(s, c)`` becomes ``(s, up, -c if up else c)``, ``up`` saying
+    whether the next run's symbol is larger.  Words of one degree that agree
+    up to runs ``(s, c)`` and ``(s, d)`` with ``c < d`` next compare the
+    letter after ``s^c`` in the first with ``s``: the first word is larger
+    exactly when that letter is larger than ``s``, that is when its run is
+    ``up``, and the key orders it so whatever the other run's flag.  With
+    equal counts the flags compare the next symbols.  A last run (``up``
+    false) only meets a longer run of its symbol in a word of larger degree.
+    """
+    degree = 0
+    key = []
+    prev = None
+    for run in word:
+        degree += run[1]
+        if prev is not None:
+            sym, count = prev
+            key += (sym, True, -count) if run[0] > sym else (sym, False, count)
+        prev = run
+    if prev is not None:
+        key += (prev[0], False, prev[1])
+    return (degree, tuple(key))
 
 
 def single_word(sym: int, count: int = 1):
@@ -164,7 +188,13 @@ def single_word(sym: int, count: int = 1):
 
 
 class Element:
-    """A finite sum of words with rational-function coefficients."""
+    """A finite sum of words with rational-function coefficients.
+
+    Every word of an element is in normal form and every coefficient is
+    nonzero.  Arithmetic relies on this: a product by a lone scalar term and
+    the image under a diagonal twist keep each word as it is.  Build
+    elements from free sums of words with ``Algebra.element``.
+    """
 
     __slots__ = ("algebra", "terms")
 
@@ -206,7 +236,10 @@ class Element:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            _accumulate(out, w, -c)
+        return Element(self.algebra, out)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -221,11 +254,24 @@ class Element:
         if other is None:
             return NotImplemented
         alg = self.algebra
+        # A lone scalar term: every product word is a word of the other
+        # factor, already in normal form, and a product of two nonzero
+        # coefficients is nonzero.
+        if len(self.terms) == 1 and () in self.terms:
+            c1 = self.terms[()]
+            return Element(alg, {w: c1 * c2 for w, c2 in other.terms.items()})
+        if len(other.terms) == 1 and () in other.terms:
+            c2 = other.terms[()]
+            return Element(alg, {w: c1 * c2 for w, c1 in self.terms.items()})
+        cache = alg._nf_cache
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                _accumulate_scaled(out, alg.normal_form_word(
-                    _join_words(w1, w2)), c1 * c2)
+                word = _join_words(w1, w2)
+                nf = cache.get(word)
+                if nf is None:
+                    nf = alg.normal_form_word(word)
+                _accumulate_scaled(out, nf, c1 * c2)
         return Element(alg, out)
 
     def __rmul__(self, other):

@@ -39,6 +39,18 @@ the general path builds, so stored forms are unchanged.  A value whose
 denominator has more than one term is always normalized, trial divisions
 included.
 
+The product of two Laurent units is built as one term: the exponent
+vectors added and the coefficients multiplied (an integral product stored
+as an int), over the left factor's denominator 1.  The general path gives
+that term too, since a unit never renormalizes.  A stored denominator is
+already free of content and monic, so a value over it that keeps it needs
+neither the content shift nor the monic scale (``_over``).  That is the case
+for a sum over an equal denominator and for a product in which one
+denominator is 1, whose product denominator is the other one.  Both still
+trial-divide as ``__init__`` does: a numerator divisible by the denominator
+leaves a value over 1, and a denominator divisible by the numerator leaves a
+new denominator, which is then fully normalized.
+
 ``str()`` and ``int()`` refuse decimal texts longer than
 ``sys.get_int_max_str_digits()`` digits.  ``int_text`` and ``parse_int``
 convert an int of any size in pieces below that limit, so printing and
@@ -147,6 +159,13 @@ def _quotient(a, b):
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     return _exact(a / b)
+
+
+def _content(terms: dict) -> list:
+    """The componentwise minimum of the exponent vectors of the terms."""
+    if len(terms) == 1:
+        return list(next(iter(terms)))
+    return list(map(min, *terms))
 
 
 def _demoted(terms: dict) -> dict:
@@ -284,9 +303,8 @@ class Polynomial:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self
-        n = len(self.params)
-        shift_f = [min(m[i] for m in self.terms) for i in range(n)]
-        shift_g = [min(m[i] for m in divisor.terms) for i in range(n)]
+        shift_f = _content(self.terms)
+        shift_g = _content(divisor.terms)
         work = {tuple(map(sub, m, shift_f)): c
                 for m, c in self.terms.items()}
         g = {tuple(map(sub, m, shift_g)): c
@@ -387,28 +405,7 @@ class RationalFunction:
             self.num = num
             self.den = _poly_one(params)
             return
-        if len(den.terms) > 1:
-            quotient = num.try_exact_divide(den)
-            if quotient is not None:
-                num = quotient
-                den = _poly_one(params)
-            elif len(num.terms) > 1:
-                quotient = den.try_exact_divide(num)
-                if quotient is not None:
-                    num = _poly_one(params)
-                    den = quotient
-        shift = [min(m[i] for m in den.terms) for i in range(len(params))]
-        if any(shift):
-            back = tuple(-s for s in shift)
-            num = num.shift(back)
-            den = den.shift(back)
-        lc = den.terms[den.leading_monomial()]
-        if lc != 1:
-            inv = _quotient(1, lc)
-            num = num.scale(inv)
-            den = den.scale(inv)
-        self.num = num
-        self.den = den
+        self.num, self.den = _content_free_monic(*_trial_divided(num, den))
 
     @classmethod
     def _make(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
@@ -417,6 +414,20 @@ class RationalFunction:
         value.num = num
         value.den = den
         return value
+
+    @classmethod
+    def _over(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num/den for a den that is already normalized, as __init__ stores it.
+
+        The trial divisions are the same; a den they keep is not normalized
+        again.
+        """
+        if num.is_zero():
+            return cls._make(num, _poly_one(num.params))
+        num, divided = _trial_divided(num, den)
+        if divided is not den:
+            num, divided = _content_free_monic(num, divided)
+        return cls._make(num, divided)
 
     def _is_unit(self) -> bool:
         """True for a nonzero Laurent monomial c*p^a*q^b... (over 1)."""
@@ -459,15 +470,16 @@ class RationalFunction:
         return RationalFunction._make(-self.num, self.den)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not RationalFunction:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         if len(self.den.terms) == 1 and len(other.den.terms) == 1:
             # Both denominators are exactly 1, and normalizing N/1 would
             # store N as it is (see the module docstring).
             return RationalFunction._make(self.num + other.num, self.den)
         if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
+            return RationalFunction._over(self.num + other.num, self.den)
         return RationalFunction(self.num * other.den + other.num * self.den,
                                 self.den * other.den)
 
@@ -486,25 +498,46 @@ class RationalFunction:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero():
+        if other.__class__ is not RationalFunction:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if not self.num.terms:
             return self
-        if other.is_zero():
+        if not other.num.terms:
             return other
-        if other._is_unit():
-            unit, value = other, self
-        elif self._is_unit():
-            unit, value = self, other
-        elif len(self.den.terms) == 1 and len(other.den.terms) == 1:
-            return RationalFunction._make(self.num * other.num, self.den)
-        else:
-            return RationalFunction(self.num * other.num,
-                                    self.den * other.den)
-        if unit.num.is_one():
-            return value
-        return RationalFunction._make(unit.num * value.num, value.den)
+        self_over_one = len(self.den.terms) == 1
+        other_over_one = len(other.den.terms) == 1
+        if other_over_one and len(other.num.terms) == 1:
+            if other.num.is_one():
+                return self
+            if self_over_one and len(self.num.terms) == 1:
+                return self._times_unit(other)
+            return RationalFunction._make(other.num * self.num, self.den)
+        if self_over_one and len(self.num.terms) == 1:
+            if self.num.is_one():
+                return other
+            return RationalFunction._make(self.num * other.num, other.den)
+        if self_over_one:
+            if other_over_one:
+                return RationalFunction._make(self.num * other.num, self.den)
+            return RationalFunction._over(self.num * other.num, other.den)
+        if other_over_one:
+            return RationalFunction._over(self.num * other.num, self.den)
+        return RationalFunction(self.num * other.num, self.den * other.den)
+
+    def _times_unit(self, unit: "RationalFunction") -> "RationalFunction":
+        """self * unit for two Laurent units: one shifted and scaled term."""
+        (m1, c1), = self.num.terms.items()
+        if c1 == 1 and not any(m1):
+            return RationalFunction._make(unit.num, self.den)
+        (m2, c2), = unit.num.terms.items()
+        c = c1 * c2
+        if c.__class__ is not int:
+            c = _exact(c)
+        return RationalFunction._make(
+            Polynomial._make(self.num.params, {tuple(map(add, m1, m2)): c}),
+            self.den)
 
     __rmul__ = __mul__
 
@@ -562,6 +595,38 @@ class RationalFunction:
         return "%s/%s" % (num_s, den_s)
 
     __repr__ = __str__
+
+
+def _trial_divided(num: Polynomial, den: Polynomial):
+    """num/den as the pair (num, den) after the trial divisions: over 1 when
+    den divides num, 1 over the quotient when num divides den, else as is."""
+    if len(den.terms) > 1:
+        quotient = num.try_exact_divide(den)
+        if quotient is not None:
+            return quotient, _poly_one(num.params)
+        if len(num.terms) > 1:
+            quotient = den.try_exact_divide(num)
+            if quotient is not None:
+                return _poly_one(num.params), quotient
+    return num, den
+
+
+def _content_free_monic(num: Polynomial, den: Polynomial):
+    """num/den with the denominator's Laurent-monomial content cleared and
+    the denominator scaled monic, as the pair (num, den)."""
+    if den is den.params._one:
+        return num, den
+    shift = _content(den.terms)
+    if any(shift):
+        back = tuple(-s for s in shift)
+        num = num.shift(back)
+        den = den.shift(back)
+    lc = den.terms[den.leading_monomial()]
+    if lc != 1:
+        inv = _quotient(1, lc)
+        num = num.scale(inv)
+        den = den.scale(inv)
+    return num, den
 
 
 def _is_bare_power(poly: Polynomial) -> bool:

@@ -877,7 +877,7 @@ def _invert_element(element: Element, loc) -> Element:
             if partner is None:
                 raise ModelSemanticError("generator %r is not invertible"
                                          % table.symbols[sym], *loc)
-            return Element(element.algebra, {((partner, count),): coeff})
+            return element.algebra.element({((partner, count),): coeff})
     raise ModelSemanticError(
         "negative powers need a single invertible generator", *loc)
 

@@ -5,6 +5,16 @@ inverse symbols are forced (the image of an invertible generator must be a
 single invertible monomial).  A twisted derivation is the operator
 e(x) = a * phi(x) - x * a for a weight a and a twist phi; it satisfies the
 twisted Leibniz law e(xy) = e(x) phi(y) + x e(y).
+
+Every twist in the paper's setting is diagonal: it scales each generator,
+phi(g) = c_g * g, and then each inverse symbol too.  The scales are found
+once, when the map is built.  A diagonal map keeps every word: a normal
+word w goes to chi(w) * w, where chi(w) is the left fold ((1*c)*c)... of
+its letters' scales.  That fold is exactly the coefficient that the
+product of the letters' images builds, one factor at a time, so the image
+of an element is ``{w: chi(w) * c}`` with the terms, dict order and stored
+coefficients of the general path.  chi is memoized per word.  A map that
+is not diagonal multiplies the letters' images and sums the results.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ class MorphismError(AlgebraError):
 class Endomorphism:
     """An algebra endomorphism given by generator images."""
 
-    __slots__ = ("algebra", "images", "name", "_word_cache")
+    __slots__ = ("algebra", "images", "name", "_scales", "_word_cache")
 
     def __init__(self, algebra: Algebra, images: dict, name: str | None = None):
         """images maps base generator names to elements."""
@@ -40,11 +50,18 @@ class Endomorphism:
             if gen_name in table.invertible:
                 by_symbol[table.inverse_index[sym]] = _invert_monomial(img, gen_name)
         self.images = by_symbol
-        self._word_cache = {(): algebra.one()}
+        self._scales = _scales(by_symbol)
+        # word -> its scale under a diagonal map, else its image
+        self._word_cache = {}
 
     def apply(self, x: Element) -> Element:
         if x.algebra is not self.algebra:
             raise MorphismError("element of a different algebra")
+        if self._scales is not None:
+            chi = self._chi
+            return Element(self.algebra,
+                           {word: chi(word) * coeff
+                            for word, coeff in x.terms.items()})
         out = self.algebra.zero()
         for word, coeff in x.terms.items():
             out = out + self._apply_word(word).scale(coeff)
@@ -52,7 +69,24 @@ class Endomorphism:
 
     __call__ = apply
 
+    def _chi(self, word):
+        """The scale of a word under a diagonal map: the left fold
+        ((1*c)*c)... of its letters' scales, the coefficient of the product
+        of the letters' images."""
+        cached = self._word_cache.get(word)
+        if cached is not None:
+            return cached
+        scales = self._scales
+        out = self.algebra._one
+        for sym, count in word:
+            scale = scales[sym]
+            for _ in range(count):
+                out = out * scale
+        self._word_cache[word] = out
+        return out
+
     def _apply_word(self, word) -> Element:
+        """The image of a word under a map that is not diagonal."""
         cached = self._word_cache.get(word)
         if cached is not None:
             return cached
@@ -80,6 +114,11 @@ class Endomorphism:
         return True
 
     def _apply_free(self, terms: dict) -> Element:
+        """The image of a free sum of words, which need not be normal."""
+        if self._scales is not None:
+            chi = self._chi
+            return self.algebra.element(
+                {word: chi(word) * coeff for word, coeff in terms.items()})
         out = self.algebra.zero()
         for word, coeff in terms.items():
             out = out + self._apply_word(word).scale(coeff)
@@ -87,17 +126,11 @@ class Endomorphism:
 
     def diagonal_scaling(self) -> dict | None:
         """The scalar c_g per generator when phi(g) = c_g g, else None."""
+        if self._scales is None:
+            return None
         table = self.algebra.table
-        out = {}
-        for name in table.base_names:
-            img = self.images[table.index(name)]
-            if len(img.terms) != 1:
-                return None
-            (word, coeff), = img.terms.items()
-            if word != single_word(table.index(name)):
-                return None
-            out[name] = coeff
-        return out
+        return {name: self._scales[table.index(name)]
+                for name in table.base_names}
 
     def inverse(self) -> "Endomorphism":
         """The inverse endomorphism; derived only for diagonal scalings."""
@@ -126,6 +159,20 @@ class Endomorphism:
         return "Endomorphism(%s)" % (self.name or "?")
 
 
+def _scales(images: dict) -> dict | None:
+    """The scale c_s per symbol when every image is c_s times its symbol,
+    else None."""
+    scales = {}
+    for sym, img in images.items():
+        if len(img.terms) != 1:
+            return None
+        (word, coeff), = img.terms.items()
+        if word != single_word(sym):
+            return None
+        scales[sym] = coeff
+    return scales
+
+
 def _invert_monomial(img: Element, gen_name: str) -> Element:
     """Invert a single-term image whose word uses invertible symbols only."""
     if len(img.terms) != 1:
@@ -141,8 +188,7 @@ def _invert_monomial(img: Element, gen_name: str) -> Element:
                 "image of invertible generator %r uses a non-invertible symbol"
                 % gen_name)
         runs.append((partner, count))
-    return Element(img.algebra,
-                   {word_from_runs(runs): coeff.inverse()})
+    return img.algebra.element({word_from_runs(runs): coeff.inverse()})
 
 
 class TwistedDerivation:

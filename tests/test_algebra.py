@@ -82,6 +82,31 @@ class TestWords:
         assert deg_lex_key(yx) > deg_lex_key(xy)
         assert deg_lex_key(xxx) > deg_lex_key(yx)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_deg_lex_key_orders_like_letters(self, seed):
+        rng = random.Random(seed)
+        n_symbols = rng.choice((2, 3, 5))
+        words = [word_from_runs((rng.randrange(n_symbols), rng.randint(1, 3))
+                                for _ in range(rng.randint(0, 5)))
+                 for _ in range(300)]
+
+        def letter_key(word):
+            return (word_degree(word), word_letters(word))
+
+        for a, b in zip(words, reversed(words)):
+            for x, y in ((a, b), (b, a), (a, a)):
+                assert ((deg_lex_key(x) < deg_lex_key(y))
+                        == (letter_key(x) < letter_key(y)))
+                assert ((deg_lex_key(x) == deg_lex_key(y))
+                        == (letter_key(x) == letter_key(y)))
+        assert (sorted(set(words), key=deg_lex_key)
+                == sorted(set(words), key=letter_key))
+
+    def test_deg_lex_key_of_a_huge_run(self):
+        n = 10 ** 5000
+        x_n, x_y = ((0, n),), ((0, n - 1), (1, 1))
+        assert deg_lex_key(((1, 2),)) < deg_lex_key(x_n) < deg_lex_key(x_y)
+
 
 def _is_canonical(word) -> bool:
     """Positive run counts and distinct adjacent symbols."""

@@ -240,6 +240,19 @@ class TestLongIntegers:
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() \
             == limit
 
+    @pytest.mark.parametrize("fmt", ["plain", "latex", "json"])
+    def test_huge_power_prints(self, capsys, fmt):
+        # Sorting terms for printing must not expand a run letter by letter.
+        power = "1" + "0" * 5000
+        rc, out, err = run_cli(capsys, ["nf", "builtin:quantum-torus",
+                                        "-e", "x^%s - y^2" % power,
+                                        "--format", fmt])
+        assert (rc, err) == (0, "")
+        if fmt == "plain":
+            assert out == "-y^2 + x^%s\n" % power
+        else:
+            assert power in out
+
 
 class TestVerify:
     def test_plain(self, capsys):

@@ -355,7 +355,7 @@ class TestFastPathsOverOne:
 
 class TestValuesOverOneSkipNormalization:
     """Sums and products of quantum-torus coefficients over 1 construct no
-    RationalFunction; a sum over q + 1 still normalizes."""
+    RationalFunction; a sum over q + 1 is still trial-divided."""
 
     @pytest.fixture()
     def inits(self, monkeypatch):
@@ -381,13 +381,25 @@ class TestValuesOverOneSkipNormalization:
         assert product == RationalFunction(a.num * b.num)
         assert total.den.is_one() and product.den.is_one()
 
-    def test_sum_over_a_polynomial_normalizes(self, torus, inits):
+    @pytest.fixture()
+    def divisions(self, monkeypatch):
+        calls = []
+        original = Polynomial.try_exact_divide
+
+        def counting_divide(self, divisor):
+            calls.append(1)
+            return original(self, divisor)
+
+        monkeypatch.setattr(Polynomial, "try_exact_divide", counting_divide)
+        return calls
+
+    def test_sum_over_a_polynomial_normalizes(self, torus, divisions):
         q = RationalFunction.parameter(torus.params, "q")
         one = RationalFunction.from_value(torus.params, 1)
         a, b = q / (q + one), one / (q + one)
-        del inits[:]
+        del divisions[:]
         total = a + b
-        assert len(inits) == 1
+        assert len(divisions) == 1
         assert total.is_one() and total.den.is_one()
 
 
