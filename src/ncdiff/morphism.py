@@ -57,15 +57,11 @@ class Endomorphism:
     def apply(self, x: Element) -> Element:
         if x.algebra is not self.algebra:
             raise MorphismError("element of a different algebra")
-        if self._scales is not None:
-            chi = self._chi
-            return Element(self.algebra,
-                           {word: chi(word) * coeff
-                            for word, coeff in x.terms.items()})
-        out = self.algebra.zero()
-        for word, coeff in x.terms.items():
-            out = out + self._apply_word(word).scale(coeff)
-        return out
+        if self._scales is None:
+            return self._apply_free(x.terms)
+        chi = self._chi
+        return Element(self.algebra, {word: chi(word) * coeff
+                                      for word, coeff in x.terms.items()})
 
     __call__ = apply
 
