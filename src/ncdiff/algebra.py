@@ -348,6 +348,15 @@ def _accumulate(terms: dict, word, coeff) -> None:
             terms[word] = s
 
 
+def _first_witness(probes):
+    """The first (name, difference) of probes whose difference is not zero,
+    or None; probes is consumed only up to that pair."""
+    for name, diff in probes:
+        if not diff.is_zero():
+            return name, diff
+    return None
+
+
 def _accumulate_scaled(terms: dict, add: dict, coeff) -> None:
     for word, c in add.items():
         # c is 1 (numerator 1 over a one-term denominator, which is 1) for
@@ -431,10 +440,11 @@ class Algebra:
         if not diff:
             raise AlgebraError("relation is trivially zero")
         lead = max(diff, key=deg_lex_key)
-        letters = word_letters(lead)
-        if len(letters) != 2:
+        if word_degree(lead) != 2:
             raise UnsupportedRelationError(
-                "leading word %s is not two letters long" % (letters,))
+                "leading word %s is not two letters long"
+                % render_word(self.table, lead))
+        letters = word_letters(lead)
         coeff = diff.pop(lead)
         inv = coeff.inverse()
         rhs = {w: -c * inv for w, c in diff.items()}
@@ -442,7 +452,8 @@ class Algebra:
         for w in rhs:
             if deg_lex_key(w) >= lead_key:
                 raise UnsupportedRelationError(
-                    "rule right-hand side is not smaller than %s" % (letters,))
+                    "rule right-hand side is not smaller than %s"
+                    % render_word(self.table, lead))
         pair = (letters[0], letters[1])
         self.relations.append((dict(lhs_terms), dict(rhs_terms)))
         self._add_rule(pair, rhs)
@@ -641,10 +652,8 @@ class Algebra:
 
     def verify_relations(self) -> bool:
         """Soundness: both sides of every declared relation have equal NF."""
-        for lhs, rhs in self.relations:
-            if not (self.element(lhs) - self.element(rhs)).is_zero():
-                return False
-        return True
+        return all((self.element(lhs) - self.element(rhs)).is_zero()
+                   for lhs, rhs in self.relations)
 
 
 def random_element(algebra: Algebra, rng, max_terms: int = 3,

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (Algebra, AlgebraError, Element, _coeff_term,
-                      _join_term, _signed_text, random_element,
-                      render_element)
+from .algebra import (Algebra, AlgebraError, Element, _accumulate,
+                      _coeff_term, _first_witness, _join_term, _signed_text,
+                      random_element, render_element)
 from .coeff import RationalFunction, solve_linear
 from .morphism import Endomorphism, TwistedDerivation
 
@@ -138,12 +138,7 @@ class Calculus:
                 for rf, pair in rule:
                     spliced = seq[:i] + pair + seq[i + 2:]
                     for key, rf2 in self.normalize_thetas(spliced):
-                        prev = out.get(key)
-                        total = rf * rf2 if prev is None else prev + rf * rf2
-                        if total.is_zero():
-                            out.pop(key, None)
-                        else:
-                            out[key] = total
+                        _accumulate(out, key, rf * rf2)
                 return tuple(sorted(out.items()))
         return ((seq, self._one),)
 
@@ -158,7 +153,7 @@ class Calculus:
                 if coeff.is_zero():
                     continue
                 for key, rf in self.normalize_thetas(index1 + index2):
-                    _acc_form(out, key, coeff.scale(rf))
+                    _accumulate(out, key, coeff.scale(rf))
         return Form(self, out)
 
     # -- differential --------------------------------------------------------
@@ -210,26 +205,22 @@ class Calculus:
             probes = probes + [("random-%d" % i,
                                 random_element(self.algebra, rng))
                                for i in range(samples)]
-        for name, x in probes:
-            lhs = self.d_element(x)
-            rhs = self.wedge(candidate, x) - self.wedge(x, candidate)
-            if lhs != rhs:
-                return (name, lhs - rhs)
-        return None
+        return _first_witness(
+            (name, self.d_element(x)
+             - (self.wedge(candidate, x) - self.wedge(x, candidate)))
+            for name, x in probes)
+
+    def basis_probes(self):
+        """The generators, then the basis one-forms, each with its name."""
+        return self.generator_elements() + [(lab, self.theta(lab))
+                                            for lab in self.labels]
 
     def d_squared_witness(self):
         """None when vtheta^2 is graded-central (so d.d = 0), else a witness."""
         square = self.wedge(self.inner_form(), self.inner_form())
-        for name, x in self.generator_elements():
-            diff = self.wedge(square, x) - self.wedge(x, square)
-            if not diff.is_zero():
-                return (name, diff)
-        for lab in self.labels:
-            t = self.theta(lab)
-            diff = self.wedge(square, t) - self.wedge(t, square)
-            if not diff.is_zero():
-                return (lab, diff)
-        return None
+        return _first_witness(
+            (name, self.wedge(square, x) - self.wedge(x, square))
+            for name, x in self.basis_probes())
 
     # -- derived commutation relations ---------------------------------------
 
@@ -301,19 +292,6 @@ def _coord(form: "Form", coord, zero):
     return elt.terms.get(word, zero)
 
 
-def _acc_form(terms: dict, key, coeff: Element) -> None:
-    prev = terms.get(key)
-    if prev is None:
-        if not coeff.is_zero():
-            terms[key] = coeff
-    else:
-        s = prev + coeff
-        if s.is_zero():
-            del terms[key]
-        else:
-            terms[key] = s
-
-
 class Form:
     """A graded form: ascending index tuples with element coefficients."""
 
@@ -351,7 +329,7 @@ class Form:
             return NotImplemented
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            _acc_form(out, key, coeff)
+            _accumulate(out, key, coeff)
         return Form(self.calculus, out)
 
     __radd__ = __add__

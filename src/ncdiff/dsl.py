@@ -235,10 +235,17 @@ class ModelDocument:
                 and self.semantic_key() == other.semantic_key())
 
 
+# The deepest nesting of parentheses, call arguments and unary minus an
+# expression may have.  The parser and the evaluator recurse once per level,
+# so past it a clean syntax error stands in for a RecursionError.
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -298,8 +305,19 @@ class _Parser:
     def parse_factor(self):
         if self.at_punct("-"):
             op = self.advance()
-            return ("neg", self.parse_factor(), (op.line, op.col))
+            return ("neg", self._nested(op, self.parse_factor),
+                    (op.line, op.col))
         return self.parse_power()
+
+    def _nested(self, opener: _Token, parse):
+        """parse() one nesting level below the opener token."""
+        if self.depth == _MAX_NESTING:
+            raise ModelSyntaxError("expression nests deeper than %d levels"
+                                   % _MAX_NESTING, opener.line, opener.col)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse_power(self):
         node = self.parse_atom()
@@ -325,17 +343,17 @@ class _Parser:
         if tok.kind == "ident":
             self.advance()
             if self.at_punct("("):
-                self.advance()
+                opener = self.advance()
                 if self.at_punct(")"):
                     self.advance()
                     return ("call", tok.value, None, (tok.line, tok.col))
-                arg = self.parse_expression()
+                arg = self._nested(opener, self.parse_expression)
                 self.expect_punct(")")
                 return ("call", tok.value, arg, (tok.line, tok.col))
             return ("name", tok.value, (tok.line, tok.col))
         if tok.kind == "punct" and tok.value == "(":
             self.advance()
-            node = self.parse_expression()
+            node = self._nested(tok, self.parse_expression)
             self.expect_punct(")")
             return node
         raise ModelSyntaxError("expected an expression", tok.line, tok.col)
@@ -841,10 +859,19 @@ class _Evaluator:
         raise ModelSemanticError("cannot raise a form to a power", *loc)
 
     def _bin(self, node):
-        op = node[1]
-        left = self.eval(node[2])
-        right = self.eval(node[3])
-        loc = node_location(node)
+        """Fold the chain of binary nodes down the left in a loop, so a long
+        sum or product takes no recursion per operator."""
+        chain = []
+        while node[0] == "bin":
+            chain.append(node)
+            node = node[2]
+        value = self.eval(node)
+        for link in reversed(chain):
+            value = self._apply(link[1], value, self.eval(link[3]),
+                                node_location(link))
+        return value
+
+    def _apply(self, op, left, right, loc):
         if op == "/":
             if not isinstance(right, RationalFunction):
                 raise ModelSemanticError(

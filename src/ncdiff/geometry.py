@@ -12,7 +12,7 @@ is V_s(g) = g for every s, and torsion is d minus wedge-after-nabla.
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, Element
+from .algebra import AlgebraError, Element, _accumulate, _first_witness
 from .calculus import Calculus, CalculusError, Form
 from .coeff import RationalFunction, solve_linear
 from .morphism import Endomorphism
@@ -65,12 +65,10 @@ class FormExtension:
     def commutes_with_d(self):
         """None when the extension is differentiable, else a witness pair."""
         calc = self.calculus
-        for name, g in calc.generator_elements():
-            left = self.apply(calc.d_element(g))
-            right = calc.d_element(self.base.apply(g))
-            if left != right:
-                return (name, left - right)
-        return None
+        return _first_witness(
+            (name, self.apply(calc.d_element(g))
+             - calc.d_element(self.base.apply(g)))
+            for name, g in calc.generator_elements())
 
     def inverse(self) -> "FormExtension":
         inv_matrix = _invert_matrix(self.matrix, self.calculus)
@@ -169,12 +167,7 @@ class TensorForm:
             return NotImplemented
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            prev = out.get(key)
-            s = coeff if prev is None else prev + coeff
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _accumulate(out, key, coeff)
         return TensorForm(self.calculus, out)
 
     def __neg__(self) -> "TensorForm":
@@ -275,16 +268,8 @@ class Geometry:
         for (s, j), coeff in tensor.terms.items():
             row = self.inverse_extension(calc.labels[s]).matrix[j]
             for k, rf in enumerate(row):
-                if rf.is_zero():
-                    continue
-                key = (s, k)
-                add = coeff.scale(rf)
-                prev = out.get(key)
-                total = add if prev is None else prev + add
-                if total.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = total
+                if not rf.is_zero():
+                    _accumulate(out, (s, k), coeff.scale(rf))
         return out
 
     def tensor_A(self, left: Form, right: Form) -> TensorForm:
@@ -373,9 +358,5 @@ class Connection:
 
     def metric_compatible(self, metric: TensorForm):
         """None when V_s(g) = g for every direction, else a witness."""
-        for s in self.geometry.calculus.labels:
-            moved = self.transport_tensor(s, metric)
-            diff = moved - metric
-            if not diff.is_zero():
-                return (s, diff)
-        return None
+        return _first_witness((s, self.transport_tensor(s, metric) - metric)
+                              for s in self.geometry.calculus.labels)

@@ -10,9 +10,14 @@ commutation rules are derived by the engine rather than entered by hand.
 run_suite executes every structural layer in a fixed order: relation
 soundness, local confluence, automorphism checks, basis diagonality, the
 twisted second basis, innerness, vanishing of the square of d, the twisted
-Leibniz rule, differentiability of the basis extensions, derived
-commutation relations, determinant commutation, metric compatibility,
-torsion, and finally the identities declared in the model file itself.
+Leibniz rule, differentiability of the basis extensions, metric
+compatibility, torsion, derived commutation relations, determinant
+commutation, and finally the identities declared in the model file itself.
+Each layer is a generator of (anchor, name, ok[, witness]) records, and the
+suite is their concatenation, one CheckResult per record.  The sampled laws
+draw from one random.Random(seed): innerness draws all its elements first,
+then each Leibniz law draws x and y of a pair only when it checks the pair,
+so it stops drawing at its first failure.
 """
 
 from __future__ import annotations
@@ -20,12 +25,12 @@ from __future__ import annotations
 import random
 from importlib import resources
 
-from .algebra import Element, random_element
+from .algebra import Element, _first_witness, random_element
 from .calculus import Calculus
 from .dsl import (ModelBundle, ModelDocument, Statement, build_model,
                   parse_coefficient, parse_model, parse_statement,
                   rename_atoms)
-from .geometry import FormExtension, GeometryError, derive_theta_action
+from .geometry import GeometryError, derive_theta_action
 
 MODEL_FILES = {
     "quantum-torus": "quantum_torus.ncd",
@@ -191,13 +196,15 @@ def _adjoin_det_inverse(doc: ModelDocument, lambdas: dict,
 # -- the suite ----------------------------------------------------------------
 
 class CheckResult:
+    """One verdict of the suite; a witness is kept, as text, only on failure."""
+
     __slots__ = ("anchor", "name", "status", "witness")
 
     def __init__(self, anchor: str, name: str, ok: bool, witness=None):
         self.anchor = anchor
         self.name = name
         self.status = "pass" if ok else "fail"
-        self.witness = None if ok else witness
+        self.witness = None if ok or witness is None else str(witness)
 
     @property
     def ok(self) -> bool:
@@ -225,214 +232,170 @@ class SuiteReport:
 
 def run_suite(bundle: ModelBundle, seed: int = 0,
               samples: int = 20) -> SuiteReport:
-    rng = random.Random(seed)
-    results = []
+    """Run every check in its fixed order, one CheckResult per record."""
+    streams = (_algebra_checks(bundle),
+               _calculus_checks(bundle, random.Random(seed), samples),
+               _geometry_checks(bundle),
+               _expected_relation_checks(bundle),
+               _det_checks(bundle),
+               _model_checks(bundle))
+    return SuiteReport(bundle.name, seed,
+                       [CheckResult(*record) for stream in streams
+                        for record in stream])
 
-    def record(anchor, name, ok, witness=None):
-        results.append(CheckResult(anchor, name, ok,
-                                   None if witness is None else str(witness)))
 
-    alg = bundle.algebra
-    record("relations", "declared relations rewrite to zero",
-           alg.verify_relations())
-    violations = alg.check_confluence()
-    record("confluence", "all rewrite overlaps close",
+def _algebra_checks(bundle):
+    yield ("relations", "declared relations rewrite to zero",
+           bundle.algebra.verify_relations())
+    violations = bundle.algebra.check_confluence()
+    yield ("confluence", "all rewrite overlaps close",
            not violations, violations[0] if violations else None)
 
     for name in sorted(bundle.autos):
         endo = bundle.autos[name]
         ok = endo.respects_relations()
-        record("automorphism/%s" % name,
-               "%s respects the relations" % name, ok)
-        if ok:
-            try:
-                inverse = endo.inverse()
-                round_trip = endo.verify_inverse(inverse)
-            except Exception as exc:
-                record("automorphism/%s/inverse" % name,
-                       "%s inverts" % name, False, exc)
-            else:
-                record("automorphism/%s/inverse" % name,
-                       "%s composed with its inverse is the identity" % name,
-                       round_trip)
+        yield ("automorphism/%s" % name, "%s respects the relations" % name,
+               ok)
+        if not ok:
+            continue
+        anchor = "automorphism/%s/inverse" % name
+        try:
+            round_trip = endo.verify_inverse(endo.inverse())
+        except Exception as exc:
+            yield anchor, "%s inverts" % name, False, exc
+        else:
+            yield (anchor, "%s composed with its inverse is the identity"
+                   % name, round_trip)
 
+
+def _sampled_pairs(alg, rng, samples: int):
+    """Named random pairs (x, y), each drawn, x first, only when asked for."""
+    for i in range(samples):
+        x = random_element(alg, rng)
+        yield "sample %d" % i, x, random_element(alg, rng)
+
+
+def _commutes_through(calc: Calculus, form, endo, form_name: str):
+    """None when form * g = phi(g) * form on every generator g, else the
+    first failure as text."""
+    hit = _first_witness(
+        (name, calc.wedge(form, calc.embed(g))
+         - calc.embed(endo.apply(g)) * form)
+        for name, g in calc.generator_elements())
+    return hit and "%s against %s: %s" % (form_name, hit[0], hit[1])
+
+
+def _calculus_checks(bundle, rng, samples):
     calc = bundle.calculus
-    if calc is not None:
-        _calculus_checks(bundle, calc, rng, samples, record)
-        _geometry_checks(bundle, calc, record)
-
-    _expected_relation_checks(bundle, calc, record)
-    _det_checks(bundle, record)
-
-    for case in bundle.checks:
-        ok = case.passed()
-        record("check/%s" % case.name, "model identity %r" % case.name,
-               ok, None if ok else case.difference())
-
-    return SuiteReport(bundle.name, seed, results)
-
-
-def _calculus_checks(bundle, calc: Calculus, rng, samples, record) -> None:
-    alg = bundle.algebra
+    if calc is None:
+        return
     for lab in calc.labels:
-        endo = calc.twists[lab]
-        ok_all = True
-        witness = None
-        for name, g in calc.generator_elements():
-            left = calc.wedge(calc.theta(lab), calc.embed(g))
-            right = calc.embed(endo.apply(g)) * calc.theta(lab)
-            diff = left - right
-            if not diff.is_zero():
-                ok_all = False
-                witness = "%s against %s: %s" % (lab, name, diff)
-                break
-        record("theta-diagonal/%s" % lab,
+        witness = _commutes_through(calc, calc.theta(lab), calc.twists[lab],
+                                    lab)
+        yield ("theta-diagonal/%s" % lab,
                "basis form %s commutes through its twist" % lab,
-               ok_all, witness)
+               witness is None, witness)
 
     for form_name, auto_name in bundle.extras.get("twisted_basis", ()):
-        form = bundle.named[form_name]
-        endo = bundle.autos[auto_name]
-        ok_all = True
-        witness = None
-        for name, g in calc.generator_elements():
-            diff = calc.wedge(form, calc.embed(g)) \
-                - calc.embed(endo.apply(g)) * form
-            if not diff.is_zero():
-                ok_all = False
-                witness = "%s against %s: %s" % (form_name, name, diff)
-                break
-        record("twisted-basis/%s" % form_name,
+        witness = _commutes_through(calc, bundle.named[form_name],
+                                    bundle.autos[auto_name], form_name)
+        yield ("twisted-basis/%s" % form_name,
                "%s commutes through %s" % (form_name, auto_name),
-               ok_all, witness)
+               witness is None, witness)
 
     witness = calc.is_inner(None, rng=rng, samples=samples)
-    record("inner-form", "d is the commutator with the inner form",
+    yield ("inner-form", "d is the commutator with the inner form",
            witness is None, witness)
 
     witness = calc.d_squared_witness()
-    record("two-form-central",
+    yield ("two-form-central",
            "the square of the inner form is graded central",
            witness is None, witness)
 
-    ok_all = True
-    witness = None
-    for name, g in calc.generator_elements():
-        dd = calc.d(calc.d(g))
-        if not dd.is_zero():
-            ok_all, witness = False, (name, dd)
-            break
-    if ok_all:
-        for lab in calc.labels:
-            dd = calc.d(calc.d(calc.theta(lab)))
-            if not dd.is_zero():
-                ok_all, witness = False, (lab, dd)
-                break
-    record("d-twice", "d applied twice vanishes on generators and basis",
-           ok_all, witness)
+    witness = _first_witness((name, calc.d(calc.d(x)))
+                             for name, x in calc.basis_probes())
+    yield ("d-twice", "d applied twice vanishes on generators and basis",
+           witness is None, witness)
 
     for lab in calc.labels:
-        der = calc.derivations[lab]
-        ok_all = True
-        witness = None
-        for i in range(samples):
-            x = random_element(alg, rng)
-            y = random_element(alg, rng)
-            if not der.satisfies_leibniz(x, y):
-                ok_all = False
-                witness = "sample %d" % i
-                break
-        record("leibniz-twisted/%s" % lab,
+        witness = _first_witness(
+            (name, calc.derivations[lab].leibniz_defect(x, y))
+            for name, x, y in _sampled_pairs(calc.algebra, rng, samples))
+        yield ("leibniz-twisted/%s" % lab,
                "derivation along %s satisfies the twisted Leibniz rule" % lab,
-               ok_all, witness)
+               witness is None, witness and witness[0])
 
-    ok_all = True
-    witness = None
-    for i in range(samples):
-        x = random_element(alg, rng)
-        y = random_element(alg, rng)
-        diff = calc.d_element(x * y) - (
-            calc.wedge(calc.d_element(x), calc.embed(y))
-            + calc.wedge(calc.embed(x), calc.d_element(y)))
-        if not diff.is_zero():
-            ok_all = False
-            witness = ("sample %d" % i, diff)
-            break
-    record("leibniz-product", "d is a derivation on products", ok_all, witness)
+    witness = _first_witness(
+        (name, calc.d_element(x * y)
+         - (calc.wedge(calc.d_element(x), calc.embed(y))
+            + calc.wedge(calc.embed(x), calc.d_element(y))))
+        for name, x, y in _sampled_pairs(calc.algebra, rng, samples))
+    yield ("leibniz-product", "d is a derivation on products",
+           witness is None, witness)
 
 
-def _geometry_checks(bundle, calc: Calculus, record) -> None:
+def _geometry_checks(bundle):
+    calc = bundle.calculus
     geo = bundle.geometry
-    if geo is None or not geo.extensions:
+    if calc is None or geo is None or not geo.extensions:
         return
     for lab in calc.labels:
         try:
             ext = geo.extension(lab)
         except Exception as exc:
-            record("extension/%s" % lab, "extension exists for %s" % lab,
+            yield ("extension/%s" % lab, "extension exists for %s" % lab,
                    False, exc)
             continue
         witness = ext.commutes_with_d()
-        record("extension/%s" % lab,
+        yield ("extension/%s" % lab,
                "extension over %s commutes with d" % lab,
                witness is None, witness)
         try:
-            inv_witness = geo.inverse_extension(lab).commutes_with_d()
+            witness = geo.inverse_extension(lab).commutes_with_d()
         except Exception as exc:
-            record("extension/%s/inverse" % lab,
-                   "inverse extension over %s commutes with d" % lab,
-                   False, exc)
-        else:
-            record("extension/%s/inverse" % lab,
-                   "inverse extension over %s commutes with d" % lab,
-                   inv_witness is None, inv_witness)
+            witness = exc
+        yield ("extension/%s/inverse" % lab,
+               "inverse extension over %s commutes with d" % lab,
+               witness is None, witness)
+        anchor = "theta-action/%s" % lab
+        title = "declared basis action over %s is the derived one" % lab
         try:
             derived = derive_theta_action(calc, calc.twists[lab])
         except GeometryError as exc:
-            record("theta-action/%s" % lab,
-                   "declared basis action over %s is the derived one" % lab,
-                   False, exc)
+            yield anchor, title, False, exc
             continue
-        declared = {src: {l2: rf for rf, l2 in _matrix_row(ext, calc, src)}
-                    for src in calc.labels}
+        declared = {src: {calc.labels[j]: rf for j, rf
+                          in enumerate(ext.matrix[calc._pos[src]])
+                          if not rf.is_zero()} for src in calc.labels}
         derived_map = {src: {l2: rf for rf, l2 in entries}
                        for src, entries in derived.items()}
-        record("theta-action/%s" % lab,
-               "declared basis action over %s is the derived one" % lab,
-               derived_map == declared,
-               None if derived_map == declared else
+        ok = derived_map == declared
+        yield (anchor, title, ok, None if ok else
                "derived %r" % {k: [(str(rf), l) for l, rf in sorted(v.items())]
                                for k, v in derived_map.items()})
 
     for mname in sorted(bundle.metrics):
         metric = bundle.metrics[mname]
         for cname in sorted(bundle.connections):
-            conn = bundle.connections[cname]
-            witness = conn.metric_compatible(metric)
-            record("metric/%s/%s" % (mname, cname),
+            witness = bundle.connections[cname].metric_compatible(metric)
+            yield ("metric/%s/%s" % (mname, cname),
                    "connection %s preserves metric %s" % (cname, mname),
                    witness is None, witness)
 
     torsion = bundle.extras.get("torsion_zero")
     if torsion:
-        conn = bundle.connections[torsion["connection"]]
+        cname = torsion["connection"]
+        conn = bundle.connections[cname]
         for fname in torsion["forms"]:
-            form = bundle.value(fname)
-            value = conn.torsion(form)
-            record("torsion/%s/%s" % (torsion["connection"], fname),
-                   "connection %s is torsion free on %s"
-                   % (torsion["connection"], fname),
+            value = conn.torsion(bundle.value(fname))
+            yield ("torsion/%s/%s" % (cname, fname),
+                   "connection %s is torsion free on %s" % (cname, fname),
                    value.is_zero(), value)
 
 
-def _matrix_row(ext: FormExtension, calc: Calculus, src: str):
-    k = calc._pos[src]
-    return [(rf, calc.labels[j]) for j, rf in enumerate(ext.matrix[k])
-            if not rf.is_zero()]
-
-
-def _expected_relation_checks(bundle, calc, record) -> None:
+def _expected_relation_checks(bundle):
     expected = bundle.extras.get("expected_relations")
+    calc = bundle.calculus
     if not expected or calc is None:
         return
     forms = {n: bundle.named[n] for n in expected["forms"]}
@@ -441,22 +404,20 @@ def _expected_relation_checks(bundle, calc, record) -> None:
                                          side=expected["side"])
     by_left = {rel.left: rel for rel in derived}
     for left, terms in sorted(expected["table"].items()):
+        anchor = "derived-relation/%s*%s" % left
+        title = "derived commutation rule for %s * %s" % left
         rel = by_left.get(left)
         if rel is None:
-            record("derived-relation/%s*%s" % left,
-                   "derived commutation rule for %s * %s" % left,
-                   False, "no relation derived")
+            yield anchor, title, False, "no relation derived"
             continue
         want = {names: parse_coefficient(text, bundle.params)
                 for text, names in terms}
         got = {names: rf for rf, names in rel.terms}
         ok = want == got
-        record("derived-relation/%s*%s" % left,
-               "derived commutation rule for %s * %s" % left,
-               ok, None if ok else rel.render())
+        yield anchor, title, ok, None if ok else rel.render()
 
 
-def _det_checks(bundle, record) -> None:
+def _det_checks(bundle):
     det_info = bundle.extras.get("det")
     if not det_info:
         return
@@ -466,24 +427,23 @@ def _det_checks(bundle, record) -> None:
         lam = parse_coefficient(lam_text, bundle.params)
         g = bundle.value(gname)
         diff = det * g - (g * det).scale(lam)
-        record("det-scale/%s" % gname,
+        yield ("det-scale/%s" % gname,
                "determinant picks up %s past %s" % (lam_text, gname),
                diff.is_zero(), diff)
     localized = bundle.extras.get("localized")
     if localized:
-        inv = bundle.value(localized["generator"])
-        ok_all = True
-        witness = None
-        for sym_name in bundle.algebra.table.symbols:
-            if sym_name == localized["generator"]:
-                continue
-            g = bundle.value(sym_name)
-            unit = det * inv
-            diff = unit * g - g * unit
-            if not diff.is_zero():
-                ok_all = False
-                witness = (sym_name, diff)
-                break
-        record("localized-unit-central",
+        inv_name = localized["generator"]
+        unit = det * bundle.value(inv_name)
+        witness = _first_witness(
+            (name, unit * bundle.value(name) - bundle.value(name) * unit)
+            for name in bundle.algebra.table.symbols if name != inv_name)
+        yield ("localized-unit-central",
                "the determinant times its formal inverse is central",
-               ok_all, witness)
+               witness is None, witness)
+
+
+def _model_checks(bundle):
+    for case in bundle.checks:
+        ok = case.passed()
+        yield ("check/%s" % case.name, "model identity %r" % case.name,
+               ok, None if ok else case.difference())

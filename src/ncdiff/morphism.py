@@ -97,17 +97,13 @@ class Endomorphism:
     def respects_relations(self) -> bool:
         """Check every declared relation and inverse-pair consistency."""
         alg = self.algebra
-        for lhs, rhs in alg.relations:
-            if self._apply_free(lhs) != self._apply_free(rhs):
-                return False
-        for name in alg.table.base_names:
-            if name in alg.table.invertible:
-                sym = alg.table.index(name)
-                inv = alg.table.inverse_index[sym]
-                prod = self.images[sym] * self.images[inv]
-                if prod != alg.one():
-                    return False
-        return True
+        table = alg.table
+        syms = [table.index(name) for name in table.base_names
+                if name in table.invertible]
+        return (all(self._apply_free(lhs) == self._apply_free(rhs)
+                    for lhs, rhs in alg.relations)
+                and all(self.images[sym] * self.images[table.inverse_index[sym]]
+                        == alg.one() for sym in syms))
 
     def _apply_free(self, terms: dict) -> Element:
         """The image of a free sum of words, which need not be normal."""
@@ -142,14 +138,9 @@ class Endomorphism:
 
     def verify_inverse(self, other: "Endomorphism") -> bool:
         """True when both compositions fix every generator."""
-        table = self.algebra.table
-        for name in table.base_names:
-            g = self.algebra.gen(name)
-            if self.apply(other.apply(g)) != g:
-                return False
-            if other.apply(self.apply(g)) != g:
-                return False
-        return True
+        gens = [self.algebra.gen(name) for name in self.algebra.table.base_names]
+        return all(self.apply(other.apply(g)) == g
+                   and other.apply(self.apply(g)) == g for g in gens)
 
     def __repr__(self):
         return "Endomorphism(%s)" % (self.name or "?")
@@ -203,8 +194,8 @@ class TwistedDerivation:
 
     __call__ = apply
 
-    def satisfies_leibniz(self, x: Element, y: Element) -> bool:
-        """Twisted Leibniz law on one pair: e(xy) = e(x) phi(y) + x e(y)."""
-        left = self.apply(x * y)
-        right = self.apply(x) * self.twist.apply(y) + x * self.apply(y)
-        return left == right
+    def leibniz_defect(self, x: Element, y: Element) -> Element:
+        """e(xy) - (e(x) phi(y) + x e(y)): zero when the twisted Leibniz law
+        holds on the pair."""
+        return self.apply(x * y) - (self.apply(x) * self.twist.apply(y)
+                                    + x * self.apply(y))

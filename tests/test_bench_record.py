@@ -1,4 +1,5 @@
 import json
+import platform
 
 import pytest
 
@@ -7,6 +8,7 @@ def _run_file(tmp_path, name, seed, ops_per_s, digest="d", commit=None):
     run = {"args": {"workload": "nf-torus", "seed": seed, "seconds": 30,
                     "trace": 0},
            "environment": {"python": "3.11.0", "cpu_count": 2,
+                           "loadavg_at_start": [seed, 0.5, 0.25],
                            "commit": commit or name.split("-")[0]},
            "result": {"correct": True, "attempted": 10, "failed": 0,
                       "metrics": {"ops_per_s": {"value": ops_per_s,
@@ -18,16 +20,23 @@ def _run_file(tmp_path, name, seed, ops_per_s, digest="d", commit=None):
 
 
 @pytest.fixture()
-def record(repo_module, tmp_path):
-    """Run tools/bench_record.py; return its nf-torus record."""
+def record_file(repo_module, tmp_path):
+    """Run tools/bench_record.py; return the whole record."""
     main = repo_module("tools/bench_record.py").main
 
     def run(parent, change):
         out = tmp_path / "record.json"
         assert main(["--parent", *parent, "--change", *change,
                      "--out", str(out)]) == 0
-        return json.loads(out.read_text())["workloads"]["nf-torus"]
+        return json.loads(out.read_text())
     return run
+
+
+@pytest.fixture()
+def record(record_file):
+    """Run tools/bench_record.py; return its nf-torus record."""
+    return lambda parent, change: \
+        record_file(parent, change)["workloads"]["nf-torus"]
 
 
 class TestBenchRecord:
@@ -49,6 +58,24 @@ class TestBenchRecord:
         assert (won["median_gap"], won["parent_iqr"]) == (29, 2)
         assert [p["same_digest"] for p in torus["pairs"]] == [True] * 4 + [
             False]
+
+    def test_load_averages_per_run(self, tmp_path, record):
+        parent = [_run_file(tmp_path, "p-%d" % i, i, 5.0) for i in (3, 1)]
+        change = [_run_file(tmp_path, "c-%d" % i, i, 6.0) for i in (3, 1)]
+        torus = record(parent, change)
+        for side in ("parent", "change"):
+            assert torus[side]["loadavg_at_start"] == [[3, 0.5, 0.25],
+                                                       [1, 0.5, 0.25]]
+
+    def test_host_at_record_time(self, tmp_path, record_file):
+        run = _run_file(tmp_path, "p-0", 1, 5.0)
+        host = record_file([run], [run])["host"]
+        assert sorted(host) == ["cpu_model", "kernel"]
+        assert host["kernel"] == platform.release()
+        if host["cpu_model"] is not None:
+            with open("/proc/cpuinfo") as handle:
+                assert "model name\t: %s\n" % host["cpu_model"] \
+                    in handle.read()
 
     def test_one_run_per_side(self, tmp_path, record):
         run = _run_file(tmp_path, "p-0", 1, 5.0)

@@ -254,6 +254,63 @@ class TestLongIntegers:
             assert power in out
 
 
+def _torus_with(old, new):
+    text = model_source("quantum-torus")
+    assert text.count(old) == 1
+    return text.replace(old, new)
+
+
+class TestDeepAndLongExpressions:
+    """Long flat chains evaluate; nesting past the bound is one error line,
+    never a RecursionError."""
+
+    @pytest.mark.parametrize("expr, value", [
+        (" + ".join(["x"] * 500), "500 * x"),
+        ("*".join(["x"] * 500), "x^500"),
+        ("(" * 100 + "x" + ")" * 100, "x"),
+    ], ids=["sum-500", "product-500", "parens-100"])
+    def test_evaluates(self, capsys, expr, value):
+        rc, out, err = run_cli(capsys, ["nf", "builtin:quantum-torus",
+                                        "-e", expr])
+        assert (rc, out, err) == (0, value + "\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        ["-e", "(" * 101 + "x" + ")" * 101],
+        ["-e", "(" * 200 + "x" + ")" * 200],
+        ["-e=" + "-" * 3000 + "x"],
+    ], ids=["parens-101", "parens-200", "minus-3000"])
+    def test_nesting_past_the_bound(self, capsys, argv):
+        rc, out, err = run_cli(capsys, ["nf", "builtin:quantum-torus"]
+                               + argv)
+        assert (rc, out) == (2, "")
+        assert err == ("error: line 1, column 101: expression nests deeper "
+                       "than 100 levels\n")
+
+    def test_nested_let_in_a_model_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.ncd"
+        path.write_text(model_source("quantum-torus")
+                        + "let deep = %sx%s;\n" % ("(" * 400, ")" * 400))
+        rc, out, err = run_cli(capsys, ["nf", str(path), "-e", "x"])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: line 65, column ")
+        assert err.endswith(": expression nests deeper than 100 levels\n")
+
+
+class TestUnsupportedRelations:
+    """The leading word of a relation is reported as model text."""
+
+    @pytest.mark.parametrize("power", ["3", "1" + "0" * 5000],
+                             ids=["cube", "huge"])
+    def test_power_as_leading_word(self, capsys, tmp_path, power):
+        path = tmp_path / "power.ncd"
+        path.write_text(_torus_with("rel x*y = q*y*x;",
+                                    "rel x^%s = q*y;" % power))
+        rc, out, err = run_cli(capsys, ["nf", str(path), "-e", "x"])
+        assert (rc, out) == (2, "")
+        assert err == ("error: line 14, column 1: leading word x^%s is not "
+                       "two letters long\n" % power)
+
+
 class TestVerify:
     def test_plain(self, capsys):
         rc, out, err = run_cli(capsys, ["verify", "builtin:quantum-torus"])

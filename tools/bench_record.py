@@ -6,12 +6,14 @@
 Each input is a run file that bench/run.py writes to bench/out/.  Runs are
 grouped by workload; within a workload the i-th parent run is paired with
 the i-th change run.  For each side the record holds the seeds, the commits,
-the Python versions and os.cpu_count() of the runs, and the median, q1 and q3
-of every metric.  For each metric whose direction BENCHMARK.json gives, it
-counts the pairs the change wins (ties count for neither) and compares the
-gap between the medians with the parent's interquartile range.  It also
-records, per pair, whether the two runs had the same seed and the same run
-digest, which covers every op's output digest.
+the Python versions and os.cpu_count() of the runs, each run's load average
+at its start, and the median, q1 and q3 of every metric.  For each metric
+whose direction BENCHMARK.json gives, it counts the pairs the change wins
+(ties count for neither) and compares the gap between the medians with the
+parent's interquartile range.  It also records, per pair, whether the two
+runs had the same seed and the same run digest, which covers every op's
+output digest.  A top-level ``host`` names the CPU model and kernel release
+of the machine making the record, so a change of host shows.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import sys
 
@@ -79,6 +82,7 @@ def summarize_side(runs):
             "commits": distinct(e["commit"] for e in env),
             "python": distinct(e["python"] for e in env),
             "cpu_count": distinct(e["cpu_count"] for e in env),
+            "loadavg_at_start": [e["loadavg_at_start"] for e in env],
             "correct": all(run["result"]["correct"] for run in runs),
             "failed_ops": sum(run["result"]["failed"] for run in runs),
             "metrics": metrics}
@@ -107,6 +111,21 @@ def compare(parent, change, better):
     return out
 
 
+def host():
+    """The CPU model (None where /proc/cpuinfo names none) and the kernel
+    release of this machine."""
+    model = None
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {"cpu_model": model, "kernel": platform.release()}
+
+
 def record(parent_paths, change_paths):
     parent_runs = load_runs(parent_paths)
     change_runs = load_runs(change_paths)
@@ -129,7 +148,7 @@ def record(parent_paths, change_paths):
                       for p, c in zip(p_runs, c_runs)],
             "comparison": compare(parent, change, better),
         }
-    return {"workloads": workloads}
+    return {"host": host(), "workloads": workloads}
 
 
 def main(argv=None) -> int:
