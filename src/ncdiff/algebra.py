@@ -622,7 +622,8 @@ class Algebra:
     # -- diagnostics ---------------------------------------------------------
 
     def check_confluence(self):
-        """Return all local-confluence violations on length-three overlaps."""
+        """Return all local-confluence violations on length-three overlaps,
+        and cache the verdict that ``is_confluent`` reads."""
         violations = []
         for (u, v), rhs_list in self.rules.items():
             if len(rhs_list) > 1:
@@ -641,13 +642,14 @@ class Algebra:
                         if not (left - right).is_zero():
                             violations.append(
                                 ConfluenceViolation((u, v, w), left, right))
+        self._confluent = not violations
         return violations
 
     def is_confluent(self) -> bool:
         """Whether ``check_confluence`` finds no violation; cached until the
         rules change."""
         if self._confluent is None:
-            self._confluent = not self.check_confluence()
+            self.check_confluence()
         return self._confluent
 
     def verify_relations(self) -> bool:

@@ -165,8 +165,25 @@ def node_location(node):
     return node[-1]
 
 
+def _left_chain(node):
+    """The binary nodes down the left of ``node``, outermost first, and the
+    operand below the last of them."""
+    chain = []
+    while node[0] == "bin":
+        chain.append(node)
+        node = node[2]
+    return chain, node
+
+
 def rename_atoms(node, mapping: dict):
     """A copy of the expression with name atoms renamed."""
+    if node[0] == "bin":
+        chain, node = _left_chain(node)
+        out = rename_atoms(node, mapping)
+        for link in reversed(chain):
+            out = ("bin", link[1], out, rename_atoms(link[3], mapping),
+                   link[4])
+        return out
     if node[0] == "name" and node[1] in mapping:
         return ("name", mapping[node[1]], node[2])
     out = list(node)
@@ -202,12 +219,21 @@ def expression_to_text(node, required: int = 0) -> str:
         text = "%s^%s" % (base, int_text(node[2]))
         return "(%s)" % text if required > 3 else text
     if kind == "bin":
-        op = node[1]
-        mine = 0 if op in "+-" else 1
-        left = expression_to_text(node[2], mine)
-        right = expression_to_text(node[3], mine + 1)
-        text = "%s %s %s" % (left, op, right)
-        return "(%s)" % text if required > mine else text
+        # A left chain is rendered in a loop, innermost link first.  A link
+        # is parenthesized when the link above it binds tighter; its opening
+        # parenthesis then goes before everything rendered so far.
+        chain, node = _left_chain(node)
+        ranks = [0 if link[1] in "+-" else 1 for link in chain]
+        parts = [expression_to_text(node, ranks[-1])]
+        opened = 0
+        for i in reversed(range(len(chain))):
+            link, mine = chain[i], ranks[i]
+            parts.append(" %s %s" % (link[1],
+                                     expression_to_text(link[3], mine + 1)))
+            if (ranks[i - 1] if i else required) > mine:
+                opened += 1
+                parts.append(")")
+        return "(" * opened + "".join(parts)
     raise ValueError("unknown node kind %r" % kind)
 
 
@@ -861,10 +887,7 @@ class _Evaluator:
     def _bin(self, node):
         """Fold the chain of binary nodes down the left in a loop, so a long
         sum or product takes no recursion per operator."""
-        chain = []
-        while node[0] == "bin":
-            chain.append(node)
-            node = node[2]
+        chain, node = _left_chain(node)
         value = self.eval(node)
         for link in reversed(chain):
             value = self._apply(link[1], value, self.eval(link[3]),

@@ -351,6 +351,24 @@ class TestConfluence:
         difference = violation.left - violation.right
         assert difference == -alg.gen("y")
 
+    @pytest.mark.parametrize("build, verdict", [
+        (torus_algebra, True),
+        (lambda params: load_model(_NON_CONFLUENT).algebra, False)])
+    def test_check_caches_the_verdict(self, params, build, verdict,
+                                      monkeypatch):
+        alg = build(params)
+        alg.check_confluence()
+        products = []
+        original = Element.__mul__
+
+        def counting(a, b):
+            products.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(Element, "__mul__", counting)
+        assert alg.is_confluent() is verdict
+        assert products == []
+
 
 class TestRendering:
     def test_render_word(self, params):

@@ -386,6 +386,20 @@ class TestVerify:
         assert rc == 0
         assert json.loads(out)["failed"] == 0
 
+    def test_swap_twist_fails_its_metric_check(self, capsys, tmp_path):
+        """A swap has no derived inverse, so metric transport cannot run;
+        the metric check fails with the reason instead of a traceback."""
+        path = tmp_path / "swap.ncd"
+        path.write_text(_torus_with("  x -> x;\n  y -> r^-1*y;",
+                                    "  x -> y;\n  y -> x;"))
+        rc, out, err = run_cli(capsys, ["verify", str(path)])
+        assert (rc, err) == (1, "")
+        lines = out.splitlines()
+        marker = lines.index("fail metric/gsym/triv")
+        assert lines[marker + 1] == ("     witness: cannot derive the inverse "
+                                     "of a non-diagonal endomorphism")
+        assert lines[-1] == "model quantum-torus: 16 passed, 7 failed"
+
 
 class TestRelations:
     def test_element_first(self, capsys):

@@ -5,7 +5,8 @@ import pytest
 
 from ncdiff.coeff import ParameterSet, Polynomial, RationalFunction
 from ncdiff.dsl import (ModelSemanticError, ModelSyntaxError, export_model,
-                        load_model, parse_coefficient, parse_model, tokenize)
+                        expression_to_text, load_model, parse_coefficient,
+                        parse_model, rename_atoms, tokenize)
 from ncdiff.models import build_glpq, model_source
 
 BASE_LINES = [
@@ -374,6 +375,19 @@ class TestRoundTrip:
             exported = export_model(doc)
             assert parse_model(exported) == doc
             assert export_model(parse_model(exported)) == exported
+
+    @pytest.mark.parametrize("expr", [
+        " + ".join(["x"] * 1500),
+        "(x - y) * " + " * ".join(["x"] * 1500),
+        "2 * " + " - y / q * ".join(["x"] * 1500),
+    ], ids=["sum", "product-of-sum", "mixed"])
+    def test_long_chains_round_trip(self, expr):
+        doc = parse_model(BASE + "let s = %s;\n" % expr)
+        exported = export_model(doc)
+        assert exported.endswith("\nlet s = %s;\n" % expr)
+        assert parse_model(exported) == doc
+        renamed = rename_atoms(doc.statements[-1].data[1], {"x": "y"})
+        assert expression_to_text(renamed) == expr.replace("x", "y")
 
     def test_empty_calc_block_round_trips(self):
         text = 'model "m";\nparam q;\ngen x;\ncalc { }\n'
