@@ -185,7 +185,8 @@ def test_corpus_documents_match_the_oracle(base, repo_module, workloads,
 @pytest.mark.parametrize("name, proved", [
     ("quantum-torus", True),
     ("rank-4", True),
-    # phi respects the relations, but the algebra is not confluent.
+    # phi respects the relations and the sampled laws pass, but the
+    # algebra is not confluent.
     ("non-confluent", False),
     # six of its twists break the relations.
     ("gl-pq2-rfree", False),
@@ -200,17 +201,6 @@ def test_sampled_fallback_runs_exactly_when_unproved(
         return original(self, x, y)
 
     monkeypatch.setattr(TwistedDerivation, "leibniz_defect", counting)
-    code, stdout = workloads.run_cli(
+    workloads.run_cli(
         ["verify", _spec(name, texts, tmp_path), "--samples", "20"])
-    assert "fail inner-form" not in stdout
     assert (defects == []) is proved
-
-
-def test_non_confluent_fallback_passes_its_laws(texts, workloads, tmp_path):
-    """Its output is the same on either path, so only the defect count
-    above tells them apart."""
-    code, stdout = workloads.run_cli(
-        ["verify", _spec("non-confluent", texts, tmp_path)])
-    assert "fail confluence" in stdout
-    assert "pass leibniz-twisted/t" in stdout
-    assert "pass leibniz-product" in stdout
