@@ -79,6 +79,8 @@ class Calculus:
                 converted.append((rf, (k, m)))
             self.theta_rules[(i, j)] = tuple(converted)
         self._theta_cache = {}
+        # map (None for the identity) -> d(map(g)) per generator symbol
+        self._generator_d = {}
         self._one = RationalFunction.from_value(algebra.params, 1)
 
     # -- forms ------------------------------------------------------------
@@ -166,6 +168,37 @@ class Calculus:
                 terms[(i,)] = coeff
         return Form(self, terms)
 
+    def generator_differentials(self, phi: Endomorphism = None) -> list:
+        """d(phi(g)) for every generator symbol g, in symbol order; phi
+        None is the identity.
+
+        Each list is built on first use and kept, one per map asked about.
+        A diagonal phi scales g by c_g, and d is linear, so where c_g is a
+        Laurent unit the row is d(g) scaled by c_g: scaling by a unit
+        commutes with normalization (see the ``coeff`` docstring), so the
+        row is stored exactly as ``d_element(phi.apply(g))`` stores it.
+        Other rows, and every row of a map that is not diagonal, take that
+        direct path.
+        """
+        rows = self._generator_d.get(phi)
+        if rows is not None:
+            return rows
+        gens = self.generator_elements()
+        if phi is None:
+            rows = [self.d_element(g) for _, g in gens]
+        else:
+            plain = self.generator_differentials()
+            scales = phi._scales
+            rows = []
+            for sym, (_, g) in enumerate(gens):
+                scale = None if scales is None else scales[sym]
+                if scale is not None and scale._is_unit():
+                    rows.append(plain[sym].scale(scale))
+                else:
+                    rows.append(self.d_element(phi.apply(g)))
+        self._generator_d[phi] = rows
+        return rows
+
     def inner_form(self) -> "Form":
         terms = {}
         for i, lab in enumerate(self.labels):
@@ -200,15 +233,16 @@ class Calculus:
         """Check d(x) = candidate x - x candidate; None means no witness."""
         if candidate is None:
             candidate = self.inner_form()
-        probes = self.generator_elements()
+        probes = [(name, g, dg) for (name, g), dg in
+                  zip(self.generator_elements(),
+                      self.generator_differentials())]
         if rng is not None:
-            probes = probes + [("random-%d" % i,
-                                random_element(self.algebra, rng))
-                               for i in range(samples)]
+            probes += [("random-%d" % i, random_element(self.algebra, rng),
+                        None) for i in range(samples)]
         return _first_witness(
-            (name, self.d_element(x)
+            (name, (self.d_element(x) if dx is None else dx)
              - (self.wedge(candidate, x) - self.wedge(x, candidate)))
-            for name, x in probes)
+            for name, x, dx in probes)
 
     def basis_probes(self):
         """The generators, then the basis one-forms, each with its name."""

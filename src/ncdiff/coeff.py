@@ -643,10 +643,23 @@ def solve_linear(rows, rhs, params: ParameterSet):
     Returns (solution, free_columns) where free variables are set to zero,
     or None when the system is inconsistent.
     """
+    return solve_linear_columns(rows, [rhs], params)[0]
+
+
+def solve_linear_columns(rows, columns, params: ParameterSet):
+    """Solve rows * x = rhs for each right-hand side in columns at once.
+
+    One Gauss-Jordan elimination serves every column.  Its pivots depend on
+    rows alone, and each column's entries take the same products and
+    differences, in the same order, as a solve of that column by itself,
+    so every solution is stored as ``solve_linear`` stores it.  Returns one
+    entry per column: (solution, free_columns), or None when that column's
+    system is inconsistent.
+    """
     zero = RationalFunction.from_value(params, 0)
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [list(row) + [r] for row, r in zip(rows, rhs)]
+    a = [list(row) + [col[i] for col in columns] for i, row in enumerate(rows)]
     pivots = []
     col = 0
     row = 0
@@ -669,11 +682,14 @@ def solve_linear(rows, rhs, params: ParameterSet):
         pivots.append(col)
         row += 1
         col += 1
-    for i in range(row, m):
-        if not a[i][n].is_zero():
-            return None
-    solution = [zero] * n
-    for r, c in enumerate(pivots):
-        solution[c] = a[r][n]
     free = [c for c in range(n) if c not in pivots]
-    return solution, free
+    out = []
+    for k in range(n, n + len(columns)):
+        if any(not a[i][k].is_zero() for i in range(row, m)):
+            out.append(None)
+            continue
+        solution = [zero] * n
+        for r, c in enumerate(pivots):
+            solution[c] = a[r][k]
+        out.append((solution, free))
+    return out

@@ -8,13 +8,25 @@ element entries.  A connection is a family of transport operators V_s with
 V_s(a w) = phi_s^-1(a) V_s(w); its covariant derivative is
 nabla(w) = vtheta (x)_A w - sum_s theta^s (x)_A V_s(w), metric compatibility
 is V_s(g) = g for every s, and torsion is d minus wedge-after-nabla.
+
+The differentiability checks and the derived theta action compare
+phi(d g) with d(phi g) on the generators.  Both sides read the calculus's
+table of generator differentials (``Calculus.generator_differentials``),
+built once per map: for a diagonal phi, phi(g) = c_g g and so
+d(phi g) = c_g d(g), and no derivation runs again.  A geometry asks for
+the identity, each twist and each inverse twist (one inverse map per
+label, shared with transport), so the table holds at most
+(twists + inverse twists + 1) x generator symbols rows.  Every target
+label of the derived action shares one coefficient matrix, so one
+elimination solves them all, and an action is inverted in one elimination
+against the identity columns.
 """
 
 from __future__ import annotations
 
 from .algebra import AlgebraError, Element, _accumulate, _first_witness
 from .calculus import Calculus, CalculusError, Form
-from .coeff import RationalFunction, solve_linear
+from .coeff import RationalFunction, solve_linear_columns
 from .morphism import Endomorphism
 
 
@@ -66,73 +78,81 @@ class FormExtension:
         """None when the extension is differentiable, else a witness pair."""
         calc = self.calculus
         return _first_witness(
-            (name, self.apply(calc.d_element(g))
-             - calc.d_element(self.base.apply(g)))
-            for name, g in calc.generator_elements())
+            (name, self.apply(dg) - d_phi_g)
+            for (name, _), dg, d_phi_g in zip(
+                calc.generator_elements(), calc.generator_differentials(),
+                calc.generator_differentials(self.base)))
 
     def inverse(self) -> "FormExtension":
-        inv_matrix = _invert_matrix(self.matrix, self.calculus)
+        action = self._inverse_action()
+        return FormExtension(self.calculus, self.base.inverse(), action)
+
+    def _inverse_action(self) -> dict:
+        inv_matrix = _invert_matrix(self.matrix, self.calculus.algebra.params)
         if inv_matrix is None:
             raise GeometryError("theta action is not invertible")
-        action = {lab: [(rf, self.calculus.labels[j])
-                        for j, rf in enumerate(inv_matrix[k]) if not rf.is_zero()]
-                  for k, lab in enumerate(self.calculus.labels)}
-        return FormExtension(self.calculus, self.base.inverse(), action)
+        return {lab: [(rf, self.calculus.labels[j])
+                      for j, rf in enumerate(inv_matrix[k]) if not rf.is_zero()]
+                for k, lab in enumerate(self.calculus.labels)}
 
 
 def _rf_zero(calculus: Calculus) -> RationalFunction:
     return RationalFunction.from_value(calculus.algebra.params, 0)
 
 
-def _invert_matrix(matrix, calculus: Calculus):
+def _invert_matrix(matrix, params):
+    """The inverse matrix, solved in one elimination against the identity
+    columns, or None when the matrix is singular."""
     n = len(matrix)
-    params = calculus.algebra.params
     zero = RationalFunction.from_value(params, 0)
     one = RationalFunction.from_value(params, 1)
+    units = [[one if k == l else zero for k in range(n)] for l in range(n)]
     columns = []
-    for l in range(n):
-        unit = [one if k == l else zero for k in range(n)]
-        solved = solve_linear([list(row) for row in matrix], unit, params)
-        if solved is None:
+    for solved in solve_linear_columns(matrix, units, params):
+        if solved is None or solved[1]:
             return None
-        solution, free = solved
-        if free:
-            return None
-        columns.append(solution)
+        columns.append(solved[0])
     return [[columns[l][k] for l in range(n)] for k in range(n)]
 
 
 def derive_theta_action(calculus: Calculus, endo: Endomorphism) -> dict:
-    """Solve phi(d g) = d(phi g) for the scalar action on the theta basis."""
+    """Solve phi(d g) = d(phi g) for the scalar action on the theta basis.
+
+    For each generator g the unknown action must carry phi(e_k(g)), the
+    image of the theta^k coefficient of d(g), onto the coefficients of
+    d(phi g); one row per word of those images.  Every target label shares
+    these rows, so one elimination solves them all, one right-hand side
+    each.  A target with a word outside the rows has no solution.
+    """
     params = calculus.algebra.params
     zero = RationalFunction.from_value(params, 0)
     labels = calculus.labels
-    probes = calculus.generator_elements()
+    absent = calculus.algebra.zero()
+    rows = []
+    targets = [[] for _ in labels]
+    unreachable = [False] * len(labels)
+    for dg, d_phi_g in zip(calculus.generator_differentials(),
+                           calculus.generator_differentials(endo)):
+        images = [endo.apply(dg.terms.get((k,), absent))
+                  for k in range(len(labels))]
+        words = set()
+        for elt in images:
+            words.update(elt.terms)
+        ordered = sorted(words)
+        rows.extend([elt.terms.get(word, zero) for elt in images]
+                    for word in ordered)
+        for j, column in enumerate(targets):
+            target = d_phi_g.terms.get((j,), absent)
+            if not words.issuperset(target.terms):
+                unreachable[j] = True
+            column.extend(target.terms.get(word, zero) for word in ordered)
+    solved = solve_linear_columns(rows, targets, params)
     action = {}
-    columns = []
-    targets_by_label = {lab: [] for lab in labels}
-    for _, g in probes:
-        columns.append([endo.apply(calculus.derivations[lab_k].apply(g))
-                        for lab_k in labels])
-        for lab_j in labels:
-            targets_by_label[lab_j].append(
-                calculus.derivations[lab_j].apply(endo.apply(g)))
-    for lab_j in labels:
-        rows = []
-        rhs = []
-        for col_set, target in zip(columns, targets_by_label[lab_j]):
-            words = set(target.terms)
-            for elt in col_set:
-                words.update(elt.terms)
-            for word in sorted(words):
-                rows.append([elt.terms.get(word, zero) for elt in col_set])
-                rhs.append(target.terms.get(word, zero))
-        solved = solve_linear(rows, rhs, params)
-        if solved is None:
+    for j, lab_j in enumerate(labels):
+        if unreachable[j] or solved[j] is None:
             raise GeometryError(
                 "endomorphism does not extend to the basis form %s" % lab_j)
-        solution, _ = solved
-        action[lab_j] = [(rf, labels[k]) for k, rf in enumerate(solution)
+        action[lab_j] = [(rf, labels[k]) for k, rf in enumerate(solved[j][0])
                          if not rf.is_zero()]
     return _transpose_action(action, labels)
 
@@ -209,7 +229,12 @@ class Geometry:
     """A calculus with differentiable extensions of its twists."""
 
     def __init__(self, calculus: Calculus, extensions: dict):
+        """extensions maps a label to an extension of its twist."""
         self.calculus = calculus
+        for lab, ext in extensions.items():
+            if ext.base is not calculus.twists.get(lab):
+                raise GeometryError(
+                    "extension for %r does not extend its twist" % lab)
         self.extensions = dict(extensions)
         self._inverse_extensions = {}
         self._inverse_twists = {}
@@ -221,9 +246,12 @@ class Geometry:
         return ext
 
     def inverse_extension(self, label: str) -> FormExtension:
+        """The inverse of extension(label), over inverse_twist(label)."""
         ext = self._inverse_extensions.get(label)
         if ext is None:
-            ext = self.extension(label).inverse()
+            action = self.extension(label)._inverse_action()
+            ext = FormExtension(self.calculus, self.inverse_twist(label),
+                                action)
             self._inverse_extensions[label] = ext
         return ext
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import random
 from importlib import resources
+from itertools import chain
 
 from .algebra import Element, _first_witness, random_element
 from .calculus import Calculus
@@ -244,7 +245,13 @@ class SuiteReport:
 
 def run_suite(bundle: ModelBundle, seed: int = 0,
               samples: int = 20) -> SuiteReport:
-    """Run every check in its fixed order, one CheckResult per record."""
+    """Run every check in its fixed order, one CheckResult per record.
+
+    samples is the number of random probes per law that is not proved; a
+    negative count is refused, since it would check no probes.
+    """
+    if samples < 0:
+        raise ValueError("samples must be 0 or more, not %d" % samples)
     results = [CheckResult(*record) for record in _algebra_checks(bundle)]
     passed = {result.anchor for result in results if result.ok}
     streams = (_calculus_checks(bundle, passed, random.Random(seed), samples),
@@ -339,8 +346,10 @@ def _calculus_checks(bundle, passed, rng, samples):
            "the square of the inner form is graded central",
            witness is None, witness)
 
-    witness = _first_witness((name, calc.d(calc.d(x)))
-                             for name, x in calc.basis_probes())
+    firsts = chain(((name, dg) for (name, _), dg in zip(
+        calc.generator_elements(), calc.generator_differentials())),
+        ((lab, calc.d(calc.theta(lab))) for lab in calc.labels))
+    witness = _first_witness((name, calc.d(first)) for name, first in firsts)
     yield ("d-twice", "d applied twice vanishes on generators and basis",
            witness is None, witness)
 

@@ -6,7 +6,8 @@ import pytest
 
 from ncdiff.coeff import (ParameterSet, PoleError, Polynomial,
                           RationalFunction, int_text, parse_int,
-                          solve_linear)
+                          solve_linear, solve_linear_columns)
+from ncdiff.geometry import _invert_matrix
 
 
 @pytest.fixture()
@@ -179,6 +180,124 @@ class TestSolveLinear:
         solution, free = solve_linear(rows, rhs, params)
         assert free == [1]
         assert solution[0].is_one() and solution[1].is_zero()
+
+
+def _reference_solve(rows, rhs, params):
+    """Gauss-Jordan on one right-hand side, the loop each column of
+    solve_linear_columns must reproduce: (solution, free) or None."""
+    zero = RationalFunction.from_value(params, 0)
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [list(row) + [r] for row, r in zip(rows, rhs)]
+    pivots = []
+    col = row = 0
+    while row < m and col < n:
+        pivot = next((i for i in range(row, m) if not a[i][col].is_zero()),
+                     None)
+        if pivot is None:
+            col += 1
+            continue
+        a[row], a[pivot] = a[pivot], a[row]
+        inv = a[row][col].inverse()
+        a[row] = [v * inv for v in a[row]]
+        for i in range(m):
+            if i != row and not a[i][col].is_zero():
+                f = a[i][col]
+                a[i] = [v - f * w for v, w in zip(a[i], a[row])]
+        pivots.append(col)
+        row += 1
+        col += 1
+    if any(not a[i][n].is_zero() for i in range(row, m)):
+        return None
+    solution = [zero] * n
+    for r, c in enumerate(pivots):
+        solution[c] = a[r][n]
+    return solution, [c for c in range(n) if c not in pivots]
+
+
+class TestSolveLinearColumns:
+    """One elimination with many right-hand sides stores each column's
+    solution exactly as a solve of that column alone."""
+
+    PARAMS = ParameterSet(("p", "q", "r"))
+
+    def _value(self, rng):
+        params = self.PARAMS
+        kind = rng.randrange(5)
+        if kind == 0:
+            return RationalFunction.from_value(params, 0)
+        mono = tuple(rng.randint(-1, 2) for _ in range(3))
+        unit = RationalFunction(Polynomial(params, {mono: rng.choice(
+            [-2, -1, 1, 3, Fraction(1, 2)])}))
+        if kind == 1:
+            return unit
+        if kind == 2:
+            return unit + RationalFunction.from_value(params, rng.choice([1, -1]))
+        return unit / (RationalFunction.parameter(params, "pqr"[kind - 3])
+                       - RationalFunction.from_value(params, 1))
+
+    def _system(self, rng):
+        """Rows with zero rows mixed in and maybe a dependent column, plus
+        three right-hand sides: a consistent one, the zero one, and one
+        with a nonzero entry in a zero row."""
+        params = self.PARAMS
+        zero = RationalFunction.from_value(params, 0)
+        n = rng.randint(2, 3)
+        rows = [[self._value(rng) for _ in range(n)]
+                for _ in range(rng.randint(n - 1, n + 1))]
+        if rng.random() < 0.5:
+            factor = self._value(rng)
+            for row in rows:
+                row[n - 1] = row[0] * factor
+        for _ in range(rng.randint(1, 2)):
+            rows.insert(rng.randint(0, len(rows)), [zero] * n)
+        x = [self._value(rng) for _ in range(n)]
+        image = [sum((a * b for a, b in zip(row, x)), zero) for row in rows]
+        blocked = list(image)
+        zero_row = next(i for i, row in enumerate(rows)
+                        if all(v.is_zero() for v in row))
+        blocked[zero_row] = RationalFunction.from_value(params, 1)
+        columns = [image, [zero] * len(rows), blocked]
+        rng.shuffle(columns)
+        return rows, columns, columns.index(blocked)
+
+    @staticmethod
+    def _stored(solved):
+        if solved is None:
+            return None
+        solution, free = solved
+        return ([(list(v.num.terms.items()), list(v.den.terms.items()))
+                 for v in solution], free)
+
+    def test_columns_match_single_solves(self):
+        rng = random.Random(20261018)
+        params = self.PARAMS
+        with_free = 0
+        for _ in range(40):
+            rows, columns, blocked = self._system(rng)
+            together = solve_linear_columns(rows, columns, params)
+            assert len(together) == len(columns)
+            for k, column in enumerate(columns):
+                alone = self._stored(_reference_solve(rows, column, params))
+                assert self._stored(together[k]) == alone
+                assert self._stored(solve_linear(rows, column, params)) == alone
+                assert (alone is None) == (k == blocked)
+            with_free += any(solved and solved[1] for solved in together)
+        assert with_free
+
+    def test_no_rows(self):
+        params = self.PARAMS
+        assert solve_linear_columns([], [[], []], params) == [([], []), ([], [])]
+
+    def test_singular_matrix_has_no_inverse(self):
+        params = self.PARAMS
+        one = RationalFunction.from_value(params, 1)
+        q = RationalFunction.parameter(params, "q")
+        assert _invert_matrix([[one, q], [q, q * q]], params) is None
+        zero = RationalFunction.from_value(params, 0)
+        assert _invert_matrix([[one, zero], [zero, zero]], params) is None
+        inverse = _invert_matrix([[one, q], [zero, q]], params)
+        assert inverse == [[one, -one], [zero, q.inverse()]]
 
 
 def _reference_product(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -1,9 +1,12 @@
 import pytest
 
+from ncdiff import models
+from ncdiff.calculus import Calculus
 from ncdiff.coeff import RationalFunction
+from ncdiff.dsl import load_model
 from ncdiff.geometry import (Connection, FormExtension, Geometry,
                              GeometryError, TensorForm, derive_theta_action)
-from ncdiff.morphism import Endomorphism
+from ncdiff.morphism import Endomorphism, TwistedDerivation
 
 
 def rf(alg, value):
@@ -103,6 +106,96 @@ class TestDerivedThetaAction:
             derive_theta_action(calc, squared)
 
 
+def _stored_form(form):
+    """A form's terms as stored: index, word and coefficient order, and
+    each coefficient's numerator and denominator terms."""
+    return [(index, [(word, c.num.terms, c.den.terms)
+                     for word, c in elt.terms.items()])
+            for index, elt in form.terms.items()]
+
+
+def _direct(calc, phi):
+    return [calc.d_element(phi.apply(g)) for _, g in calc.generator_elements()]
+
+
+@pytest.fixture(scope="module")
+def table_models(repo_module):
+    workloads = repo_module("bench/workloads.py")
+    return {
+        "quantum-torus": models.build_quantum_torus(),
+        "gl-pq2": models.build_glpq(),
+        "gl-pq2-localized": models.build_glpq(adjoin_det_inverse=True),
+        "rank-4": load_model(workloads.rank_n_text(4, 7), verify=False),
+        "gl-pq2-rfree": load_model(
+            workloads.rfree_text(models.model_source("gl-pq2")),
+            verify=False),
+    }
+
+
+class TestGeneratorDifferentials:
+    """Calculus.generator_differentials against d_element(phi.apply(g))."""
+
+    @pytest.mark.parametrize("name", ["quantum-torus", "gl-pq2",
+                                      "gl-pq2-localized", "rank-4",
+                                      "gl-pq2-rfree"])
+    def test_rows_equal_the_direct_path(self, table_models, name):
+        bundle = table_models[name]
+        calc, geo = bundle.calculus, bundle.geometry
+        maps = [None]
+        for lab in calc.labels:
+            maps += [calc.twists[lab], geo.inverse_twist(lab)]
+        for phi in maps:
+            rows = calc.generator_differentials(phi)
+            direct = ([calc.d_element(g) for _, g in calc.generator_elements()]
+                      if phi is None else _direct(calc, phi))
+            assert [_stored_form(row) for row in rows] == \
+                [_stored_form(row) for row in direct]
+            assert calc.generator_differentials(phi) is rows
+
+    def test_only_maps_that_scale_by_units_skip_the_direct_path(
+            self, torus, monkeypatch):
+        calc = torus.calculus
+        alg = calc.algebra
+        x, y = alg.gen("x"), alg.gen("y")
+        swap = Endomorphism(alg, {"x": y, "y": x})
+        non_unit = Endomorphism(alg, {"x": x.scale(1 + r_param(alg)),
+                                      "y": y.scale(r_param(alg))})
+        calc.generator_differentials()
+        direct = []
+        original = Calculus.d_element
+
+        def recording(self, a):
+            direct.append(a)
+            return original(self, a)
+        monkeypatch.setattr(Calculus, "d_element", recording)
+        symbols = alg.table.symbols
+        for phi, expected in [(calc.twists["t1"], []),
+                              (swap, list(symbols)),
+                              (non_unit, [s for s in symbols
+                                          if s.startswith("x")])]:
+            del direct[:]
+            rows = calc.generator_differentials(phi)
+            images = {str(phi.apply(g)): name
+                      for name, g in calc.generator_elements()}
+            assert sorted(images[str(a)] for a in direct) == sorted(expected)
+            assert [_stored_form(row) for row in rows] == \
+                [_stored_form(row) for row in _direct(calc, phi)]
+
+    def test_geometry_checks_derive_each_generator_once(self, monkeypatch):
+        bundle = models.build_glpq()
+        calc = bundle.calculus
+        calls = []
+        original = TwistedDerivation.apply
+
+        def counting(self, x):
+            calls.append(1)
+            return original(self, x)
+        monkeypatch.setattr(TwistedDerivation, "apply", counting)
+        records = list(models._geometry_checks(bundle))
+        assert all(record[2] for record in records)
+        assert len(calls) <= len(calc.labels) * len(calc.algebra.table.symbols)
+
+
 class TestTensors:
     def test_tensor_L_entries(self, geo, calc, alg):
         x, y = alg.gen("x"), alg.gen("y")
@@ -153,6 +246,15 @@ class TestTensors:
         empty = Geometry(calc, {})
         with pytest.raises(GeometryError):
             empty.extension("t1")
+
+    def test_extension_must_extend_the_twist_of_its_label(self, geo, calc):
+        with pytest.raises(GeometryError):
+            Geometry(calc, {"t1": geo.extension("t2")})
+
+    def test_one_inverse_map_per_label(self, glpq):
+        geo = glpq.geometry
+        for lab in glpq.calculus.labels:
+            assert geo.inverse_extension(lab).base is geo.inverse_twist(lab)
 
 
 class TestConnection:
