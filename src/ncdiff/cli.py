@@ -62,6 +62,18 @@ def _default_seed() -> int:
             from None
 
 
+def _count(text: str) -> int:
+    """A non-negative integer argument."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid int value: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be 0 or more, not %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncdiff",
@@ -88,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=None,
                           help="seed for randomized probes "
                                "(default: NCDIFF_SEED or 0)")
-    p_verify.add_argument("--samples", type=int, default=20,
+    p_verify.add_argument("--samples", type=_count, default=20,
                           help="random probes per law that cannot be "
                                "proved; the inner-form and Leibniz laws "
                                "are proved without probes when the "

@@ -12,7 +12,7 @@ import pytest
 
 import ncdiff
 from ncdiff.cli import main
-from ncdiff.models import model_source
+from ncdiff.models import model_source, run_suite
 
 BROKEN_OVERLAP = """model "broken";
 param q;
@@ -385,6 +385,25 @@ class TestVerify:
                                       "--samples", "2", "--format", "json"])
         assert rc == 0
         assert json.loads(out)["failed"] == 0
+
+    @pytest.mark.parametrize("value", ["-3", "-1"])
+    def test_negative_samples_rejected(self, capsys, tmp_path, value):
+        """A negative count would sample no pairs, and gl-pq2 without its
+        r = p*q substitution would then pass laws its twists break."""
+        path = tmp_path / "rfree.ncd"
+        path.write_text(model_source("gl-pq2").replace("subst r = p*q;", ""))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(path), "--samples", value])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.startswith("usage: ncdiff verify")
+        assert ("error: argument --samples: must be 0 or more, not %s\n"
+                % value) in err
+
+    def test_run_suite_refuses_negative_samples(self, torus):
+        with pytest.raises(ValueError):
+            run_suite(torus, samples=-1)
 
     def test_swap_twist_fails_its_metric_check(self, capsys, tmp_path):
         """A swap has no derived inverse, so metric transport cannot run;
