@@ -191,9 +191,8 @@ class Calculus:
             scales = phi._scales
             rows = []
             for sym, (_, g) in enumerate(gens):
-                scale = None if scales is None else scales[sym]
-                if scale is not None and scale._is_unit():
-                    rows.append(plain[sym].scale(scale))
+                if scales is not None and scales[sym]._is_unit():
+                    rows.append(plain[sym].scale(scales[sym]))
                 else:
                     rows.append(self.d_element(phi.apply(g)))
         self._generator_d[phi] = rows
