@@ -178,11 +178,13 @@ class Calculus:
         commutes with normalization (see the ``coeff`` docstring), so the
         row is stored exactly as ``d_element(phi.apply(g))`` stores it.
         Other rows, and every row of a map that is not diagonal, take that
-        direct path.
+        direct path.  The table keeps each row's terms, not the form, so
+        that it holds no reference back to the calculus and a calculus no
+        longer used is freed at once, not at the next cycle collection.
         """
-        rows = self._generator_d.get(phi)
-        if rows is not None:
-            return rows
+        kept = self._generator_d.get(phi)
+        if kept is not None:
+            return [Form(self, terms) for terms in kept]
         gens = self.generator_elements()
         if phi is None:
             rows = [self.d_element(g) for _, g in gens]
@@ -195,7 +197,7 @@ class Calculus:
                     rows.append(plain[sym].scale(scales[sym]))
                 else:
                     rows.append(self.d_element(phi.apply(g)))
-        self._generator_d[phi] = rows
+        self._generator_d[phi] = [row.terms for row in rows]
         return rows
 
     def inner_form(self) -> "Form":

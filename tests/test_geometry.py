@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from ncdiff import models
@@ -150,7 +153,8 @@ class TestGeneratorDifferentials:
                       if phi is None else _direct(calc, phi))
             assert [_stored_form(row) for row in rows] == \
                 [_stored_form(row) for row in direct]
-            assert calc.generator_differentials(phi) is rows
+            again = calc.generator_differentials(phi)
+            assert all(a.terms is b.terms for a, b in zip(again, rows))
 
     def test_only_maps_that_scale_by_units_skip_the_direct_path(
             self, monkeypatch):
@@ -180,6 +184,20 @@ class TestGeneratorDifferentials:
             assert sorted(images[str(a)] for a in direct) == sorted(expected)
             assert [_stored_form(row) for row in rows] == \
                 [_stored_form(row) for row in _direct(calc, phi)]
+
+    def test_table_keeps_no_cycle_through_the_calculus(self):
+        """A bundle the suite has run is freed by reference counting alone,
+        so one verify after another does not hold every bundle until the
+        next cycle collection."""
+        gc.disable()
+        try:
+            bundle = models.build_glpq()
+            models.run_suite(bundle, seed=1)
+            calculus = weakref.ref(bundle.calculus)
+            del bundle
+            assert calculus() is None
+        finally:
+            gc.enable()
 
     def test_geometry_checks_derive_each_generator_once(self, monkeypatch):
         bundle = models.build_glpq()
