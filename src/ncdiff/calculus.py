@@ -79,7 +79,7 @@ class Calculus:
                 converted.append((rf, (k, m)))
             self.theta_rules[(i, j)] = tuple(converted)
         self._theta_cache = {}
-        # map (None for the identity) -> d(map(g)) per generator symbol
+        # map (None for the identity) -> terms of d(map(g)) per generator
         self._generator_d = {}
         self._one = RationalFunction.from_value(algebra.params, 1)
 
