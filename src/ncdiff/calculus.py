@@ -16,7 +16,7 @@ from fractions import Fraction
 from .algebra import (Algebra, AlgebraError, Element, _accumulate,
                       _coeff_term, _first_witness, _join_term, _signed_text,
                       random_element, render_element)
-from .coeff import RationalFunction, solve_linear
+from .coeff import RationalFunction, solve_in_span
 from .morphism import Endomorphism, TwistedDerivation
 
 
@@ -265,66 +265,66 @@ class Calculus:
 
         side "element_first" solves e * w = sum of c * w' * e'; side
         "form_first" solves w * e = sum of c * e' * w'.  The coefficients c
-        live in the coefficient field.
+        live in the coefficient field.  A product's coordinates are its
+        (basis index, word) pairs, and every target is solved in the span of
+        the candidate products in one elimination (``coeff.solve_in_span``).
+        Targets are reported in order: the first with no solution raises
+        InexpressibleError, and a solution that leaves the coefficient of a
+        nonzero candidate free raises CalculusError as underdetermined.
         """
         if side not in ("element_first", "form_first"):
             raise ValueError("side must be element_first or form_first")
+        names = []
         candidates = []
         for w_name, w in forms.items():
             for e_name, e in elements.items():
                 if side == "element_first":
-                    product = self.wedge(w, e)
-                    candidates.append(((w_name, e_name), product))
+                    names.append((w_name, e_name))
+                    candidates.append(self.wedge(w, e))
                 else:
-                    product = self.wedge(self.embed(e), w)
-                    candidates.append(((e_name, w_name), product))
+                    names.append((e_name, w_name))
+                    candidates.append(self.wedge(self.embed(e), w))
+        lefts = []
+        targets = []
+        # A target product that cannot be formed is reported after the
+        # targets before it, as a solve of each target in turn reports it.
+        unformed = None
+        try:
+            for e_name, e in elements.items():
+                for w_name, w in forms.items():
+                    if side == "element_first":
+                        targets.append(self.wedge(self.embed(e), w))
+                        lefts.append((e_name, w_name))
+                    else:
+                        targets.append(self.wedge(w, e))
+                        lefts.append((w_name, e_name))
+        except CalculusError as exc:
+            unformed = exc
+        solved = solve_in_span([_coordinates(c) for c in candidates],
+                               [_coordinates(t) for t in targets],
+                               self.algebra.params)
         results = []
-        for e_name, e in elements.items():
-            for w_name, w in forms.items():
-                if side == "element_first":
-                    target = self.wedge(self.embed(e), w)
-                    left = (e_name, w_name)
-                else:
-                    target = self.wedge(w, e)
-                    left = (w_name, e_name)
-                coords = []
-                seen = set()
-                for form in [target] + [c for _, c in candidates]:
-                    for index, elt in form.terms.items():
-                        for word in elt.terms:
-                            if (index, word) not in seen:
-                                seen.add((index, word))
-                                coords.append((index, word))
-                coords.sort()
-                rows = []
-                rhs = []
-                zero = RationalFunction.from_value(self.algebra.params, 0)
-                for coord in coords:
-                    rows.append([_coord(c, coord, zero) for _, c in candidates])
-                    rhs.append(_coord(target, coord, zero))
-                solved = solve_linear(rows, rhs, self.algebra.params)
-                if solved is None:
-                    raise InexpressibleError(
-                        "%s * %s has no expansion in the candidate products"
-                        % left)
-                solution, free = solved
-                for col in free:
-                    used = any(not row[col].is_zero() for row in rows)
-                    if used:
-                        raise CalculusError(
-                            "%s * %s has an underdetermined expansion" % left)
-                terms = [(coeff, names) for coeff, (names, _) in
-                         zip(solution, candidates) if not coeff.is_zero()]
-                results.append(DerivedRelation(side, left, terms))
+        for left, found in zip(lefts, solved):
+            if found is None:
+                raise InexpressibleError(
+                    "%s * %s has no expansion in the candidate products"
+                    % left)
+            solution, free = found
+            if any(candidates[col].terms for col in free):
+                raise CalculusError(
+                    "%s * %s has an underdetermined expansion" % left)
+            terms = [(coeff, name) for coeff, name in zip(solution, names)
+                     if not coeff.is_zero()]
+            results.append(DerivedRelation(side, left, terms))
+        if unformed is not None:
+            raise unformed
         return results
 
 
-def _coord(form: "Form", coord, zero):
-    index, word = coord
-    elt = form.terms.get(index)
-    if elt is None:
-        return zero
-    return elt.terms.get(word, zero)
+def _coordinates(form: "Form") -> dict:
+    """A form's coefficients keyed by (basis index, word)."""
+    return {(index, word): c for index, elt in form.terms.items()
+            for word, c in elt.terms.items()}
 
 
 class Form:

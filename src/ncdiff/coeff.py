@@ -637,24 +637,15 @@ def _is_bare_power(poly: Polynomial) -> bool:
     return c == 1 and sum(1 for e in mono if e) == 1 and min(mono) >= 0
 
 
-def solve_linear(rows, rhs, params: ParameterSet):
-    """Solve the exact linear system rows * x = rhs over the coefficient field.
-
-    Returns (solution, free_columns) where free variables are set to zero,
-    or None when the system is inconsistent.
-    """
-    return solve_linear_columns(rows, [rhs], params)[0]
-
-
 def solve_linear_columns(rows, columns, params: ParameterSet):
     """Solve rows * x = rhs for each right-hand side in columns at once.
 
     One Gauss-Jordan elimination serves every column.  Its pivots depend on
     rows alone, and each column's entries take the same products and
     differences, in the same order, as a solve of that column by itself,
-    so every solution is stored as ``solve_linear`` stores it.  Returns one
-    entry per column: (solution, free_columns), or None when that column's
-    system is inconsistent.
+    so every solution is stored as a one-column solve stores it.  Returns
+    one entry per column: (solution, free_columns), with the free variables
+    set to zero, or None when that column's system is inconsistent.
     """
     zero = RationalFunction.from_value(params, 0)
     m = len(rows)
@@ -693,3 +684,29 @@ def solve_linear_columns(rows, columns, params: ParameterSet):
             solution[c] = a[r][k]
         out.append((solution, free))
     return out
+
+
+def solve_in_span(candidates, targets, params: ParameterSet):
+    """Express each target as a combination of the candidates.
+
+    Candidates and targets are dicts from a coordinate to a value.  The rows
+    are the candidates' coordinates, sorted, so one elimination
+    (``solve_linear_columns``) serves every target.  Returns one entry per
+    target: (solution, free_columns) with one solution entry per candidate,
+    or None when the target has a coordinate no candidate has or lies
+    outside the span.
+    """
+    zero = RationalFunction.from_value(params, 0)
+    coords = sorted(set().union(*candidates))
+    if not coords:
+        # every candidate is zero: only a zero target is in the span
+        n = len(candidates)
+        return [None if target else ([zero] * n, list(range(n)))
+                for target in targets]
+    rows = [[c.get(coord, zero) for c in candidates] for coord in coords]
+    solved = solve_linear_columns(
+        rows, [[t.get(coord, zero) for coord in coords] for t in targets],
+        params)
+    covered = set(coords)
+    return [s if covered.issuperset(t) else None
+            for t, s in zip(targets, solved)]

@@ -794,7 +794,6 @@ class ModelBundle:
         self.autos = {}
         self.calculus = None
         self.geometry = None
-        self.extensions_by_auto = {}
         self.named = {}
         self.metrics = {}
         self.connections = {}
@@ -989,19 +988,6 @@ class _Builder:
             raise _error_at(stmt, "%s needs a calc block" % stmt.kind)
         return self.bundle.calculus
 
-    def _geometry(self) -> Geometry:
-        bundle = self.bundle
-        if bundle.geometry is None:
-            by_label = {}
-            for lab in bundle.calculus.labels:
-                endo = bundle.calculus.twists[lab]
-                for ext in bundle.extensions_by_auto.values():
-                    if ext.base is endo:
-                        by_label[lab] = ext
-                        break
-            bundle.geometry = Geometry(bundle.calculus, by_label)
-        return bundle.geometry
-
     def rel(self, stmt):
         lhs, rhs = (_free_terms(side, self.free_words, self.param_env)
                     for side in stmt.data)
@@ -1052,27 +1038,35 @@ class _Builder:
                                    twists, weights, theta_rules)
         for lab in labels:
             bundle._env[lab] = bundle.calculus.theta(lab)
+        bundle.geometry = Geometry(bundle.calculus, {})
 
     def extension(self, stmt):
         name, entries = stmt.data
         calculus = self._needs_calculus(stmt)
-        action = {}
+        zero = RationalFunction.from_value(self.bundle.params, 0)
+        rows = {}
         for lab, expr in entries:
             value = self.bundle._eval(expr)
             if not isinstance(value, Form):
                 raise _error_at(
                     stmt, "extension image of %r must be a one-form" % lab)
-            row = []
+            row = rows[lab] = [zero] * len(calculus.labels)
             for key, coeff in value.terms.items():
                 scalar = _scalar_of(coeff)
                 if len(key) != 1 or scalar is None:
                     raise _error_at(stmt, "extension image of %r must be a "
                                     "coefficient combination of basis forms"
                                     % lab)
-                row.append((scalar, calculus.labels[key[0]]))
-            action[lab] = sorted(row, key=lambda e: e[1])
-        self.bundle.extensions_by_auto[name] = _located(
-            stmt, FormExtension, calculus, self.bundle.autos[name], action)
+                row[key[0]] = scalar
+        for lab in calculus.labels:
+            if lab not in rows:
+                raise _error_at(stmt, "missing theta image for %r" % lab)
+        base = self.bundle.autos[name]
+        ext = FormExtension(calculus, base,
+                            [rows[lab] for lab in calculus.labels])
+        for lab in calculus.labels:
+            if calculus.twists[lab] is base:
+                self.bundle.geometry.extensions[lab] = ext
 
     def let(self, stmt):
         name, expr = stmt.data
@@ -1097,9 +1091,8 @@ class _Builder:
         for index, basis, expr in entries:
             value = calculus.embed(self.bundle._eval(expr))
             table_entries[(calculus.labels[index - 1], basis)] = value
-        geometry = self._geometry()
         self.bundle.connections[name] = _located(
-            stmt, Connection, geometry, table_entries, name)
+            stmt, Connection, self.bundle.geometry, table_entries, name)
 
     def check(self, stmt):
         name, lhs, rhs = stmt.data
@@ -1123,8 +1116,6 @@ def build_model(doc: ModelDocument, substitute: bool = True,
     for stmt in doc.statements:
         _KINDS[stmt.kind].build(builder, stmt)
     builder.bundle.algebra.normalize_rules()
-    if builder.bundle.calculus is not None:
-        builder._geometry()
     return builder.bundle
 
 

@@ -1,11 +1,12 @@
 """Metrics, connections and transport on a diagonal calculus.
 
 Automorphisms extend to one-forms by an invertible scalar action on the
-theta basis; an extension is differentiable when it commutes with d.  The
-left tensor basis theta^s (x)_L theta^s' = theta^s (x)_A phi_s^-1 theta^s'
-makes tensors left-linear in both slots, so a metric is a plain table of
-element entries.  A connection is a family of transport operators V_s with
-V_s(a w) = phi_s^-1(a) V_s(w); its covariant derivative is
+theta basis, kept as one n x n matrix whose row k holds the coefficients of
+the image of theta^k; an extension is differentiable when it commutes with
+d.  The left tensor basis theta^s (x)_L theta^s' = theta^s (x)_A phi_s^-1
+theta^s' makes tensors left-linear in both slots, so a metric is a plain
+table of element entries.  A connection is a family of transport operators
+V_s with V_s(a w) = phi_s^-1(a) V_s(w); its covariant derivative is
 nabla(w) = vtheta (x)_A w - sum_s theta^s (x)_A V_s(w), metric compatibility
 is V_s(g) = g for every s, and torsion is d minus wedge-after-nabla.
 
@@ -16,17 +17,17 @@ built once per map: for a diagonal phi, phi(g) = c_g g and so
 d(phi g) = c_g d(g), and no derivation runs again.  A geometry asks for
 the identity, each twist and each inverse twist (one inverse map per
 label, shared with transport), so the table holds at most
-(twists + inverse twists + 1) x generator symbols rows.  Every target
-label of the derived action shares one coefficient matrix, so one
-elimination solves them all, and an action is inverted in one elimination
-against the identity columns.
+(twists + inverse twists + 1) x generator symbols rows.  The derived
+action expresses every target label in the span of the same candidates,
+so one elimination (``coeff.solve_in_span``) gives the whole matrix, and
+an action is inverted in one elimination against the identity columns.
 """
 
 from __future__ import annotations
 
 from .algebra import AlgebraError, Element, _accumulate, _first_witness
 from .calculus import Calculus, CalculusError, Form
-from .coeff import RationalFunction, solve_linear_columns
+from .coeff import RationalFunction, solve_in_span, solve_linear_columns
 from .morphism import Endomorphism
 
 
@@ -35,23 +36,14 @@ class GeometryError(AlgebraError):
 
 
 class FormExtension:
-    """An endomorphism extended to forms by a scalar action on the basis."""
+    """An endomorphism extended to forms by a scalar action on the basis:
+    row k of matrix holds the coefficients of the image of theta^k."""
 
     __slots__ = ("calculus", "base", "matrix")
 
-    def __init__(self, calculus: Calculus, base: Endomorphism, theta_action: dict):
-        """theta_action maps each label to a list of (coefficient, label)."""
+    def __init__(self, calculus: Calculus, base: Endomorphism, matrix):
         self.calculus = calculus
         self.base = base
-        n = len(calculus.labels)
-        matrix = [[_rf_zero(calculus)] * n for _ in range(n)]
-        for lab in calculus.labels:
-            if lab not in theta_action:
-                raise GeometryError("missing theta image for %r" % lab)
-        for lab, entries in theta_action.items():
-            k = calculus._pos[lab]
-            for rf, lab2 in entries:
-                matrix[k][calculus._pos[lab2]] = matrix[k][calculus._pos[lab2]] + rf
         self.matrix = matrix
 
     def theta_image(self, label: str) -> Form:
@@ -83,22 +75,6 @@ class FormExtension:
                 calc.generator_elements(), calc.generator_differentials(),
                 calc.generator_differentials(self.base)))
 
-    def inverse(self) -> "FormExtension":
-        action = self._inverse_action()
-        return FormExtension(self.calculus, self.base.inverse(), action)
-
-    def _inverse_action(self) -> dict:
-        inv_matrix = _invert_matrix(self.matrix, self.calculus.algebra.params)
-        if inv_matrix is None:
-            raise GeometryError("theta action is not invertible")
-        return {lab: [(rf, self.calculus.labels[j])
-                      for j, rf in enumerate(inv_matrix[k]) if not rf.is_zero()]
-                for k, lab in enumerate(self.calculus.labels)}
-
-
-def _rf_zero(calculus: Calculus) -> RationalFunction:
-    return RationalFunction.from_value(calculus.algebra.params, 0)
-
 
 def _invert_matrix(matrix, params):
     """The inverse matrix, solved in one elimination against the identity
@@ -115,55 +91,35 @@ def _invert_matrix(matrix, params):
     return [[columns[l][k] for l in range(n)] for k in range(n)]
 
 
-def derive_theta_action(calculus: Calculus, endo: Endomorphism) -> dict:
+def derive_theta_action(calculus: Calculus, endo: Endomorphism) -> list:
     """Solve phi(d g) = d(phi g) for the scalar action on the theta basis.
 
-    For each generator g the unknown action must carry phi(e_k(g)), the
-    image of the theta^k coefficient of d(g), onto the coefficients of
-    d(phi g); one row per word of those images.  Every target label shares
-    these rows, so one elimination solves them all, one right-hand side
-    each.  A target with a word outside the rows has no solution.
+    The coordinates are (generator index, word).  Candidate k holds the
+    coordinates of phi(e_k(g)), the image of the theta^k coefficient of
+    d(g), over every generator g; target j holds those of the theta^j
+    coefficient of d(phi g).  Every target is solved in the span of the
+    candidates in one elimination (``coeff.solve_in_span``), and the
+    solution for target j is column j of the action matrix.
     """
-    params = calculus.algebra.params
-    zero = RationalFunction.from_value(params, 0)
     labels = calculus.labels
     absent = calculus.algebra.zero()
-    rows = []
-    targets = [[] for _ in labels]
-    unreachable = [False] * len(labels)
-    for dg, d_phi_g in zip(calculus.generator_differentials(),
-                           calculus.generator_differentials(endo)):
-        images = [endo.apply(dg.terms.get((k,), absent))
-                  for k in range(len(labels))]
-        words = set()
-        for elt in images:
-            words.update(elt.terms)
-        ordered = sorted(words)
-        rows.extend([elt.terms.get(word, zero) for elt in images]
-                    for word in ordered)
-        for j, column in enumerate(targets):
-            target = d_phi_g.terms.get((j,), absent)
-            if not words.issuperset(target.terms):
-                unreachable[j] = True
-            column.extend(target.terms.get(word, zero) for word in ordered)
-    solved = solve_linear_columns(rows, targets, params)
-    action = {}
-    for j, lab_j in enumerate(labels):
-        if unreachable[j] or solved[j] is None:
+    candidates = [{} for _ in labels]
+    targets = [{} for _ in labels]
+    for sym, (dg, d_phi_g) in enumerate(zip(
+            calculus.generator_differentials(),
+            calculus.generator_differentials(endo))):
+        for k, coords in enumerate(candidates):
+            for word, c in endo.apply(dg.terms.get((k,), absent)).terms.items():
+                coords[(sym, word)] = c
+        for j, coords in enumerate(targets):
+            for word, c in d_phi_g.terms.get((j,), absent).terms.items():
+                coords[(sym, word)] = c
+    solved = solve_in_span(candidates, targets, calculus.algebra.params)
+    for lab_j, found in zip(labels, solved):
+        if found is None:
             raise GeometryError(
                 "endomorphism does not extend to the basis form %s" % lab_j)
-        action[lab_j] = [(rf, labels[k]) for k, rf in enumerate(solved[j][0])
-                         if not rf.is_zero()]
-    return _transpose_action(action, labels)
-
-
-def _transpose_action(action: dict, labels) -> dict:
-    """Reorganize per-target solutions into per-source image rows."""
-    rows = {lab: [] for lab in labels}
-    for lab_j, entries in action.items():
-        for rf, lab_k in entries:
-            rows[lab_k].append((rf, lab_j))
-    return rows
+    return [[found[0][k] for found in solved] for k in range(len(labels))]
 
 
 class TensorForm:
@@ -249,9 +205,12 @@ class Geometry:
         """The inverse of extension(label), over inverse_twist(label)."""
         ext = self._inverse_extensions.get(label)
         if ext is None:
-            action = self.extension(label)._inverse_action()
+            matrix = _invert_matrix(self.extension(label).matrix,
+                                    self.calculus.algebra.params)
+            if matrix is None:
+                raise GeometryError("theta action is not invertible")
             ext = FormExtension(self.calculus, self.inverse_twist(label),
-                                action)
+                                matrix)
             self._inverse_extensions[label] = ext
         return ext
 

@@ -400,15 +400,12 @@ def _geometry_checks(bundle):
         except GeometryError as exc:
             yield anchor, title, False, exc
             continue
-        declared = {src: {calc.labels[j]: rf for j, rf
-                          in enumerate(ext.matrix[calc._pos[src]])
-                          if not rf.is_zero()} for src in calc.labels}
-        derived_map = {src: {l2: rf for rf, l2 in entries}
-                       for src, entries in derived.items()}
-        ok = derived_map == declared
+        ok = derived == ext.matrix
         yield (anchor, title, ok, None if ok else
-               "derived %r" % {k: [(str(rf), l) for l, rf in sorted(v.items())]
-                               for k, v in derived_map.items()})
+               "derived %r" % {src: [(str(rf), dst) for dst, rf
+                                     in sorted(zip(calc.labels, row))
+                                     if not rf.is_zero()]
+                               for src, row in zip(calc.labels, derived)})
 
     for mname in sorted(bundle.metrics):
         metric = bundle.metrics[mname]

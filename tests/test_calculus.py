@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+from ncdiff import coeff, models
 from ncdiff.algebra import random_element
-from ncdiff.calculus import (Calculus, CalculusError, InexpressibleError,
-                             MissingThetaRuleError, render_form)
+from ncdiff.calculus import (Calculus, CalculusError, DerivedRelation,
+                             InexpressibleError, MissingThetaRuleError,
+                             render_form)
 from ncdiff.coeff import RationalFunction
+from ncdiff.dsl import load_model
 
 
 def rf(alg, value):
@@ -281,3 +284,142 @@ class TestFormType:
         assert str(calc.d(alg.gen("x"))) == "-(1 - r^-1) * x * t1"
         two = calc.wedge(calc.theta("t2"), calc.theta("t1"))
         assert render_form(two) == "-t1*t2"
+
+
+def reference_relations(calc, forms, elements, side, reference_solve):
+    """The per-target loop that commutation_relations replaced: one
+    elimination per target, over the sorted coordinates of the target and
+    every candidate."""
+    candidates = []
+    for w_name, w in forms.items():
+        for e_name, e in elements.items():
+            if side == "element_first":
+                candidates.append(((w_name, e_name), calc.wedge(w, e)))
+            else:
+                candidates.append(((e_name, w_name),
+                                   calc.wedge(calc.embed(e), w)))
+    zero = RationalFunction.from_value(calc.algebra.params, 0)
+
+    def coord(form, key):
+        elt = form.terms.get(key[0])
+        return zero if elt is None else elt.terms.get(key[1], zero)
+
+    results = []
+    for e_name, e in elements.items():
+        for w_name, w in forms.items():
+            if side == "element_first":
+                target = calc.wedge(calc.embed(e), w)
+                left = (e_name, w_name)
+            else:
+                target = calc.wedge(w, e)
+                left = (w_name, e_name)
+            coords = sorted({(index, word)
+                             for form in [target] + [c for _, c in candidates]
+                             for index, elt in form.terms.items()
+                             for word in elt.terms})
+            rows = [[coord(c, key) for _, c in candidates] for key in coords]
+            rhs = [coord(target, key) for key in coords]
+            solved = reference_solve(rows, rhs, calc.algebra.params)
+            if solved is None:
+                raise InexpressibleError(
+                    "%s * %s has no expansion in the candidate products"
+                    % left)
+            solution, free = solved
+            for col in free:
+                if any(not row[col].is_zero() for row in rows):
+                    raise CalculusError(
+                        "%s * %s has an underdetermined expansion" % left)
+            terms = [(coeff, names) for coeff, (names, _) in
+                     zip(solution, candidates) if not coeff.is_zero()]
+            results.append(DerivedRelation(side, left, terms))
+    return results
+
+
+def _stored_relations(relations):
+    return [(rel.render(), [(names, list(c.num.terms.items()),
+                             list(c.den.terms.items()))
+                            for c, names in rel.terms])
+            for rel in relations]
+
+
+def _named(bundle, forms, elements):
+    return ({n: bundle.value(n) for n in forms},
+            {n: bundle.value(n) for n in elements})
+
+
+class TestCommutationRelationsOracle:
+    """commutation_relations, solved in one elimination, against the
+    per-target solves it replaced: same relations, same stored
+    coefficients, same first failure."""
+
+    @pytest.fixture(scope="class")
+    def reference_solve(self, repo_module):
+        return repo_module("tests/test_coeff.py")._reference_solve
+
+    def _cases(self, torus, glpq, glpq_localized):
+        calc = torus.calculus
+        zero_set = ({"dx": torus.value("dx"), "z": calc.zero_form(),
+                     "dy": torus.value("dy")},
+                    {"x": torus.value("x"), "y": torus.value("y")})
+        return [
+            (calc, _named(torus, ["dx", "dy"], ["x", "y"])),
+            (calc, zero_set),
+            (glpq.calculus, _named(glpq, ["v1", "v2", "v3", "v4"],
+                                   ["a", "b", "c", "d"])),
+            (glpq_localized.calculus,
+             _named(glpq_localized, ["t1", "t2", "t3", "t4"],
+                    ["Dinv", "a", "b", "D"])),
+        ]
+
+    @pytest.mark.parametrize("side", ["element_first", "form_first"])
+    def test_matches_per_target_solves(self, torus, glpq, glpq_localized,
+                                       reference_solve, side):
+        for calc, (forms, elements) in self._cases(torus, glpq,
+                                                   glpq_localized):
+            got = calc.commutation_relations(forms, elements, side=side)
+            want = reference_relations(calc, forms, elements, side,
+                                       reference_solve)
+            assert _stored_relations(got) == _stored_relations(want)
+
+    def test_same_first_failure(self, torus, reference_solve):
+        calc, alg = torus.calculus, torus.algebra
+        x, y = alg.gen("x"), alg.gen("y")
+        dx = calc.d(x)
+        # without a rule for t2*t1, a form passed as an element makes a
+        # target that cannot be formed, after or before an inexpressible one
+        ruleless = load_model(models.model_source("quantum-torus").replace(
+            "  wedge t2*t1 = -t1*t2;\n", "")).calculus
+        t1, t2 = ruleless.theta("t1"), ruleless.theta("t2")
+        u = ruleless.algebra.gen("x") + 1
+        cases = [
+            (calc, {"t1": calc.theta("t1")}, {"u": x + 1}),
+            (calc, {"dx": dx, "dx2": dx}, {"x": x}),
+            (calc, {"dx": dx, "dx2": dx, "z": calc.zero_form()},
+             {"x": x, "y": y}),
+            (calc, {"t1": calc.theta("t1"), "dx": dx, "dx2": dx},
+             {"y": y, "u": x + 1}),
+            (ruleless, {"t1": t1}, {"u": u, "t2": t2}),
+            (ruleless, {"t1": t1}, {"t2": t2, "u": u}),
+        ]
+        for calc, forms, elements in cases:
+            for side in ("element_first", "form_first"):
+                with pytest.raises(CalculusError) as want:
+                    reference_relations(calc, forms, elements, side,
+                                        reference_solve)
+                with pytest.raises(CalculusError) as got:
+                    calc.commutation_relations(forms, elements, side=side)
+                assert (type(got.value), str(got.value)) == \
+                    (type(want.value), str(want.value))
+
+    def test_one_elimination_per_call(self, torus, monkeypatch):
+        calls = []
+        original = coeff.solve_linear_columns
+
+        def counting(rows, columns, params):
+            calls.append(len(columns))
+            return original(rows, columns, params)
+        monkeypatch.setattr(coeff, "solve_linear_columns", counting)
+        calc = torus.calculus
+        forms, elements = _named(torus, ["dx", "dy"], ["x", "y"])
+        calc.commutation_relations(forms, elements, side="element_first")
+        assert calls == [4]

@@ -420,6 +420,28 @@ class TestVerify:
         assert lines[-1] == "model quantum-torus: 16 passed, 7 failed"
 
 
+    def test_extensions_declared_after_a_connection(self, capsys, tmp_path):
+        """Statement order after the calc block does not matter: every
+        extension reaches the geometry, even one declared after the
+        connection that uses it."""
+        text = model_source("quantum-torus")
+        start = text.index("connection triv {")
+        end = text.index("}\n", start) + 2
+        block = text[start:end]
+        reordered = text[:start] + text[end:]
+        first = reordered.index("extension phi1 {")
+        reordered = reordered[:first] + block + "\n" + reordered[first:]
+        assert reordered.index("connection") < reordered.index("extension")
+        shipped = tmp_path / "shipped.ncd"
+        shipped.write_text(text)
+        moved = tmp_path / "moved.ncd"
+        moved.write_text(reordered)
+        expected = run_cli(capsys, ["verify", str(shipped)])
+        assert expected[1].endswith("model quantum-torus: 24 passed, "
+                                    "0 failed\n")
+        assert run_cli(capsys, ["verify", str(moved)]) == expected
+
+
 class TestRelations:
     def test_element_first(self, capsys):
         rc, out, _ = run_cli(capsys, ["relations", "builtin:quantum-torus"]

@@ -6,7 +6,7 @@ import pytest
 
 from ncdiff.coeff import (ParameterSet, PoleError, Polynomial,
                           RationalFunction, int_text, parse_int,
-                          solve_linear, solve_linear_columns)
+                          solve_in_span, solve_linear_columns)
 from ncdiff.geometry import _invert_matrix
 
 
@@ -159,7 +159,7 @@ class TestSolveLinear:
         zero = const(params, 0)
         rows = [[one, one], [one, -one]]
         rhs = [q, zero]
-        solved = solve_linear(rows, rhs, params)
+        solved = solve_linear_columns(rows, [rhs], params)[0]
         assert solved is not None
         solution, free = solved
         assert free == []
@@ -171,15 +171,41 @@ class TestSolveLinear:
         zero = const(params, 0)
         rows = [[one, one], [one, one]]
         rhs = [one, zero]
-        assert solve_linear(rows, rhs, params) is None
+        assert solve_linear_columns(rows, [rhs], params)[0] is None
 
     def test_underdetermined_reports_free_columns(self, params):
         one = const(params, 1)
         rows = [[one, one]]
         rhs = [one]
-        solution, free = solve_linear(rows, rhs, params)
+        solution, free = solve_linear_columns(rows, [rhs], params)[0]
         assert free == [1]
         assert solution[0].is_one() and solution[1].is_zero()
+
+
+class TestSolveInSpan:
+    def test_rows_are_the_sorted_candidate_coordinates(self, params):
+        q = rf(params, "q")
+        one = const(params, 1)
+        zero = const(params, 0)
+        candidates = [{"b": one, "a": q}, {"a": one}]
+        targets = [{"a": q + one, "b": one}, {}, {"a": one, "c": one}]
+        solved = solve_in_span(candidates, targets, params)
+        rows = [[q, one], [one, zero]]
+        columns = [[q + one, one], [zero, zero], [one, zero]]
+        assert solved[:2] == solve_linear_columns(rows, columns, params)[:2]
+        assert solved[0] == ([one, one], [])
+        assert solved[2] is None
+
+    def test_target_outside_the_span(self, params):
+        one = const(params, 1)
+        candidates = [{"a": one, "b": one}]
+        assert solve_in_span(candidates, [{"a": one}], params) == [None]
+
+    def test_zero_candidates(self, params):
+        one = const(params, 1)
+        zero = const(params, 0)
+        solved = solve_in_span([{}, {}], [{}, {"a": one}], params)
+        assert solved == [([zero, zero], [0, 1]), None]
 
 
 def _reference_solve(rows, rhs, params):
@@ -280,7 +306,6 @@ class TestSolveLinearColumns:
             for k, column in enumerate(columns):
                 alone = self._stored(_reference_solve(rows, column, params))
                 assert self._stored(together[k]) == alone
-                assert self._stored(solve_linear(rows, column, params)) == alone
                 assert (alone is None) == (k == blocked)
             with_free += any(solved and solved[1] for solved in together)
         assert with_free

@@ -6,7 +6,7 @@ import pytest
 from ncdiff import models
 from ncdiff.calculus import Calculus
 from ncdiff.coeff import RationalFunction
-from ncdiff.dsl import load_model
+from ncdiff.dsl import ModelSemanticError, load_model
 from ncdiff.geometry import (Connection, FormExtension, Geometry,
                              GeometryError, TensorForm, derive_theta_action)
 from ncdiff.morphism import Endomorphism, TwistedDerivation
@@ -55,22 +55,27 @@ class TestFormExtension:
 
     def test_inverse_roundtrip(self, geo, calc, alg):
         ext = geo.extension("t1")
-        inv = ext.inverse()
+        inv = geo.inverse_extension("t1")
         omega = (calc.embed(alg.gen("x")) * calc.theta("t1")
                  + calc.embed(alg.gen("y")) * calc.theta("t2"))
         assert inv.apply(ext.apply(omega)) == omega
         assert ext.apply(inv.apply(omega)) == omega
 
-    def test_missing_theta_image_rejected(self, calc):
-        base = calc.twists["t1"]
-        with pytest.raises(GeometryError):
-            FormExtension(calc, base, {"t1": [(rf(calc.algebra, 1), "t1")]})
+    def test_missing_theta_image_rejected(self):
+        text = models.model_source("quantum-torus").replace(
+            "extension phi2 {\n  t1 -> t1;\n", "extension phi2 {\n")
+        with pytest.raises(ModelSemanticError,
+                           match="missing theta image for 't1'") as caught:
+            load_model(text)
+        assert caught.value.line == text.splitlines().index(
+            "extension phi2 {") + 1
 
     def test_singular_action_has_no_inverse(self, calc, alg):
+        zero, one = rf(alg, 0), rf(alg, 1)
         ext = FormExtension(calc, calc.twists["t1"],
-                            {"t1": [], "t2": [(rf(alg, 1), "t2")]})
-        with pytest.raises(GeometryError):
-            ext.inverse()
+                            [[zero, zero], [zero, one]])
+        with pytest.raises(GeometryError, match="not invertible"):
+            Geometry(calc, {"t1": ext}).inverse_extension("t1")
 
     def test_apply_rejects_foreign_form(self, geo, glpq):
         with pytest.raises(GeometryError):
@@ -80,18 +85,19 @@ class TestFormExtension:
 class TestDerivedThetaAction:
     def test_torus_twists_extend_by_identity(self, calc):
         for lab in calc.labels:
-            action = derive_theta_action(calc, calc.twists[lab])
-            ext = FormExtension(calc, calc.twists[lab], action)
-            for i, row in enumerate(ext.matrix):
+            matrix = derive_theta_action(calc, calc.twists[lab])
+            for i, row in enumerate(matrix):
                 for j, value in enumerate(row):
                     assert value == rf(calc.algebra, 1 if i == j else 0)
 
-    def test_matches_declared_action(self, glpq):
-        calc = glpq.calculus
-        declared = glpq.geometry.extension("t1")
-        action = derive_theta_action(calc, calc.twists["t1"])
-        rebuilt = FormExtension(calc, calc.twists["t1"], action)
-        assert rebuilt.matrix == declared.matrix
+    def test_matches_declared_action(self, table_models):
+        for name in ["quantum-torus", "gl-pq2", "gl-pq2-localized", "rank-4"]:
+            bundle = table_models[name]
+            calc = bundle.calculus
+            for lab in calc.labels:
+                derived = derive_theta_action(calc, calc.twists[lab])
+                assert derived == bundle.geometry.extension(lab).matrix, \
+                    (name, lab)
 
     def test_declared_action_is_a_scaling(self, glpq):
         params = glpq.algebra.params
