@@ -41,6 +41,11 @@ exactly 1) depends only on its value.  Without confluence the grouping can
 change the answer, so such powers, like all multi-term ones, multiply the
 base in one factor at a time.  Squaring stops, and the power is taken again
 one factor at a time, as soon as a product is not a single unit term.
+
+Elements here, forms in ``calculus`` and tensors in ``geometry`` are all
+finite linear combinations over a basis: words, theta monomials, and pairs
+of basis forms.  ``LinearSum`` holds their vector-space arithmetic once;
+each class adds its own product, scaling and printing.
 """
 
 from __future__ import annotations
@@ -187,7 +192,81 @@ def single_word(sym: int, count: int = 1):
     return ((sym, count),)
 
 
-class Element:
+def _accumulate(terms: dict, word, coeff) -> None:
+    prev = terms.get(word)
+    if prev is None:
+        if not coeff.is_zero():
+            terms[word] = coeff
+    else:
+        s = prev + coeff
+        if s.is_zero():
+            del terms[word]
+        else:
+            terms[word] = s
+
+
+class LinearSum:
+    """A finite linear combination: ``terms`` maps each basis key to its
+    nonzero coefficient.
+
+    Elements, forms and tensors take ``+``, ``-``, negation, ``==`` and the
+    zero test from here.  ``a + b`` and ``a - b`` hold the keys of ``a``,
+    then the new keys of ``b``, and drop a key whose coefficient cancels;
+    printed output and the exact comparisons rely on this stored layout,
+    so it must not change.  A subclass supplies two hooks:
+
+    * ``_coerce(other)``: the other operand as a sum of the same kind, or
+      None when it is not one (the operator then returns NotImplemented);
+      it may raise for an operand that must not be mixed in;
+    * ``_with(terms)``: a sum of the same kind, over the same algebra or
+      calculus, holding the given terms.
+    """
+
+    __slots__ = ("terms",)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _accumulate(out, key, c)
+        return self._with(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._with({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _accumulate(out, key, -c)
+        return self._with(out)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return (self - other).is_zero()
+
+    def __repr__(self):
+        return self.__str__()
+
+
+class Element(LinearSum):
     """A finite sum of words with rational-function coefficients.
 
     Every word of an element is in normal form and every coefficient is
@@ -196,14 +275,14 @@ class Element:
     elements from free sums of words with ``Algebra.element``.
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra: "Algebra", terms: dict):
         self.algebra = algebra
         self.terms = terms
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _with(self, terms: dict) -> "Element":
+        return Element(self.algebra, terms)
 
     def is_one(self) -> bool:
         return (len(self.terms) == 1 and () in self.terms
@@ -217,35 +296,6 @@ class Element:
         if isinstance(other, (int, Fraction, RationalFunction)):
             return self.algebra.scalar(other)
         return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _accumulate(out, w, c)
-        return Element(self.algebra, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Element(self.algebra, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _accumulate(out, w, -c)
-        return Element(self.algebra, out)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RationalFunction)):
@@ -323,29 +373,8 @@ class Element:
             if not square._is_unit_monomial():
                 return None
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).is_zero()
-
     def __str__(self):
         return render_element(self)
-
-    __repr__ = __str__
-
-
-def _accumulate(terms: dict, word, coeff) -> None:
-    prev = terms.get(word)
-    if prev is None:
-        if not coeff.is_zero():
-            terms[word] = coeff
-    else:
-        s = prev + coeff
-        if s.is_zero():
-            del terms[word]
-        else:
-            terms[word] = s
 
 
 def _first_witness(probes):

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (Algebra, AlgebraError, Element, _accumulate,
-                      _coeff_term, _first_witness, _join_term, _signed_text,
-                      random_element, render_element)
+from .algebra import (Algebra, AlgebraError, Element, LinearSum,
+                      _accumulate, _coeff_term, _first_witness, _join_term,
+                      _signed_text, random_element, render_element)
 from .coeff import RationalFunction, solve_in_span
 from .morphism import Endomorphism, TwistedDerivation
 
@@ -327,20 +327,17 @@ def _coordinates(form: "Form") -> dict:
             for word, c in elt.terms.items()}
 
 
-class Form:
+class Form(LinearSum):
     """A graded form: ascending index tuples with element coefficients."""
 
-    __slots__ = ("calculus", "terms")
+    __slots__ = ("calculus",)
 
     def __init__(self, calculus: Calculus, terms: dict):
         self.calculus = calculus
         self.terms = terms
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def grades(self):
-        return sorted({len(k) for k in self.terms})
+    def _with(self, terms: dict) -> "Form":
+        return Form(self.calculus, terms)
 
     def by_grade(self) -> dict:
         out = {}
@@ -357,32 +354,6 @@ class Form:
             return self.calculus.embed(other)
         except CalculusError:
             return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _accumulate(out, key, coeff)
-        return Form(self.calculus, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Form(self.calculus, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RationalFunction)):
@@ -408,16 +379,8 @@ class Form:
                 out[key] = scaled
         return Form(self.calculus, out)
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).is_zero()
-
     def __str__(self):
         return render_form(self)
-
-    __repr__ = __str__
 
 
 class DerivedRelation:
@@ -450,16 +413,15 @@ def render_form(form: Form) -> str:
     for i, key in enumerate(sorted(form.terms, key=lambda k: (len(k), k))):
         coeff = form.terms[key]
         theta_s = "*".join(labels[n] for n in key)
-        if key and len(coeff.terms) > 1:
+        if not key:
+            # The grade-0 part sorts first, so it leads and prints as the
+            # element does, every term keeping its own sign.
+            sign, body = "+", render_element(coeff)
+        elif len(coeff.terms) > 1:
             sign = "+"
             body = "(%s) * %s" % (render_element(coeff), theta_s)
         else:
             sign, elt_s = _signed_text(coeff, render_element)
-            if not key:
-                body = elt_s
-            elif elt_s == "1":
-                body = theta_s
-            else:
-                body = "%s * %s" % (elt_s, theta_s)
+            body = theta_s if elt_s == "1" else "%s * %s" % (elt_s, theta_s)
         parts.append(_join_term(sign, body, i == 0))
     return "".join(parts)

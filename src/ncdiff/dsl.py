@@ -776,8 +776,7 @@ class CheckCase:
         return self.lhs - self.rhs
 
     def passed(self) -> bool:
-        diff = self.difference()
-        return diff.is_zero() if hasattr(diff, "is_zero") else diff == 0
+        return self.difference().is_zero()
 
 
 class ModelBundle:

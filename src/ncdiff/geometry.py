@@ -25,7 +25,7 @@ an action is inverted in one elimination against the identity columns.
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, Element, _accumulate, _first_witness
+from .algebra import AlgebraError, Element, LinearSum, _first_witness
 from .calculus import Calculus, CalculusError, Form
 from .coeff import RationalFunction, solve_in_span, solve_linear_columns
 from .morphism import Endomorphism
@@ -122,37 +122,26 @@ def derive_theta_action(calculus: Calculus, endo: Endomorphism) -> list:
     return [[found[0][k] for found in solved] for k in range(len(labels))]
 
 
-class TensorForm:
+class TensorForm(LinearSum):
     """A sum of element multiples of theta^s (x)_L theta^s'."""
 
-    __slots__ = ("calculus", "terms")
+    __slots__ = ("calculus",)
 
     def __init__(self, calculus: Calculus, terms: dict):
         self.calculus = calculus
         self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _with(self, terms: dict) -> "TensorForm":
+        return TensorForm(self.calculus, terms)
+
+    def _coerce(self, other):
+        if isinstance(other, TensorForm) and other.calculus is self.calculus:
+            return other
+        return None
 
     def entry(self, lab1: str, lab2: str) -> Element:
         key = (self.calculus._pos[lab1], self.calculus._pos[lab2])
         return self.terms.get(key, self.calculus.algebra.zero())
-
-    def __add__(self, other: "TensorForm") -> "TensorForm":
-        if not isinstance(other, TensorForm) or other.calculus is not self.calculus:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _accumulate(out, key, coeff)
-        return TensorForm(self.calculus, out)
-
-    def __neg__(self) -> "TensorForm":
-        return TensorForm(self.calculus, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "TensorForm") -> "TensorForm":
-        if not isinstance(other, TensorForm) or other.calculus is not self.calculus:
-            return NotImplemented
-        return self + (-other)
 
     def __rmul__(self, other) -> "TensorForm":
         """Left multiplication by an element (both slots are left-linear)."""
@@ -161,11 +150,6 @@ class TensorForm:
                               {k: other * v for k, v in self.terms.items()})
         return TensorForm(self.calculus,
                           {k: v.scale(other) for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorForm) or other.calculus is not self.calculus:
-            return NotImplemented
-        return (self - other).is_zero()
 
     def __str__(self):
         if not self.terms:
@@ -177,8 +161,6 @@ class TensorForm:
             body = "%s (x) %s" % (labels[key[0]], labels[key[1]])
             parts.append("(%s) * %s" % (coeff, body))
         return " + ".join(parts)
-
-    __repr__ = __str__
 
 
 class Geometry:
@@ -246,17 +228,6 @@ class Geometry:
                 if not rf.is_zero():
                     piece[(s, j)] = coeff.scale(rf)
             out = out + TensorForm(calc, piece)
-        return out
-
-    def to_tensor_A(self, tensor: TensorForm) -> dict:
-        """Coordinates of a tensor over the theta^s (x)_A theta^k basis."""
-        calc = self.calculus
-        out = {}
-        for (s, j), coeff in tensor.terms.items():
-            row = self.inverse_extension(calc.labels[s]).matrix[j]
-            for k, rf in enumerate(row):
-                if not rf.is_zero():
-                    _accumulate(out, (s, k), coeff.scale(rf))
         return out
 
     def tensor_A(self, left: Form, right: Form) -> TensorForm:

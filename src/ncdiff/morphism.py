@@ -68,7 +68,9 @@ class Endomorphism:
     def _chi(self, word):
         """The scale of a word under a diagonal map: the left fold
         ((1*c)*c)... of its letters' scales, the coefficient of the product
-        of the letters' images."""
+        of the letters' images.  A run of a letter whose scale is a Laurent
+        unit multiplies by one power, which stores exactly what the fold
+        stores, since multiplying by a unit never renormalizes."""
         cached = self._word_cache.get(word)
         if cached is not None:
             return cached
@@ -76,6 +78,9 @@ class Endomorphism:
         out = self.algebra._one
         for sym, count in word:
             scale = scales[sym]
+            if count > 1 and scale._is_unit():
+                out = out * scale ** count
+                continue
             for _ in range(count):
                 out = out * scale
         self._word_cache[word] = out

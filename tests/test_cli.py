@@ -119,6 +119,20 @@ class TestNf:
         assert rc == 0
         assert out == "0\n"
 
+    @pytest.mark.parametrize("expr, value", [
+        ("t1 - 2 - x", "-2 - x + t1"),
+        ("d(y) - 2 - x^-1",
+         "-2 - x^-1 - (1 - r^-1) * y * t1 - (1 - r^-1) * y * t2"),
+        ("t1 - x", "-x + t1"),
+    ])
+    def test_grade_zero_part_keeps_every_sign(self, capsys, expr, value):
+        # A grade-0 part of several terms that starts with a minus prints
+        # each term with its own sign, as the element itself prints.
+        rc, out, _ = run_cli(capsys, ["nf", "builtin:quantum-torus",
+                                      "-e", expr])
+        assert rc == 0
+        assert out == value + "\n"
+
     def test_latex(self, capsys):
         rc, out, _ = run_cli(capsys, ["nf", "builtin:quantum-torus",
                                       "-e", "d(x*y)", "--format", "latex"])

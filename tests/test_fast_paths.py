@@ -103,6 +103,15 @@ class TestTwists:
             for x in xs:
                 assert stored(twist.apply(x)) == stored(letter_image(twist, x))
 
+    def test_long_runs_match_letter_products(self, bundle):
+        # A run whose letter scales by a unit takes one power of the scale.
+        alg = bundle.algebra
+        runs = [alg.symbol_element(sym) ** 37
+                for sym in range(len(alg.table.symbols))]
+        for twist in bundle.calculus.twists.values():
+            for x in runs:
+                assert stored(twist.apply(x)) == stored(letter_image(twist, x))
+
     def test_non_diagonal_apply_matches_letter_products(self, torus):
         alg = torus.algebra
         rng = random.Random(99)

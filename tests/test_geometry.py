@@ -240,9 +240,18 @@ class TestTensors:
     def test_tensor_A_roundtrip(self, glpq):
         geo = glpq.geometry
         alg = glpq.algebra
+        labels = glpq.calculus.labels
         entries = {(0, 1): alg.gen("a"), (2, 3): alg.gen("b") * alg.gen("c")}
         tensor = geo.from_tensor_A(entries)
-        recovered = geo.to_tensor_A(tensor)
+        # Back over theta^s (x)_A theta^k: the inverse action of phi_s
+        # carries row j of the left basis to the A basis.
+        recovered = {}
+        for (s, j), coeff in tensor.terms.items():
+            row = geo.inverse_extension(labels[s]).matrix[j]
+            for k, value in enumerate(row):
+                recovered[(s, k)] = (recovered.get((s, k), alg.zero())
+                                     + coeff.scale(value))
+        recovered = {key: v for key, v in recovered.items() if not v.is_zero()}
         assert set(recovered) == set(entries)
         for key, value in entries.items():
             assert recovered[key] == value
