@@ -52,7 +52,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import ParameterSet, RationalFunction, int_text
+from . import render
+from .coeff import ParameterSet, RationalFunction
 
 
 class AlgebraError(Exception):
@@ -209,17 +210,19 @@ class LinearSum:
     """A finite linear combination: ``terms`` maps each basis key to its
     nonzero coefficient.
 
-    Elements, forms and tensors take ``+``, ``-``, negation, ``==`` and the
-    zero test from here.  ``a + b`` and ``a - b`` hold the keys of ``a``,
-    then the new keys of ``b``, and drop a key whose coefficient cancels;
-    printed output and the exact comparisons rely on this stored layout,
-    so it must not change.  A subclass supplies two hooks:
+    Elements, forms and tensors take ``+``, ``-``, negation, ``==``, the
+    zero test and ``str()`` from here.  ``a + b`` and ``a - b`` hold the
+    keys of ``a``, then the new keys of ``b``, and drop a key whose
+    coefficient cancels; printed output and the exact comparisons rely on
+    this stored layout, so it must not change.  A subclass supplies three
+    hooks:
 
     * ``_coerce(other)``: the other operand as a sum of the same kind, or
       None when it is not one (the operator then returns NotImplemented);
       it may raise for an operand that must not be mixed in;
     * ``_with(terms)``: a sum of the same kind, over the same algebra or
-      calculus, holding the given terms.
+      calculus, holding the given terms;
+    * ``_spelled(spell)``: its text in one spelling of ``render``.
     """
 
     __slots__ = ("terms",)
@@ -261,6 +264,9 @@ class LinearSum:
         if other is None:
             return NotImplemented
         return (self - other).is_zero()
+
+    def __str__(self):
+        return render.render_plain(self)
 
     def __repr__(self):
         return self.__str__()
@@ -373,8 +379,8 @@ class Element(LinearSum):
             if not square._is_unit_monomial():
                 return None
 
-    def __str__(self):
-        return render_element(self)
+    def _spelled(self, spell) -> str:
+        return spell.element(self)
 
 
 def _first_witness(probes):
@@ -472,7 +478,7 @@ class Algebra:
         if word_degree(lead) != 2:
             raise UnsupportedRelationError(
                 "leading word %s is not two letters long"
-                % render_word(self.table, lead))
+                % render.render_word(self.table, lead))
         letters = word_letters(lead)
         coeff = diff.pop(lead)
         inv = coeff.inverse()
@@ -482,7 +488,7 @@ class Algebra:
             if deg_lex_key(w) >= lead_key:
                 raise UnsupportedRelationError(
                     "rule right-hand side is not smaller than %s"
-                    % render_word(self.table, lead))
+                    % render.render_word(self.table, lead))
         pair = (letters[0], letters[1])
         self.relations.append((dict(lhs_terms), dict(rhs_terms)))
         self._add_rule(pair, rhs)
@@ -703,61 +709,3 @@ def random_element(algebra: Algebra, rng, max_terms: int = 3,
         word = word_from_runs((s, 1) for s in letters)
         _accumulate(terms, word, rng.choice(pool))
     return algebra.element(terms)
-
-
-# -- rendering ---------------------------------------------------------------
-
-def render_word(table: GeneratorTable, word) -> str:
-    if not word:
-        return "1"
-    parts = []
-    for sym, count in word:
-        name = table.symbols[sym]
-        if table.is_inverse_symbol(sym):
-            base = table.symbols[table.base_index[sym]]
-            parts.append("%s^-%s" % (base, int_text(count)))
-        elif count == 1:
-            parts.append(name)
-        else:
-            parts.append("%s^%s" % (name, int_text(count)))
-    return "*".join(parts)
-
-
-def _signed_text(value, render):
-    """The sign and text of a term: ("-", render(-value)) when negating
-    removes the leading minus of render(value), else ("+", render(value))."""
-    s = render(value)
-    if s.startswith("-"):
-        negated = render(-value)
-        if not negated.startswith("-"):
-            return "-", negated
-    return "+", s
-
-
-def _join_term(sign: str, body: str, lead: bool) -> str:
-    if lead:
-        return body if sign == "+" else "-" + body
-    return (" + " if sign == "+" else " - ") + body
-
-
-def _coeff_term(coeff: RationalFunction, word_s: str, lead: bool) -> str:
-    sign, s = _signed_text(coeff, str)
-    if " " in s or "/" in s:
-        s = "(%s)" % s
-    if word_s == "1":
-        body = s
-    elif s == "1":
-        body = word_s
-    else:
-        body = "%s * %s" % (s, word_s)
-    return _join_term(sign, body, lead)
-
-
-def render_element(element: Element) -> str:
-    if not element.terms:
-        return "0"
-    table = element.algebra.table
-    words = sorted(element.terms, key=deg_lex_key)
-    return "".join(
-        _coeff_term(element.terms[w], render_word(table, w), i == 0)
-        for i, w in enumerate(words))

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import render
 from .algebra import (Algebra, AlgebraError, Element, LinearSum,
-                      _accumulate, _coeff_term, _first_witness, _join_term,
-                      _signed_text, random_element, render_element)
+                      _accumulate, _first_witness, random_element)
 from .coeff import RationalFunction, solve_in_span
 from .morphism import Endomorphism, TwistedDerivation
 
@@ -379,8 +379,8 @@ class Form(LinearSum):
                 out[key] = scaled
         return Form(self.calculus, out)
 
-    def __str__(self):
-        return render_form(self)
+    def _spelled(self, spell) -> str:
+        return spell.form(self)
 
 
 class DerivedRelation:
@@ -393,35 +393,11 @@ class DerivedRelation:
         self.left = left
         self.terms = terms
 
+    def _spelled(self, spell) -> str:
+        return spell.relation(self)
+
     def render(self) -> str:
-        lhs = "%s * %s" % self.left
-        if not self.terms:
-            return "%s = 0" % lhs
-        return "%s = %s" % (lhs, "".join(
-            _coeff_term(coeff, "%s * %s" % names, i == 0)
-            for i, (coeff, names) in enumerate(self.terms)))
+        return render.render_plain(self)
 
     def __repr__(self):
         return self.render()
-
-
-def render_form(form: Form) -> str:
-    if not form.terms:
-        return "0"
-    labels = form.calculus.labels
-    parts = []
-    for i, key in enumerate(sorted(form.terms, key=lambda k: (len(k), k))):
-        coeff = form.terms[key]
-        theta_s = "*".join(labels[n] for n in key)
-        if not key:
-            # The grade-0 part sorts first, so it leads and prints as the
-            # element does, every term keeping its own sign.
-            sign, body = "+", render_element(coeff)
-        elif len(coeff.terms) > 1:
-            sign = "+"
-            body = "(%s) * %s" % (render_element(coeff), theta_s)
-        else:
-            sign, elt_s = _signed_text(coeff, render_element)
-            body = theta_s if elt_s == "1" else "%s * %s" % (elt_s, theta_s)
-        parts.append(_join_term(sign, body, i == 0))
-    return "".join(parts)

@@ -17,11 +17,10 @@ import json
 import os
 import sys
 
-from .algebra import render_word
 from .calculus import CalculusError, Form
 from .dsl import ModelError, load_model
 from .models import MODEL_FILES, build_builtin, build_glpq, run_suite
-from .render import (latex_relation, latex_value, relation_to_dict,
+from .render import (latex_value, relation_to_dict, render_word,
                      report_to_dict)
 
 _BUILTINS = {name: functools.partial(build_builtin, name, verify=False)
@@ -187,7 +186,7 @@ def _cmd_relations(args) -> int:
                          indent=2))
     elif args.format == "latex":
         for rel in relations:
-            print(latex_relation(rel))
+            print(latex_value(rel))
     else:
         for rel in relations:
             print(rel.render())

@@ -137,13 +137,6 @@ def parse_int(digits: str) -> int:
             + parse_int(digits[half:]))
 
 
-def number_text(value) -> str:
-    """str() of an int or a Fraction of any size."""
-    if value.__class__ is int or value.denominator == 1:
-        return int_text(value.numerator)
-    return "%s/%s" % (int_text(value.numerator), int_text(value.denominator))
-
-
 def _grlex_key(mono):
     return (sum(mono), mono)
 
@@ -298,7 +291,15 @@ class Polynomial:
         return max(self.terms, key=_grlex_key)
 
     def try_exact_divide(self, divisor: "Polynomial"):
-        """The quotient when the divisor divides exactly, else None."""
+        """The quotient when the divisor divides exactly, else None.
+
+        Long division takes one step per degree of the dividend, so after
+        as many steps as the two have terms, a failure is first sought at
+        the points whose coordinates are all 1, or all 1 but one -1: every
+        Laurent monomial is +-1 there, so a divisor that vanishes at one of
+        them where the dividend does not cannot divide it.  A divisor with
+        no such root, like ``q^2 + 1``, still fails one step per degree.
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
@@ -312,7 +313,11 @@ class Polynomial:
         g_lead = max(g, key=_grlex_key)
         g_lc = g[g_lead]
         quotient = {}
+        budget = len(self.terms) + len(divisor.terms)
         while work:
+            if not budget and _sign_points_refute(self.terms, divisor.terms):
+                return None
+            budget -= 1
             lead = max(work, key=_grlex_key)
             step = tuple(map(sub, lead, g_lead))
             if any(e < 0 for e in step):
@@ -346,32 +351,24 @@ class Polynomial:
             total += v
         return total
 
-    def _term_str(self, mono, coeff, lead: bool) -> str:
-        parts = []
-        for name, e in zip(self.params.names, mono):
-            if e == 1:
-                parts.append(name)
-            elif e:
-                parts.append("%s^%s" % (name, int_text(e)))
-        mag = -coeff if coeff < 0 else coeff
-        if not parts:
-            body = number_text(mag)
-        elif mag == 1:
-            body = "*".join(parts)
-        else:
-            body = "*".join([number_text(mag)] + parts)
-        if lead:
-            return "-" + body if coeff < 0 else body
-        return (" - " if coeff < 0 else " + ") + body
+    def _spelled(self, spell) -> str:
+        return spell.polynomial(self)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        monos = sorted(self.terms, key=_grlex_key, reverse=True)
-        return "".join(self._term_str(m, self.terms[m], i == 0)
-                       for i, m in enumerate(monos))
+        from .render import render_plain  # render imports this module
+        return render_plain(self)
 
     __repr__ = __str__
+
+
+def _sign_points_refute(dividend: dict, divisor: dict) -> bool:
+    """True when the divisor vanishes and the dividend does not at the point
+    with every coordinate 1 or at one with a single coordinate -1."""
+    def value(terms, i):
+        # Coordinate i is -1 (none for i < 0), so only its parity counts.
+        return sum(-c if i >= 0 and m[i] & 1 else c for m, c in terms.items())
+    return any(value(divisor, i) == 0 and value(dividend, i) != 0
+               for i in range(-1, len(next(iter(divisor)))))
 
 
 def _poly_one(params: ParameterSet) -> Polynomial:
@@ -583,16 +580,12 @@ class RationalFunction:
             raise PoleError("evaluation at a pole")
         return self.num.evaluate(point) / den
 
+    def _spelled(self, spell) -> str:
+        return spell.rational(self)
+
     def __str__(self) -> str:
-        if self.den == _poly_one(self.params):
-            return str(self.num)
-        num_s = str(self.num)
-        if len(self.num.terms) > 1:
-            num_s = "(%s)" % num_s
-        den_s = str(self.den)
-        if not _is_bare_power(self.den):
-            den_s = "(%s)" % den_s
-        return "%s/%s" % (num_s, den_s)
+        from .render import render_plain  # render imports this module
+        return render_plain(self)
 
     __repr__ = __str__
 
@@ -627,14 +620,6 @@ def _content_free_monic(num: Polynomial, den: Polynomial):
         num = num.scale(inv)
         den = den.scale(inv)
     return num, den
-
-
-def _is_bare_power(poly: Polynomial) -> bool:
-    """True when the polynomial prints as a single variable power like q^2."""
-    if len(poly.terms) != 1:
-        return False
-    (mono, c), = poly.terms.items()
-    return c == 1 and sum(1 for e in mono if e) == 1 and min(mono) >= 0
 
 
 def solve_linear_columns(rows, columns, params: ParameterSet):

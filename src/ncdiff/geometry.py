@@ -151,16 +151,8 @@ class TensorForm(LinearSum):
         return TensorForm(self.calculus,
                           {k: v.scale(other) for k, v in self.terms.items()})
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        labels = self.calculus.labels
-        parts = []
-        for key in sorted(self.terms):
-            coeff = self.terms[key]
-            body = "%s (x) %s" % (labels[key[0]], labels[key[1]])
-            parts.append("(%s) * %s" % (coeff, body))
-        return " + ".join(parts)
+    def _spelled(self, spell) -> str:
+        return spell.tensor(self)
 
 
 class Geometry:

@@ -7,10 +7,11 @@ from ncdiff.algebra import (Algebra, AlgebraError, Element, GeneratorTable,
                             UnsupportedRelationError, _accumulate,
                             _accumulate_scaled, _join_words,
                             concat_words, deg_lex_key, random_element,
-                            render_element, render_word, single_word,
-                            word_degree, word_from_runs, word_letters)
+                            single_word, word_degree, word_from_runs,
+                            word_letters)
 from ncdiff.coeff import ParameterSet, RationalFunction
 from ncdiff.dsl import load_model
+from ncdiff.render import render_word
 
 
 @pytest.fixture()
@@ -384,11 +385,11 @@ class TestRendering:
         alg = torus_algebra(params)
         x, y = alg.gen("x"), alg.gen("y")
         q = rf(params, "q")
-        assert render_element(alg.zero()) == "0"
-        assert render_element(alg.one() - q * x * y) == "1 - q * x*y"
-        assert render_element(y * x) == "q^-1 * x*y"
+        assert str(alg.zero()) == "0"
+        assert str(alg.one() - q * x * y) == "1 - q * x*y"
+        assert str(y * x) == "q^-1 * x*y"
         value = (rf(params, "r") - 1) * x + x * y
-        assert render_element(value) == "(r - 1) * x + x*y"
+        assert str(value) == "(r - 1) * x + x*y"
 
     def test_str_uses_renderer(self, params):
         alg = torus_algebra(params)
@@ -678,7 +679,7 @@ class TestMonomialPowers:
         alg = load_model(_NON_CONFLUENT).algebra
         assert not alg.is_confluent()
         x = alg.gen("x")
-        assert render_element(x ** 3) == "q * x*y"
+        assert str(x ** 3) == "q * x*y"
         assert _dump((x ** 3).terms) == _dump((x * x * x).terms)
 
     def test_confluence_cache_resets_on_new_rule(self):
@@ -689,10 +690,10 @@ class TestMonomialPowers:
             {concat_words(single_word(yi), single_word(xi)): rf(params, 1)},
             {concat_words(single_word(xi), single_word(yi)): rf(params, "q")})
         x = alg.gen("x")
-        assert render_element(x ** 3) == "x^3"
+        assert str(x ** 3) == "x^3"
         assert alg.is_confluent()
         alg.add_relation({((xi, 2),): rf(params, 1)},
                          {single_word(yi): rf(params, 1)})
         assert not alg.is_confluent()
-        assert render_element(x ** 3) == "q * x*y"
+        assert str(x ** 3) == "q * x*y"
         assert _dump((x ** 3).terms) == _dump((x * x * x).terms)

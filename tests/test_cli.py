@@ -140,6 +140,19 @@ class TestNf:
         assert out == ("\\left(-1 + r^{-2}\\right) x y \\, \\theta^{1}"
                        " + \\left(-1 + r^{-1}\\right) x y \\, \\theta^{2}\n")
 
+    @pytest.mark.parametrize("expr,value", [
+        ("t1 - t2", "\\theta^{1} - \\theta^{2}"),
+        ("-t1", "-\\theta^{1}"),
+        ("2 - t2", "2 - \\theta^{2}"),
+    ])
+    def test_latex_minus_one_form_coefficient(self, capsys, expr, value):
+        # A form coefficient of exactly -1 is a bare minus sign, as it is in
+        # plain text and in the LaTeX of an element.
+        rc, out, _ = run_cli(capsys, ["nf", "builtin:quantum-torus",
+                                      "--expr=" + expr, "--format", "latex"])
+        assert rc == 0
+        assert out == value + "\n"
+
     def test_json(self, capsys):
         rc, out, _ = run_cli(capsys, ["nf", "builtin:quantum-torus",
                                       "-e", "y*x", "--format", "json"])

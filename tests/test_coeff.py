@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncdiff import coeff
 from ncdiff.coeff import (ParameterSet, PoleError, Polynomial,
                           RationalFunction, int_text, parse_int,
                           solve_in_span, solve_linear_columns)
@@ -146,6 +147,29 @@ class TestPolynomial:
         one = Polynomial.constant(params, Fraction(1))
         product = (q + one) * (q - one)
         assert product.try_exact_divide(q + one) == q - one
+
+    def test_failing_division_stops_at_a_sign_point(self, params,
+                                                    monkeypatch):
+        # q - 1 vanishes at q = 1 and q^N + 1 does not, so the division is
+        # refuted after a few steps, not one step per degree.
+        steps = []
+        key = coeff._grlex_key
+        monkeypatch.setattr(coeff, "_grlex_key",
+                            lambda mono: steps.append(mono) or key(mono))
+        q = Polynomial.variable(params, "q")
+        one = Polynomial.constant(params, 1)
+        big = Polynomial.variable(params, "q", 10 ** 5) + one
+        assert big.try_exact_divide(q - one) is None
+        for num, den in ((big, q - one), (q - one, big)):
+            value = RationalFunction(num, den)
+            assert value.num.terms == num.terms
+            assert value.den.terms == den.terms
+        assert len(steps) < 100
+        # A division that succeeds still takes every step.
+        power = Polynomial.variable(params, "q", 50)
+        quotient = (power - one).try_exact_divide(q - one)
+        assert len(quotient.terms) == 50
+        assert quotient * (q - one) == power - one
 
     def test_is_one(self, params):
         assert Polynomial.constant(params, Fraction(1)).is_one()

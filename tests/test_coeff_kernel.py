@@ -16,7 +16,7 @@ import pytest
 
 from ncdiff import coeff
 from ncdiff.coeff import ParameterSet, Polynomial, RationalFunction
-from ncdiff.render import latex_coefficient
+from ncdiff.render import latex_value
 
 
 class FractionPolynomial(Polynomial):
@@ -332,7 +332,7 @@ class TestMatchesFractionArithmetic:
             assert (list(got.den.terms.items())
                     == list(expected.den.terms.items()))
             assert str(got) == str(expected)
-            assert latex_coefficient(got) == latex_coefficient(expected)
+            assert latex_value(got) == latex_value(expected)
             assert all(type(c) is Fraction for c in _stored(expected))
         stored = [c for got, _ in results for c in _stored(got)]
         # The mix reaches the cases the kernel treats apart.

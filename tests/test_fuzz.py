@@ -23,8 +23,10 @@ Every run is checked by three oracles:
   differs from the value of the expression by zero.
 
 Huge exponents sit on one generator, one parameter or, on the torus, one
-word, and outside any division: ``(q^N - 1)/(q - 1)`` is exact with N
-terms, so no engine prints it for N = 10^4400, and the cases must end.
+word, and outside any division but ``(p^N + 1)/(p - 1)`` and its inverse,
+whose division fails at ``p = 1``.  ``(q^N - 1)/(q - 1)`` is exact with N
+terms, so no engine prints it for N = 10^4400, and ``(q^N + 1)/(q^2 + 1)``
+fails only after N steps; the cases must end.
 
 The cases of one seed are fixed.  ``tools/fuzz_sweep.py --seed S --cases N``
 runs more of them with the same generator and oracles.
@@ -144,10 +146,13 @@ def stress_expression(rng, vocab):
     if kind == 1:
         n = rng.choice(HUGE_EXPONENTS)
         g, h = rng.choice(gens), rng.choice(gens)
+        p = rng.choice(params)
         forms = ["%s^%s" % (rng.choice(params), HUGE_INT),
                  "%s^-%s * %s" % (rng.choice(params), n, g),
                  "%s^%s" % (g, n), "%s^-%s" % (g, n),
-                 "%s^%s + %s" % (g, n, h)]
+                 "%s^%s + %s" % (g, n, h),
+                 "(%s^%s + 1)/(%s - 1)" % (p, n, p),
+                 "(%s - 1)/(%s^%s + 1)" % (p, p, n)]
         if units:
             forms += ["d(%s^%s)" % (g, n), "(%s*%s)^%s" % (h, g, n)]
         return rng.choice(forms)
