@@ -13,7 +13,8 @@ diamond lemma.  The reduction is a loop over an explicit stack of frames,
 one per word being reduced, so its depth is bounded by memory rather than by
 the interpreter's recursion limit; rules decrease words in the deg-lex
 order, so it terminates.  Every word whose normal form is computed is
-memoized.
+memoized.  (A q-commuting algebra takes its normal forms in closed form
+instead; see the end of this docstring.)
 
 A step may move a whole run at once, where one-letter leftmost reduction
 would take the same steps in a row with nothing else in between:
@@ -42,6 +43,36 @@ change the answer, so such powers, like all multi-term ones, multiply the
 base in one factor at a time.  Squaring stops, and the power is taken again
 one factor at a time, as soon as a product is not a single unit term.
 
+Closed form.  An algebra is q-commuting when its rules are exactly: a unit
+swap ``h*b -> c_hb*b*h`` for every pair of base generators ``h > b``; the
+swaps of their inverse symbols, by ``c_hb`` when both or neither symbol is an
+inverse and by ``1/c_hb`` otherwise; and the cancels ``g*g^-1 -> 1`` and
+``g^-1*g -> 1`` of each invertible generator.  Once ``check_confluence`` has
+found such an algebra confluent, it keeps the table of the ``c_hb``, and
+until the rules change:
+
+* the normal form of a word is its exponent vector ``e`` (one integer per
+  base generator, inverse symbols counting negative) spelled as one sorted
+  word, times ``prod c_hb^k_hb``, where ``k_hb`` sums the product of the
+  signed counts over each pair of runs in which a run of ``h`` or ``h^-1``
+  stands before a run of ``b`` or ``b^-1``.  The rules bring any word there
+  by swapping its letters into sorted order, each swap of a letter of ``h``
+  past one of ``b`` giving a factor ``c_hb`` or ``1/c_hb``, and then
+  cancelling by 1; by the diamond lemma every reduction ends in that one
+  normal form.  It is taken in one pass over the runs, with no rewriting
+  and no memoized words;
+* the power ``(c*w)^n`` of a normal-form word with exponent vector ``e`` and
+  a Laurent-unit ``c`` is the word with exponents ``n*e`` times
+  ``c^n * prod c_hb^(C(n, 2)*e_h*e_b)``: the ``n`` copies of ``w`` are
+  already sorted, and each of the ``C(n, 2)`` pairs of copies crosses every
+  ``h`` of the first with every ``b`` of the second.
+
+The stored coefficient is the one rewriting stores: both are Laurent units
+of the same value, and a unit is stored as its single term over 1, its
+rational factor an int when integral.  Every other algebra, and one whose
+verdict has not been computed, is rewritten step by step;
+``normal_form_by_rewriting`` stays callable on all of them as the reference.
+
 Elements here, forms in ``calculus`` and tensors in ``geometry`` are all
 finite linear combinations over a basis: words, theta monomials, and pairs
 of basis forms.  ``LinearSum`` holds their vector-space arithmetic once;
@@ -53,7 +84,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import render
-from .coeff import ParameterSet, RationalFunction
+from .coeff import ParameterSet, Polynomial, RationalFunction, _exact
 
 
 class AlgebraError(Exception):
@@ -319,8 +350,15 @@ class Element(LinearSum):
         if len(other.terms) == 1 and () in other.terms:
             c2 = other.terms[()]
             return Element(alg, {w: c1 * c2 for w, c1 in self.terms.items()})
-        cache = alg._nf_cache
         out = {}
+        closed = alg._closed_form
+        if closed is not None:
+            for w1, c1 in self.terms.items():
+                for w2, c2 in other.terms.items():
+                    _accumulate_scaled(
+                        out, closed.normal_form(_join_words(w1, w2)), c1 * c2)
+            return Element(alg, out)
+        cache = alg._nf_cache
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 word = _join_words(w1, w2)
@@ -354,6 +392,10 @@ class Element(LinearSum):
             raise AlgebraError("negative power of an element")
         if (n > 1 and self._is_unit_monomial()
                 and self.algebra.is_confluent()):
+            closed = self.algebra._closed_form
+            if closed is not None:
+                (word, coeff), = self.terms.items()
+                return Element(self.algebra, closed.power(word, coeff, n))
             out = self._squared_power(n)
             if out is not None:
                 return out
@@ -430,6 +472,7 @@ class Algebra:
         self._runs = {}
         self._nf_cache = {}
         self._confluent = None
+        self._closed_form = None
         self.reduction_count = 0
         for g in table.base_names:
             if g in table.invertible:
@@ -446,16 +489,21 @@ class Algebra:
     def _add_rule(self, pair, rhs_terms: dict) -> None:
         self.rules.setdefault(pair, []).append(dict(rhs_terms))
         self._index_run(pair)
-        self._nf_cache.clear()
-        self._confluent = None
+        self._rules_moved()
 
     def rules_changed(self) -> None:
         """Rebuild what is derived from ``rules`` after an in-place change."""
         self._runs = {}
         for pair in self.rules:
             self._index_run(pair)
+        self._rules_moved()
+
+    def _rules_moved(self) -> None:
+        """Forget the memoized normal forms and the confluence verdict, with
+        the closed form that rests on it."""
         self._nf_cache.clear()
         self._confluent = None
+        self._closed_form = None
 
     def _index_run(self, pair) -> None:
         """Record whether the first rule for a pair is a unit swap or cancel."""
@@ -533,8 +581,7 @@ class Algebra:
             self.rules[pair] = [self.normal_form_terms(rhs)
                                 for rhs in self.rules[pair]]
             self._index_run(pair)
-        self._nf_cache.clear()
-        self._confluent = None
+        self._rules_moved()
 
     # -- elements ---------------------------------------------------------
 
@@ -572,7 +619,19 @@ class Algebra:
         return out
 
     def normal_form_word(self, word) -> dict:
-        """The memoized normal form of a word; callers must not mutate it."""
+        """The normal form of a word; callers must not mutate it.
+
+        On a q-commuting algebra it is taken in closed form, else by
+        ``normal_form_by_rewriting``.
+        """
+        closed = self._closed_form
+        if closed is not None:
+            return closed.normal_form(word)
+        return self.normal_form_by_rewriting(word)
+
+    def normal_form_by_rewriting(self, word) -> dict:
+        """The memoized normal form of a word by leftmost reduction; callers
+        must not mutate it."""
         cache = self._nf_cache
         result = cache.get(word)
         if result is not None:
@@ -678,6 +737,12 @@ class Algebra:
                             violations.append(
                                 ConfluenceViolation((u, v, w), left, right))
         self._confluent = not violations
+        if self._confluent:
+            self._closed_form = _ClosedForm.of(self)
+            if self._closed_form is not None:
+                # No lookup reads the memoized words while the closed form
+                # serves every word.
+                self._nf_cache.clear()
         return violations
 
     def is_confluent(self) -> bool:
@@ -691,6 +756,135 @@ class Algebra:
         """Soundness: both sides of every declared relation have equal NF."""
         return all((self.element(lhs) - self.element(rhs)).is_zero()
                    for lhs, rhs in self.relations)
+
+
+class _ClosedForm:
+    """Normal forms and unit-monomial powers of a q-commuting algebra in
+    closed form (see the module docstring).
+
+    ``swaps`` is the table ``{(h, b): c_hb}`` over the base symbols
+    ``h > b``.  Base generators are numbered by ``position`` in symbol
+    order; a word's exponent vector holds one signed integer per base, an
+    inverse symbol counting negative.  ``pairs`` lists, for each pair of
+    bases ``h > b`` with a swap constant other than 1, the flat index
+    ``h*size + b``, the exponent vector of the constant's monomial and its
+    rational factor.
+    """
+
+    __slots__ = ("swaps", "size", "position", "sign", "letters", "pairs",
+                 "params", "one")
+
+    def __init__(self, algebra: "Algebra", swaps: dict):
+        table = algebra.table
+        bases = [table.index(name) for name in table.base_names]
+        self.swaps = swaps
+        self.size = len(bases)
+        self.position = [bases.index(table.base_index[sym])
+                         for sym in range(len(table.symbols))]
+        self.sign = [-1 if table.is_inverse_symbol(sym) else 1
+                     for sym in range(len(table.symbols))]
+        self.letters = [(b, table.inverse_index.get(b)) for b in bases]
+        self.pairs = []
+        for (h, b), c in swaps.items():
+            (mono, factor), = c.num.terms.items()
+            if factor != 1 or any(mono):
+                self.pairs.append((bases.index(h) * self.size + bases.index(b),
+                                   mono, factor))
+        self.params = algebra.params
+        self.one = algebra._one
+
+    @classmethod
+    def of(cls, algebra: "Algebra"):
+        """The closed form of a confluent algebra when it is q-commuting,
+        else None.
+
+        q-commuting means that the rules are exactly these, each a run rule:
+        a swap ``h*b -> c_hb*b*h`` for every pair of base generators
+        ``h > b``; for their inverse symbols the swaps with ``c_hb`` or
+        ``1/c_hb`` as the product of the two signs says; and the cancels of
+        each invertible generator against its inverse, by 1.
+        """
+        table, runs = algebra.table, algebra._runs
+        # Each base generator's symbols: itself, then its inverse if any.
+        blocks = [[table.index(name)] for name in table.base_names]
+        for block in blocks:
+            if block[0] in table.inverse_index:
+                block.append(table.inverse_index[block[0]])
+        swaps = {}
+        expected = {pair: (False, algebra._one)
+                    for pair in table.inverse_index.items()}
+        for i, b_syms in enumerate(blocks):
+            for h_syms in blocks[i + 1:]:
+                run = runs.get((h_syms[0], b_syms[0]))
+                if run is None or not run[0]:
+                    return None
+                c = swaps[h_syms[0], b_syms[0]] = run[1]
+                c_inv = c.inverse()
+                for h in h_syms:
+                    for b in b_syms:
+                        flipped = (h != h_syms[0]) != (b != b_syms[0])
+                        expected[h, b] = (True, c_inv if flipped else c)
+        if len(runs) != len(algebra.rules) or runs != expected:
+            return None
+        return cls(algebra, swaps)
+
+    def normal_form(self, word) -> dict:
+        """The normal form of a word, in one pass over its runs."""
+        if len(word) < 2:
+            return {word: self.one}
+        size, position, sign = self.size, self.position, self.sign
+        totals = [0] * size
+        crossed = [0] * (size * size)
+        for sym, count in word:
+            b = position[sym]
+            if sign[sym] < 0:
+                count = -count
+            for h in range(b + 1, size):
+                if totals[h]:
+                    crossed[h * size + b] += totals[h] * count
+            totals[b] += count
+        return {self._word(totals): self._unit(crossed)}
+
+    def power(self, word, coeff, n: int) -> dict:
+        """The normal form of ``(coeff*word)**n`` for a normal-form word and
+        a Laurent-unit coefficient."""
+        size, position, sign = self.size, self.position, self.sign
+        totals = [0] * size
+        for sym, count in word:
+            totals[position[sym]] = sign[sym] * count
+        unit = self.one
+        if len(word) > 1:
+            pairs = n * (n - 1) // 2
+            unit = self._unit({
+                index: pairs * totals[index // size] * totals[index % size]
+                for index, _, _ in self.pairs})
+        if not coeff.num.is_one():
+            unit = coeff ** n * unit
+        return {self._word([n * t for t in totals]): unit}
+
+    def _word(self, totals):
+        return tuple((letters[0], t) if t > 0 else (letters[1], -t)
+                     for letters, t in zip(self.letters, totals) if t)
+
+    def _unit(self, crossed):
+        """The product of ``c_hb ** crossed[h*size + b]`` over the pairs."""
+        mono = None
+        factor = 1
+        for index, pair_mono, pair_factor in self.pairs:
+            n = crossed[index]
+            if not n:
+                continue
+            if mono is None:
+                mono = [n * e for e in pair_mono]
+            else:
+                mono = [m + n * e for m, e in zip(mono, pair_mono)]
+            if pair_factor != 1:
+                factor *= Fraction(pair_factor) ** n
+        if mono is None:
+            return self.one
+        return RationalFunction._make(
+            Polynomial._make(self.params, {tuple(mono): _exact(factor)}),
+            self.one.den)
 
 
 def random_element(algebra: Algebra, rng, max_terms: int = 3,

@@ -3,9 +3,9 @@
 Each fast path must store what the general path stores: the same words and
 exponent vectors, in the same dict order, with the same int-or-Fraction
 coefficients.  The references below are the general paths written out:
-letter-by-letter images under a twist, the pairwise element product with a
-normal-form lookup per pair, subtraction as adding the negation, and the
-full ``RationalFunction`` constructor.
+letter-by-letter images under a twist, the pairwise element product with
+every pair rewritten step by step, subtraction as adding the negation, and
+the full ``RationalFunction`` constructor.
 """
 
 import random
@@ -30,13 +30,14 @@ def stored(value):
 
 
 def general_product(a: Element, b: Element) -> Element:
-    """The pairwise product, a normal-form lookup for every pair."""
+    """The pairwise product, every pair rewritten step by step."""
     alg = a.algebra
     out = {}
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
-            _accumulate_scaled(out, alg.normal_form_word(_join_words(w1, w2)),
-                               c1 * c2)
+            _accumulate_scaled(
+                out, alg.normal_form_by_rewriting(_join_words(w1, w2)),
+                c1 * c2)
     return Element(alg, out)
 
 

@@ -23,10 +23,11 @@ Every run is checked by three oracles:
   differs from the value of the expression by zero.
 
 Huge exponents sit on one generator, one parameter or, on the torus, one
-word, and outside any division but ``(p^N + 1)/(p - 1)`` and its inverse,
-whose division fails at ``p = 1``.  ``(q^N - 1)/(q - 1)`` is exact with N
-terms, so no engine prints it for N = 10^4400, and ``(q^N + 1)/(q^2 + 1)``
-fails only after N steps; the cases must end.
+word or the outer runs of a conjugation ``x^-N * y^M * x^N``, and outside
+any division but ``(p^N + 1)/(p - 1)`` and its inverse, whose division fails
+at ``p = 1``.  ``(q^N - 1)/(q - 1)`` is exact with N terms, so no engine
+prints it for N = 10^4400, and ``(q^N + 1)/(q^2 + 1)`` fails only after N
+steps; the cases must end.
 
 The cases of one seed are fixed.  ``tools/fuzz_sweep.py --seed S --cases N``
 runs more of them with the same generator and oracles.
@@ -133,9 +134,8 @@ def stress_expression(rng, vocab):
     kind = rng.randrange(7)
     gens, params = vocab.generators, vocab.params
     # Where every generator is a unit (the torus), every word is one term,
-    # so a huge power may meet any generator or d.  A huge run that cancels
-    # across another letter, x^N * y * x^-N, is left out: the rewriting
-    # moves it one letter at a time, in time and memory linear in N.
+    # so a huge power may meet any generator or d, or cancel across another
+    # letter.
     units = len(vocab.inverses) == len(gens)
     if kind == 0:
         g, p = rng.choice(gens), rng.choice(params)
@@ -154,7 +154,10 @@ def stress_expression(rng, vocab):
                  "(%s^%s + 1)/(%s - 1)" % (p, n, p),
                  "(%s - 1)/(%s^%s + 1)" % (p, p, n)]
         if units:
-            forms += ["d(%s^%s)" % (g, n), "(%s*%s)^%s" % (h, g, n)]
+            m = rng.choice(HUGE_EXPONENTS)
+            forms += ["d(%s^%s)" % (g, n), "(%s*%s)^%s" % (h, g, n),
+                      "%s^%s * %s * %s^-%s" % (g, n, h, g, n),
+                      "%s^-%s * %s^%s * %s^%s" % (g, n, h, m, g, n)]
         return rng.choice(forms)
     if kind == 2:
         text = expression(rng, vocab, 2)
