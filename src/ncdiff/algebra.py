@@ -462,8 +462,7 @@ class ConfluenceViolation:
 class Algebra:
     """An algebra presented by relations that orient to two-letter rules."""
 
-    def __init__(self, params: ParameterSet, table: GeneratorTable,
-                 relations=()):
+    def __init__(self, params: ParameterSet, table: GeneratorTable):
         self.params = params
         self.table = table
         self._one = RationalFunction.from_value(params, 1)
@@ -481,8 +480,6 @@ class Algebra:
                 unit = {(): self._one}
                 self._add_rule((i, j), unit)
                 self._add_rule((j, i), unit)
-        for lhs, rhs in relations:
-            self.add_relation(lhs, rhs)
 
     # -- presentation ----------------------------------------------------
 
@@ -800,30 +797,24 @@ class _ClosedForm:
 
         q-commuting means that the rules are exactly these, each a run rule:
         a swap ``h*b -> c_hb*b*h`` for every pair of base generators
-        ``h > b``; for their inverse symbols the swaps with ``c_hb`` or
-        ``1/c_hb`` as the product of the two signs says; and the cancels of
-        each invertible generator against its inverse, by 1.
+        ``h > b``; for their inverse symbols the swaps that ``_conjugated``
+        derives from it; and the cancels of each invertible generator
+        against its inverse, by 1.
         """
         table, runs = algebra.table, algebra._runs
-        # Each base generator's symbols: itself, then its inverse if any.
-        blocks = [[table.index(name)] for name in table.base_names]
-        for block in blocks:
-            if block[0] in table.inverse_index:
-                block.append(table.inverse_index[block[0]])
+        bases = [table.index(name) for name in table.base_names]
         swaps = {}
         expected = {pair: (False, algebra._one)
                     for pair in table.inverse_index.items()}
-        for i, b_syms in enumerate(blocks):
-            for h_syms in blocks[i + 1:]:
-                run = runs.get((h_syms[0], b_syms[0]))
+        for i, b in enumerate(bases):
+            for h in bases[i + 1:]:
+                run = expected[h, b] = runs.get((h, b))
                 if run is None or not run[0]:
                     return None
-                c = swaps[h_syms[0], b_syms[0]] = run[1]
-                c_inv = c.inverse()
-                for h in h_syms:
-                    for b in b_syms:
-                        flipped = (h != h_syms[0]) != (b != b_syms[0])
-                        expected[h, b] = (True, c_inv if flipped else c)
+                swaps[h, b] = run[1]
+                for pair, rhs in algebra._conjugated((h, b),
+                                                     algebra.rules[h, b][0]):
+                    expected[pair] = (True, *rhs.values())  # one swap
         if len(runs) != len(algebra.rules) or runs != expected:
             return None
         return cls(algebra, swaps)

@@ -272,18 +272,18 @@ class Calculus:
         InexpressibleError, and a solution that leaves the coefficient of a
         nonzero candidate free raises CalculusError as underdetermined.
         """
-        if side not in ("element_first", "form_first"):
+        if side == "element_first":
+            order = lambda first, second: (first, second)
+        elif side == "form_first":
+            order = lambda first, second: (second, first)
+        else:
             raise ValueError("side must be element_first or form_first")
         names = []
         candidates = []
         for w_name, w in forms.items():
             for e_name, e in elements.items():
-                if side == "element_first":
-                    names.append((w_name, e_name))
-                    candidates.append(self.wedge(w, e))
-                else:
-                    names.append((e_name, w_name))
-                    candidates.append(self.wedge(self.embed(e), w))
+                names.append(order(w_name, e_name))
+                candidates.append(self.wedge(*order(w, e)))
         lefts = []
         targets = []
         # A target product that cannot be formed is reported after the
@@ -292,12 +292,8 @@ class Calculus:
         try:
             for e_name, e in elements.items():
                 for w_name, w in forms.items():
-                    if side == "element_first":
-                        targets.append(self.wedge(self.embed(e), w))
-                        lefts.append((e_name, w_name))
-                    else:
-                        targets.append(self.wedge(w, e))
-                        lefts.append((w_name, e_name))
+                    targets.append(self.wedge(*order(e, w)))
+                    lefts.append(order(e_name, w_name))
         except CalculusError as exc:
             unformed = exc
         solved = solve_in_span([_coordinates(c) for c in candidates],

@@ -295,10 +295,11 @@ class Polynomial:
 
         Long division takes one step per degree of the dividend, so after
         as many steps as the two have terms, a failure is first sought at
-        the points whose coordinates are all 1, or all 1 but one -1: every
-        Laurent monomial is +-1 there, so a divisor that vanishes at one of
-        them where the dividend does not cannot divide it.  A divisor with
-        no such root, like ``q^2 + 1``, still fails one step per degree.
+        the points whose coordinates are all 1, or all 1 but one -1 or i:
+        every Laurent monomial is +-1 or +-i there, so a divisor that
+        vanishes at one of them where the dividend does not cannot divide
+        it.  A divisor with no such root, like ``q^2 + q + 1``, still fails
+        one step per degree.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -363,12 +364,18 @@ class Polynomial:
 
 def _sign_points_refute(dividend: dict, divisor: dict) -> bool:
     """True when the divisor vanishes and the dividend does not at the point
-    with every coordinate 1 or at one with a single coordinate -1."""
-    def value(terms, i):
-        # Coordinate i is -1 (none for i < 0), so only its parity counts.
-        return sum(-c if i >= 0 and m[i] & 1 else c for m, c in terms.items())
-    return any(value(divisor, i) == 0 and value(dividend, i) != 0
-               for i in range(-1, len(next(iter(divisor)))))
+    with every coordinate 1, or at one with a single coordinate -1 or i."""
+    def value(terms, i, turn):
+        # Coordinate i is i^turn, the others 1: each term is c * i^k, and
+        # the value is the exact pair (real part, imaginary part).
+        parts = [0, 0, 0, 0]
+        for m, c in terms.items():
+            parts[m[i] * turn % 4 if turn else 0] += c
+        return parts[0] - parts[2], parts[1] - parts[3]
+    points = [(0, 0)] + [(i, turn) for i in range(len(next(iter(divisor))))
+                         for turn in (2, 1)]
+    return any(value(divisor, *p) == (0, 0) != value(dividend, *p)
+               for p in points)
 
 
 def _poly_one(params: ParameterSet) -> Polynomial:

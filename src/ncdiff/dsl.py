@@ -1098,8 +1098,6 @@ class _Builder:
         bundle = self.bundle
         sides = [bundle._eval(lhs), bundle._eval(rhs)]
         if any(isinstance(v, Form) for v in sides):
-            if bundle.calculus is None:
-                raise _error_at(stmt, "form comparison needs a calc block")
             sides = [bundle.calculus.embed(v) for v in sides]
         else:
             sides = [bundle.algebra.scalar(v)

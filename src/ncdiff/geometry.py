@@ -19,15 +19,16 @@ the identity, each twist and each inverse twist (one inverse map per
 label, shared with transport), so the table holds at most
 (twists + inverse twists + 1) x generator symbols rows.  The derived
 action expresses every target label in the span of the same candidates,
-so one elimination (``coeff.solve_in_span``) gives the whole matrix, and
-an action is inverted in one elimination against the identity columns.
+so one elimination (``coeff.solve_in_span``) gives the whole matrix; the
+same solver inverts an action, solving each unit vector in its columns.
 """
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, Element, LinearSum, _first_witness
+from .algebra import (AlgebraError, Element, LinearSum, _accumulate,
+                      _first_witness)
 from .calculus import Calculus, CalculusError, Form
-from .coeff import RationalFunction, solve_in_span, solve_linear_columns
+from .coeff import RationalFunction, solve_in_span
 from .morphism import Endomorphism
 
 
@@ -77,18 +78,19 @@ class FormExtension:
 
 
 def _invert_matrix(matrix, params):
-    """The inverse matrix, solved in one elimination against the identity
-    columns, or None when the matrix is singular."""
+    """The inverse matrix, or None when it is singular.  Column k is
+    candidate k of one span solve (``coeff.solve_in_span``); the solution
+    for unit vector l is column l of the inverse, and a singular matrix
+    leaves some unit vector out of its span."""
     n = len(matrix)
-    zero = RationalFunction.from_value(params, 0)
     one = RationalFunction.from_value(params, 1)
-    units = [[one if k == l else zero for k in range(n)] for l in range(n)]
-    columns = []
-    for solved in solve_linear_columns(matrix, units, params):
-        if solved is None or solved[1]:
-            return None
-        columns.append(solved[0])
-    return [[columns[l][k] for l in range(n)] for k in range(n)]
+    solved = solve_in_span(
+        [{i: row[k] for i, row in enumerate(matrix) if not row[k].is_zero()}
+         for k in range(n)],
+        [{l: one} for l in range(n)], params)
+    if any(found is None for found in solved):
+        return None
+    return [[found[0][k] for found in solved] for k in range(n)]
 
 
 def derive_theta_action(calculus: Calculus, endo: Endomorphism) -> list:
@@ -201,39 +203,30 @@ class Geometry:
         """The left tensor product of two one-forms."""
         _require_grade_one(left)
         _require_grade_one(right)
-        out = {}
-        for (s,), a in left.terms.items():
-            for (k,), b in right.terms.items():
-                prev = out.get((s, k))
-                prod = a * b
-                out[(s, k)] = prod if prev is None else prev + prod
-        return TensorForm(self.calculus, out)
+        return TensorForm(self.calculus, {
+            (s, k): a * b for (s,), a in left.terms.items()
+            for (k,), b in right.terms.items()})
 
     def from_tensor_A(self, entries: dict) -> TensorForm:
         """Convert entries over theta^s (x)_A theta^k into the left basis."""
         calc = self.calculus
-        out = TensorForm(calc, {})
+        out = {}
         for (s, k), coeff in entries.items():
             row = self.extension(calc.labels[s]).matrix[k]
-            piece = {}
             for j, rf in enumerate(row):
                 if not rf.is_zero():
-                    piece[(s, j)] = coeff.scale(rf)
-            out = out + TensorForm(calc, piece)
-        return out
+                    _accumulate(out, (s, j), coeff.scale(rf))
+        return TensorForm(calc, out)
 
     def tensor_A(self, left: Form, right: Form) -> TensorForm:
         """theta^s a (x)_A theta^k b, re-expressed in the left basis."""
         _require_grade_one(left)
         _require_grade_one(right)
         calc = self.calculus
-        entries = {}
-        for (s,), a in left.terms.items():
-            for (k,), b in right.terms.items():
-                moved = calc.twists[calc.labels[s]].apply(b)
-                prev = entries.get((s, k))
-                entries[(s, k)] = a * moved if prev is None else prev + a * moved
-        return self.from_tensor_A(entries)
+        return self.from_tensor_A({
+            (s, k): a * calc.twists[calc.labels[s]].apply(b)
+            for (s,), a in left.terms.items()
+            for (k,), b in right.terms.items()})
 
     def wedge_project(self, tensor: TensorForm) -> Form:
         calc = self.calculus

@@ -4,6 +4,7 @@ import decimal
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -219,6 +220,40 @@ class TestNf:
         assert rc == 0
         assert out == "q^-1 * x*y\n"
 
+    @pytest.mark.parametrize("expr,message", [
+        ("d(x)", "d(...) needs a calc block"),
+        ("inner()", "inner() needs a calc block"),
+    ])
+    def test_form_without_calculus(self, capsys, tmp_path, expr, message):
+        path = tmp_path / "bare.ncd"
+        path.write_text(NO_CALCULUS)
+        rc, out, err = run_cli(capsys, ["nf", str(path), "-e", expr])
+        assert (rc, out, err) == (2, "", "error: line 1, column 1: %s\n"
+                                  % message)
+
+    def test_latex_named_basis_label(self, capsys, tmp_path):
+        """A basis label that is not t<digits> is spelled upright."""
+        path = tmp_path / "named.ncd"
+        path.write_text(re.sub(r"\bt1\b", "u", model_source("quantum-torus")))
+        rc, out, _ = run_cli(capsys, ["nf", str(path), "-e", "x*u - 2*t2*u",
+                                      "--format", "latex"])
+        assert (rc, out) == (0, "x \\, \\theta^{\\mathrm{u}} + 2 \\, "
+                                "\\theta^{\\mathrm{u}} \\wedge \\theta^{2}\n")
+
+    @pytest.mark.parametrize("exponent", ["100000000000", "9" * 40])
+    def test_huge_power_over_a_divisor_without_real_roots(self, exponent):
+        """q^2 + 1 has no root at +-1 but vanishes at q = i, where
+        q^N + 1 does not unless N is 2 mod 4: the quotient is refuted at
+        once rather than divided one step per degree of q^N."""
+        expr = "(q^%s + 1)/(q^2 + 1)" % exponent
+        src = str(pathlib.Path(ncdiff.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncdiff", "nf", "builtin:quantum-torus",
+             "-e", expr], capture_output=True, text=True, timeout=10,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, expr + "\n", "")
+
 
 def _digits(n: int) -> str:
     """The decimal text of n through the decimal module, which has no
@@ -400,6 +435,31 @@ class TestVerify:
         # a file-loaded model runs without the builder extras, so the
         # torsion and derived-relation checks of the builtin are absent
         assert lines[-1] == "model quantum-torus: 24 passed, 1 failed"
+
+    def test_failing_json_witnesses(self, capsys, tmp_path):
+        """Without its r = p*q substitution gl-pq2 fails 26 checks: the
+        JSON record of each carries the witness the plain text prints, and
+        the six automorphism failures carry none."""
+        path = tmp_path / "rfree.ncd"
+        path.write_text(model_source("gl-pq2").replace("subst r = p*q;", ""))
+        rc, out, _ = run_cli(capsys, ["verify", str(path)])
+        assert rc == 1
+        plain = {}
+        lines = out.splitlines()
+        for line, after in zip(lines, lines[1:] + [""]):
+            if line.startswith("fail "):
+                plain[line[5:]] = (after[len("     witness: "):]
+                                   if after.startswith("     witness: ")
+                                   else None)
+        rc, out, _ = run_cli(capsys, ["verify", str(path), "--format", "json"])
+        assert rc == 1
+        failed = [c for c in json.loads(out)["checks"]
+                  if c["status"] == "fail"]
+        assert {c["anchor"]: c.get("witness") for c in failed} == plain
+        assert len(failed) == 26
+        bare = [c["anchor"] for c in failed if "witness" not in c]
+        assert len(bare) == 6
+        assert all(a.startswith("automorphism/") for a in bare)
 
     def test_missing_wedge_rule(self, capsys, tmp_path):
         path = tmp_path / "nowedge.ncd"

@@ -242,6 +242,32 @@ class TestBuildErrors:
         assert "does not rewrite a descent" in err.value.message
 
 
+STATEMENT_ERRORS = [
+    pytest.param(
+        with_base("extension phi1 { t1 -> 0; t2 -> t2; }"),
+        "extension image of 't1' must be a one-form", id="extension-zero"),
+    pytest.param(
+        with_base("extension phi1 { t1 -> t1*t2; t2 -> t2; }"),
+        "extension image of 't1' must be a coefficient combination of basis "
+        "forms", id="extension-two-form"),
+]
+
+
+class TestStatementErrors:
+    @pytest.mark.parametrize("text,message", STATEMENT_ERRORS)
+    def test_extension_image(self, text, message):
+        with pytest.raises(ModelSemanticError) as err:
+            load_model(text)
+        assert err.value.message == message
+        assert (err.value.line, err.value.col) == (18, 1)
+
+    def test_metric_without_calculus(self):
+        with pytest.raises(ModelSemanticError) as err:
+            load_model('model "m";\ngen x, y;\nrel y*x = x*y;\nmetric g {\n}\n')
+        assert err.value.message == "metric needs a calc block"
+        assert (err.value.line, err.value.col) == (4, 1)
+
+
 def with_relation(relation):
     return BASE.replace("rel x*y = q*y*x;", "rel %s;" % relation)
 

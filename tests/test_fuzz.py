@@ -152,7 +152,8 @@ def stress_expression(rng, vocab):
                  "%s^%s" % (g, n), "%s^-%s" % (g, n),
                  "%s^%s + %s" % (g, n, h),
                  "(%s^%s + 1)/(%s - 1)" % (p, n, p),
-                 "(%s - 1)/(%s^%s + 1)" % (p, p, n)]
+                 "(%s - 1)/(%s^%s + 1)" % (p, p, n),
+                 "(%s^%s + 1)/(%s^2 + 1)" % (p, n, p)]
         if units:
             m = rng.choice(HUGE_EXPONENTS)
             forms += ["d(%s^%s)" % (g, n), "(%s*%s)^%s" % (h, g, n),
