@@ -351,21 +351,10 @@ class Element(LinearSum):
             c2 = other.terms[()]
             return Element(alg, {w: c1 * c2 for w, c1 in self.terms.items()})
         out = {}
-        closed = alg._closed_form
-        if closed is not None:
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    _accumulate_scaled(
-                        out, closed.normal_form(_join_words(w1, w2)), c1 * c2)
-            return Element(alg, out)
-        cache = alg._nf_cache
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                word = _join_words(w1, w2)
-                nf = cache.get(word)
-                if nf is None:
-                    nf = alg.normal_form_word(word)
-                _accumulate_scaled(out, nf, c1 * c2)
+                _accumulate_scaled(
+                    out, alg.normal_form_word(_join_words(w1, w2)), c1 * c2)
         return Element(alg, out)
 
     def __rmul__(self, other):

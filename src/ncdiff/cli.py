@@ -12,21 +12,15 @@ environment variable, then zero.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
 
 from .calculus import CalculusError, Form
 from .dsl import ModelError, load_model
-from .models import MODEL_FILES, build_builtin, build_glpq, run_suite
+from .models import BUILTINS, run_suite
 from .render import (latex_value, relation_to_dict, render_word,
                      report_to_dict)
-
-_BUILTINS = {name: functools.partial(build_builtin, name, verify=False)
-             for name in MODEL_FILES}
-_BUILTINS["gl-pq2-localized"] = functools.partial(
-    build_glpq, adjoin_det_inverse=True, verify=False)
 
 
 class UsageError(Exception):
@@ -36,12 +30,12 @@ class UsageError(Exception):
 def _load_bundle(spec: str):
     if spec.startswith("builtin:"):
         name = spec[len("builtin:"):]
-        builder = _BUILTINS.get(name)
+        builder = BUILTINS.get(name)
         if builder is None:
             raise UsageError(
                 "unknown builtin %r; available: %s"
-                % (name, ", ".join(sorted(_BUILTINS))))
-        return builder()
+                % (name, ", ".join(sorted(BUILTINS))))
+        return builder(verify=False)
     try:
         with open(spec, "r") as handle:
             text = handle.read()
@@ -83,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("model",
                         help="model file path, or builtin:<name> (%s)"
-                             % ", ".join(sorted(_BUILTINS)))
+                             % ", ".join(sorted(BUILTINS)))
 
     p_nf = sub.add_parser("nf", parents=[common],
                           help="normal form of an expression")

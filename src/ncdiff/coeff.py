@@ -295,11 +295,12 @@ class Polynomial:
 
         Long division takes one step per degree of the dividend, so after
         as many steps as the two have terms, a failure is first sought at
-        the points whose coordinates are all 1, or all 1 but one -1 or i:
-        every Laurent monomial is +-1 or +-i there, so a divisor that
-        vanishes at one of them where the dividend does not cannot divide
-        it.  A divisor with no such root, like ``q^2 + q + 1``, still fails
-        one step per degree.
+        the points whose coordinates are all 1, or all 1 but one that is
+        -1, i, or a primitive cube or sixth root of unity: every Laurent
+        monomial is a root of unity of degree at most 2 there, so a
+        divisor that vanishes at one of them where the dividend does not
+        cannot divide it.  A divisor with no such root, like
+        ``q^4 + q^3 + q^2 + q + 1``, still fails one step per degree.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -362,18 +363,30 @@ class Polynomial:
     __repr__ = __str__
 
 
+# z^k for k = 0 .. n-1 as exact pairs (a, b) meaning a + b*z, for z a
+# primitive n-th root of unity: -1, i (z^2 = -1), a cube root (z^2 = -z - 1)
+# and a sixth root (z^2 = z - 1).  These are all the roots of unity of
+# degree at most 2 over Q, and 1 and z are independent over Q.
+_ROOT_POWERS = (((1, 0), (-1, 0)),
+                ((1, 0), (0, 1), (-1, 0), (0, -1)),
+                ((1, 0), (0, 1), (-1, -1)),
+                ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)))
+
+
 def _sign_points_refute(dividend: dict, divisor: dict) -> bool:
     """True when the divisor vanishes and the dividend does not at the point
-    with every coordinate 1, or at one with a single coordinate -1 or i."""
-    def value(terms, i, turn):
-        # Coordinate i is i^turn, the others 1: each term is c * i^k, and
-        # the value is the exact pair (real part, imaginary part).
-        parts = [0, 0, 0, 0]
+    with every coordinate 1, or at one with a single coordinate -1, i, or a
+    primitive cube or sixth root of unity."""
+    def value(terms, i, powers):
+        # Coordinate i is z, the others 1: each term is c * z^(e mod n).
+        parts = [0] * len(powers)
         for m, c in terms.items():
-            parts[m[i] * turn % 4 if turn else 0] += c
-        return parts[0] - parts[2], parts[1] - parts[3]
-    points = [(0, 0)] + [(i, turn) for i in range(len(next(iter(divisor))))
-                         for turn in (2, 1)]
+            parts[m[i] % len(powers)] += c
+        return tuple(sum(p * z[k] for p, z in zip(parts, powers))
+                     for k in (0, 1))
+    points = [(0, ((1, 0),))] + [(i, powers)
+                                 for i in range(len(next(iter(divisor))))
+                                 for powers in _ROOT_POWERS]
     return any(value(divisor, *p) == (0, 0) != value(dividend, *p)
                for p in points)
 

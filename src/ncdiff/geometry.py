@@ -168,7 +168,6 @@ class Geometry:
                 raise GeometryError(
                     "extension for %r does not extend its twist" % lab)
         self.extensions = dict(extensions)
-        self._inverse_extensions = {}
         self._inverse_twists = {}
 
     def extension(self, label: str) -> FormExtension:
@@ -179,16 +178,11 @@ class Geometry:
 
     def inverse_extension(self, label: str) -> FormExtension:
         """The inverse of extension(label), over inverse_twist(label)."""
-        ext = self._inverse_extensions.get(label)
-        if ext is None:
-            matrix = _invert_matrix(self.extension(label).matrix,
-                                    self.calculus.algebra.params)
-            if matrix is None:
-                raise GeometryError("theta action is not invertible")
-            ext = FormExtension(self.calculus, self.inverse_twist(label),
-                                matrix)
-            self._inverse_extensions[label] = ext
-        return ext
+        matrix = _invert_matrix(self.extension(label).matrix,
+                                self.calculus.algebra.params)
+        if matrix is None:
+            raise GeometryError("theta action is not invertible")
+        return FormExtension(self.calculus, self.inverse_twist(label), matrix)
 
     def inverse_twist(self, label: str) -> Endomorphism:
         endo = self._inverse_twists.get(label)

@@ -35,6 +35,7 @@ failure.
 from __future__ import annotations
 
 import random
+from functools import partial
 from importlib import resources
 from itertools import chain
 
@@ -72,10 +73,9 @@ def model_source(name: str) -> str:
     return resources.files("ncdiff").joinpath("data", filename).read_text()
 
 
-def build_quantum_torus(substitute: bool = True,
-                        verify: bool = True) -> ModelBundle:
+def build_quantum_torus(verify: bool = True) -> ModelBundle:
     bundle = build_model(parse_model(model_source("quantum-torus")),
-                         substitute, verify)
+                         verify=verify)
     bundle.extras["expected_relations"] = {
         "forms": ["dx", "dy"],
         "elements": ["x", "y"],
@@ -113,10 +113,12 @@ def build_glpq(adjoin_det_inverse: bool = False, substitute_r: bool = True,
     return bundle
 
 
-def build_builtin(name: str, verify: bool = True) -> ModelBundle:
-    """Build the shipped model ``name``, a key of MODEL_FILES."""
-    builders = {"quantum-torus": build_quantum_torus, "gl-pq2": build_glpq}
-    return builders[name](verify=verify)
+# The shipped builtins by name; each builder takes verify=.
+BUILTINS = {
+    "quantum-torus": build_quantum_torus,
+    "gl-pq2": build_glpq,
+    "gl-pq2-localized": partial(build_glpq, adjoin_det_inverse=True),
+}
 
 
 def _with_mirror_checks(doc: ModelDocument) -> ModelDocument:

@@ -243,16 +243,19 @@ class TestNf:
     @pytest.mark.parametrize("exponent", ["100000000000", "9" * 40])
     def test_huge_power_over_a_divisor_without_real_roots(self, exponent):
         """q^2 + 1 has no root at +-1 but vanishes at q = i, where
-        q^N + 1 does not unless N is 2 mod 4: the quotient is refuted at
-        once rather than divided one step per degree of q^N."""
-        expr = "(q^%s + 1)/(q^2 + 1)" % exponent
+        q^N + 1 does not unless N is 2 mod 4, and q^2 + q + 1 vanishes at
+        a primitive cube root of unity, where q^N + 1 never does: each
+        quotient is refuted at once rather than divided one step per
+        degree of q^N."""
         src = str(pathlib.Path(ncdiff.__file__).parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "ncdiff", "nf", "builtin:quantum-torus",
-             "-e", expr], capture_output=True, text=True, timeout=10,
-            env=dict(os.environ, PYTHONPATH=src))
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            0, expr + "\n", "")
+        for divisor in ("q^2 + 1", "q^2 + q + 1"):
+            expr = "(q^%s + 1)/(%s)" % (exponent, divisor)
+            proc = subprocess.run(
+                [sys.executable, "-m", "ncdiff", "nf",
+                 "builtin:quantum-torus", "-e", expr], capture_output=True,
+                text=True, timeout=10, env=dict(os.environ, PYTHONPATH=src))
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                0, expr + "\n", "")
 
 
 def _digits(n: int) -> str:

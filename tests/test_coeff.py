@@ -1,3 +1,4 @@
+import cmath
 import decimal
 import random
 from fractions import Fraction
@@ -170,6 +171,56 @@ class TestPolynomial:
         quotient = (power - one).try_exact_divide(q - one)
         assert len(quotient.terms) == 50
         assert quotient * (q - one) == power - one
+
+    def test_sign_points_refute_matches_complex_evaluation(self):
+        """The refutation agrees with cmath at the all-ones point and at the
+        points with one coordinate -1, i, exp(2 pi i/3) or exp(pi i/3), on
+        seeded two-variable Laurent polynomials whose divisors carry a
+        factor that vanishes at one of those roots."""
+        rng = random.Random(20261019)
+        roots = [cmath.exp(2j * cmath.pi / n) for n in (2, 4, 3, 6)]
+        points = [(1, 1)] + [(z, 1) for z in roots] + [(1, z) for z in roots]
+        # q + 1, q^2 + 1, q^2 + q + 1 and q^2 - q + 1 in one variable.
+        factors = [{0: 1, 1: 1}, {0: 1, 2: 1}, {0: 1, 1: 1, 2: 1},
+                   {0: 1, 1: -1, 2: 1}]
+
+        def rand(terms):
+            return {(rng.randint(-5, 5), rng.randint(-5, 5)):
+                    rng.choice((-2, -1, 1, 3, Fraction(1, 2)))
+                    for _ in range(terms)}
+
+        def times(f, g):
+            out = {}
+            for m, c in f.items():
+                for n, d in g.items():
+                    key = (m[0] + n[0], m[1] + n[1])
+                    out[key] = out.get(key, 0) + c * d
+            return {m: c for m, c in out.items() if c}
+
+        def at(f, point):
+            return sum(complex(c) * point[0] ** m[0] * point[1] ** m[1]
+                       for m, c in f.items())
+
+        # Refutations found only where a coordinate is a cube or sixth
+        # root of unity (points 3, 4, 7 and 8).
+        cube_or_sixth_only = 0
+        for _ in range(400):
+            var = rng.randrange(2)
+            factor = {(e, 0) if var == 0 else (0, e): c
+                      for e, c in rng.choice(factors).items()}
+            divisor = times(rand(rng.randint(1, 2)), factor)
+            dividend = rand(rng.randint(1, 4))
+            if rng.randrange(3) == 0:
+                dividend = times(dividend, factor)
+            if not divisor or not dividend:
+                continue
+            hits = [abs(at(divisor, p)) < 1e-9 < abs(at(dividend, p))
+                    for p in points]
+            got = coeff._sign_points_refute(dividend, divisor)
+            assert got == any(hits), (dividend, divisor)
+            if got and not any(hits[:3] + hits[5:7]):
+                cube_or_sixth_only += 1
+        assert cube_or_sixth_only > 20
 
     def test_is_one(self, params):
         assert Polynomial.constant(params, Fraction(1)).is_one()

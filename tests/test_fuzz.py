@@ -25,9 +25,10 @@ Every run is checked by three oracles:
 Huge exponents sit on one generator, one parameter or, on the torus, one
 word or the outer runs of a conjugation ``x^-N * y^M * x^N``, and outside
 any division but ``(p^N + 1)/(p - 1)`` and its inverse, whose division fails
-at ``p = 1``.  ``(q^N - 1)/(q - 1)`` is exact with N terms, so no engine
-prints it for N = 10^4400, and ``(q^N + 1)/(q^2 + 1)`` fails only after N
-steps; the cases must end.
+at ``p = 1``, and ``(p^N + 1)/(p^2 + 1)`` and ``(p^N + 1)/(p^2 + p + 1)``,
+whose divisions fail at ``p = i`` and at a primitive cube root of unity.
+``(q^N - 1)/(q - 1)`` is exact with N terms, so no engine prints it for
+N = 10^4400; the cases must end.
 
 The cases of one seed are fixed.  ``tools/fuzz_sweep.py --seed S --cases N``
 runs more of them with the same generator and oracles.
@@ -153,7 +154,8 @@ def stress_expression(rng, vocab):
                  "%s^%s + %s" % (g, n, h),
                  "(%s^%s + 1)/(%s - 1)" % (p, n, p),
                  "(%s - 1)/(%s^%s + 1)" % (p, p, n),
-                 "(%s^%s + 1)/(%s^2 + 1)" % (p, n, p)]
+                 "(%s^%s + 1)/(%s^2 + 1)" % (p, n, p),
+                 "(%s^%s + 1)/(%s^2 + %s + 1)" % (p, n, p, p)]
         if units:
             m = rng.choice(HUGE_EXPONENTS)
             forms += ["d(%s^%s)" % (g, n), "(%s*%s)^%s" % (h, g, n),
