@@ -517,12 +517,6 @@ class Algebra:
         coeff = diff.pop(lead)
         inv = coeff.inverse()
         rhs = {w: -c * inv for w, c in diff.items()}
-        lead_key = deg_lex_key(lead)
-        for w in rhs:
-            if deg_lex_key(w) >= lead_key:
-                raise UnsupportedRelationError(
-                    "rule right-hand side is not smaller than %s"
-                    % render.render_word(self.table, lead))
         pair = (letters[0], letters[1])
         self.relations.append((dict(lhs_terms), dict(rhs_terms)))
         self._add_rule(pair, rhs)

@@ -960,8 +960,7 @@ def _located(stmt: Statement, make, *args):
 class _Builder:
     """Builds a document into a ModelBundle, one method per statement kind."""
 
-    def __init__(self, doc: ModelDocument, substitute: bool, verify: bool):
-        self.substitute = substitute
+    def __init__(self, doc: ModelDocument, verify: bool):
         self.verify = verify
         params = ParameterSet(doc.params)
         self.param_env = {n: RationalFunction.parameter(params, n)
@@ -993,12 +992,11 @@ class _Builder:
         _located(stmt, self.bundle.algebra.add_relation, lhs, rhs)
 
     def subst(self, stmt):
-        if self.substitute:
-            target, expr = stmt.data
-            value = _Evaluator(self.param_env, self.bundle.params, None,
-                               None).eval(expr)
-            self.param_env[target] = self.bundle._env[target] = value
-            self.bundle.substitutions[target] = value
+        target, expr = stmt.data
+        value = _Evaluator(self.param_env, self.bundle.params, None,
+                           None).eval(expr)
+        self.param_env[target] = self.bundle._env[target] = value
+        self.bundle.substitutions[target] = value
 
     def auto(self, stmt):
         name, entries = stmt.data
@@ -1051,12 +1049,11 @@ class _Builder:
                     stmt, "extension image of %r must be a one-form" % lab)
             row = rows[lab] = [zero] * len(calculus.labels)
             for key, coeff in value.terms.items():
-                scalar = _scalar_of(coeff)
-                if len(key) != 1 or scalar is None:
+                if len(key) != 1:
                     raise _error_at(stmt, "extension image of %r must be a "
                                     "coefficient combination of basis forms"
                                     % lab)
-                row[key[0]] = scalar
+                row[key[0]] = coeff.terms[()]
         for lab in calculus.labels:
             if lab not in rows:
                 raise _error_at(stmt, "missing theta image for %r" % lab)
@@ -1106,27 +1103,17 @@ class _Builder:
         bundle.checks.append(CheckCase(name, *sides))
 
 
-def build_model(doc: ModelDocument, substitute: bool = True,
-                verify: bool = True) -> ModelBundle:
+def build_model(doc: ModelDocument, verify: bool = True) -> ModelBundle:
     """Evaluate a document into a bundle of live objects."""
-    builder = _Builder(doc, substitute, verify)
+    builder = _Builder(doc, verify)
     for stmt in doc.statements:
         _KINDS[stmt.kind].build(builder, stmt)
     builder.bundle.algebra.normalize_rules()
     return builder.bundle
 
 
-def _scalar_of(element: Element):
-    if not element.terms:
-        return RationalFunction.from_value(element.algebra.params, 0)
-    if len(element.terms) != 1 or () not in element.terms:
-        return None
-    return element.terms[()]
-
-
-def load_model(text: str, substitute: bool = True,
-               verify: bool = True) -> ModelBundle:
-    return build_model(parse_model(text), substitute, verify)
+def load_model(text: str, verify: bool = True) -> ModelBundle:
+    return build_model(parse_model(text), verify)
 
 
 def parse_coefficient(text: str, params: ParameterSet) -> RationalFunction:

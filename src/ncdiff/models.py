@@ -87,23 +87,22 @@ def build_quantum_torus(verify: bool = True) -> ModelBundle:
     return bundle
 
 
-def build_glpq(adjoin_det_inverse: bool = False, substitute_r: bool = True,
-               verify=None) -> ModelBundle:
-    """The quantum group model; r = p*q is skipped when substitute_r is off.
+def build_glpq(adjoin_det_inverse: bool = False,
+               verify: bool = True) -> ModelBundle:
+    """The two-parameter quantum 2x2 group with its calculus.
 
-    With the substitution disabled the twists no longer respect the
-    relations, so verify defaults to whatever substitute_r is; a raw build
-    for negative testing passes verify=False explicitly.
+    The model file pins r = p*q, the curve on which the twists respect
+    the relations.  With adjoin_det_inverse the model also gets Dinv, a
+    formal inverse of the determinant, whose scales are read off a first
+    build.
     """
-    if verify is None:
-        verify = substitute_r
     doc = parse_model(model_source("gl-pq2"))
     doc = _with_mirror_checks(doc)
-    bundle = build_model(doc, substitute_r, verify)
+    bundle = build_model(doc, verify=verify)
     if adjoin_det_inverse:
         lambdas, sigmas = _det_scales(bundle)
         doc = _adjoin_det_inverse(doc, lambdas, sigmas)
-        bundle = build_model(doc, substitute_r, verify)
+        bundle = build_model(doc, verify=verify)
         bundle.extras["localized"] = {
             "generator": "Dinv",
             "lambdas": {n: str(lam) for n, lam in lambdas.items()}}

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from ncdiff.dsl import ModelDocument
 from ncdiff.models import build_glpq, build_quantum_torus
 
 
@@ -14,6 +15,15 @@ def torus():
 @pytest.fixture(scope="session")
 def glpq():
     return build_glpq()
+
+
+@pytest.fixture(scope="session")
+def glpq_rfree_doc(glpq):
+    """The gl-pq2 document without its subst line, so r stays free and the
+    twists no longer respect the relations; every statement keeps its
+    line, so located messages do not move."""
+    return ModelDocument([s for s in glpq.doc.statements
+                          if s.kind != "subst"], glpq.doc.name)
 
 
 @pytest.fixture(scope="session")

@@ -16,8 +16,9 @@ from fractions import Fraction
 from ncdiff.algebra import Algebra, GeneratorTable, random_element
 from ncdiff.cli import main
 from ncdiff.coeff import ParameterSet, PoleError, RationalFunction
-from ncdiff.dsl import export_model, parse_coefficient, parse_model
-from ncdiff.models import build_glpq, model_source, scalar_ratio
+from ncdiff.dsl import (build_model, export_model, parse_coefficient,
+                        parse_model)
+from ncdiff.models import model_source, scalar_ratio
 
 ELEMENT_RELATIONS = [
     "x * dx = r * dx * x",
@@ -119,7 +120,7 @@ def test_criterion_02_basis_diagonality(torus, glpq):
     report("criterion 02: basis forms scale through their twists", problems)
 
 
-def test_criterion_03_declared_identities(glpq):
+def test_criterion_03_declared_identities(glpq, glpq_rfree_doc):
     problems = []
     cases = {case.name: case for case in glpq.checks}
     mc = [name for name in cases if name.startswith("mc")]
@@ -133,7 +134,7 @@ def test_criterion_03_declared_identities(glpq):
         if not cases[name].passed():
             problems.append("identity %s fails" % name)
 
-    raw = build_glpq(substitute_r=False)
+    raw = build_model(glpq_rfree_doc, verify=False)
     raw_cases = {case.name: case for case in raw.checks}
     if raw_cases["mc1-a"].passed():
         problems.append("mc1-a passes without the parameter substitution")

@@ -509,6 +509,20 @@ class TestVerify:
                                      "of a non-diagonal endomorphism")
         assert lines[-1] == "model quantum-torus: 16 passed, 7 failed"
 
+    def test_non_diagonal_automorphism_fails_its_inverse_check(
+            self, capsys, tmp_path):
+        """A swap that respects the relations has no derived inverse; its
+        inverse check fails with the reason instead of a traceback."""
+        path = tmp_path / "swap.ncd"
+        path.write_text("param q;\ngen x, y;\nrel y*x = x*y;\n"
+                        "auto swap { x -> y; y -> x; }\n")
+        rc, out, err = run_cli(capsys, ["verify", str(path)])
+        assert (rc, err) == (1, "")
+        lines = out.splitlines()
+        marker = lines.index("fail automorphism/swap/inverse")
+        assert lines[marker + 1] == ("     witness: cannot derive the inverse "
+                                     "of a non-diagonal endomorphism")
+        assert lines[-1] == "model model: 3 passed, 1 failed"
 
     def test_extensions_declared_after_a_connection(self, capsys, tmp_path):
         """Statement order after the calc block does not matter: every

@@ -3,10 +3,11 @@
 import pytest
 
 from ncdiff.coeff import RationalFunction
-from ncdiff.dsl import ModelSemanticError, load_model, parse_coefficient
-from ncdiff.models import (CheckResult, SuiteReport, available_models,
-                           build_glpq, build_quantum_torus, model_source,
-                           run_suite, scalar_ratio)
+from ncdiff.dsl import (ModelSemanticError, build_model, load_model,
+                        parse_coefficient)
+from ncdiff.models import (CheckResult, SuiteReport, _det_scales,
+                           available_models, build_quantum_torus,
+                           model_source, run_suite, scalar_ratio)
 
 TORUS_ANCHORS = [
     "relations",
@@ -58,8 +59,10 @@ def localized_report(glpq_localized):
 
 
 @pytest.fixture(scope="module")
-def r_free_report():
-    return run_suite(build_glpq(substitute_r=False))
+def r_free_report(glpq, glpq_rfree_doc):
+    bundle = build_model(glpq_rfree_doc, verify=False)
+    bundle.extras.update(glpq.extras)
+    return run_suite(bundle)
 
 
 class TestSources:
@@ -167,9 +170,10 @@ class TestLocalizedBundle:
      "line 27, column 1: 'phi1' does not respect the relations"),
     (False, ValueError, "twist 'phi1' does not scale the determinant"),
 ], ids=["verify", "no-verify"])
-def test_localization_needs_the_substitution(verify, error, message):
+def test_localization_needs_the_substitution(glpq_rfree_doc, verify, error,
+                                             message):
     with pytest.raises(error) as info:
-        build_glpq(adjoin_det_inverse=True, substitute_r=False, verify=verify)
+        _det_scales(build_model(glpq_rfree_doc, verify=verify))
     assert str(info.value) == message
 
 
