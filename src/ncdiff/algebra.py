@@ -81,6 +81,7 @@ each class adds its own product, scaling and printing.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from . import render
@@ -433,19 +434,8 @@ def _accumulate_scaled(terms: dict, add: dict, coeff) -> None:
             _accumulate(terms, word, coeff * c)
 
 
-class ConfluenceViolation:
-    """A length-three overlap (or duplicated pair) with distinct normal forms."""
-
-    __slots__ = ("word", "left", "right")
-
-    def __init__(self, word, left: Element, right: Element):
-        self.word = word
-        self.left = left
-        self.right = right
-
-    def __repr__(self):
-        return "ConfluenceViolation(word=%r, left=%s, right=%s)" % (
-            self.word, self.left, self.right)
+# A length-three overlap (or duplicated pair) with distinct normal forms.
+ConfluenceViolation = namedtuple("ConfluenceViolation", "word left right")
 
 
 class Algebra:

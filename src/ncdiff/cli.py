@@ -37,10 +37,12 @@ def _load_bundle(spec: str):
                 % (name, ", ".join(sorted(BUILTINS))))
         return builder(verify=False)
     try:
-        with open(spec, "r") as handle:
+        with open(spec, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise UsageError("cannot read %s: %s" % (spec, exc.strerror)) from None
+    except UnicodeDecodeError as exc:
+        raise UsageError("cannot read %s: %s" % (spec, exc)) from None
     return load_model(text, verify=False)
 
 
@@ -228,10 +230,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ModelError as exc:
+    except (UsageError, ModelError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except KeyError as exc:

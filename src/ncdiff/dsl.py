@@ -313,19 +313,19 @@ class _Parser:
     # expression grammar:  expr > term > factor > power > atom
 
     def parse_expression(self):
-        node = self.parse_term()
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.advance()
-            right = self.parse_term()
-            node = ("bin", op.value, node, right, (op.line, op.col))
-        return node
+        return self._chain(("+", "-"), self.parse_term)
 
     def parse_term(self):
-        node = self.parse_factor()
-        while self.at_punct("*") or self.at_punct("/"):
-            op = self.advance()
-            right = self.parse_factor()
-            node = ("bin", op.value, node, right, (op.line, op.col))
+        return self._chain(("*", "/"), self.parse_factor)
+
+    def _chain(self, ops, operand):
+        """operand (op operand)*, folded into left-nested binary nodes."""
+        node = operand()
+        op = self.peek()
+        while op.kind == "punct" and op.value in ops:
+            self.advance()
+            node = ("bin", op.value, node, operand(), (op.line, op.col))
+            op = self.peek()
         return node
 
     def parse_factor(self):
@@ -762,21 +762,8 @@ class _StaticChecker:
 
 # -- building -----------------------------------------------------------------
 
-class CheckCase:
-    """One named identity from a model file, evaluated on both sides."""
-
-    __slots__ = ("name", "lhs", "rhs")
-
-    def __init__(self, name: str, lhs, rhs):
-        self.name = name
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def difference(self):
-        return self.lhs - self.rhs
-
-    def passed(self) -> bool:
-        return self.difference().is_zero()
+# One named identity from a model file, evaluated on both sides.
+CheckCase = collections.namedtuple("CheckCase", "name lhs rhs")
 
 
 class ModelBundle:
@@ -813,17 +800,15 @@ class ModelBundle:
         return self._eval(_parse_expression_text(text))
 
     def _eval(self, node):
-        return _Evaluator(self._env, self.params, self.algebra,
-                          self.calculus).eval(node)
+        return _Evaluator(self._env, self.params, self.calculus).eval(node)
 
 
 class _Evaluator:
     """Evaluates expression trees into coefficients, elements, or forms."""
 
-    def __init__(self, env: dict, params: ParameterSet, algebra, calculus):
+    def __init__(self, env: dict, params: ParameterSet, calculus):
         self.env = env
         self.params = params
-        self.algebra = algebra
         self.calculus = calculus
 
     def eval(self, node):
@@ -943,7 +928,7 @@ def _free_terms(node, free: Algebra, param_env: dict) -> dict:
     env = dict(param_env)
     for name in free.table.base_names:
         env[name] = free.gen(name)
-    value = _Evaluator(env, free.params, free, None).eval(node)
+    value = _Evaluator(env, free.params, None).eval(node)
     if isinstance(value, RationalFunction):
         value = free.scalar(value)
     return value.terms
@@ -993,15 +978,15 @@ class _Builder:
 
     def subst(self, stmt):
         target, expr = stmt.data
-        value = _Evaluator(self.param_env, self.bundle.params, None,
-                           None).eval(expr)
+        value = _Evaluator(self.param_env, self.bundle.params, None).eval(expr)
         self.param_env[target] = self.bundle._env[target] = value
         self.bundle.substitutions[target] = value
 
     def auto(self, stmt):
         name, entries = stmt.data
         algebra = self.bundle.algebra
-        algebra.normalize_rules()
+        if not self.bundle.autos:
+            algebra.normalize_rules()
         images = {gen_name: self._element(
                       expr, stmt, "image of %r must be an element", gen_name)
                   for gen_name, expr in entries}
@@ -1119,7 +1104,7 @@ def load_model(text: str, verify: bool = True) -> ModelBundle:
 def parse_coefficient(text: str, params: ParameterSet) -> RationalFunction:
     """Parse a coefficient expression over the given parameters."""
     env = {n: RationalFunction.parameter(params, n) for n in params.names}
-    value = _Evaluator(env, params, None, None).eval(
+    value = _Evaluator(env, params, None).eval(
         _parse_expression_text(text))
     if not isinstance(value, RationalFunction):
         raise ModelSemanticError("expected a coefficient", 1, 1)

@@ -15,8 +15,8 @@ phi(d g) with d(phi g) on the generators.  Both sides read the calculus's
 table of generator differentials (``Calculus.generator_differentials``),
 built once per map: for a diagonal phi, phi(g) = c_g g and so
 d(phi g) = c_g d(g), and no derivation runs again.  A geometry asks for
-the identity, each twist and each inverse twist (one inverse map per
-label, shared with transport), so the table holds at most
+the identity, each twist and its inverse (one inverse per automorphism,
+``Endomorphism.inverse``, shared with transport), so the table holds at most
 (twists + inverse twists + 1) x generator symbols rows.  The derived
 action expresses every target label in the span of the same candidates,
 so one elimination (``coeff.solve_in_span``) gives the whole matrix; the
@@ -146,12 +146,9 @@ class TensorForm(LinearSum):
         return self.terms.get(key, self.calculus.algebra.zero())
 
     def __rmul__(self, other) -> "TensorForm":
-        """Left multiplication by an element (both slots are left-linear)."""
-        if isinstance(other, Element):
-            return TensorForm(self.calculus,
-                              {k: other * v for k, v in self.terms.items()})
+        """Left multiplication by an element or scalar (left-linear slots)."""
         return TensorForm(self.calculus,
-                          {k: v.scale(other) for k, v in self.terms.items()})
+                          {k: other * v for k, v in self.terms.items()})
 
     def _spelled(self, spell) -> str:
         return spell.tensor(self)
@@ -168,7 +165,6 @@ class Geometry:
                 raise GeometryError(
                     "extension for %r does not extend its twist" % lab)
         self.extensions = dict(extensions)
-        self._inverse_twists = {}
 
     def extension(self, label: str) -> FormExtension:
         ext = self.extensions.get(label)
@@ -177,19 +173,13 @@ class Geometry:
         return ext
 
     def inverse_extension(self, label: str) -> FormExtension:
-        """The inverse of extension(label), over inverse_twist(label)."""
+        """The inverse of extension(label), over the inverse of its twist."""
         matrix = _invert_matrix(self.extension(label).matrix,
                                 self.calculus.algebra.params)
         if matrix is None:
             raise GeometryError("theta action is not invertible")
-        return FormExtension(self.calculus, self.inverse_twist(label), matrix)
-
-    def inverse_twist(self, label: str) -> Endomorphism:
-        endo = self._inverse_twists.get(label)
-        if endo is None:
-            endo = self.calculus.twists[label].inverse()
-            self._inverse_twists[label] = endo
-        return endo
+        return FormExtension(self.calculus,
+                             self.calculus.twists[label].inverse(), matrix)
 
     # -- tensors -----------------------------------------------------------
 
@@ -261,7 +251,7 @@ class Connection:
         """V_s on a one-form: V_s(a theta^k) = phi_s^-1(a) V_s(theta^k)."""
         _require_grade_one(form)
         calc = self.geometry.calculus
-        inv = self.geometry.inverse_twist(s)
+        inv = calc.twists[s].inverse()
         out = calc.zero_form()
         for (k,), coeff in form.terms.items():
             out = out + inv.apply(coeff) * self.table[(s, calc.labels[k])]
@@ -271,7 +261,7 @@ class Connection:
         """V_s on a tensor, twisting entries and transporting both slots."""
         geo = self.geometry
         calc = geo.calculus
-        inv = geo.inverse_twist(s)
+        inv = calc.twists[s].inverse()
         out = TensorForm(calc, {})
         for (k, k2), coeff in tensor.terms.items():
             left = self.table[(s, calc.labels[k])]

@@ -481,6 +481,6 @@ def _det_checks(bundle):
 
 def _model_checks(bundle):
     for case in bundle.checks:
-        ok = case.passed()
+        difference = case.lhs - case.rhs
         yield ("check/%s" % case.name, "model identity %r" % case.name,
-               ok, None if ok else case.difference())
+               difference.is_zero(), difference)

@@ -29,7 +29,8 @@ class MorphismError(AlgebraError):
 class Endomorphism:
     """An algebra endomorphism given by generator images."""
 
-    __slots__ = ("algebra", "images", "name", "_scales", "_word_cache")
+    __slots__ = ("algebra", "images", "name", "_scales", "_word_cache",
+                 "_inverse")
 
     def __init__(self, algebra: Algebra, images: dict, name: str | None = None):
         """images maps base generator names to elements."""
@@ -53,6 +54,7 @@ class Endomorphism:
         self._scales = _scales(by_symbol)
         # word -> its scale under a diagonal map, else its image
         self._word_cache = {}
+        self._inverse = None
 
     def apply(self, x: Element) -> Element:
         if x.algebra is not self.algebra:
@@ -130,16 +132,18 @@ class Endomorphism:
                 for name in table.base_names}
 
     def inverse(self) -> "Endomorphism":
-        """The inverse endomorphism; derived only for diagonal scalings."""
-        scaling = self.diagonal_scaling()
-        if scaling is None:
-            raise MorphismError(
-                "cannot derive the inverse of a non-diagonal endomorphism")
-        alg = self.algebra
-        images = {name: alg.gen(name).scale(c.inverse())
-                  for name, c in scaling.items()}
-        name = None if self.name is None else self.name + "^-1"
-        return Endomorphism(alg, images, name)
+        """The inverse, built once; derived only for diagonal scalings."""
+        if self._inverse is None:
+            scaling = self.diagonal_scaling()
+            if scaling is None:
+                raise MorphismError(
+                    "cannot derive the inverse of a non-diagonal endomorphism")
+            alg = self.algebra
+            images = {name: alg.gen(name).scale(c.inverse())
+                      for name, c in scaling.items()}
+            name = None if self.name is None else self.name + "^-1"
+            self._inverse = Endomorphism(alg, images, name)
+        return self._inverse
 
     def verify_inverse(self, other: "Endomorphism") -> bool:
         """True when both compositions fix every generator."""

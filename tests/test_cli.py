@@ -197,6 +197,15 @@ class TestNf:
         assert rc == 2
         assert "cannot read" in err
 
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.ncd"
+        path.write_bytes(b'model "m";\nparam q;\ngen x\xff;\n')
+        rc, out, err = run_cli(capsys, ["nf", str(path), "-e", "x"])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: cannot read %s: 'utf-8' codec can't "
+                              "decode byte 0xff" % path)
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     @pytest.mark.parametrize("tail", ["", "let z = x;\n"],
                              ids=["bare", "with-let"])
     def test_generators_known_without_late_statement(self, capsys, tmp_path,
@@ -469,6 +478,22 @@ class TestVerify:
         path.write_text(NO_WEDGE_RULES)
         rc, out, err = run_cli(capsys, ["verify", str(path)])
         assert (rc, out, err) == (1, "", "error: no rule for t1*t1\n")
+
+    def test_missing_extension_is_recorded(self, capsys, tmp_path):
+        """Without its phi2 extension block the torus fails only the
+        extension check of t2, with the reason as its witness."""
+        path = tmp_path / "noext.ncd"
+        path.write_text(_torus_with("extension phi2 {\n  t1 -> t1;\n"
+                                    "  t2 -> t2;\n}\n\n", ""))
+        rc, out, err = run_cli(capsys, ["verify", str(path)])
+        assert (rc, err) == (1, "")
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("fail")] == [
+            "fail extension/t2"]
+        marker = lines.index("fail extension/t2")
+        assert lines[marker + 1] == ("     witness: no extension for the "
+                                     "twist of 't2'")
+        assert lines[-1] == "model quantum-torus: 21 passed, 1 failed"
 
     def test_samples_flag(self, capsys):
         rc, out, _ = run_cli(capsys, ["verify", "builtin:quantum-torus",

@@ -12,7 +12,8 @@ Three families of cases run through ``cli.main``:
   products, and huge powers inside a ``rel`` of a model text;
 * one-token mutations of the shipped quantum-torus text (a token deleted,
   doubled, or replaced by another token), each run through all four
-  subcommands.
+  subcommands; one text in twenty is written with one byte replaced by
+  ``0xff``, so it is not UTF-8.
 
 Every run is checked by three oracles:
 
@@ -221,6 +222,12 @@ def rel_power_text(rng, text):
     return text.replace("rel x*y = q*y*x;", rel)
 
 
+def undecodable(rng, data):
+    """data with one byte replaced by 0xff, which UTF-8 never uses."""
+    i = rng.randrange(len(data))
+    return data[:i] + b"\xff" + data[i + 1:]
+
+
 def run_cli(argv):
     """(exit code, stdout, stderr, traceback or None) of one cli.main run."""
     out, err = io.StringIO(), io.StringIO()
@@ -299,11 +306,12 @@ class Fuzzer:
         else:
             self.check(argv + ["--format", fmt])
 
-    def text(self, rng, text, directory):
-        """Write a model text and run all four subcommands on it."""
+    def text(self, rng, data, directory):
+        """Write the bytes of a model text and run all four subcommands on
+        it."""
         path = os.path.join(directory, "case.ncd")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(path, "wb") as handle:
+            handle.write(data)
         self.nf(path, expression(rng, self.vocabulary("quantum-torus"), 2),
                 "plain")
         self.check(["verify", path, "--samples", "3",
@@ -326,7 +334,10 @@ class Fuzzer:
                 if kind == "text":
                     text = (rel_power_text(rng, torus) if rng.random() < 0.1
                             else mutated_text(rng, torus))
-                    self.text(rng, text, directory)
+                    data = text.encode("utf-8")
+                    if rng.random() < 0.05:
+                        data = undecodable(rng, data)
+                    self.text(rng, data, directory)
                     continue
                 vocab = self.vocabulary(model)
                 if kind == "expr":

@@ -148,11 +148,10 @@ class TestGeneratorDifferentials:
                                       "gl-pq2-localized", "rank-4",
                                       "gl-pq2-rfree"])
     def test_rows_equal_the_direct_path(self, table_models, name):
-        bundle = table_models[name]
-        calc, geo = bundle.calculus, bundle.geometry
+        calc = table_models[name].calculus
         maps = [None]
         for lab in calc.labels:
-            maps += [calc.twists[lab], geo.inverse_twist(lab)]
+            maps += [calc.twists[lab], calc.twists[lab].inverse()]
         for phi in maps:
             rows = calc.generator_differentials(phi)
             direct = ([calc.d_element(g) for _, g in calc.generator_elements()]
@@ -285,9 +284,26 @@ class TestTensors:
             Geometry(calc, {"t1": geo.extension("t2")})
 
     def test_one_inverse_map_per_label(self, glpq):
-        geo = glpq.geometry
-        for lab in glpq.calculus.labels:
-            assert geo.inverse_extension(lab).base is geo.inverse_twist(lab)
+        geo, calc = glpq.geometry, glpq.calculus
+        for lab in calc.labels:
+            endo = calc.twists[lab]
+            assert endo.inverse() is endo.inverse()
+            assert geo.inverse_extension(lab).base is endo.inverse()
+
+    def test_suite_checks_the_inverse_that_extensions_use(self, monkeypatch):
+        checked = {}
+
+        def record(endo, other):
+            checked[endo.name] = other
+            return True
+
+        monkeypatch.setattr(Endomorphism, "verify_inverse", record)
+        bundle = models.build_quantum_torus(verify=False)
+        models.run_suite(bundle, samples=0)
+        calc, geo = bundle.calculus, bundle.geometry
+        for lab in calc.labels:
+            base = geo.inverse_extension(lab).base
+            assert checked[calc.twists[lab].name] is base
 
 
 class TestConnection:
@@ -304,13 +320,13 @@ class TestConnection:
             for k in calc.labels:
                 assert conn.transport(s, calc.theta(k)) == calc.theta(k)
 
-    def test_transport_twisted_linearity(self, conn, geo, calc, alg):
+    def test_transport_twisted_linearity(self, conn, calc, alg):
         omega = (calc.embed(alg.gen("y")) * calc.theta("t1")
                  + calc.theta("t2"))
         a = alg.gen("x")
         for s in calc.labels:
             lhs = conn.transport(s, calc.embed(a) * omega)
-            moved = geo.inverse_twist(s).apply(a)
+            moved = calc.twists[s].inverse().apply(a)
             rhs = calc.embed(moved) * conn.transport(s, omega)
             assert lhs == rhs
 
