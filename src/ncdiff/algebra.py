@@ -139,14 +139,6 @@ class GeneratorTable:
     def is_inverse_symbol(self, sym: int) -> bool:
         return self.base_index[sym] != sym
 
-    def __eq__(self, other):
-        return (isinstance(other, GeneratorTable)
-                and self.base_names == other.base_names
-                and self.invertible == other.invertible)
-
-    def __hash__(self):
-        return hash((self.base_names, self.invertible))
-
 
 # A word is a tuple of (symbol, count) runs with positive counts and
 # distinct adjacent symbols; the empty tuple is the unit.

@@ -245,17 +245,14 @@ class Calculus:
              - (self.wedge(candidate, x) - self.wedge(x, candidate)))
             for name, x, dx in probes)
 
-    def basis_probes(self):
-        """The generators, then the basis one-forms, each with its name."""
-        return self.generator_elements() + [(lab, self.theta(lab))
-                                            for lab in self.labels]
-
     def d_squared_witness(self):
         """None when vtheta^2 is graded-central (so d.d = 0), else a witness."""
         square = self.wedge(self.inner_form(), self.inner_form())
+        probes = self.generator_elements() + [(lab, self.theta(lab))
+                                              for lab in self.labels]
         return _first_witness(
             (name, self.wedge(square, x) - self.wedge(x, square))
-            for name, x in self.basis_probes())
+            for name, x in probes)
 
     # -- derived commutation relations ---------------------------------------
 
@@ -311,7 +308,7 @@ class Calculus:
                     "%s * %s has an underdetermined expansion" % left)
             terms = [(coeff, name) for coeff, name in zip(solution, names)
                      if not coeff.is_zero()]
-            results.append(DerivedRelation(side, left, terms))
+            results.append(DerivedRelation(left, terms))
         if unformed is not None:
             raise unformed
         return results
@@ -382,10 +379,9 @@ class Form(LinearSum):
 class DerivedRelation:
     """One solved commutation relation between a named form and element."""
 
-    __slots__ = ("side", "left", "terms")
+    __slots__ = ("left", "terms")
 
-    def __init__(self, side: str, left, terms):
-        self.side = side
+    def __init__(self, left, terms):
         self.left = left
         self.terms = terms
 

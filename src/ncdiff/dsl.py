@@ -769,7 +769,9 @@ CheckCase = collections.namedtuple("CheckCase", "name lhs rhs")
 class ModelBundle:
     """Built model objects: algebra, automorphisms, calculus, geometry.
 
-    build_model fills the tables one statement at a time.
+    build_model fills the tables one statement at a time.  Every named
+    value (parameter, generator, basis form, let definition) lives in one
+    environment, read with value(name).
     """
 
     def __init__(self, doc, params, algebra, env):
@@ -780,11 +782,9 @@ class ModelBundle:
         self.autos = {}
         self.calculus = None
         self.geometry = None
-        self.named = {}
         self.metrics = {}
         self.connections = {}
         self.checks = []
-        self.substitutions = {}
         self._env = env
         self.extras = {}
 
@@ -980,7 +980,6 @@ class _Builder:
         target, expr = stmt.data
         value = _Evaluator(self.param_env, self.bundle.params, None).eval(expr)
         self.param_env[target] = self.bundle._env[target] = value
-        self.bundle.substitutions[target] = value
 
     def auto(self, stmt):
         name, entries = stmt.data
@@ -1051,8 +1050,7 @@ class _Builder:
 
     def let(self, stmt):
         name, expr = stmt.data
-        value = self.bundle.named[name] = self.bundle._eval(expr)
-        self.bundle._env[name] = value
+        self.bundle._env[name] = self.bundle._eval(expr)
 
     def metric(self, stmt):
         name, entries = stmt.data
@@ -1062,7 +1060,7 @@ class _Builder:
             value = self._element(expr, stmt,
                                   "metric entries must be elements")
             key = (calculus.labels.index(lab1), calculus.labels.index(lab2))
-            terms[key] = terms.get(key, self.bundle.algebra.zero()) + value
+            terms[key] = value
         self.bundle.metrics[name] = TensorForm(calculus, terms)
 
     def connection(self, stmt):
@@ -1073,7 +1071,7 @@ class _Builder:
             value = calculus.embed(self.bundle._eval(expr))
             table_entries[(calculus.labels[index - 1], basis)] = value
         self.bundle.connections[name] = _located(
-            stmt, Connection, self.bundle.geometry, table_entries, name)
+            stmt, Connection, self.bundle.geometry, table_entries)
 
     def check(self, stmt):
         name, lhs, rhs = stmt.data

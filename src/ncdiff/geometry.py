@@ -231,10 +231,9 @@ def _require_grade_one(form: Form) -> None:
 class Connection:
     """Transport operators V_s on one-forms, twisted-linear over the algebra."""
 
-    def __init__(self, geometry: Geometry, table: dict, name: str | None = None):
+    def __init__(self, geometry: Geometry, table: dict):
         """table maps (direction label, basis label) to the transported form."""
         self.geometry = geometry
-        self.name = name
         calc = geometry.calculus
         self.table = {}
         for s in calc.labels:

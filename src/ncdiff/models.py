@@ -76,14 +76,8 @@ def model_source(name: str) -> str:
 def build_quantum_torus(verify: bool = True) -> ModelBundle:
     bundle = build_model(parse_model(model_source("quantum-torus")),
                          verify=verify)
-    bundle.extras["expected_relations"] = {
-        "forms": ["dx", "dy"],
-        "elements": ["x", "y"],
-        "side": "element_first",
-        "table": _TORUS_EXPECTED_RELATIONS,
-    }
-    bundle.extras["torsion_zero"] = {"connection": "triv",
-                                     "forms": ["t1", "t2"]}
+    bundle.extras["expected_relations"] = _TORUS_EXPECTED_RELATIONS
+    bundle.extras["torsion_zero"] = "triv"
     return bundle
 
 
@@ -103,12 +97,10 @@ def build_glpq(adjoin_det_inverse: bool = False,
         lambdas, sigmas = _det_scales(bundle)
         doc = _adjoin_det_inverse(doc, lambdas, sigmas)
         bundle = build_model(doc, verify=verify)
-        bundle.extras["localized"] = {
-            "generator": "Dinv",
-            "lambdas": {n: str(lam) for n, lam in lambdas.items()}}
+        bundle.extras["localized"] = "Dinv"
     bundle.extras["twisted_basis"] = [("tt%d" % s, "phit%d" % s)
                                       for s in range(1, 5)]
-    bundle.extras["det"] = {"element": "D", "lambdas": _GL_DET_LAMBDAS}
+    bundle.extras["det"] = _GL_DET_LAMBDAS
     return bundle
 
 
@@ -153,7 +145,7 @@ def scalar_ratio(left: Element, right: Element):
 def _det_scales(bundle: ModelBundle):
     """The scalars lam_g with D*g = lam_g*g*D, one per symbol in table
     order, and sig_phi with phi(D) = sig_phi*D, one per automorphism."""
-    det = bundle.named["D"]
+    det = bundle.value("D")
     alg = bundle.algebra
     lambdas = {}
     for sym, sym_name in enumerate(alg.table.symbols):
@@ -332,7 +324,7 @@ def _calculus_checks(bundle, passed, rng, samples):
                witness is None, witness)
 
     for form_name, auto_name in bundle.extras.get("twisted_basis", ()):
-        witness = _commutes_through(calc, bundle.named[form_name],
+        witness = _commutes_through(calc, bundle.value(form_name),
                                     bundle.autos[auto_name], form_name)
         yield ("twisted-basis/%s" % form_name,
                "%s commutes through %s" % (form_name, auto_name),
@@ -374,7 +366,7 @@ def _calculus_checks(bundle, passed, rng, samples):
 def _geometry_checks(bundle):
     calc = bundle.calculus
     geo = bundle.geometry
-    if calc is None or geo is None or not geo.extensions:
+    if calc is None or not geo.extensions:
         return
     for lab in calc.labels:
         try:
@@ -419,11 +411,10 @@ def _geometry_checks(bundle):
                    "connection %s preserves metric %s" % (cname, mname),
                    witness is None, witness)
 
-    torsion = bundle.extras.get("torsion_zero")
-    if torsion:
-        cname = torsion["connection"]
+    cname = bundle.extras.get("torsion_zero")
+    if cname:
         conn = bundle.connections[cname]
-        for fname in torsion["forms"]:
+        for fname in calc.labels:
             value = conn.torsion(bundle.value(fname))
             yield ("torsion/%s/%s" % (cname, fname),
                    "connection %s is torsion free on %s" % (cname, fname),
@@ -435,18 +426,14 @@ def _expected_relation_checks(bundle):
     calc = bundle.calculus
     if not expected or calc is None:
         return
-    forms = {n: bundle.named[n] for n in expected["forms"]}
-    elements = {n: bundle.value(n) for n in expected["elements"]}
-    derived = calc.commutation_relations(forms, elements,
-                                         side=expected["side"])
-    by_left = {rel.left: rel for rel in derived}
-    for left, terms in sorted(expected["table"].items()):
+    elements = {e: bundle.value(e) for e in sorted({e for e, _ in expected})}
+    forms = {w: bundle.value(w) for w in sorted({w for _, w in expected})}
+    by_left = {rel.left: rel
+               for rel in calc.commutation_relations(forms, elements)}
+    for left, terms in sorted(expected.items()):
         anchor = "derived-relation/%s*%s" % left
         title = "derived commutation rule for %s * %s" % left
-        rel = by_left.get(left)
-        if rel is None:
-            yield anchor, title, False, "no relation derived"
-            continue
+        rel = by_left[left]
         want = {names: parse_coefficient(text, bundle.params)
                 for text, names in terms}
         got = {names: rf for rf, names in rel.terms}
@@ -455,21 +442,19 @@ def _expected_relation_checks(bundle):
 
 
 def _det_checks(bundle):
-    det_info = bundle.extras.get("det")
-    if not det_info:
+    lambdas = bundle.extras.get("det")
+    if not lambdas:
         return
-    det = bundle.named[det_info["element"]]
-    for gname in sorted(det_info["lambdas"]):
-        lam_text = det_info["lambdas"][gname]
+    det = bundle.value("D")
+    for gname, lam_text in sorted(lambdas.items()):
         lam = parse_coefficient(lam_text, bundle.params)
         g = bundle.value(gname)
         diff = det * g - (g * det).scale(lam)
         yield ("det-scale/%s" % gname,
                "determinant picks up %s past %s" % (lam_text, gname),
                diff.is_zero(), diff)
-    localized = bundle.extras.get("localized")
-    if localized:
-        inv_name = localized["generator"]
+    inv_name = bundle.extras.get("localized")
+    if inv_name:
         unit = det * bundle.value(inv_name)
         witness = _first_witness(
             (name, unit * bundle.value(name) - bundle.value(name) * unit)

@@ -109,7 +109,7 @@ def test_criterion_02_basis_diagonality(torus, glpq):
                                     % (bundle.name, lab, name))
     calc = glpq.calculus
     for form_name, auto_name in glpq.extras["twisted_basis"]:
-        form = glpq.named[form_name]
+        form = glpq.value(form_name)
         twist = glpq.autos[auto_name]
         for name, g in calc.generator_elements():
             lhs = calc.wedge(form, calc.embed(g))
@@ -242,9 +242,9 @@ def test_criterion_07_confluence(torus, glpq, glpq_localized):
 
 def test_criterion_08_determinant_commutation(glpq):
     problems = []
-    det = glpq.named["D"]
+    det = glpq.value("D")
     rng = random.Random(31)
-    for gname, lam_text in sorted(glpq.extras["det"]["lambdas"].items()):
+    for gname, lam_text in sorted(glpq.extras["det"].items()):
         lam = parse_coefficient(lam_text, glpq.params)
         g = glpq.value(gname)
         lhs = det * g
@@ -305,7 +305,7 @@ def test_criterion_09_geometry_layer(torus, glpq):
     table = {(s, k): calc.theta(k) for s in calc.labels
              for k in calc.labels}
     table[("t1", "t1")] = calc.theta("t1").scale(2)
-    perturbed = Connection(geo, table, "perturbed")
+    perturbed = Connection(geo, table)
     witness = perturbed.metric_compatible(metric)
     if witness is None or witness[0] != "t1":
         problems.append("perturbed connection not rejected")

@@ -56,12 +56,6 @@ class TestGeneratorTable:
         with pytest.raises(ValueError):
             GeneratorTable(("a",), invertible=("b",))
 
-    def test_equality(self):
-        one = GeneratorTable(("a", "b"), invertible=("a",))
-        two = GeneratorTable(("a", "b"), invertible=("a",))
-        assert one == two and hash(one) == hash(two)
-        assert one != GeneratorTable(("a", "b"))
-
 
 class TestWords:
     def test_run_merging(self):

@@ -75,6 +75,16 @@ class TestThetaRewriting:
             Calculus(alg, ("t1", "t2"), twists, {"t1": alg.one()},
                      torus_rules(alg))
 
+    def test_twist_and_weight_types(self, torus, alg):
+        twists = dict(torus.calculus.twists)
+        weights = {"t1": alg.one(), "t2": alg.one()}
+        with pytest.raises(CalculusError, match="not an endomorphism"):
+            Calculus(alg, ("t1", "t2"), dict(twists, t1="phi1"), weights,
+                     torus_rules(alg))
+        with pytest.raises(CalculusError, match="not an element"):
+            Calculus(alg, ("t1", "t2"), twists, dict(weights, t2=1),
+                     torus_rules(alg))
+
     def test_duplicate_label_rejected(self, torus, alg):
         with pytest.raises(CalculusError):
             Calculus(alg, ("t1", "t1"), dict(torus.calculus.twists),
@@ -330,7 +340,7 @@ def reference_relations(calc, forms, elements, side, reference_solve):
                         "%s * %s has an underdetermined expansion" % left)
             terms = [(coeff, names) for coeff, (names, _) in
                      zip(solution, candidates) if not coeff.is_zero()]
-            results.append(DerivedRelation(side, left, terms))
+            results.append(DerivedRelation(left, terms))
     return results
 
 

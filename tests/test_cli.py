@@ -218,9 +218,19 @@ class TestNf:
     def test_missing_wedge_rule(self, capsys, tmp_path):
         path = tmp_path / "nowedge.ncd"
         path.write_text(NO_WEDGE_RULES)
-        rc, out, err = run_cli(capsys, ["nf", str(path), "-e", "x + d(t1)"])
+        for expr, col in (("x + d(t1)", 5), ("x + t1*t1", 7)):
+            rc, out, err = run_cli(capsys, ["nf", str(path), "-e", expr])
+            assert (rc, out, err) == (
+                2, "", "error: line 1, column %d: no rule for t1*t1\n" % col)
+
+    def test_wedge_rule_that_does_not_decrease(self, capsys, tmp_path):
+        path = tmp_path / "ascending.ncd"
+        path.write_text(_torus_with("wedge t1*t1 = 0;",
+                                    "wedge t1*t1 = t1*t2;"))
+        rc, out, err = run_cli(capsys, ["nf", str(path), "-e", "x"])
         assert (rc, out, err) == (
-            2, "", "error: line 1, column 5: no rule for t1*t1\n")
+            2, "", "error: line 26, column 1: rule t1*t1 does not decrease "
+            "the pair order\n")
 
     def test_model_from_file(self, capsys, tmp_path):
         path = tmp_path / "torus.ncd"
@@ -515,6 +525,13 @@ class TestVerify:
         assert err.startswith("usage: ncdiff verify")
         assert ("error: argument --samples: must be 0 or more, not %s\n"
                 % value) in err
+
+    def test_non_integer_samples_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "builtin:quantum-torus", "--samples", "abc"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "error: argument --samples: invalid int value: 'abc'\n" in err
 
     def test_run_suite_refuses_negative_samples(self, torus):
         with pytest.raises(ValueError):

@@ -39,6 +39,28 @@ class TestParameterSet:
         assert params != ParameterSet(("q",))
 
 
+class TestInputChecks:
+    """Each constructor and division refuses an input it cannot represent."""
+
+    @pytest.mark.parametrize("make,error", [
+        pytest.param(lambda p: ParameterSet(("q", "q")), ValueError,
+                     id="duplicate-parameter"),
+        pytest.param(lambda p: RationalFunction(
+            Polynomial.variable(p, "q"), Polynomial.constant(p, 0)),
+            ZeroDivisionError, id="zero-denominator"),
+        pytest.param(lambda p: RationalFunction(
+            Polynomial.variable(p, "q"),
+            Polynomial.variable(ParameterSet(("q",)), "q")),
+            ValueError, id="mismatched-parameters"),
+        pytest.param(lambda p: Polynomial.variable(p, "q").try_exact_divide(
+            Polynomial.constant(p, 0)), ZeroDivisionError,
+            id="exact-divide-by-zero"),
+    ])
+    def test_rejected(self, params, make, error):
+        with pytest.raises(error):
+            make(params)
+
+
 class TestArithmetic:
     def test_constants(self, params):
         assert str(const(params, 0)) == "0"

@@ -254,6 +254,11 @@ STATEMENT_ERRORS = [
     pytest.param(
         with_base("let f = t1;", "metric g { [t1, t1] = f; }"),
         "metric entries must be elements", 19, 1, id="metric-form-entry"),
+    pytest.param(
+        model_source("quantum-torus").replace("wedge t1*t1 = 0;",
+                                              "wedge t1*t1 = t1*t2;"),
+        "rule t1*t1 does not decrease the pair order", 26, 1,
+        id="wedge-rule-not-decreasing"),
 ]
 
 
@@ -355,8 +360,9 @@ class TestCoefficientSums:
         bundle = load_model('model "m";\nparam p, q;\ngen x;\n'
                             'rel x*x = q*x;\nsubst q = p - 1;')
         p_minus_1 = parse_coefficient("p - 1", bundle.params)
-        assert bundle.substitutions == {"q": p_minus_1}
         assert bundle.value("q") == p_minus_1
+        assert bundle.value("p") == RationalFunction.parameter(
+            bundle.params, "p")
 
     @pytest.mark.parametrize("relation,expected", [
         ("y*x = x*y/(q - 1)", "y*x - x*y/(q - 1)"),
@@ -455,11 +461,11 @@ class TestBuildSemantics:
         q = RationalFunction.parameter(params, "q")
         r = RationalFunction.parameter(params, "r")
         assert bundle.value("c") == r
-        assert bundle.substitutions == {}
+        assert bundle.value("r") == r
         subst = with_base('subst r = q^2;', 'let c = r;')
         bundle = load_model(subst)
         assert bundle.value("c") == q ** 2
-        assert bundle.substitutions == {"r": q ** 2}
+        assert bundle.value("r") == q ** 2
         relation_coeff = bundle.algebra.normal_form_word(
             ((bundle.algebra.table.index("y"), 1),
              (bundle.algebra.table.index("x"), 1)))

@@ -69,7 +69,8 @@ class Vocabulary:
                          if g in table.invertible]
         self.params = list(bundle.params.names)
         self.thetas = list(bundle.calculus.labels)
-        self.named = sorted(bundle.named)
+        self.named = sorted(stmt.data[0] for stmt in bundle.doc.statements
+                            if stmt.kind == "let")
 
 
 def _scalar(rng):

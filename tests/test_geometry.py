@@ -346,7 +346,7 @@ class TestConnection:
         table = {(s, k): calc.theta(k) for s in calc.labels
                  for k in calc.labels}
         table[("t1", "t1")] = calc.theta("t1").scale(2)
-        perturbed = Connection(geo, table, "perturbed")
+        perturbed = Connection(geo, table)
         witness = perturbed.metric_compatible(metric)
         assert witness is not None
         assert witness[0] == "t1"

@@ -86,15 +86,12 @@ class TestTorusBundle:
 
     def test_expected_relations_extras(self, torus):
         expected = torus.extras["expected_relations"]
-        assert expected["side"] == "element_first"
-        assert expected["forms"] == ["dx", "dy"]
-        assert expected["elements"] == ["x", "y"]
-        assert set(expected["table"]) == {("x", "dx"), ("x", "dy"),
-                                          ("y", "dx"), ("y", "dy")}
+        assert set(expected) == {("x", "dx"), ("x", "dy"),
+                                 ("y", "dx"), ("y", "dy")}
 
     def test_torsion_extras(self, torus):
-        assert torus.extras["torsion_zero"] == {"connection": "triv",
-                                                "forms": ["t1", "t2"]}
+        assert torus.extras["torsion_zero"] == "triv"
+        assert torus.calculus.labels == ("t1", "t2")
 
     def test_unverified_build(self):
         bundle = build_quantum_torus(verify=False)
@@ -108,9 +105,8 @@ class TestGlpqBundle:
             ("tt3", "phit3"), ("tt4", "phit4")]
 
     def test_det_extras(self, glpq):
-        assert glpq.extras["det"] == {
-            "element": "D",
-            "lambdas": {"a": "1", "b": "p/q", "c": "q/p", "d": "1"}}
+        assert glpq.extras["det"] == {"a": "1", "b": "p/q", "c": "q/p",
+                                      "d": "1"}
 
     def test_mirror_checks_present(self, glpq):
         names = [case.name for case in glpq.checks]
@@ -122,7 +118,7 @@ class TestGlpqBundle:
         assert sorted(mirrors) == sorted(n + "-mirror" for n in base_mc)
 
     def test_det_scaling_direct(self, glpq):
-        det = glpq.named["D"]
+        det = glpq.value("D")
         b = glpq.value("b")
         lam = parse_coefficient("p/q", glpq.params)
         assert det * b == (b * det).scale(lam)
@@ -132,7 +128,7 @@ class TestGlpqBundle:
     def test_substitution_recorded(self, glpq):
         p = RationalFunction.parameter(glpq.params, "p")
         q = RationalFunction.parameter(glpq.params, "q")
-        assert glpq.substitutions == {"r": p * q}
+        assert glpq.value("r") == p * q
 
 
 class TestLocalizedBundle:
@@ -142,14 +138,15 @@ class TestLocalizedBundle:
         assert glpq_localized.value("Dinv") == \
             glpq_localized.algebra.gen("Dinv")
 
-    def test_localized_extras(self, glpq_localized):
-        assert glpq_localized.extras["localized"] == {
-            "generator": "Dinv",
-            "lambdas": {"a": "1", "b": "p*q^-1", "b^-1": "p^-1*q",
-                        "c": "p^-1*q", "c^-1": "p*q^-1", "d": "1"}}
+    def test_localized_extras(self, glpq, glpq_localized):
+        assert glpq_localized.extras["localized"] == "Dinv"
+        lambdas, _ = _det_scales(glpq)
+        assert {n: str(lam) for n, lam in lambdas.items()} == {
+            "a": "1", "b": "p*q^-1", "b^-1": "p^-1*q",
+            "c": "p^-1*q", "c^-1": "p*q^-1", "d": "1"}
 
     def test_unit_is_central(self, glpq_localized):
-        unit = glpq_localized.named["D"] * glpq_localized.value("Dinv")
+        unit = glpq_localized.value("D") * glpq_localized.value("Dinv")
         a = glpq_localized.value("a")
         assert unit * a == a * unit
 

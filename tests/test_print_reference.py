@@ -351,7 +351,7 @@ def tensors(calc, elts, rng, count):
 
 def relations(rng, pool, count):
     names = ["w", "v", "x", "y"]
-    return [DerivedRelation("element_first", tuple(rng.sample(names, 2)),
+    return [DerivedRelation(tuple(rng.sample(names, 2)),
                             [(rng.choice(pool), tuple(rng.sample(names, 2)))
                              for _ in range(rng.randint(0, 4))])
             for _ in range(count)]

@@ -49,7 +49,7 @@ def sampled_calculus_checks(bundle, passed, rng, samples):
                witness is None, witness)
 
     for form_name, auto_name in bundle.extras.get("twisted_basis", ()):
-        witness = _commutes_through(calc, bundle.named[form_name],
+        witness = _commutes_through(calc, bundle.value(form_name),
                                     bundle.autos[auto_name], form_name)
         yield ("twisted-basis/%s" % form_name,
                "%s commutes through %s" % (form_name, auto_name),
@@ -64,8 +64,9 @@ def sampled_calculus_checks(bundle, passed, rng, samples):
            "the square of the inner form is graded central",
            witness is None, witness)
 
-    witness = _first_witness((name, calc.d(calc.d(x)))
-                             for name, x in calc.basis_probes())
+    probes = calc.generator_elements() + [(lab, calc.theta(lab))
+                                          for lab in calc.labels]
+    witness = _first_witness((name, calc.d(calc.d(x))) for name, x in probes)
     yield ("d-twice", "d applied twice vanishes on generators and basis",
            witness is None, witness)
 
