@@ -138,11 +138,7 @@ def _cmd_nf(args) -> int:
 def _cmd_verify(args) -> int:
     bundle = _load_bundle(args.model)
     seed = args.seed if args.seed is not None else _default_seed()
-    try:
-        report = run_suite(bundle, seed=seed, samples=args.samples)
-    except CalculusError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    report = run_suite(bundle, seed=seed, samples=args.samples)
     if args.format == "json":
         print(json.dumps(report_to_dict(report), indent=2))
     else:
@@ -171,12 +167,8 @@ def _cmd_relations(args) -> int:
         name = name.strip()
         elements[name] = bundle.value(name)
     side = "element_first" if args.side == "element" else "form_first"
-    try:
-        relations = bundle.calculus.commutation_relations(forms, elements,
-                                                          side=side)
-    except CalculusError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    relations = bundle.calculus.commutation_relations(forms, elements,
+                                                      side=side)
     if args.format == "json":
         print(json.dumps([relation_to_dict(rel) for rel in relations],
                          indent=2))
@@ -236,6 +228,9 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print("error: %s" % exc.args[0], file=sys.stderr)
         return 2
+    except CalculusError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

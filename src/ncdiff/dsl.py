@@ -140,16 +140,23 @@ def tokenize(text: str):
 #   ("num", int, loc)          ("name", ident, loc)
 #   ("call", fname, arg_or_None, loc)
 #   ("neg", node, loc)         ("pow", node, exponent, loc)
-#   ("bin", op, left, right, loc)
+#   ("chain", first, ((op, operand, op_loc), ...), loc)
+# A chain is one whole sum (+ and -) or product (* and /), applied left to
+# right, so no walker recurses once per operator.  Every walker recurses once
+# per node level, and levels grow only through parentheses, call arguments
+# and unary minus, which the parser bounds at _MAX_NESTING.
 
-_CHILD_SLOTS = {"num": (), "name": (), "neg": (1,), "pow": (1,), "bin": (2, 3)}
 
-
-def _child_slots(node):
-    """Tuple positions of the node's child expressions, left to right."""
-    if node[0] == "call":
-        return () if node[2] is None else (2,)
-    return _CHILD_SLOTS[node[0]]
+def _children(node):
+    """The node's child expressions, left to right."""
+    kind = node[0]
+    if kind == "chain":
+        return (node[1],) + tuple(link[1] for link in node[2])
+    if kind in ("neg", "pow"):
+        return (node[1],)
+    if kind == "call" and node[2] is not None:
+        return (node[2],)
+    return ()
 
 
 def _iter_nodes(node):
@@ -158,46 +165,27 @@ def _iter_nodes(node):
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(node[i] for i in reversed(_child_slots(node)))
+        stack.extend(reversed(_children(node)))
 
 
 def node_location(node):
     return node[-1]
 
 
-def _left_chain(node):
-    """The binary nodes down the left of ``node``, outermost first, and the
-    operand below the last of them."""
-    chain = []
-    while node[0] == "bin":
-        chain.append(node)
-        node = node[2]
-    return chain, node
-
-
 def rename_atoms(node, mapping: dict):
     """A copy of the expression with name atoms renamed."""
-    if node[0] == "bin":
-        chain, node = _left_chain(node)
-        out = rename_atoms(node, mapping)
-        for link in reversed(chain):
-            out = ("bin", link[1], out, rename_atoms(link[3], mapping),
-                   link[4])
-        return out
-    if node[0] == "name" and node[1] in mapping:
-        return ("name", mapping[node[1]], node[2])
-    out = list(node)
-    for i in _child_slots(node):
-        out[i] = rename_atoms(node[i], mapping)
-    return tuple(out)
-
-
-def expression_names(node):
-    return [(n[1], n[2]) for n in _iter_nodes(node) if n[0] == "name"]
-
-
-def expression_calls(node):
-    return [(n[1], n[3]) for n in _iter_nodes(node) if n[0] == "call"]
+    kind = node[0]
+    if kind == "name":
+        return ("name", mapping.get(node[1], node[1]), node[2])
+    if kind == "chain":
+        return ("chain", rename_atoms(node[1], mapping),
+                tuple((op, rename_atoms(operand, mapping), loc)
+                      for op, operand, loc in node[2]), node[3])
+    if kind in ("neg", "pow"):
+        return (kind, rename_atoms(node[1], mapping)) + node[2:]
+    if kind == "call" and node[2] is not None:
+        return ("call", node[1], rename_atoms(node[2], mapping), node[3])
+    return node
 
 
 def expression_to_text(node, required: int = 0) -> str:
@@ -218,22 +206,12 @@ def expression_to_text(node, required: int = 0) -> str:
         base = expression_to_text(node[1], 4)
         text = "%s^%s" % (base, int_text(node[2]))
         return "(%s)" % text if required > 3 else text
-    if kind == "bin":
-        # A left chain is rendered in a loop, innermost link first.  A link
-        # is parenthesized when the link above it binds tighter; its opening
-        # parenthesis then goes before everything rendered so far.
-        chain, node = _left_chain(node)
-        ranks = [0 if link[1] in "+-" else 1 for link in chain]
-        parts = [expression_to_text(node, ranks[-1])]
-        opened = 0
-        for i in reversed(range(len(chain))):
-            link, mine = chain[i], ranks[i]
-            parts.append(" %s %s" % (link[1],
-                                     expression_to_text(link[3], mine + 1)))
-            if (ranks[i - 1] if i else required) > mine:
-                opened += 1
-                parts.append(")")
-        return "(" * opened + "".join(parts)
+    if kind == "chain":
+        mine = 0 if node[2][0][0] in "+-" else 1
+        text = expression_to_text(node[1], mine) + "".join(
+            " %s %s" % (op, expression_to_text(operand, mine + 1))
+            for op, operand, _ in node[2])
+        return "(%s)" % text if required > mine else text
     raise ValueError("unknown node kind %r" % kind)
 
 
@@ -262,8 +240,8 @@ class ModelDocument:
 
 
 # The deepest nesting of parentheses, call arguments and unary minus an
-# expression may have.  The parser and the evaluator recurse once per level,
-# so past it a clean syntax error stands in for a RecursionError.
+# expression may have.  The parser and every expression walker recurse once
+# per level, so past it a clean syntax error stands in for a RecursionError.
 _MAX_NESTING = 100
 
 
@@ -319,14 +297,20 @@ class _Parser:
         return self._chain(("*", "/"), self.parse_factor)
 
     def _chain(self, ops, operand):
-        """operand (op operand)*, folded into left-nested binary nodes."""
-        node = operand()
+        """operand (op operand)*, as one chain node.  A parenthesized chain
+        of the same level in front is continued, not nested."""
+        first = operand()
+        links = []
         op = self.peek()
         while op.kind == "punct" and op.value in ops:
             self.advance()
-            node = ("bin", op.value, node, operand(), (op.line, op.col))
+            links.append((op.value, operand(), (op.line, op.col)))
             op = self.peek()
-        return node
+        if not links:
+            return first
+        if first[0] == "chain" and first[2][0][0] in ops:
+            return ("chain", first[1], first[2] + tuple(links), first[3])
+        return ("chain", first, tuple(links), links[0][2])
 
     def parse_factor(self):
         if self.at_punct("-"):
@@ -598,18 +582,23 @@ class _StaticChecker:
                 raise _error_at(stmt, "unknown basis label %r" % lab)
 
     def _expression(self, expr, allowed, what, calls=False):
-        """Names must be in allowed; calls must be d or inner, or absent."""
-        for fname, loc in expression_calls(expr):
-            if not calls:
-                raise ModelSemanticError(
-                    "%s cannot use %s(...)" % (what, fname), *loc)
-            if fname not in ("d", "inner"):
-                raise ModelSemanticError(
-                    "unknown function %r" % fname, *loc)
-        for name, loc in expression_names(expr):
-            if name not in allowed:
-                raise ModelSemanticError(
-                    "unknown name %r in %s" % (name, what), *loc)
+        """Names must be in allowed; calls must be d or inner, or absent.
+        Every call is checked before any name."""
+        unknown = None
+        for node in _iter_nodes(expr):
+            if node[0] == "call":
+                if not calls:
+                    raise ModelSemanticError(
+                        "%s cannot use %s(...)" % (what, node[1]), *node[3])
+                if node[1] not in ("d", "inner"):
+                    raise ModelSemanticError(
+                        "unknown function %r" % node[1], *node[3])
+            elif (node[0] == "name" and unknown is None
+                  and node[1] not in allowed):
+                unknown = node
+        if unknown is not None:
+            raise ModelSemanticError(
+                "unknown name %r in %s" % (unknown[1], what), *unknown[2])
 
     def _no_basis_powers(self, expr, labels):
         """Reject a power whose base holds a basis form.
@@ -620,8 +609,8 @@ class _StaticChecker:
         scope = expr
         while True:
             hit = next((n for n in _iter_nodes(scope) if n[0] == "pow"
-                        and any(name in labels
-                                for name, _ in expression_names(n[1]))),
+                        and any(m[0] == "name" and m[1] in labels
+                                for m in _iter_nodes(n[1]))),
                        None)
             if hit is None:
                 break
@@ -813,13 +802,12 @@ class _Evaluator:
 
     def eval(self, node):
         kind = node[0]
-        loc = node_location(node)
         if kind == "num":
             return RationalFunction.from_value(self.params, node[1])
         if kind == "name":
             value = self.env.get(node[1])
             if value is None:
-                raise ModelSemanticError("unknown name %r" % node[1], *loc)
+                raise ModelSemanticError("unknown name %r" % node[1], *node[2])
             return value
         if kind == "call":
             return self._call(node)
@@ -827,8 +815,11 @@ class _Evaluator:
             return -self.eval(node[1])
         if kind == "pow":
             return self._pow(node)
-        if kind == "bin":
-            return self._bin(node)
+        if kind == "chain":
+            value = self.eval(node[1])
+            for op, operand, loc in node[2]:
+                value = self._apply(op, value, self.eval(operand), loc)
+            return value
         raise ValueError("unknown node kind %r" % kind)
 
     def _call(self, node):
@@ -866,16 +857,6 @@ class _Evaluator:
                 return base ** n
             return _invert_element(base, loc) ** (-n)
         raise ModelSemanticError("cannot raise a form to a power", *loc)
-
-    def _bin(self, node):
-        """Fold the chain of binary nodes down the left in a loop, so a long
-        sum or product takes no recursion per operator."""
-        chain, node = _left_chain(node)
-        value = self.eval(node)
-        for link in reversed(chain):
-            value = self._apply(link[1], value, self.eval(link[3]),
-                                node_location(link))
-        return value
 
     def _apply(self, op, left, right, loc):
         if op == "/":

@@ -50,6 +50,20 @@ calc {
 }
 """
 
+ZERO_PRODUCT = """model "m";
+param q;
+gen x, y;
+rel y*x = 0;
+auto id { x -> x; y -> y; }
+calc {
+  theta t1, t2;
+  twist t1 = id;
+  twist t2 = id;
+  weight t1 = 1;
+  weight t2 = 1;
+}
+"""
+
 ELEMENT_RELATIONS = [
     "x * dx = r * dx * x",
     "x * dy = (r - 1) * dx * y + q * dy * x",
@@ -222,6 +236,18 @@ class TestNf:
             rc, out, err = run_cli(capsys, ["nf", str(path), "-e", expr])
             assert (rc, out, err) == (
                 2, "", "error: line 1, column %d: no rule for t1*t1\n" % col)
+
+    def test_vanishing_wedge_needs_no_rule(self, capsys, tmp_path):
+        """A wedge whose coefficient is zero in the algebra is dropped
+        before its basis pair is looked up."""
+        path = tmp_path / "zero.ncd"
+        path.write_text(ZERO_PRODUCT)
+        rc, out, err = run_cli(capsys, ["nf", str(path),
+                                        "-e", "(y*t2)*(x*t1)"])
+        assert (rc, out, err) == (0, "0\n", "")
+        rc, out, err = run_cli(capsys, ["nf", str(path), "-e", "t2*t1"])
+        assert (rc, out, err) == (
+            2, "", "error: line 1, column 3: no rule for t2*t1\n")
 
     def test_wedge_rule_that_does_not_decrease(self, capsys, tmp_path):
         path = tmp_path / "ascending.ncd"

@@ -70,6 +70,10 @@ MALFORMED = [
         'model "broken',
         ModelSyntaxError, "unterminated string", 1, 7, id="open-string"),
     pytest.param(
+        'model foo;',
+        ModelSyntaxError, "expected a quoted string", 1, 7,
+        id="unquoted-model-name"),
+    pytest.param(
         'model "m";\nblarg x;',
         ModelSyntaxError, "unknown statement 'blarg'", 2, 1, id="bad-keyword"),
     pytest.param(
@@ -424,6 +428,40 @@ class TestRoundTrip:
         assert parse_model(exported) == doc
         renamed = rename_atoms(doc.statements[-1].data[1], {"x": "y"})
         assert expression_to_text(renamed) == expr.replace("x", "y")
+
+    @staticmethod
+    def _horner(levels):
+        text = "x"
+        for _ in range(levels):
+            text = "(%s + 1) * y" % text
+        return text
+
+    def test_deep_horner_expression(self, torus):
+        """Every walker recurses once per nesting level, never once per
+        operator, so 100 levels run and the 101st is a clean error."""
+        expr = self._horner(100)
+        doc = parse_model(BASE + "let s = %s;\n" % expr)
+        assert export_model(doc).endswith("\nlet s = %s;\n" % expr)
+        renamed = rename_atoms(doc.statements[-1].data[1], {"x": "y"})
+        assert expression_to_text(renamed) == expr.replace("x", "y")
+        assert len(torus.eval_expression(expr).terms) == 101
+        with pytest.raises(ModelSyntaxError) as err:
+            torus.eval_expression(self._horner(101))
+        assert err.value.message == "expression nests deeper than 100 levels"
+        assert (err.value.line, err.value.col) == (1, 101)
+
+    @pytest.mark.parametrize("op", ["+", "*", "/"])
+    def test_parenthesized_chain_in_front_is_continued(self, op):
+        def let(expr):
+            return parse_model(BASE + "let s = %s;\n" % expr)
+
+        flat = "q %s r %s q" % (op, op)
+        assert let("(q %s r) %s q" % (op, op)) == let(flat)
+        assert export_model(let("(q %s r) %s q" % (op, op))).endswith(
+            "\nlet s = %s;\n" % flat)
+        nested = "q %s (r %s q)" % (op, op)
+        assert let(nested) != let(flat)
+        assert export_model(let(nested)).endswith("\nlet s = %s;\n" % nested)
 
     def test_empty_calc_block_round_trips(self):
         text = 'model "m";\nparam q;\ngen x;\ncalc { }\n'

@@ -175,6 +175,14 @@ def test_localization_needs_the_substitution(glpq_rfree_doc, verify, error,
     assert str(info.value) == message
 
 
+def test_determinant_must_scale_commute():
+    bundle = load_model('model "m"; param q; gen a, b; rel b*a = q*a*b + a; '
+                        'auto f { a -> a; b -> b; } let D = a + b;')
+    with pytest.raises(ValueError) as info:
+        _det_scales(bundle)
+    assert str(info.value) == "determinant does not scale-commute past 'a'"
+
+
 class TestScalarRatio:
     def test_scalar_multiple(self, torus):
         q = RationalFunction.parameter(torus.params, "q")
