@@ -85,7 +85,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import render
-from .coeff import ParameterSet, Polynomial, RationalFunction, _exact
+from .coeff import (ParameterSet, Polynomial, Printable, RationalFunction,
+                    _exact)
 
 
 class AlgebraError(Exception):
@@ -230,7 +231,7 @@ def _accumulate(terms: dict, word, coeff) -> None:
             terms[word] = s
 
 
-class LinearSum:
+class LinearSum(Printable):
     """A finite linear combination: ``terms`` maps each basis key to its
     nonzero coefficient.
 
@@ -246,7 +247,8 @@ class LinearSum:
       it may raise for an operand that must not be mixed in;
     * ``_with(terms)``: a sum of the same kind, over the same algebra or
       calculus, holding the given terms;
-    * ``_spelled(spell)``: its text in one spelling of ``render``.
+    * ``_SPELLING``: the method of a ``render`` spelling that writes it,
+      which ``Printable._spelled`` calls.
     """
 
     __slots__ = ("terms",)
@@ -290,10 +292,8 @@ class LinearSum:
         return (self - other).is_zero()
 
     def __str__(self):
+        # Module-level name: cheaper than Printable's per-call import.
         return render.render_plain(self)
-
-    def __repr__(self):
-        return self.__str__()
 
 
 class Element(LinearSum):
@@ -306,6 +306,7 @@ class Element(LinearSum):
     """
 
     __slots__ = ("algebra",)
+    _SPELLING = "element"
 
     def __init__(self, algebra: "Algebra", terms: dict):
         self.algebra = algebra
@@ -403,9 +404,6 @@ class Element(LinearSum):
             if not square._is_unit_monomial():
                 return None
 
-    def _spelled(self, spell) -> str:
-        return spell.element(self)
-
 
 def _first_witness(probes):
     """The first (name, difference) of probes whose difference is not zero,
@@ -438,19 +436,10 @@ class Algebra:
         self.table = table
         self._one = RationalFunction.from_value(params, 1)
         self.relations = []
-        self.rules = {}
-        self._runs = {}
-        self._nf_cache = {}
-        self._confluent = None
-        self._closed_form = None
+        self.rules = {pair: [{(): self._one}]
+                      for pair in table.inverse_index.items()}
         self.reduction_count = 0
-        for g in table.base_names:
-            if g in table.invertible:
-                i = table.index(g)
-                j = table.inverse_index[i]
-                unit = {(): self._one}
-                self._add_rule((i, j), unit)
-                self._add_rule((j, i), unit)
+        self.rules_changed()
 
     # -- presentation ----------------------------------------------------
 
@@ -469,7 +458,7 @@ class Algebra:
     def _rules_moved(self) -> None:
         """Forget the memoized normal forms and the confluence verdict, with
         the closed form that rests on it."""
-        self._nf_cache.clear()
+        self._nf_cache = {}
         self._confluent = None
         self._closed_form = None
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import render
 from .algebra import (Algebra, AlgebraError, Element, LinearSum,
                       _accumulate, _first_witness, random_element)
-from .coeff import RationalFunction, solve_in_span
+from .coeff import Printable, RationalFunction, solve_in_span
 from .morphism import Endomorphism, TwistedDerivation
 
 
@@ -324,6 +323,7 @@ class Form(LinearSum):
     """A graded form: ascending index tuples with element coefficients."""
 
     __slots__ = ("calculus",)
+    _SPELLING = "form"
 
     def __init__(self, calculus: Calculus, terms: dict):
         self.calculus = calculus
@@ -372,24 +372,15 @@ class Form(LinearSum):
                 out[key] = scaled
         return Form(self.calculus, out)
 
-    def _spelled(self, spell) -> str:
-        return spell.form(self)
 
-
-class DerivedRelation:
+class DerivedRelation(Printable):
     """One solved commutation relation between a named form and element."""
 
     __slots__ = ("left", "terms")
+    _SPELLING = "relation"
 
     def __init__(self, left, terms):
         self.left = left
         self.terms = terms
 
-    def _spelled(self, spell) -> str:
-        return spell.relation(self)
-
-    def render(self) -> str:
-        return render.render_plain(self)
-
-    def __repr__(self):
-        return self.render()
+    render = Printable.__str__

@@ -122,8 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_nf(args) -> int:
-    bundle = _load_bundle(args.model)
+def _cmd_nf(bundle, args) -> int:
     value = bundle.eval_expression(args.expr)
     if args.format == "plain":
         print(value)
@@ -135,8 +134,7 @@ def _cmd_nf(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    bundle = _load_bundle(args.model)
+def _cmd_verify(bundle, args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     report = run_suite(bundle, seed=seed, samples=args.samples)
     if args.format == "json":
@@ -151,21 +149,22 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_relations(args) -> int:
-    bundle = _load_bundle(args.model)
+def _cmd_relations(bundle, args) -> int:
     if bundle.calculus is None:
         raise UsageError("model %r has no calculus block" % bundle.name)
-    forms = {}
-    for name in args.forms.split(","):
-        name = name.strip()
-        value = bundle.value(name)
-        if not isinstance(value, Form):
-            raise UsageError("%r is not a form" % name)
-        forms[name] = value
-    elements = {}
-    for name in args.elements.split(","):
-        name = name.strip()
-        elements[name] = bundle.value(name)
+    forms, elements = {}, {}
+    try:
+        for name in args.forms.split(","):
+            name = name.strip()
+            value = bundle.value(name)
+            if not isinstance(value, Form):
+                raise UsageError("%r is not a form" % name)
+            forms[name] = value
+        for name in args.elements.split(","):
+            name = name.strip()
+            elements[name] = bundle.value(name)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from None
     side = "element_first" if args.side == "element" else "form_first"
     relations = bundle.calculus.commutation_relations(forms, elements,
                                                       side=side)
@@ -185,8 +184,7 @@ def _overlap_text(table, symbols) -> str:
     return render_word(table, tuple((sym, 1) for sym in symbols))
 
 
-def _cmd_confluence(args) -> int:
-    bundle = _load_bundle(args.model)
+def _cmd_confluence(bundle, args) -> int:
     alg = bundle.algebra
     violations = alg.check_confluence()
     if args.format == "json":
@@ -221,12 +219,9 @@ def main(argv=None) -> int:
         "confluence": _cmd_confluence,
     }[args.command]
     try:
-        return handler(args)
+        return handler(_load_bundle(args.model), args)
     except (UsageError, ModelError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print("error: %s" % exc.args[0], file=sys.stderr)
         return 2
     except CalculusError as exc:
         print("error: %s" % exc, file=sys.stderr)

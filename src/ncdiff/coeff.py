@@ -168,11 +168,29 @@ def _demoted(terms: dict) -> dict:
     return terms
 
 
-class Polynomial:
+class Printable:
+    """A value printed by ``render``: its class names, as ``_SPELLING``, the
+    method of a spelling that writes it, and ``str()`` is its plain text."""
+
+    __slots__ = ()
+
+    def _spelled(self, spell) -> str:
+        return getattr(spell, self._SPELLING)(self)
+
+    def __str__(self) -> str:
+        from .render import render_plain  # render imports this module
+        return render_plain(self)
+
+    def __repr__(self) -> str:
+        return str(self)
+
+
+class Polynomial(Printable):
     """A Laurent polynomial: dict from exponent vectors to nonzero
     coefficients, each an int or a non-integral Fraction."""
 
     __slots__ = ("params", "terms")
+    _SPELLING = "polynomial"
 
     def __init__(self, params: ParameterSet, terms=None):
         self.params = params
@@ -353,15 +371,6 @@ class Polynomial:
             total += v
         return total
 
-    def _spelled(self, spell) -> str:
-        return spell.polynomial(self)
-
-    def __str__(self) -> str:
-        from .render import render_plain  # render imports this module
-        return render_plain(self)
-
-    __repr__ = __str__
-
 
 # z^k for k = 0 .. n-1 as exact pairs (a, b) meaning a + b*z, for z a
 # primitive n-th root of unity: -1, i (z^2 = -1), a cube root (z^2 = -z - 1)
@@ -400,7 +409,7 @@ def _poly_one(params: ParameterSet) -> Polynomial:
     return one
 
 
-class RationalFunction:
+class RationalFunction(Printable):
     """A quotient of Laurent polynomials in normalized form.
 
     Normalized means: a zero numerator is stored as 0/1, the denominator has
@@ -409,6 +418,7 @@ class RationalFunction:
     """
 
     __slots__ = ("num", "den")
+    _SPELLING = "rational"
 
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
         params = num.params
@@ -599,15 +609,6 @@ class RationalFunction:
         if den == 0:
             raise PoleError("evaluation at a pole")
         return self.num.evaluate(point) / den
-
-    def _spelled(self, spell) -> str:
-        return spell.rational(self)
-
-    def __str__(self) -> str:
-        from .render import render_plain  # render imports this module
-        return render_plain(self)
-
-    __repr__ = __str__
 
 
 def _trial_divided(num: Polynomial, den: Polynomial):

@@ -128,6 +128,7 @@ class TensorForm(LinearSum):
     """A sum of element multiples of theta^s (x)_L theta^s'."""
 
     __slots__ = ("calculus",)
+    _SPELLING = "tensor"
 
     def __init__(self, calculus: Calculus, terms: dict):
         self.calculus = calculus
@@ -149,9 +150,6 @@ class TensorForm(LinearSum):
         """Left multiplication by an element or scalar (left-linear slots)."""
         return TensorForm(self.calculus,
                           {k: other * v for k, v in self.terms.items()})
-
-    def _spelled(self, spell) -> str:
-        return spell.tensor(self)
 
 
 class Geometry:

@@ -39,7 +39,7 @@ from functools import partial
 from importlib import resources
 from itertools import chain
 
-from .algebra import Element, _first_witness, random_element
+from .algebra import AlgebraError, Element, _first_witness, random_element
 from .calculus import Calculus
 from .dsl import (ModelBundle, ModelDocument, Statement, build_model,
                   parse_coefficient, parse_model, parse_statement,
@@ -274,7 +274,7 @@ def _algebra_checks(bundle):
         anchor = "automorphism/%s/inverse" % name
         try:
             round_trip = endo.verify_inverse(endo.inverse())
-        except Exception as exc:
+        except AlgebraError as exc:
             yield anchor, "%s inverts" % name, False, exc
         else:
             yield (anchor, "%s composed with its inverse is the identity"
@@ -371,7 +371,7 @@ def _geometry_checks(bundle):
     for lab in calc.labels:
         try:
             ext = geo.extension(lab)
-        except Exception as exc:
+        except AlgebraError as exc:
             yield ("extension/%s" % lab, "extension exists for %s" % lab,
                    False, exc)
             continue
@@ -381,7 +381,7 @@ def _geometry_checks(bundle):
                witness is None, witness)
         try:
             witness = geo.inverse_extension(lab).commutes_with_d()
-        except Exception as exc:
+        except AlgebraError as exc:
             witness = exc
         yield ("extension/%s/inverse" % lab,
                "inverse extension over %s commutes with d" % lab,
@@ -405,7 +405,7 @@ def _geometry_checks(bundle):
         for cname in sorted(bundle.connections):
             try:
                 witness = bundle.connections[cname].metric_compatible(metric)
-            except Exception as exc:
+            except AlgebraError as exc:
                 witness = exc
             yield ("metric/%s/%s" % (mname, cname),
                    "connection %s preserves metric %s" % (cname, mname),

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 # algebra, calculus and geometry import this module, so it imports algebra
 # as a module and reads its names at call time.  Each printable value picks
-# its stream through its _spelled(spell) method.
+# its stream through coeff.Printable._spelled and its class's _SPELLING.
 from . import algebra
 from .coeff import _grlex_key, int_text
 
@@ -51,8 +51,9 @@ class _Spelling:
     """The term streams both spellings share.
 
     A subclass gives the tokens (%-templates and joiners) and the rules that
-    differ by design: ``coefficient`` and ``label``.  Each
-    printable value's ``_spelled(spell)`` calls one of the public methods.
+    differ by design: ``coefficient`` and ``label``.  A value reaches one
+    of the public methods through ``coeff.Printable._spelled``, which calls
+    the method that its class's ``_SPELLING`` names.
     """
 
     def _number(self, value) -> str:

@@ -25,6 +25,19 @@ def rf(params, text_or_value):
     return RationalFunction.from_value(params, text_or_value)
 
 
+def test_initial_rule_state(params):
+    """A new algebra holds one cancel rule by 1 per inverse pair, in the
+    order of ``inverse_index``, each indexed as a run, and no cached state;
+    ``ncdiff confluence`` lists rules in this order."""
+    alg = Algebra(params, GeneratorTable(("x", "y", "z"), ("z", "x")))
+    pairs = list(alg.table.inverse_index.items())
+    assert list(alg.rules) == pairs == [(0, 1), (1, 0), (3, 4), (4, 3)]
+    assert all(rhs == [{(): 1}] for rhs in alg.rules.values())
+    assert alg._runs == {pair: (False, 1) for pair in pairs}
+    assert alg._nf_cache == {}
+    assert alg._confluent is None
+
+
 def torus_algebra(params):
     """x, y invertible with x*y = q*y*x."""
     table = GeneratorTable(("x", "y"), invertible=("x", "y"))

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import ncdiff
+from ncdiff import cli
 from ncdiff.cli import main
 from ncdiff.models import model_source, run_suite
 
@@ -531,6 +532,15 @@ class TestVerify:
                                      "twist of 't2'")
         assert lines[-1] == "model quantum-torus: 21 passed, 1 failed"
 
+    def test_engine_key_error_is_not_a_usage_error(self, monkeypatch):
+        """A KeyError from inside the engine is a bug, not a usage error: it
+        leaves main instead of printing as one error line."""
+        def broken(*args, **kwargs):
+            raise KeyError("boom")
+        monkeypatch.setattr(cli, "run_suite", broken)
+        with pytest.raises(KeyError, match="boom"):
+            main(["verify", "builtin:quantum-torus"])
+
     def test_samples_flag(self, capsys):
         rc, out, _ = run_cli(capsys, ["verify", "builtin:quantum-torus",
                                       "--samples", "2", "--format", "json"])
@@ -656,6 +666,19 @@ class TestRelations:
                                       "--elements", "nonesuch"])
         assert rc == 2
         assert "nonesuch" in err
+
+    @pytest.mark.parametrize("forms, elements, message", [
+        ("dx", "nonesuch", "model has no value named 'nonesuch'"),
+        ("nonesuch", "x", "model has no value named 'nonesuch'"),
+        ("x,nonesuch", "y", "'x' is not a form"),
+        ("dx,nonesuch", "y", "model has no value named 'nonesuch'"),
+    ])
+    def test_lookup_errors(self, capsys, forms, elements, message):
+        """Each form is looked up and checked in turn, then the elements;
+        the first unknown name or non-form is one usage error line."""
+        assert run_cli(capsys, ["relations", "builtin:quantum-torus",
+                                "--forms", forms, "--elements", elements]
+                       ) == (2, "", "error: %s\n" % message)
 
     def test_no_calculus(self, capsys, tmp_path):
         path = tmp_path / "bare.ncd"

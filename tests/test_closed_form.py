@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from ncdiff.algebra import Element, _accumulate_scaled, _join_words, \
-    word_from_runs
+from ncdiff.algebra import Element, _accumulate_scaled, _ClosedForm, \
+    _join_words, word_from_runs
 from ncdiff.coeff import RationalFunction
 from ncdiff.dsl import load_model
 from ncdiff.models import build_quantum_torus, model_source
@@ -188,6 +188,38 @@ def test_scaled_swap_constants():
          * q ** -3})
 
 
+def q_commuting_text(rng, index: int) -> str:
+    """A seeded q-commuting presentation: 2-5 generators declared in a
+    shuffled order, a random invertible subset, and on every pair a swap
+    constant c*p^a*q^b with c in {1, -1, 2, 3/2} and a, b in -2..2."""
+    n = rng.randint(2, 5)
+    gens = ["x%d" % i for i in range(1, n + 1)]
+    declared = gens[:]
+    rng.shuffle(declared)
+    lines = ['model "q-commuting-%d";' % index, "param p, q;",
+             "gen %s;" % ", ".join(declared)]
+    invertible = rng.sample(gens, rng.randint(0, n))
+    if invertible:
+        lines.append("invertible %s;" % ", ".join(sorted(invertible)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            lines.append("rel %s*%s = %s*p^%d*q^%d*%s*%s;" % (
+                gens[j], gens[i], rng.choice(("1", "-1", "2", "3/2")),
+                rng.randint(-2, 2), rng.randint(-2, 2), gens[i], gens[j]))
+    return "\n".join(lines) + "\n"
+
+
+def test_gate_accepts_random_q_commuting_presentations():
+    """``_ClosedForm.of`` accepts each presentation before any verdict, and
+    each is confluent: the gate alone implies confluence."""
+    rng = random.Random(24)
+    for index in range(150):
+        text = q_commuting_text(rng, index)
+        alg = load_model(text, verify=False).algebra
+        assert _ClosedForm.of(alg) is not None, text
+        assert alg.check_confluence() == [], text
+
+
 def _fallback_words(alg, seed, count=300):
     """Compare products against rewriting; return the reductions taken."""
     rng = random.Random(seed)
@@ -208,6 +240,7 @@ class TestFallBack:
                              ids=["free-pair", "q-plus-one", "square"])
     def test_not_q_commuting(self, text):
         alg = load_model(text).algebra
+        assert _ClosedForm.of(alg) is None
         assert alg.is_confluent()
         assert alg._closed_form is None
         assert _fallback_words(alg, text) > 0

@@ -5,6 +5,7 @@ import pytest
 from ncdiff.coeff import RationalFunction
 from ncdiff.dsl import (ModelSemanticError, build_model, load_model,
                         parse_coefficient)
+from ncdiff.geometry import Geometry
 from ncdiff.models import (CheckResult, SuiteReport, _det_scales,
                            available_models, build_quantum_torus,
                            model_source, run_suite, scalar_ratio)
@@ -228,6 +229,16 @@ class TestSuiteTorus:
         report = run_suite(torus, seed=7)
         assert report.seed == 7
         assert report.ok
+
+    def test_programming_error_is_not_a_failed_check(self, torus,
+                                                     monkeypatch):
+        """Only engine errors become failed checks: a TypeError raised
+        inside the inverse extension check propagates."""
+        def broken(self, label):
+            raise TypeError("engine bug")
+        monkeypatch.setattr(Geometry, "inverse_extension", broken)
+        with pytest.raises(TypeError, match="engine bug"):
+            run_suite(torus)
 
 
 class TestSuiteGlpq:

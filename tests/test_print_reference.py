@@ -25,7 +25,7 @@ from ncdiff.coeff import (Polynomial, RationalFunction, _grlex_key,
                           int_text)
 from ncdiff.dsl import load_model
 from ncdiff.geometry import TensorForm
-from ncdiff.render import latex_value, render_word
+from ncdiff.render import LATEX, PLAIN, latex_value, render_plain, render_word
 
 # -- plain-text references ----------------------------------------------------
 
@@ -414,6 +414,25 @@ def test_relations(bundle):
     for rel in relations(rng, coefficient_pool(bundle.params, rng), 40):
         assert rel.render() == relation_str(rel)
         assert latex_value(rel) == latex_relation(rel)
+
+
+def test_one_printing_base(torus):
+    """Each printed class names its spelling in _SPELLING; str, repr and
+    render_plain give the same text."""
+    q = RationalFunction.parameter(torus.params, "q")
+    calc = torus.calculus
+    x = torus.value("x")
+    values = [(q + 1).num, (q + 1) / (q - 2), x * x + q * x, calc.d(x * x),
+              TensorForm(calc, {(0, 1): x}),
+              calc.commutation_relations({"dx": torus.value("dx")},
+                                         {"x": x})[0]]
+    for v in values:
+        spelling = type(v)._SPELLING
+        assert callable(getattr(PLAIN, spelling)), spelling
+        assert callable(getattr(LATEX, spelling)), spelling
+        assert str(v) == repr(v) == render_plain(v)
+    assert [type(v)._SPELLING for v in values] == [
+        "polynomial", "rational", "element", "form", "tensor", "relation"]
 
 
 @pytest.mark.parametrize("module", ["coeff", "algebra", "morphism",
