@@ -761,6 +761,13 @@ class ModelBundle:
     build_model fills the tables one statement at a time.  Every named
     value (parameter, generator, basis form, let definition) lives in one
     environment, read with value(name).
+
+    ``checks`` lists the model's check statements as CheckCases, in
+    statement order.  A check whose evaluation cannot raise is evaluated
+    when ``checks`` is first read, which only the suite does; any other
+    check is evaluated at load, where its error is reported (see
+    ``_Builder.check``).  So ``nf``, ``relations`` and ``confluence``
+    never evaluate a check that can be deferred.
     """
 
     def __init__(self, doc, params, algebra, env):
@@ -773,9 +780,18 @@ class ModelBundle:
         self.geometry = None
         self.metrics = {}
         self.connections = {}
-        self.checks = []
+        # CheckCases, and the (statement data, evaluator) pair of each
+        # check not evaluated yet
+        self._checks = []
         self._env = env
         self.extras = {}
+
+    @property
+    def checks(self):
+        self._checks = [case if isinstance(case, CheckCase)
+                        else _check_case(*case, self.algebra)
+                        for case in self._checks]
+        return self._checks
 
     def value(self, name: str):
         """The parameter, generator, basis form, or definition so named."""
@@ -790,6 +806,11 @@ class ModelBundle:
 
     def _eval(self, node):
         return _Evaluator(self._env, self.params, self.calculus).eval(node)
+
+
+# The kinds of value an expression can have.  An operation's value has the
+# larger of its operands' kinds.
+_COEFFICIENT, _ELEMENT, _FORM = range(3)
 
 
 class _Evaluator:
@@ -879,6 +900,69 @@ class _Evaluator:
             raise ModelSemanticError(str(exc), *loc) from None
         raise ValueError("unknown operator %r" % op)
 
+    def kind(self, node):
+        """The kind of the node's value, or None where eval could raise.
+
+        None at every raise site of eval and Calculus.embed: an unknown
+        name or function; inner() or d() without a calc block, or with the
+        wrong argument; division by a noncommutative value or by a zero
+        coefficient; a negative power of an element or of a zero
+        coefficient; a power of a form; and a product of two forms, or d of
+        a form, unless every descent pair of basis forms has a wedge rule.
+        Only a coefficient that is divided by or raised to a negative power
+        is evaluated, to test it for zero.
+        """
+        tag = node[0]
+        if tag == "num":
+            return _COEFFICIENT
+        if tag == "name":
+            value = self.env.get(node[1])
+            if value is None:
+                return None
+            return (_FORM if isinstance(value, Form) else
+                    _ELEMENT if isinstance(value, Element) else _COEFFICIENT)
+        if tag == "call":
+            fname, arg = node[1], node[2]
+            if (self.calculus is None
+                    or (fname, arg is None) not in (("inner", True),
+                                                    ("d", False))):
+                return None
+            if arg is not None:
+                inner = self.kind(arg)
+                if inner is None or (inner == _FORM
+                                     and not self._wedges_complete()):
+                    return None
+            return _FORM
+        if tag == "neg":
+            return self.kind(node[1])
+        if tag == "pow":
+            base = self.kind(node[1])
+            if base == _FORM or (node[2] < 0 and (
+                    base == _ELEMENT or base == _COEFFICIENT
+                    and self.eval(node[1]).is_zero())):
+                return None
+            return base
+        left = self.kind(node[1])
+        for op, operand, _ in node[2]:
+            right = self.kind(operand)
+            if left is None or right is None:
+                return None
+            if op == "/":
+                if right != _COEFFICIENT or self.eval(operand).is_zero():
+                    return None
+            elif (op == "*" and left == right == _FORM
+                  and not self._wedges_complete()):
+                return None
+            left = max(left, right)
+        return left
+
+    def _wedges_complete(self) -> bool:
+        """Whether every pair (i, j), i >= j, of basis forms has a wedge
+        rule, so that no product of forms misses one."""
+        n = len(self.calculus.labels)
+        return all((i, j) in self.calculus.theta_rules
+                   for i in range(n) for j in range(i + 1))
+
 
 def _invert_element(element: Element, loc) -> Element:
     """The inverse of a lone generator symbol, which must be invertible."""
@@ -896,12 +980,17 @@ def _invert_element(element: Element, loc) -> Element:
         "negative powers need a single invertible generator", *loc)
 
 
-def _rule_free_algebra(params: ParameterSet, table: GeneratorTable) -> Algebra:
-    """An algebra on the table whose products only concatenate words."""
-    algebra = Algebra(params, table)
-    algebra.rules.clear()
-    algebra.rules_changed()
-    return algebra
+class _FreeAlgebra(Algebra):
+    """An algebra on the table whose products only concatenate words, so
+    that every word is its own normal form, with no rule scan and no memo."""
+
+    def __init__(self, params: ParameterSet, table: GeneratorTable):
+        super().__init__(params, table)
+        self.rules.clear()
+        self.rules_changed()
+
+    def normal_form_word(self, word) -> dict:
+        return {word: self._one}
 
 
 def _free_terms(node, free: Algebra, param_env: dict) -> dict:
@@ -933,7 +1022,7 @@ class _Builder:
                           for n in doc.params}
         table = GeneratorTable(doc.gens, doc.invertible)
         algebra = Algebra(params, table)
-        self.free_words = _rule_free_algebra(params, table)
+        self.free_words = _FreeAlgebra(params, table)
         env = dict(self.param_env)
         for sym_name in table.symbols:
             env[sym_name] = algebra.symbol_element(table.index(sym_name))
@@ -983,8 +1072,7 @@ class _Builder:
         weights = {lab: self._element(
                        expr, stmt, "weight of %r must be an element", lab)
                    for lab, expr in data["weights"]}
-        free_thetas = _rule_free_algebra(bundle.params,
-                                         GeneratorTable(labels))
+        free_thetas = _FreeAlgebra(bundle.params, GeneratorTable(labels))
         theta_rules = {}
         for lab1, lab2, expr in data["wedges"]:
             terms = _free_terms(expr, free_thetas, self.param_env)
@@ -1055,16 +1143,43 @@ class _Builder:
             stmt, Connection, self.bundle.geometry, table_entries)
 
     def check(self, stmt):
-        name, lhs, rhs = stmt.data
+        """Evaluate the check now, or defer it to the first read of
+        ``ModelBundle.checks`` where that changes nothing a reader sees.
+
+        A check is deferred only when ``_Evaluator.kind`` clears both sides,
+        so its evaluation cannot raise and every load ends as it would with
+        the check evaluated here.  It must also follow the first ``auto``:
+        from there on the rules are normalized, and the final
+        ``normalize_rules`` keeps them as they are.  The evaluator keeps a
+        copy of this statement's environment and its calculus, so a later
+        ``subst`` does not reach the check.  Nothing else it reads changes
+        later: memos only come and go, and the closed form that
+        ``check_confluence`` may turn on gives the terms rewriting gives.
+        No load keeps a confluence verdict either way, since the final
+        ``normalize_rules`` drops any that a check computed.
+        """
         bundle = self.bundle
-        sides = [bundle._eval(lhs), bundle._eval(rhs)]
-        if any(isinstance(v, Form) for v in sides):
-            sides = [bundle.calculus.embed(v) for v in sides]
+        evaluator = _Evaluator(dict(bundle._env), bundle.params,
+                               bundle.calculus)
+        _, lhs, rhs = stmt.data
+        if (bundle.autos and evaluator.kind(lhs) is not None
+                and evaluator.kind(rhs) is not None):
+            bundle._checks.append((stmt.data, evaluator))
         else:
-            sides = [bundle.algebra.scalar(v)
-                     if isinstance(v, RationalFunction) else v
-                     for v in sides]
-        bundle.checks.append(CheckCase(name, *sides))
+            bundle._checks.append(
+                _check_case(stmt.data, evaluator, bundle.algebra))
+
+
+def _check_case(data, evaluator: _Evaluator, algebra: Algebra) -> CheckCase:
+    """Both sides of a check statement, as forms if either is a form."""
+    name, lhs, rhs = data
+    sides = [evaluator.eval(lhs), evaluator.eval(rhs)]
+    if any(isinstance(v, Form) for v in sides):
+        sides = [evaluator.calculus.embed(v) for v in sides]
+    else:
+        sides = [algebra.scalar(v) if isinstance(v, RationalFunction) else v
+                 for v in sides]
+    return CheckCase(name, *sides)
 
 
 def build_model(doc: ModelDocument, verify: bool = True) -> ModelBundle:

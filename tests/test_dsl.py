@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from ncdiff import dsl
 from ncdiff.coeff import ParameterSet, Polynomial, RationalFunction
-from ncdiff.dsl import (ModelSemanticError, ModelSyntaxError, export_model,
+from ncdiff.dsl import (CheckCase, ModelDocument, ModelSemanticError,
+                        ModelSyntaxError, build_model, export_model,
                         expression_to_text, load_model, parse_coefficient,
-                        parse_model, rename_atoms, tokenize)
-from ncdiff.models import build_glpq, model_source
+                        parse_model, parse_statement, rename_atoms, tokenize)
+from ncdiff.models import BUILTINS, build_glpq, model_source
 
 BASE_LINES = [
     'model "m";',
@@ -621,3 +623,206 @@ class TestParseCoefficient:
             again = parse_coefficient(text, params)
             assert again == value, text
             assert str(again) == text
+
+
+def layout(value):
+    """A value as nested lists, in stored order: keys, then the num and den
+    terms of every coefficient."""
+    if isinstance(value, RationalFunction):
+        return list(value.num.terms.items()), list(value.den.terms.items())
+    return [(key, layout(c)) for key, c in value.terms.items()]
+
+
+def case_layouts(bundle):
+    return [(case.name, layout(case.lhs), layout(case.rhs))
+            for case in bundle.checks]
+
+
+@pytest.fixture
+def eager(monkeypatch):
+    """Load with every check evaluated at load, as a gate that clears
+    nothing would."""
+    def load(build):
+        with monkeypatch.context() as patch:
+            patch.setattr(dsl._Evaluator, "kind", lambda self, node: None)
+            return build(verify=False)
+    return load
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The names of the checks evaluated so far, in order."""
+    names = []
+    evaluate = dsl._check_case
+
+    def counted(data, evaluator, algebra):
+        names.append(data[0])
+        return evaluate(data, evaluator, algebra)
+    monkeypatch.setattr(dsl, "_check_case", counted)
+    return names
+
+
+def pending(bundle):
+    return [entry[0][0] for entry in bundle._checks
+            if not isinstance(entry, CheckCase)]
+
+
+# Check statements whose evaluation raises, with the error each load
+# reports: every one stays at load, so the load fails as before.
+REFUSED_CHECKS = [
+    pytest.param('check "c": x/(q - q) == x;', "division by zero", 18, 13,
+                 id="zero-divisor"),
+    pytest.param('check "c": x == t1/(1 - 1);', "division by zero", 18, 19,
+                 id="zero-literal-divisor"),
+    pytest.param('check "c": x/y == x;', "division by a noncommutative "
+                 "expression", 18, 13, id="element-divisor"),
+    pytest.param('check "c": 1 == 2/t1;', "division by a noncommutative "
+                 "expression", 18, 18, id="form-divisor"),
+    pytest.param('check "c": (q - q)^-2 == 1;', "zero raised to a negative "
+                 "power", 18, 19, id="zero-power"),
+    pytest.param('check "c": (x + y)^-1 == 1;', "negative powers need a "
+                 "single invertible generator", 18, 19, id="sum-inverse"),
+    pytest.param('check "c": t1^2 == 0;', "cannot raise a form to a power",
+                 18, 14, id="form-power"),
+    pytest.param('check "c": inner(x) == 0;', "inner() takes no argument",
+                 18, 12, id="inner-argument"),
+]
+
+
+class TestDeferredChecks:
+    @pytest.mark.parametrize("name,eager_names", [
+        ("quantum-torus", ["theta1-from-dx", "theta2-from-dy-dx"]),
+        ("gl-pq2", []),
+        ("gl-pq2-localized", []),
+    ])
+    def test_builtins_leave_every_cleared_check_pending(
+            self, name, eager_names, evaluations):
+        bundle = BUILTINS[name](verify=False)
+        assert evaluations == eager_names
+        deferred = pending(bundle)
+        names = [case.name for case in bundle.checks]
+        assert [n for n in names if n not in eager_names] == deferred
+        assert len(names) == {"quantum-torus": 3}.get(name, 22)
+        assert evaluations == eager_names + deferred
+        assert pending(bundle) == []
+        bundle.checks
+        assert evaluations == eager_names + deferred
+
+    @pytest.mark.parametrize("name", list(BUILTINS))
+    def test_deferred_sides_are_the_eager_ones_term_for_term(self, name,
+                                                             eager):
+        deferred = BUILTINS[name](verify=False)
+        assert pending(deferred)
+        assert case_layouts(deferred) == case_layouts(
+            eager(BUILTINS[name]))
+
+    @pytest.mark.parametrize("text,message,line,col", REFUSED_CHECKS)
+    def test_a_check_that_raises_stays_at_load(self, text, message, line,
+                                               col):
+        with pytest.raises(ModelSemanticError) as err:
+            load_model(with_base(text))
+        assert type(err.value) is ModelSemanticError
+        assert err.value.message == message
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_the_torus_inverse_checks_stay_at_load(self):
+        bundle = load_model(model_source("quantum-torus"))
+        assert pending(bundle) == ["inner-form"]
+
+    def test_a_missing_wedge_rule_keeps_form_products_at_load(self):
+        text = BASE.replace("  wedge t1*t1 = 0;\n", "")
+        bundle = load_model(text + 'check "c": x*t1 == t1*y + d(x);\n'
+                            'check "e": t2*t1 == -t1*t2;\n')
+        assert pending(bundle) == ["c"]
+        for check in ('check "c": t1*t1 == 0;', 'check "c": d(t1) == 0;'):
+            with pytest.raises(ModelSemanticError) as err:
+                load_model(text + check + "\n")
+            assert err.value.message == "no rule for t1*t1"
+            assert err.value.line == 17
+
+    def test_an_unknown_name_stays_at_load(self):
+        doc = parse_model(BASE)
+        doc = ModelDocument(doc.statements + [
+            parse_statement('check "c": x == zz;')], doc.name)
+        with pytest.raises(ModelSemanticError) as err:
+            build_model(doc)
+        assert err.value.message == "unknown name 'zz'"
+        assert (err.value.line, err.value.col) == (1, 17)
+
+    def test_a_check_before_the_first_auto_stays_at_load(self):
+        """It reads the rules before they are normalized."""
+        lines = list(BASE_LINES)
+        lines.insert(5, 'check "early": x*y*x == q*y*x*x;')
+        bundle = load_model("\n".join(lines) + "\n")
+        assert pending(bundle) == []
+        assert bundle.checks[0].lhs == bundle.checks[0].rhs
+
+    def test_a_later_substitution_does_not_reach_a_deferred_check(self):
+        bundle = load_model(with_base('check "c": r*x == x;',
+                                      'subst r = q^2;'))
+        assert pending(bundle) == ["c"]
+        r = RationalFunction.parameter(bundle.params, "r")
+        assert bundle.value("r") != r
+        assert bundle.checks[0].lhs == bundle.algebra.gen("x").scale(r)
+
+    def test_deferred_values_survive_the_closed_form(self, eager):
+        """check_confluence turns on the torus closed form, as run_suite
+        does before it reads the checks; the stored sides do not move."""
+        torus = BUILTINS["quantum-torus"](verify=False)
+        torus.algebra.check_confluence()
+        assert torus.algebra._closed_form is not None
+        assert pending(torus) == ["inner-form"]
+        assert case_layouts(torus) == case_layouts(
+            eager(BUILTINS["quantum-torus"]))
+
+    @pytest.mark.parametrize("name", list(BUILTINS))
+    def test_no_load_keeps_a_confluence_verdict(self, name, eager):
+        """Deferring drops no state a later command reads: with or without
+        it, a load leaves the confluence verdict to be computed."""
+        assert BUILTINS[name](verify=False).algebra._confluent is None
+        assert eager(BUILTINS[name]).algebra._confluent is None
+
+    def test_the_gate_clears_only_what_evaluates(self, torus, glpq,
+                                                 repo_module):
+        """On random expressions over the builtins, a cleared expression
+        evaluates to a value of its kind, and one that raises is refused."""
+        fuzz = repo_module("tests/test_fuzz.py")
+        rng = random.Random(2511)
+        cleared = refused = 0
+        for bundle in (torus, glpq):
+            vocab = fuzz.Vocabulary(bundle)
+            evaluator = dsl._Evaluator(bundle._env, bundle.params,
+                                       bundle.calculus)
+            for _ in range(300):
+                try:
+                    node = dsl._parse_expression_text(
+                        fuzz.expression(rng, vocab, 3))
+                except ModelSyntaxError:
+                    continue
+                kind = evaluator.kind(node)
+                try:
+                    value = evaluator.eval(node)
+                except ModelSemanticError:
+                    assert kind is None, expression_to_text(node)
+                    refused += 1
+                    continue
+                if kind is not None:
+                    cleared += 1
+                    assert isinstance(value, (RationalFunction, dsl.Element,
+                                              dsl.Form)[kind])
+        assert cleared > 300 and refused > 50
+
+
+def test_rule_free_algebras_keep_no_memo(monkeypatch):
+    """The algebras that only read relation and wedge terms take each word
+    as its own normal form."""
+    made = []
+
+    class Recorded(dsl._FreeAlgebra):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+    monkeypatch.setattr(dsl, "_FreeAlgebra", Recorded)
+    build_glpq(verify=False)
+    assert len(made) == 2
+    assert all(algebra._nf_cache == {} for algebra in made)

@@ -23,6 +23,10 @@ Every run is checked by three oracles:
 * an exit-0 plain ``nf`` value, evaluated again in the same bundle,
   differs from the value of the expression by zero.
 
+A model text that loads (``load_model`` with ``verify=False``) must also
+evaluate every check it deferred when its ``checks`` are read: a check is
+deferred only when its evaluation cannot raise.
+
 Huge exponents sit on one generator, one parameter or, on the torus, one
 word or the outer runs of a conjugation ``x^-N * y^M * x^N``, and outside
 any division but ``(p^N + 1)/(p - 1)`` and its inverse, whose division fails
@@ -43,7 +47,7 @@ import re
 import tempfile
 import traceback
 
-from ncdiff import cli
+from ncdiff import cli, dsl
 from ncdiff.models import model_source
 
 MODELS = ("quantum-torus", "gl-pq2", "gl-pq2-localized")
@@ -307,12 +311,25 @@ class Fuzzer:
         else:
             self.check(argv + ["--format", fmt])
 
+    def deferred_checks(self, path, data):
+        """Load the text, if it loads, and read its checks."""
+        try:
+            bundle = dsl.load_model(data.decode("utf-8"), verify=False)
+        except Exception:
+            return
+        try:
+            bundle.checks
+        except Exception:
+            self.fail(["load_model", path], "reading the deferred checks "
+                      "raised:\n" + traceback.format_exc())
+
     def text(self, rng, data, directory):
-        """Write the bytes of a model text and run all four subcommands on
-        it."""
+        """Write the bytes of a model text, read its deferred checks, and
+        run all four subcommands on it."""
         path = os.path.join(directory, "case.ncd")
         with open(path, "wb") as handle:
             handle.write(data)
+        self.deferred_checks(path, data)
         self.nf(path, expression(rng, self.vocabulary("quantum-torus"), 2),
                 "plain")
         self.check(["verify", path, "--samples", "3",
@@ -363,3 +380,14 @@ def test_parse_back_catches_a_wrong_print():
     fuzzer.parse_back(["nf", "builtin:quantum-torus"], "t1 - 2 - x",
                       "-2 + x + t1")
     assert len(fuzzer.failures) == 1
+
+
+def test_deferred_checks_oracle_catches_a_raising_check(monkeypatch):
+    """Under a gate that defers every check, a check that divides by zero
+    loads and raises when read."""
+    monkeypatch.setattr(dsl._Evaluator, "kind", lambda self, node: 0)
+    text = model_source("quantum-torus") + 'check "c": x/(q - q) == x;\n'
+    fuzzer = Fuzzer()
+    fuzzer.deferred_checks("case.ncd", text.encode())
+    assert len(fuzzer.failures) == 1
+    assert "division by zero" in fuzzer.failures[0]

@@ -2,12 +2,13 @@
 
 import pytest
 
+from ncdiff import dsl
 from ncdiff.coeff import RationalFunction
 from ncdiff.dsl import (ModelSemanticError, build_model, load_model,
                         parse_coefficient)
 from ncdiff.geometry import Geometry
 from ncdiff.models import (CheckResult, SuiteReport, _det_scales,
-                           available_models, build_quantum_torus,
+                           available_models, build_glpq, build_quantum_torus,
                            model_source, run_suite, scalar_ratio)
 
 TORUS_ANCHORS = [
@@ -155,6 +156,22 @@ class TestLocalizedBundle:
         assert len(glpq_localized.checks) == len(glpq.checks)
         assert all(case.lhs == case.rhs
                    for case in glpq_localized.checks)
+
+    def test_no_build_evaluates_a_check(self, monkeypatch):
+        """The first build, read only for the determinant's scales, is
+        dropped with its checks never evaluated; the second build's are
+        evaluated when the suite reads them."""
+        evaluated = []
+        evaluate = dsl._check_case
+
+        def counted(data, evaluator, algebra):
+            evaluated.append(data[0])
+            return evaluate(data, evaluator, algebra)
+        monkeypatch.setattr(dsl, "_check_case", counted)
+        bundle = build_glpq(adjoin_det_inverse=True)
+        assert evaluated == []
+        assert [case.name for case in bundle.checks] == evaluated
+        assert len(evaluated) == 22
 
     def test_calculus_rebuilt(self, glpq, glpq_localized):
         assert glpq_localized.calculus is not glpq.calculus
