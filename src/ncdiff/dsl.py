@@ -763,10 +763,10 @@ class ModelBundle:
     environment, read with value(name).
 
     ``checks`` lists the model's check statements as CheckCases, in
-    statement order.  A check whose evaluation cannot raise is evaluated
-    when ``checks`` is first read, which only the suite does; any other
-    check is evaluated at load, where its error is reported (see
-    ``_Builder.check``).  So ``nf``, ``relations`` and ``confluence``
+    statement order.  A check whose evaluation cannot raise, as ``_trial``
+    shows, is evaluated when ``checks`` is first read, which only the suite
+    does; any other check is evaluated at load, where its error is reported
+    (see ``_Builder.check``).  So ``nf``, ``relations`` and ``confluence``
     never evaluate a check that can be deferred.
     """
 
@@ -784,6 +784,7 @@ class ModelBundle:
         # check not evaluated yet
         self._checks = []
         self._env = env
+        self._shadows = _Shadows(env)
         self.extras = {}
 
     @property
@@ -807,10 +808,12 @@ class ModelBundle:
     def _eval(self, node):
         return _Evaluator(self._env, self.params, self.calculus).eval(node)
 
-
-# The kinds of value an expression can have.  An operation's value has the
-# larger of its operands' kinds.
-_COEFFICIENT, _ELEMENT, _FORM = range(3)
+    def _trial(self, node):
+        """The node evaluated with each element and form replaced by its
+        stand-in (``_Shadow``): a coefficient or a stand-in.  It raises a
+        ModelSemanticError wherever ``_eval(node)`` could."""
+        form = self._shadows.form
+        return _Evaluator(self._shadows, self.params, form).eval(node)
 
 
 class _Evaluator:
@@ -858,7 +861,7 @@ class _Evaluator:
                 raise ModelSemanticError("d(...) needs a calc block", *loc)
             value = self.eval(arg)
             try:
-                return self.calculus.d(self.calculus.embed(value))
+                return self.calculus.d(value)
             except AlgebraError as exc:
                 raise ModelSemanticError(str(exc), *loc) from None
         raise ModelSemanticError("unknown function %r" % fname, *loc)
@@ -873,11 +876,11 @@ class _Evaluator:
             except ZeroDivisionError:
                 raise ModelSemanticError("zero raised to a negative power",
                                          *loc) from None
-        if isinstance(base, Element):
-            if n >= 0:
-                return base ** n
-            return _invert_element(base, loc) ** (-n)
-        raise ModelSemanticError("cannot raise a form to a power", *loc)
+        if isinstance(base, Form) or isinstance(base, _Shadow) and base.form:
+            raise ModelSemanticError("cannot raise a form to a power", *loc)
+        if n >= 0:
+            return base ** n
+        return _invert_element(base, loc) ** (-n)
 
     def _apply(self, op, left, right, loc):
         if op == "/":
@@ -900,73 +903,64 @@ class _Evaluator:
             raise ModelSemanticError(str(exc), *loc) from None
         raise ValueError("unknown operator %r" % op)
 
-    def kind(self, node):
-        """The kind of the node's value, or None where eval could raise.
 
-        None at every raise site of eval and Calculus.embed: an unknown
-        name or function; inner() or d() without a calc block, or with the
-        wrong argument; division by a noncommutative value or by a zero
-        coefficient; a negative power of an element or of a zero
-        coefficient; a power of a form; and a product of two forms, or d of
-        a form, unless every descent pair of basis forms has a wedge rule.
-        Only a coefficient that is divided by or raised to a negative power
-        is evaluated, to test it for zero.
-        """
-        tag = node[0]
-        if tag == "num":
-            return _COEFFICIENT
-        if tag == "name":
-            value = self.env.get(node[1])
-            if value is None:
-                return None
-            return (_FORM if isinstance(value, Form) else
-                    _ELEMENT if isinstance(value, Element) else _COEFFICIENT)
-        if tag == "call":
-            fname, arg = node[1], node[2]
-            if (self.calculus is None
-                    or (fname, arg is None) not in (("inner", True),
-                                                    ("d", False))):
-                return None
-            if arg is not None:
-                inner = self.kind(arg)
-                if inner is None or (inner == _FORM
-                                     and not self._wedges_complete()):
-                    return None
-            return _FORM
-        if tag == "neg":
-            return self.kind(node[1])
-        if tag == "pow":
-            base = self.kind(node[1])
-            if base == _FORM or (node[2] < 0 and (
-                    base == _ELEMENT or base == _COEFFICIENT
-                    and self.eval(node[1]).is_zero())):
-                return None
-            return base
-        left = self.kind(node[1])
-        for op, operand, _ in node[2]:
-            right = self.kind(operand)
-            if left is None or right is None:
-                return None
-            if op == "/":
-                if right != _COEFFICIENT or self.eval(operand).is_zero():
-                    return None
-            elif (op == "*" and left == right == _FORM
-                  and not self._wedges_complete()):
-                return None
-            left = max(left, right)
-        return left
+class _Shadow:
+    """The stand-in for every element, or every form, in a trial
+    (``ModelBundle._trial``); the form one is also the trial's calculus.
 
-    def _wedges_complete(self) -> bool:
-        """Whether every pair (i, j), i >= j, of basis forms has a wedge
-        rule, so that no product of forms misses one."""
-        n = len(self.calculus.labels)
-        return all((i, j) in self.calculus.theta_rules
-                   for i in range(n) for j in range(i + 1))
+    Only a product of two forms, or d of a form, raises, and only where a
+    real one could: when some descent pair (i, j), i >= j, of basis forms
+    has no wedge rule (``wedges`` false).
+    """
+
+    def __init__(self, form: bool, wedges: bool = True):
+        self.form = form
+        self.wedges = wedges
+
+    def _join(self, other):
+        return other if isinstance(other, _Shadow) and other.form else self
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __rmul__ = _join
+
+    def __mul__(self, other):
+        if (self.form and not self.wedges and isinstance(other, _Shadow)
+                and other.form):
+            raise AlgebraError("a product of forms may miss a wedge rule")
+        return self._join(other)
+
+    d = __mul__  # d of a form is a product with the inner form
+
+    def __neg__(self):
+        return self
+
+    def __pow__(self, n: int):
+        return self
+
+    def inner_form(self):
+        return self
+
+
+_ELEMENT_SHADOW = _Shadow(False)
+
+
+class _Shadows:
+    """A trial's environment: the bundle's, with each element and form read
+    as its stand-in."""
+
+    def __init__(self, env: dict):
+        self.env = env
+        self.form = None
+
+    def get(self, name):
+        value = self.env.get(name)
+        if isinstance(value, Form):
+            return self.form
+        return _ELEMENT_SHADOW if isinstance(value, Element) else value
 
 
 def _invert_element(element: Element, loc) -> Element:
     """The inverse of a lone generator symbol, which must be invertible."""
-    if len(element.terms) == 1:
+    if isinstance(element, Element) and len(element.terms) == 1:
         (word, coeff), = element.terms.items()
         if len(word) == 1 and coeff.is_one():
             sym, count = word[0]
@@ -1088,6 +1082,9 @@ class _Builder:
                                    twists, weights, theta_rules)
         for lab in labels:
             bundle._env[lab] = bundle.calculus.theta(lab)
+        bundle._shadows.form = _Shadow(True, all(
+            (i, j) in bundle.calculus.theta_rules
+            for i in range(len(labels)) for j in range(i + 1)))
         bundle.geometry = Geometry(bundle.calculus, {})
 
     def extension(self, stmt):
@@ -1146,10 +1143,11 @@ class _Builder:
         """Evaluate the check now, or defer it to the first read of
         ``ModelBundle.checks`` where that changes nothing a reader sees.
 
-        A check is deferred only when ``_Evaluator.kind`` clears both sides,
-        so its evaluation cannot raise and every load ends as it would with
-        the check evaluated here.  It must also follow the first ``auto``:
-        from there on the rules are normalized, and the final
+        A check is deferred when ``ModelBundle._trial`` of both sides raises
+        no ModelSemanticError: the trial runs the evaluator itself, so then
+        evaluation cannot raise either, and every load ends as it would
+        with the check evaluated here.  It must also follow the first
+        ``auto``: from there on the rules are normalized, and the final
         ``normalize_rules`` keeps them as they are.  The evaluator keeps a
         copy of this statement's environment and its calculus, so a later
         ``subst`` does not reach the check.  Nothing else it reads changes
@@ -1161,13 +1159,14 @@ class _Builder:
         bundle = self.bundle
         evaluator = _Evaluator(dict(bundle._env), bundle.params,
                                bundle.calculus)
-        _, lhs, rhs = stmt.data
-        if (bundle.autos and evaluator.kind(lhs) is not None
-                and evaluator.kind(rhs) is not None):
-            bundle._checks.append((stmt.data, evaluator))
-        else:
-            bundle._checks.append(
-                _check_case(stmt.data, evaluator, bundle.algebra))
+        waits = bool(bundle.autos)
+        try:
+            for side in stmt.data[1:]:
+                bundle._trial(side)
+        except ModelSemanticError:
+            waits = False
+        bundle._checks.append((stmt.data, evaluator) if waits else
+                              _check_case(stmt.data, evaluator, bundle.algebra))
 
 
 def _check_case(data, evaluator: _Evaluator, algebra: Algebra) -> CheckCase:

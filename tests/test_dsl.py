@@ -1,15 +1,19 @@
+import collections
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
 from ncdiff import dsl
+from ncdiff.calculus import Calculus
 from ncdiff.coeff import ParameterSet, Polynomial, RationalFunction
 from ncdiff.dsl import (CheckCase, ModelDocument, ModelSemanticError,
                         ModelSyntaxError, build_model, export_model,
                         expression_to_text, load_model, parse_coefficient,
                         parse_model, parse_statement, rename_atoms, tokenize)
 from ncdiff.models import BUILTINS, build_glpq, model_source
+from ncdiff.morphism import Endomorphism
 
 BASE_LINES = [
     'model "m";',
@@ -638,13 +642,18 @@ def case_layouts(bundle):
             for case in bundle.checks]
 
 
+def refuse(bundle, node):
+    """A trial that raises on every expression."""
+    raise ModelSemanticError("refused", *dsl.node_location(node))
+
+
 @pytest.fixture
 def eager(monkeypatch):
     """Load with every check evaluated at load, as a gate that clears
     nothing would."""
     def load(build):
         with monkeypatch.context() as patch:
-            patch.setattr(dsl._Evaluator, "kind", lambda self, node: None)
+            patch.setattr(dsl.ModelBundle, "_trial", refuse)
             return build(verify=False)
     return load
 
@@ -686,6 +695,8 @@ REFUSED_CHECKS = [
                  18, 14, id="form-power"),
     pytest.param('check "c": inner(x) == 0;', "inner() takes no argument",
                  18, 12, id="inner-argument"),
+    pytest.param('check "c": d() == 0;', "d(...) needs an argument", 18, 12,
+                 id="d-no-argument"),
 ]
 
 
@@ -724,6 +735,24 @@ class TestDeferredChecks:
         assert type(err.value) is ModelSemanticError
         assert err.value.message == message
         assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize("call,message", [
+        ("d(x)", "d(...) needs a calc block"),
+        ("inner()", "inner() needs a calc block"),
+    ])
+    def test_a_call_without_a_calc_block_stays_at_load(self, call, message):
+        text = "\n".join(BASE_LINES[:7] + ['check "c": %s == 0;' % call])
+        with pytest.raises(ModelSemanticError) as err:
+            load_model(text + "\n")
+        assert err.value.message == message
+        assert (err.value.line, err.value.col) == (8, 12)
+
+    def test_a_power_of_a_sum_waits_with_the_eager_sides(self, eager):
+        load = functools.partial(load_model, with_base(
+            'check "c": (x + y)^2 == x^2 + x*y + y*x + y^2;'))
+        bundle = load(verify=False)
+        assert pending(bundle) == ["c"]
+        assert case_layouts(bundle) == case_layouts(eager(load))
 
     def test_the_torus_inverse_checks_stay_at_load(self):
         bundle = load_model(model_source("quantum-torus"))
@@ -784,33 +813,67 @@ class TestDeferredChecks:
 
     def test_the_gate_clears_only_what_evaluates(self, torus, glpq,
                                                  repo_module):
-        """On random expressions over the builtins, a cleared expression
-        evaluates to a value of its kind, and one that raises is refused."""
+        """On random expressions over the builtins, the trial raises only
+        ModelSemanticErrors; a cleared expression evaluates to a value of
+        the trial's class, and one that raises is refused."""
         fuzz = repo_module("tests/test_fuzz.py")
         rng = random.Random(2511)
         cleared = refused = 0
         for bundle in (torus, glpq):
             vocab = fuzz.Vocabulary(bundle)
-            evaluator = dsl._Evaluator(bundle._env, bundle.params,
-                                       bundle.calculus)
             for _ in range(300):
                 try:
                     node = dsl._parse_expression_text(
                         fuzz.expression(rng, vocab, 3))
                 except ModelSyntaxError:
                     continue
-                kind = evaluator.kind(node)
                 try:
-                    value = evaluator.eval(node)
+                    trial = bundle._trial(node)
                 except ModelSemanticError:
-                    assert kind is None, expression_to_text(node)
+                    trial = None
+                try:
+                    value = bundle._eval(node)
+                except ModelSemanticError:
+                    assert trial is None, expression_to_text(node)
                     refused += 1
                     continue
-                if kind is not None:
+                if trial is not None:
                     cleared += 1
-                    assert isinstance(value, (RationalFunction, dsl.Element,
-                                              dsl.Form)[kind])
+                    assert type(value) is (
+                        dsl.Form if trial is bundle._shadows.form else
+                        dsl.Element if trial is dsl._ELEMENT_SHADOW else
+                        type(trial)), expression_to_text(node)
         assert cleared > 300 and refused > 50
+
+    def test_the_gate_does_no_engine_arithmetic(self, monkeypatch):
+        """The trials of every check of every builtin multiply, raise to a
+        power, wedge, differentiate and twist no engine value, while the
+        rest of each load does."""
+        inside = []
+        calls = collections.Counter()
+        for owner, name in [(dsl.Element, "__mul__"), (dsl.Element, "__pow__"),
+                            (Calculus, "wedge"), (Calculus, "d"),
+                            (Endomorphism, "apply")]:
+            def counted(*args, _method=getattr(owner, name), _name=name):
+                calls[_name, bool(inside)] += 1
+                return _method(*args)
+            monkeypatch.setattr(owner, name, counted)
+        trial = dsl.ModelBundle._trial
+        sides = []
+
+        def watched(bundle, node):
+            inside.append(node)
+            try:
+                return trial(bundle, node)
+            finally:
+                sides.append(inside.pop())
+        monkeypatch.setattr(dsl.ModelBundle, "_trial", watched)
+        for build in BUILTINS.values():
+            build(verify=False)
+        assert len(sides) >= 2 * (3 + 22 + 22)
+        assert [key for key in calls if key[1]] == []
+        assert {name for name, _ in calls} >= {"__mul__", "wedge", "d",
+                                              "apply"}
 
 
 def test_rule_free_algebras_keep_no_memo(monkeypatch):

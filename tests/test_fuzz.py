@@ -12,7 +12,8 @@ Three families of cases run through ``cli.main``:
   products, and huge powers inside a ``rel`` of a model text;
 * one-token mutations of the shipped quantum-torus text (a token deleted,
   doubled, or replaced by another token), each run through all four
-  subcommands; one text in twenty is written with one byte replaced by
+  subcommands; one text in four ends with a check of two random
+  expressions, and one in twenty is written with one byte replaced by
   ``0xff``, so it is not UTF-8.
 
 Every run is checked by three oracles:
@@ -25,7 +26,8 @@ Every run is checked by three oracles:
 
 A model text that loads (``load_model`` with ``verify=False``) must also
 evaluate every check it deferred when its ``checks`` are read: a check is
-deferred only when its evaluation cannot raise.
+deferred only when its evaluation cannot raise.  The fuzzer counts the
+deferred checks it reads.
 
 Huge exponents sit on one generator, one parameter or, on the torus, one
 word or the outer runs of a conjugation ``x^-N * y^M * x^N``, and outside
@@ -251,6 +253,7 @@ class Fuzzer:
         self.failures = []
         self.runs = 0
         self.values = 0
+        self.deferred = 0
         self._bundles = {}
         self._vocab = {}
 
@@ -317,6 +320,8 @@ class Fuzzer:
             bundle = dsl.load_model(data.decode("utf-8"), verify=False)
         except Exception:
             return
+        self.deferred += sum(not isinstance(case, dsl.CheckCase)
+                             for case in bundle._checks)
         try:
             bundle.checks
         except Exception:
@@ -340,8 +345,11 @@ class Fuzzer:
 
     def run(self, seed, cases):
         """Run cases cases of the seed: in turn an expression on each model,
-        a stress expression on the torus and on gl-pq2, and a model text."""
+        a stress expression on the torus and on gl-pq2, and a model text.
+        The checks added to texts come from a second generator, so every
+        other draw is the seed's own."""
         rng = random.Random(seed)
+        checks = random.Random("checks %d" % seed)
         torus = re.sub(r"#[^\n]*", "", model_source("quantum-torus"))
         kinds = ([("expr", m) for m in MODELS]
                  + [("stress", "quantum-torus"), ("stress", "gl-pq2"),
@@ -352,6 +360,10 @@ class Fuzzer:
                 if kind == "text":
                     text = (rel_power_text(rng, torus) if rng.random() < 0.1
                             else mutated_text(rng, torus))
+                    if checks.random() < 0.25:
+                        sides = [expression(checks, self.vocabulary(
+                            "quantum-torus"), 2) for _ in range(2)]
+                        text += '\ncheck "fuzz": %s == %s;\n' % tuple(sides)
                     data = text.encode("utf-8")
                     if rng.random() < 0.05:
                         data = undecodable(rng, data)
@@ -371,8 +383,20 @@ class Fuzzer:
 
 def test_fuzz_cli():
     fuzzer = Fuzzer().run(seed=0, cases=450)
-    assert fuzzer.values > 200
+    assert fuzzer.values > 200 and fuzzer.deferred > 0
     assert not fuzzer.failures, "\n\n".join(fuzzer.failures[:5])
+
+
+def test_fuzz_texts_catch_a_gate_that_defers_every_check(monkeypatch):
+    """Seed 0's texts, with no command-line run, pass with the real gate;
+    under one that defers every check, some text loads with an added check
+    that raises when read.  Only 4 of the 75 texts of the 450 cases of
+    test_fuzz_cli load, and none of them draws a check, so this runs more
+    cases."""
+    monkeypatch.setattr(Fuzzer, "check", lambda self, argv, expr=None: None)
+    assert not Fuzzer().run(seed=0, cases=2700).failures
+    monkeypatch.setattr(dsl.ModelBundle, "_trial", lambda self, node: 0)
+    assert Fuzzer().run(seed=0, cases=2700).failures
 
 
 def test_parse_back_catches_a_wrong_print():
@@ -385,7 +409,7 @@ def test_parse_back_catches_a_wrong_print():
 def test_deferred_checks_oracle_catches_a_raising_check(monkeypatch):
     """Under a gate that defers every check, a check that divides by zero
     loads and raises when read."""
-    monkeypatch.setattr(dsl._Evaluator, "kind", lambda self, node: 0)
+    monkeypatch.setattr(dsl.ModelBundle, "_trial", lambda self, node: 0)
     text = model_source("quantum-torus") + 'check "c": x/(q - q) == x;\n'
     fuzzer = Fuzzer()
     fuzzer.deferred_checks("case.ncd", text.encode())

@@ -36,9 +36,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     fuzzer = load_fuzzer().Fuzzer().run(args.seed, args.cases)
-    print("seed %d: %d cases, %d runs, %d values parsed back, %d failures, "
-          "%.1f s" % (args.seed, args.cases, fuzzer.runs, fuzzer.values,
-                      len(fuzzer.failures), time.perf_counter() - start))
+    print("seed %d: %d cases, %d runs, %d values parsed back, %d deferred "
+          "checks read, %d failures, %.1f s"
+          % (args.seed, args.cases, fuzzer.runs, fuzzer.values,
+             fuzzer.deferred, len(fuzzer.failures),
+             time.perf_counter() - start))
     for failure in fuzzer.failures:
         print(failure)
     return 1 if fuzzer.failures else 0
