@@ -462,11 +462,12 @@ class RationalFunction(Printable):
 
     @classmethod
     def from_value(cls, params: ParameterSet, value) -> "RationalFunction":
-        return cls(Polynomial.constant(params, value))
+        return cls._make(Polynomial.constant(params, value), _poly_one(params))
 
     @classmethod
     def parameter(cls, params: ParameterSet, name: str, power: int = 1) -> "RationalFunction":
-        return cls(Polynomial.variable(params, name, power))
+        return cls._make(Polynomial.variable(params, name, power),
+                         _poly_one(params))
 
     @property
     def params(self) -> ParameterSet:

@@ -16,20 +16,21 @@ commutation, and finally the identities declared in the model file itself.
 Each layer is a generator of (anchor, name, ok[, witness]) records, and the
 suite is their concatenation, one CheckResult per record.
 
-Innerness and the two Leibniz laws are proved once per suite when they
-can be.  Each e_s(x) = a_s phi_s(x) - x a_s is inner, and expanding gives
+Innerness holds by the definition of d in every run: theta^s a =
+phi_s(a) theta^s makes vtheta a - a vtheta = d(a), so inner-form probes
+only the generators, as a self-test of the engine.  The two Leibniz laws
+are proved once per suite when they can be.  Each derivation
+e_s(x) = a_s phi_s(x) - x a_s is inner, and expanding gives
 e_s(xy) - e_s(x) phi_s(y) - x e_s(y) = a_s (phi_s(xy) - phi_s(x) phi_s(y)).
 If the algebra passed its confluence check, normal forms are unique and
 the product is associative; if each twist passed automorphism/<name>, it
 respects the relations and so is multiplicative on normal forms.  Then
-the defect vanishes for all x and y, the Leibniz law of d follows term by
-term, and d is the commutator with the inner form by definition.  Under
-these two verdicts, read from the algebra checks already run, the Leibniz
-laws pass without samples and innerness probes only the generators.
-Otherwise the laws are sampled from one random.Random(seed): innerness
-draws all its elements first, then each Leibniz law draws x and y of a
-pair only when it checks the pair, so it stops drawing at its first
-failure.
+the defect vanishes for all x and y and the Leibniz law of d follows
+term by term, so under these two verdicts, read from the algebra checks
+already run, the Leibniz laws pass without samples.  Otherwise they are
+sampled from one random.Random(seed): the inner-form check still draws
+its elements first and evaluates none, then each Leibniz law draws x and
+y of a pair only when it checks the pair, so it stops at its first failure.
 """
 
 from __future__ import annotations
@@ -240,8 +241,9 @@ def run_suite(bundle: ModelBundle, seed: int = 0,
               samples: int = 20) -> SuiteReport:
     """Run every check in its fixed order, one CheckResult per record.
 
-    samples is the number of random probes per law that is not proved; a
-    negative count is refused, since it would check no probes.
+    samples is the number of random pairs per unproved Leibniz law, drawn
+    after as many unevaluated elements; a negative count is refused, since
+    it would check no pairs.
     """
     if samples < 0:
         raise ValueError("samples must be 0 or more, not %d" % samples)
@@ -300,8 +302,8 @@ def _commutes_through(calc: Calculus, form, endo, form_name: str):
 
 def _laws_proved(bundle, passed) -> bool:
     """Whether the algebra passed its confluence check and every twist of
-    the calculus passed its automorphism check, so that the inner-form and
-    Leibniz laws hold for all elements (see the module docstring)."""
+    the calculus passed its automorphism check, so that the two Leibniz
+    laws hold for all elements (see the module docstring)."""
     names = {endo: name for name, endo in bundle.autos.items()}
     return "confluence" in passed and all(
         twist in names and "automorphism/%s" % names[twist] in passed
@@ -313,9 +315,11 @@ def _calculus_checks(bundle, passed, rng, samples):
     if calc is None:
         return
     if _laws_proved(bundle, passed):
-        # Nothing to sample: innerness keeps its generator probes and the
-        # Leibniz laws pass on the empty list of pairs.
-        rng, samples = None, 0
+        samples = 0
+    # One unused element per sample comes before the Leibniz pairs: the
+    # witnesses of an unproved run depend on this draw order.
+    for _ in range(samples):
+        random_element(calc.algebra, rng)
     for lab in calc.labels:
         witness = _commutes_through(calc, calc.theta(lab), calc.twists[lab],
                                     lab)
@@ -330,7 +334,7 @@ def _calculus_checks(bundle, passed, rng, samples):
                "%s commutes through %s" % (form_name, auto_name),
                witness is None, witness)
 
-    witness = calc.is_inner(None, rng=rng, samples=samples)
+    witness = calc.is_inner()
     yield ("inner-form", "d is the commutator with the inner form",
            witness is None, witness)
 

@@ -644,6 +644,36 @@ class TestValuesOverOneSkipNormalization:
         assert total.is_one() and total.den.is_one()
 
 
+class TestConstructorsStoreTheNormalForm:
+    """from_value and parameter wrap a constant or a monomial over the
+    shared 1 without normalizing, and store what __init__ stores."""
+
+    RANKS = (ParameterSet(("q", "r")), ParameterSet(("p", "q", "r")))
+    VALUES = (0, 1, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(6, 3),
+              10 ** 4400 + 7, -(10 ** 4400 + 7))
+
+    def _assert_stored_as_init(self, got, num):
+        expected = RationalFunction(num)
+        assert _stored(got.num) == _stored(expected.num)
+        assert _stored(got.den) == _stored(expected.den)
+        assert got.den is coeff._poly_one(num.params)
+
+    def test_from_value(self):
+        for params in self.RANKS:
+            for value in self.VALUES:
+                self._assert_stored_as_init(
+                    RationalFunction.from_value(params, value),
+                    Polynomial.constant(params, value))
+
+    def test_parameter(self):
+        for params in self.RANKS:
+            for name in params.names:
+                for power in range(-2, 3):
+                    self._assert_stored_as_init(
+                        RationalFunction.parameter(params, name, power),
+                        Polynomial.variable(params, name, power))
+
+
 def _repeated_power(value: RationalFunction, n: int) -> RationalFunction:
     """value ** n by |n| - 1 products, after inverting for n < 0."""
     if n == 0:

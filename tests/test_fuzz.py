@@ -27,7 +27,7 @@ Every run is checked by three oracles:
 A model text that loads (``load_model`` with ``verify=False``) must also
 evaluate every check it deferred when its ``checks`` are read: a check is
 deferred only when its evaluation cannot raise.  The fuzzer counts the
-deferred checks it reads.
+texts that load and the deferred checks it reads.
 
 Huge exponents sit on one generator, one parameter or, on the torus, one
 word or the outer runs of a conjugation ``x^-N * y^M * x^N``, and outside
@@ -253,6 +253,7 @@ class Fuzzer:
         self.failures = []
         self.runs = 0
         self.values = 0
+        self.loaded = 0
         self.deferred = 0
         self._bundles = {}
         self._vocab = {}
@@ -320,6 +321,7 @@ class Fuzzer:
             bundle = dsl.load_model(data.decode("utf-8"), verify=False)
         except Exception:
             return
+        self.loaded += 1
         self.deferred += sum(not isinstance(case, dsl.CheckCase)
                              for case in bundle._checks)
         try:
@@ -383,7 +385,7 @@ class Fuzzer:
 
 def test_fuzz_cli():
     fuzzer = Fuzzer().run(seed=0, cases=450)
-    assert fuzzer.values > 200 and fuzzer.deferred > 0
+    assert fuzzer.values > 200 and fuzzer.loaded > 0 and fuzzer.deferred > 0
     assert not fuzzer.failures, "\n\n".join(fuzzer.failures[:5])
 
 

@@ -1,14 +1,15 @@
 """The proved calculus laws against the sampled laws they replace.
 
-When the algebra passes its confluence check and every twist of the
-calculus respects the relations, ``run_suite`` passes ``leibniz-twisted/*``
-and ``leibniz-product`` without drawing samples, and ``inner-form`` probes
-the generators only.  ``sampled_calculus_checks`` below is the oracle: the
-calculus layer as it was before the proof, which draws ``samples`` random
-elements for innerness and then random pairs for each Leibniz law whatever
-the hypotheses.  For every model below, seeds 0-5 and ``--samples`` in
-{0, 1, 20}, ``ncdiff verify`` must print the same and exit with the same
-code with the oracle patched in as without it.
+``run_suite``'s ``inner-form`` probes the generators only, since d is the
+commutator with the inner form by its definition, and when the algebra
+passes its confluence check and every twist of the calculus respects the
+relations, it passes ``leibniz-twisted/*`` and ``leibniz-product`` without
+drawing samples.  ``sampled_calculus_checks`` below is the oracle: the
+calculus layer as it was before the proofs, which draws and evaluates
+``samples`` random elements for innerness and then random pairs for each
+Leibniz law whatever the hypotheses.  For every model below, seeds 0-5
+and ``--samples`` in {0, 1, 20}, ``ncdiff verify`` must print the same and
+exit with the same code with the oracle patched in as without it.
 
 The models are those of ``tests/test_verify_pins.py``, the quantum torus
 with a swap twist and its geometry kept, and the texts of
@@ -25,6 +26,7 @@ import pathlib
 import pytest
 
 from ncdiff import models
+from ncdiff.algebra import random_element
 from ncdiff.dsl import ModelDocument, export_model, load_model
 from ncdiff.models import (_commutes_through, _first_witness, _sampled_pairs,
                            model_source)
@@ -55,7 +57,13 @@ def sampled_calculus_checks(bundle, passed, rng, samples):
                "%s commutes through %s" % (form_name, auto_name),
                witness is None, witness)
 
-    witness = calc.is_inner(None, rng=rng, samples=samples)
+    vt = calc.inner_form()
+    probes = calc.generator_elements() + [
+        ("random-%d" % i, random_element(calc.algebra, rng))
+        for i in range(samples)]
+    witness = _first_witness(
+        (name, calc.d_element(x) - (calc.wedge(vt, x) - calc.wedge(x, vt)))
+        for name, x in probes)
     yield ("inner-form", "d is the commutator with the inner form",
            witness is None, witness)
 

@@ -36,10 +36,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     fuzzer = load_fuzzer().Fuzzer().run(args.seed, args.cases)
-    print("seed %d: %d cases, %d runs, %d values parsed back, %d deferred "
-          "checks read, %d failures, %.1f s"
+    print("seed %d: %d cases, %d runs, %d values parsed back, %d texts "
+          "loaded, %d deferred checks read, %d failures, %.1f s"
           % (args.seed, args.cases, fuzzer.runs, fuzzer.values,
-             fuzzer.deferred, len(fuzzer.failures),
+             fuzzer.loaded, fuzzer.deferred, len(fuzzer.failures),
              time.perf_counter() - start))
     for failure in fuzzer.failures:
         print(failure)
