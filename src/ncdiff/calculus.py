@@ -229,15 +229,6 @@ class Calculus:
         return [(name, alg.symbol_element(sym))
                 for sym, name in enumerate(alg.table.symbols)]
 
-    def is_inner(self):
-        """None when d(g) = vtheta g - g vtheta on every generator g, else a
-        witness: d is defined so, and this self-tests the engine."""
-        vt = self.inner_form()
-        return _first_witness(
-            (name, dg - (self.wedge(vt, g) - self.wedge(g, vt)))
-            for (name, g), dg in zip(self.generator_elements(),
-                                     self.generator_differentials()))
-
     def d_squared_witness(self):
         """None when vtheta^2 is graded-central (so d.d = 0), else a witness."""
         square = self.wedge(self.inner_form(), self.inner_form())

@@ -97,10 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: NCDIFF_SEED or 0)")
     p_verify.add_argument("--samples", type=_count, default=20,
                           help="random probes per law that cannot be "
-                               "proved; the inner-form and Leibniz laws "
-                               "are proved without probes when the "
-                               "algebra is confluent and every twist "
-                               "respects the relations")
+                               "proved; the Leibniz laws are proved "
+                               "without probes when the algebra is "
+                               "confluent and every twist respects the "
+                               "relations")
 
     p_rel = sub.add_parser("relations", parents=[common],
                            help="derive commutation relations")

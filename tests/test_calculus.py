@@ -159,9 +159,6 @@ class TestDifferential:
                - calc.wedge(omega, calc.d(eta)))
         assert lhs == rhs
 
-    def test_is_inner_accepts_the_inner_form(self, calc):
-        assert calc.is_inner() is None
-
 
 class TestBrokenWeights:
     """Weights (1, x) break graded centrality of the inner form's square."""

@@ -1,13 +1,15 @@
-"""d is the commutator with the inner form, term for term.
+"""The two identities the suite records without probes, term for term.
 
 Each basis form passes a coefficient by its twist, theta^s a = phi_s(a)
-theta^s, so with vt = sum_s a_s theta^s the commutator vt x - x vt is
-sum_s (a_s phi_s(x) - x a_s) theta^s, which is d(x) by definition.  The
-suite's ``inner-form`` check rests on this and probes the generators only.
-Here, for every model that ``tests/test_verify_pins.py`` pins, 60 seeded
-random elements x give a d(x) and a commutator that store the same basis
-keys, words, and numerator and denominator terms, in the same order: the
-derivations and the wedge product multiply the same factors the same way.
+theta^s: ``Calculus.wedge`` is written so, and the suite records
+``theta-diagonal/<s>`` as passing.  With vt = sum_s a_s theta^s the
+commutator vt x - x vt is then sum_s (a_s phi_s(x) - x a_s) theta^s,
+which is d(x) by definition, and the suite records ``inner-form`` as
+passing.  Here, for every model that ``tests/test_verify_pins.py`` pins,
+the generators and 60 seeded random elements x give both sides of each
+identity with the same stored basis keys, words, and numerator and
+denominator terms, in the same order.  Negative controls show that each
+comparison can fail.
 """
 
 import random
@@ -66,4 +68,32 @@ def test_a_perturbed_inner_form_differs_on_a_generator(name, texts):
     calc = _calculus(name, texts)
     perturbed = calc.inner_form() + calc.theta(calc.labels[0])
     assert any(calc.d_element(g) != commutator(calc, perturbed, g)
+               for _, g in calc.generator_elements())
+
+
+def _probes(calc):
+    rng = random.Random(0)
+    return [g for _, g in calc.generator_elements()] + [
+        random_element(calc.algebra, rng, max_terms=4, max_length=4)
+        for _ in range(60)]
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_a_basis_form_passes_a_coefficient_by_its_twist(name, texts):
+    calc = _calculus(name, texts)
+    probes = _probes(calc)
+    for lab in calc.labels:
+        theta = calc.theta(lab)
+        for i, x in enumerate(probes):
+            assert stored(calc.wedge(theta, x)) == stored(
+                calc.embed(calc.twists[lab].apply(x)) * theta), \
+                "%s, probe %d: %s" % (lab, i, x)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_the_identity_in_place_of_a_twist_differs_on_a_generator(name,
+                                                                 texts):
+    calc = _calculus(name, texts)
+    assert any(calc.wedge(theta, g) != calc.embed(g) * theta
+               for theta in map(calc.theta, calc.labels)
                for _, g in calc.generator_elements())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ncdiff import dsl
+from ncdiff import dsl, models
 from ncdiff.coeff import RationalFunction
 from ncdiff.dsl import (ModelSemanticError, build_model, load_model,
                         parse_coefficient)
@@ -226,6 +226,24 @@ class TestScalarRatio:
         zero = x - x
         assert scalar_ratio(x, zero) is None
         assert scalar_ratio(zero, x) is None
+
+
+def test_suite_probes_only_the_twisted_basis(torus, glpq, monkeypatch):
+    """theta-diagonal/* holds by construction and is recorded without a
+    probe; only the twisted basis forms, which a model can break, go
+    through _commutes_through."""
+    probed = []
+    original = models._commutes_through
+
+    def counted(calc, form, endo, form_name):
+        probed.append(form_name)
+        return original(calc, form, endo, form_name)
+    monkeypatch.setattr(models, "_commutes_through", counted)
+    assert run_suite(glpq).ok
+    assert probed == ["tt1", "tt2", "tt3", "tt4"]
+    probed.clear()
+    assert run_suite(torus).ok
+    assert probed == []
 
 
 class TestSuiteTorus:

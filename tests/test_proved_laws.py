@@ -1,15 +1,17 @@
 """The proved calculus laws against the sampled laws they replace.
 
-``run_suite``'s ``inner-form`` probes the generators only, since d is the
-commutator with the inner form by its definition, and when the algebra
+``run_suite`` records ``theta-diagonal/*`` and ``inner-form`` as passing
+without probes, since both hold by construction, and when the algebra
 passes its confluence check and every twist of the calculus respects the
 relations, it passes ``leibniz-twisted/*`` and ``leibniz-product`` without
 drawing samples.  ``sampled_calculus_checks`` below is the oracle: the
-calculus layer as it was before the proofs, which draws and evaluates
-``samples`` random elements for innerness and then random pairs for each
-Leibniz law whatever the hypotheses.  For every model below, seeds 0-5
-and ``--samples`` in {0, 1, 20}, ``ncdiff verify`` must print the same and
-exit with the same code with the oracle patched in as without it.
+calculus layer with nothing recorded or proved, which probes every basis
+form on the generators, draws and evaluates ``samples`` random elements
+for innerness, and then draws random pairs for each Leibniz law whatever
+the hypotheses, so it also guards that the constant records equal the
+computed verdicts.  For every model below, seeds 0-5 and ``--samples``
+in {0, 1, 20}, ``ncdiff verify`` must print the same and exit with the
+same code with the oracle patched in as without it.
 
 The models are those of ``tests/test_verify_pins.py``, the quantum torus
 with a swap twist and its geometry kept, and the texts of
