@@ -41,7 +41,10 @@ in the same word with the same coefficient, whose stored form (one term over
 exactly 1) depends only on its value.  Without confluence the grouping can
 change the answer, so such powers, like all multi-term ones, multiply the
 base in one factor at a time.  Squaring stops, and the power is taken again
-one factor at a time, as soon as a product is not a single unit term.
+one factor at a time, as soon as a product is not a single unit term.  A
+multi-term power whose coefficients and rule coefficients are all over 1 is
+taken with packed exponent vectors (``Element._packed_power``), cancelling
+and ordering terms as the products do, so it stores the loop's terms.
 
 Closed form.  An algebra is q-commuting when its rules are exactly: a unit
 swap ``h*b -> c_hb*b*h`` for every pair of base generators ``h > b``; the
@@ -83,6 +86,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from . import render
 from .coeff import (ParameterSet, Polynomial, Printable, RationalFunction,
@@ -382,10 +386,53 @@ class Element(LinearSum):
             out = self._squared_power(n)
             if out is not None:
                 return out
+        if (n > 1 and len(self.terms) > 1
+                and all(len(c.den.terms) == 1 for c in self.terms.values())
+                and all(len(c.den.terms) == 1
+                        for rhs_list in self.algebra.rules.values()
+                        for rhs in rhs_list for c in rhs.values())):
+            return self._packed_power(n)
         out = self.algebra.one()
         for _ in range(n):
             out = out * self
         return out
+
+    def _packed_power(self, n: int) -> "Element":
+        """self**n, factor by factor as the loop takes it, for a sum whose
+        coefficients and normal forms are Laurent polynomials over 1."""
+        alg = self.algebra
+        base = [(w, c.num.terms) for w, c in self.terms.items()]
+        reach = bound = max((abs(e) for _, t in base for m in t for e in m),
+                            default=0)
+        packing = _Packing(len(alg.params), bound)
+        out = {w: packing.pack(t) for w, t in base}
+        for _ in range(n - 1):
+            forms = [alg.normal_form_word(_join_words(w1, w2))
+                     for w1 in out for w2, _ in base]
+            bound += reach + max((abs(e) for nf in forms for c in nf.values()
+                                  for m in c.num.terms for e in m), default=0)
+            if bound >= packing.half:
+                old, packing = packing, _Packing(len(alg.params), bound)
+                out = {w: packing.pack(old.unpacked(c))
+                       for w, c in out.items()}
+            factors = [packing.pack(t) for _, t in base]
+            forms = iter(forms)
+            terms = {}
+            for c1 in out.values():
+                for c2 in factors:
+                    coeff = _packed_product(c1, c2)
+                    for word, c in next(forms).items():
+                        c = coeff if c.num.is_one() else _packed_product(
+                            coeff, packing.pack(c.num.terms))
+                        prev = terms.get(word)
+                        if prev is None:
+                            terms[word] = dict(c)
+                        elif not _packed_add(prev, c):
+                            del terms[word]
+            out = terms
+        return Element(alg, {w: RationalFunction._make(Polynomial._make(
+            alg.params, packing.unpacked(c)), alg._one.den)
+            for w, c in out.items()})
 
     def _squared_power(self, n: int):
         """self**n by square-and-multiply, or None once a product is not
@@ -422,6 +469,57 @@ def _accumulate_scaled(terms: dict, add: dict, coeff) -> None:
             _accumulate(terms, word, coeff)
         else:
             _accumulate(terms, word, coeff * c)
+
+
+class _Packing:
+    """Exponent vectors packed into one int, ``e`` as the sum of the
+    ``e[i] << bits*i``: adding codes adds vectors, and vectors whose entries
+    are below ``half`` in absolute value have distinct codes."""
+
+    def __init__(self, size: int, bound: int):
+        bits = self.bits = bound.bit_length() + 1
+        self.half = 1 << bits - 1
+        self.units = [1 << bits * i for i in range(size)]
+        self.vectors = {}
+
+    def pack(self, terms: dict) -> dict:
+        return {sum(map(mul, m, self.units)): c for m, c in terms.items()}
+
+    def unpacked(self, packed: dict) -> dict:
+        """Polynomial terms, integral numbers as ints."""
+        bits, half, vectors = self.bits, self.half, self.vectors
+        offset = half * sum(self.units)  # makes every field nonnegative
+        return {vectors.get(code) or vectors.setdefault(code, tuple(
+            (code + offset >> bits * i & 2 * half - 1) - half
+            for i in range(len(self.units)))): _exact(c)
+            for code, c in packed.items()}
+
+
+def _packed_add(out: dict, add: dict) -> dict:
+    """out + add in place, ordered and cancelled as by Polynomial.__add__."""
+    for m, c in add.items():
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    return out
+
+
+def _packed_product(a: dict, b: dict) -> dict:
+    """The product of packed polynomials, ordered and cancelled as by
+    Polynomial.__mul__; a factor of exactly 1 gives the other itself."""
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        (pb, cb), = b.items()
+        if cb == 1 and not pb:
+            return a
+        return {pa + pb: ca * cb for pa, ca in a.items()}
+    out = {}
+    for pa, ca in a.items():
+        _packed_add(out, {pa + pb: ca * cb for pb, cb in b.items()})
+    return out
 
 
 # A length-three overlap (or duplicated pair) with distinct normal forms.

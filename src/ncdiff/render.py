@@ -8,6 +8,8 @@ relation's are built the same way.  The terms of one print are built once, as
 (negative, text) pairs, and joined by ``_join``: the first term keeps only a
 leading minus, the others are preceded by `` + `` or `` - ``.  Negating a
 stream flips its signs; no coefficient is spelled twice to find its sign.
+A print spells each distinct monomial and number once (a bare quotient once
+in its numerator and once in its denominator) and keeps nothing after.
 
 The two spellings, ``PLAIN`` and ``LATEX``, differ in their tokens and in
 two rules kept per spelling by design:
@@ -56,16 +58,9 @@ class _Spelling:
     the method that its class's ``_SPELLING`` names.
     """
 
-    def _number(self, value) -> str:
-        """A nonnegative rational number."""
-        if value.__class__ is int or value.denominator == 1:
-            return int_text(value.numerator)
-        return self.ratio % (int_text(value.numerator),
-                             int_text(value.denominator))
-
-    def _power_product(self, pairs) -> list:
-        """Factors name^e for the (name, e) pairs with e nonzero, the bare
-        name for e == 1."""
+    def _power_product(self, pairs) -> str:
+        """The factors name^e for the (name, e) pairs with e nonzero, the
+        bare name for e == 1, joined."""
         power = self.power
         factors = []
         for name, e in pairs:
@@ -73,35 +68,46 @@ class _Spelling:
                 factors.append(name)
             elif e:
                 factors.append(power % (name, int_text(e)))
-        return factors
+        return self.times.join(factors)
 
-    def _poly_terms(self, poly) -> list:
+    def _poly_terms(self, poly, memo=None) -> list:
+        """A polynomial's terms, highest first.  memo keeps, for one print,
+        each exponent vector's sort key and factors and each magnitude's
+        number; a sum given none makes its own, a single term makes none."""
         names = poly.params.names
-        terms = poly.terms
-        out = []
-        # One-term sums are common and need no sort.
-        monos = terms if len(terms) == 1 else sorted(terms, key=_grlex_key,
-                                                     reverse=True)
-        for mono in monos:
-            c = terms[mono]
-            magnitude = -c if c < 0 else c
-            factors = self._power_product(zip(names, mono))
-            if not factors:
-                body = self._number(magnitude)
-            elif magnitude == 1:
-                body = self.times.join(factors)
-            else:
-                factors.insert(0, self._number(magnitude))
-                body = self.times.join(factors)
-            out.append((c < 0, body))
-        return out
+        if len(poly.terms) == 1:
+            (mono, c), = poly.terms.items()
+            return [self._monomial(c, self._power_product(zip(names, mono)),
+                                   memo)]
+        memo = {} if memo is None else memo
+        spelt = []
+        for mono, c in poly.terms.items():
+            entry = memo.get(mono) or memo.setdefault(mono, (
+                _grlex_key(mono), self._power_product(zip(names, mono))))
+            spelt.append(entry + (c,))
+        spelt.sort(reverse=True)  # distinct keys: nothing after them compares
+        return [self._monomial(c, factors, memo) for _, factors, c in spelt]
+
+    def _monomial(self, c, factors: str, memo):
+        """The signed term c times the factors; memo, if any, keeps numbers."""
+        magnitude = -c if c < 0 else c
+        if factors and magnitude == 1:
+            return c < 0, factors
+        number = memo.get(magnitude) if memo else None
+        if number is None:
+            number = int_text(magnitude.numerator)
+            if magnitude.denominator != 1:
+                number = self.ratio % (number, int_text(magnitude.denominator))
+            if memo is not None:
+                memo[magnitude] = number
+        return c < 0, number + self.times + factors if factors else number
 
     def _word(self, table, word) -> str:
         """A word's factors; the empty word is the empty text."""
         base, symbols = table.base_index, table.symbols
-        return self.times.join(self._power_product(
+        return self._power_product(
             [(symbols[base[sym]], count if base[sym] == sym else -count)
-             for sym, count in word]))
+             for sym, count in word])
 
     def _scaled(self, negative: bool, text: str, wrapped: bool, body: str):
         """The term coefficient times body, the coefficient spelled as text
@@ -114,30 +120,30 @@ class _Spelling:
             return negative, body
         return negative, self.scaled % (text, body)
 
-    def _element_terms(self, element) -> list:
+    def _element_terms(self, element, memo) -> list:
         table = element.algebra.table
         terms = element.terms
         words = terms if len(terms) == 1 else sorted(terms,
                                                      key=algebra.deg_lex_key)
-        return [self._scaled(*self.coefficient(terms[word]),
+        return [self._scaled(*self.coefficient(terms[word], memo),
                              self._word(table, word)) for word in words]
 
-    def _grouped(self, element, body: str):
+    def _grouped(self, element, body: str, memo):
         """The term (element) times body, the element always wrapped."""
         return False, self.grouped % (
-            self.group % _join(self._element_terms(element)), body)
+            self.group % _join(self._element_terms(element, memo)), body)
 
     def _labels(self, labels, key, joiner: str) -> str:
         return joiner.join([self.label(labels[p]) for p in key])
 
-    def fraction(self, num: list, flip: bool, den) -> str:
+    def fraction(self, num: list, flip: bool, den, memo=None) -> str:
         """num/den from the numerator's terms, their signs flipped by flip."""
         text = _join(num, flip)
         if den.is_one():
             return text
         if len(num) > 1:
             text = self.numerator % text
-        return self.over % (text, _join(self._poly_terms(den)))
+        return self.over % (text, _join(self._poly_terms(den, memo)))
 
     def polynomial(self, poly) -> str:
         return _join(self._poly_terms(poly))
@@ -146,10 +152,12 @@ class _Spelling:
         return self.fraction(self._poly_terms(rf.num), False, rf.den)
 
     def element(self, element) -> str:
-        return _join(self._element_terms(element))
+        return _join(self._element_terms(
+            element, {} if len(element.terms) > 1 else None))
 
     def form(self, form) -> str:
         labels = form.calculus.labels
+        memo = {}
         out = []
         for key in sorted(form.terms, key=lambda k: (len(k), k)):
             coeff = form.terms[key]
@@ -157,22 +165,25 @@ class _Spelling:
             if not key:
                 # The grade-0 part sorts first, so its terms lead the sum,
                 # each keeping its own sign.
-                out += self._element_terms(coeff)
+                out += self._element_terms(coeff, memo)
             elif len(coeff.terms) > 1:
-                out.append(self._grouped(coeff, body))
+                out.append(self._grouped(coeff, body, memo))
             else:
-                (term,) = self._element_terms(coeff)
+                (term,) = self._element_terms(coeff, memo)
                 out.append(self._scaled(*term, False, body))
         return _join(out)
 
     def tensor(self, tensor) -> str:
         labels = tensor.calculus.labels
+        memo = {}
         return _join([self._grouped(tensor.terms[key],
-                                    self._labels(labels, key, self.otimes))
+                                    self._labels(labels, key, self.otimes),
+                                    memo)
                       for key in sorted(tensor.terms)])
 
     def relation(self, rel) -> str:
-        terms = [self._scaled(*self.coefficient(rf),
+        memo = {}
+        terms = [self._scaled(*self.coefficient(rf, memo),
                               self.dot.join([self.name % n for n in names]))
                  for rf, names in rel.terms]
         return "%s = %s" % (self.dot.join([self.name % n for n in rel.left]),
@@ -199,11 +210,11 @@ class _Plain(_Spelling):
     def label(label: str) -> str:
         return label
 
-    def coefficient(self, rf):
+    def coefficient(self, rf, memo=None):
         """(negative, text, wrapped) of a coefficient in front of a body."""
-        num = self._poly_terms(rf.num)
+        num = self._poly_terms(rf.num, memo)
         negative = num[0][0] and (len(num) == 1 or rf.den.is_one())
-        text = self.fraction(num, negative, rf.den)
+        text = self.fraction(num, negative, rf.den, memo)
         if " " in text or "/" in text:
             return negative, self.group % text, True
         return negative, text, False
@@ -230,12 +241,13 @@ class _Latex(_Spelling):
             return "\\theta^{%s}" % label[1:]
         return "\\theta^{\\mathrm{%s}}" % label
 
-    def coefficient(self, rf):
+    def coefficient(self, rf, memo=None):
         """(negative, text, wrapped) of a coefficient in front of a body."""
-        num = self._poly_terms(rf.num)
+        num = self._poly_terms(rf.num, memo)
         if len(num) == 1 and rf.den.is_one():
             return num[0] + (False,)
-        return False, self.group % self.fraction(num, False, rf.den), True
+        return False, self.group % self.fraction(num, False, rf.den,
+                                                 memo), True
 
 
 PLAIN = _Plain()

@@ -30,6 +30,10 @@ _EXPRESSIONS = {
     "gl-pq2-localized": "Dinv*a*D + d(Dinv)*c",
 }
 
+# A power of a sum of generators, whose value has many multi-term
+# coefficients.
+_EXPANSION = "(b + 3*d - 2*a + 2*c)^5"
+
 _RELATIONS = {
     "quantum-torus": ["--forms", "dx,dy", "--elements", "x,y"],
     "gl-pq2": ["--forms", "v1,v2,v3,v4", "--elements", "a,b,c,d"],
@@ -56,6 +60,10 @@ def _cases():
         for fmt in ("plain", "json"):
             cases.append(("%s.confluence.%s" % (model, fmt),
                           ["confluence", spec, "--format", fmt], 0))
+    for fmt in ("plain", "latex"):
+        cases.append(("gl-pq2-expand.nf.%s" % fmt,
+                      ["nf", "builtin:gl-pq2", "-e", _EXPANSION,
+                       "--format", fmt], 0))
     cases.append(("gl-pq2-rfree.verify.plain", ["verify", "{rfree}"], 1))
     cases.append(("gl-pq2-localized-exported.nf.plain",
                   ["nf", "{localized}", "-e",

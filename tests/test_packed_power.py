@@ -1,0 +1,149 @@
+"""Multi-term powers with packed exponents against the factor-by-factor loop.
+
+``Element.__pow__`` takes a power of a sum whose coefficients, and every
+rule coefficient, are Laurent polynomials over 1 in ``_packed_power``.  The
+loop below, one element product per factor, is what every other base still
+takes, and it is the reference: the packed power must store what the loop
+stores, the same words in the same order and the same coefficient terms in
+the same order, int or ``Fraction`` alike.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from ncdiff.algebra import Element
+from ncdiff.coeff import RationalFunction
+from ncdiff.dsl import load_model
+
+from test_closed_form import stored
+
+_QUOTIENT_SWAP = """model "quotient-swap";
+param q;
+gen x, y, z;
+rel y*x = (q/(q + 1))*x*y;
+rel z*x = q*x*z;
+"""
+
+# Whole words cancel: (x + y)^2 is 2 + y^2.  In the powers of x + 2*y + y^2
+# and of 2*y^2 - 2*y - 2, a word cancels and comes back within one product,
+# where it then stands after the words that stayed.
+_SQUARE = """model "square";
+param q;
+gen x, y;
+rel x*x = 2;
+rel y*x = -x*y;
+"""
+
+
+def loop_power(x: Element, n: int) -> Element:
+    """x**n as one element product per factor."""
+    out = x.algebra.one()
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+@pytest.fixture
+def packed_calls(monkeypatch):
+    """The exponents of the calls to Element._packed_power, in order."""
+    calls = []
+    packed_power = Element._packed_power
+
+    def counted(self, n):
+        calls.append(n)
+        return packed_power(self, n)
+    monkeypatch.setattr(Element, "_packed_power", counted)
+    return calls
+
+
+@pytest.fixture(params=["glpq", "glpq_localized", "torus", "rank4"])
+def bundle(request, repo_module):
+    if request.param == "rank4":
+        workloads = repo_module("bench/workloads.py")
+        return load_model(workloads.rank_n_text(4, 4004))
+    return request.getfixturevalue(request.param)
+
+
+def coefficients(params):
+    """Ints, Fractions, Laurent monomials with either, and two-term sums."""
+    def value(v):
+        return RationalFunction.from_value(params, v)
+    numbers = [value(v) for v in (2, -3, Fraction(3, 2), Fraction(-2, 3))]
+    monomials = [RationalFunction.parameter(params, name, e) * c
+                 for name in params.names for e in (1, -2)
+                 for c in (value(1), value(Fraction(-1, 2)))]
+    sums = [value(1) + monomials[0], monomials[-1] - value(3)]
+    if len(params) > 1:
+        sums.append(monomials[0] - monomials[-2])
+    return numbers + monomials + sums
+
+
+def seeded_bases(alg, seed: int, count: int):
+    """(base, n) pairs: sums of 2-4 generators or two-letter words, each
+    with a coefficient of the pool, and powers 2-8 (at most 5 for a base
+    of four terms, whose loop is the slowest)."""
+    rng = random.Random(seed)
+    pool = coefficients(alg.params)
+    gens = [alg.symbol_element(s) for s in range(len(alg.table.symbols))]
+    out = []
+    while len(out) < count:
+        x = alg.zero()
+        for _ in range(rng.randint(2, 4)):
+            word = rng.choice(gens)
+            if rng.random() < 0.25:
+                word = word * rng.choice(gens)
+            x = x + rng.choice(pool) * word
+        if len(x.terms) > 1:
+            out.append((x, rng.randint(2, 5 if len(x.terms) > 3 else 8)))
+    return out
+
+
+def test_seeded_powers_store_the_loop_terms(bundle, packed_calls):
+    alg = bundle.algebra
+    for x, n in seeded_bases(alg, 33, 24):
+        assert stored((x ** n).terms) == stored(loop_power(x, n).terms), (
+            str(x), n)
+    assert len(packed_calls) == 24
+
+
+def test_expansion_of_the_benchmark(glpq, packed_calls):
+    x = glpq.eval_expression("3*a + c + 2*b + 2*d")
+    assert stored((x ** 6).terms) == stored(loop_power(x, 6).terms)
+    assert packed_calls == [6]
+
+
+@pytest.mark.parametrize("expr,n,term", [
+    ("q^100000000000*a + d", 3, "q^300000000000 * a^3"),
+    ("q^-100000000000*b + c + a", 4, "q^-400000000000 * b^4"),
+])
+def test_huge_exponents_widen_the_fields(glpq, packed_calls, expr, n, term):
+    x = glpq.eval_expression(expr)
+    value = glpq.eval_expression("(%s)^%d" % (expr, n))
+    assert packed_calls == [n]
+    assert stored(value.terms) == stored(loop_power(x, n).terms)
+    assert term in str(value).split(" + ")
+
+
+def test_cancelled_words_come_back_last(packed_calls):
+    alg = load_model(_SQUARE).algebra
+    x, y = alg.gen("x"), alg.gen("y")
+    assert str((x + y) ** 2) == "2 + y^2"
+    for base in (x + y, x + 2 * y + y * y, 2 * y * y - 2 * y - 2):
+        for n in range(2, 7):
+            assert stored((base ** n).terms) == stored(
+                loop_power(base, n).terms), (str(base), n)
+    assert packed_calls == [2] + [2, 3, 4, 5, 6] * 3
+
+
+def test_a_denominator_takes_the_loop(glpq, packed_calls):
+    alg = load_model(_QUOTIENT_SWAP).algebra
+    x, z = alg.gen("x"), alg.gen("z")
+    for base in (x + z, alg.gen("y") + 2 * x):
+        assert stored((base ** 4).terms) == stored(loop_power(base, 4).terms)
+    assert packed_calls == []
+    # A base coefficient with a denominator takes the loop as well.
+    base = glpq.eval_expression("a/(q + 1) + d")
+    assert stored((base ** 3).terms) == stored(loop_power(base, 3).terms)
+    assert packed_calls == []

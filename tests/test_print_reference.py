@@ -6,8 +6,8 @@ in one place only: ``latex_form_term`` prints a coefficient of exactly -1 as
 a bare minus sign, as ``latex_scaled`` already did (the old code printed
 ``- 1 \\, \\theta^{2}`` for ``t1 - t2``).  On seeded coefficients,
 polynomials, elements, forms of grades 0-2, tensors and derived relations
-over the quantum torus, gl-pq2 and a rank-3 quantum space, every printed
-text must be byte-identical to the reference.
+over the quantum torus, gl-pq2 and a rank-3 quantum space, and on powers of
+sums, every printed text must be byte-identical to the reference.
 """
 
 import os
@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 import ncdiff
+from ncdiff import render
 from ncdiff.algebra import Element, deg_lex_key, random_element
 from ncdiff.calculus import DerivedRelation
 from ncdiff.coeff import (Polynomial, RationalFunction, _grlex_key,
@@ -414,6 +415,27 @@ def test_relations(bundle):
     for rel in relations(rng, coefficient_pool(bundle.params, rng), 40):
         assert rel.render() == relation_str(rel)
         assert latex_value(rel) == latex_relation(rel)
+
+
+@pytest.mark.parametrize("model,base", [("glpq", "b + 3*d - 2*a + 2*c"),
+                                        ("torus", "x + y + 2*x^-1")])
+def test_expansions(request, model, base):
+    """Powers of sums: many coefficients that share their monomials."""
+    bundle = request.getfixturevalue(model)
+    for k in range(2, 7):
+        x = bundle.eval_expression("(%s)^%d" % (base, k))
+        assert str(x) == element_str(x)
+        assert latex_value(x) == latex_element(x)
+
+
+def test_no_printing_state_outlives_a_print(glpq):
+    x = glpq.eval_expression("(b + 3*d - 2*a + 2*c)^8")
+    assert len(x.terms) == 165
+    spaces = (render.PLAIN, render.LATEX, render)
+    before = [dict(vars(space)) for space in spaces]
+    assert str(x) == element_str(x)
+    assert latex_value(x) == latex_element(x)
+    assert [dict(vars(space)) for space in spaces] == before
 
 
 def test_one_printing_base(torus):
