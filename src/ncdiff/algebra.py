@@ -933,6 +933,13 @@ class _ClosedForm:
 def random_element(algebra: Algebra, rng, max_terms: int = 3,
                    max_length: int = 3) -> Element:
     """A random element: short words, coefficients from a small pool."""
+    return algebra.element(_random_terms(algebra, rng, max_terms, max_length))
+
+
+def _random_terms(algebra: Algebra, rng, max_terms: int = 3,
+                  max_length: int = 3) -> dict:
+    """The free sum of words that random_element normalizes: every draw
+    from rng that random_element makes, and no normal form."""
     params = algebra.params
     pool = [RationalFunction.from_value(params, 1),
             RationalFunction.from_value(params, -1)]
@@ -945,4 +952,4 @@ def random_element(algebra: Algebra, rng, max_terms: int = 3,
         letters = [rng.randrange(n_symbols) for _ in range(length)]
         word = word_from_runs((s, 1) for s in letters)
         _accumulate(terms, word, rng.choice(pool))
-    return algebra.element(terms)
+    return terms

@@ -100,7 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
                                "proved; the Leibniz laws are proved "
                                "without probes when the algebra is "
                                "confluent and every twist respects the "
-                               "relations")
+                               "relations, and on a confluent algebra "
+                               "each probe tests the inner-derivation "
+                               "identity e(xy) - e(x)phi(y) - xe(y) = "
+                               "a(phi(xy) - phi(x)phi(y)), with the "
+                               "direct formula kept for the witness and "
+                               "for algebras not confluent")
 
     p_rel = sub.add_parser("relations", parents=[common],
                            help="derive commutation relations")

@@ -31,9 +31,23 @@ respects the relations and so is multiplicative on normal forms.  Then
 the defect vanishes for all x and y and the Leibniz law of d follows
 term by term, so under these two verdicts, read from the algebra checks
 already run, the Leibniz laws pass without samples.  Otherwise they are
-sampled from one random.Random(seed): the suite still draws samples
-unused elements first, then each Leibniz law draws x and y of a pair
-only when it checks the pair, so it stops at its first failure.
+sampled from one random.Random(seed): the suite still makes the draws of
+samples unused elements first, building none of them, then each Leibniz
+law draws x and y of a pair only when it checks the pair, so it stops at
+its first failure.
+
+When the laws are sampled and the confluence check passed, the identity's
+one hypothesis, each pair is tested through it: the defect is then a_s
+times phi_s's failure to be multiplicative on the pair, which is what
+the samples test.  leibniz-twisted/<s> takes
+TwistedDerivation.associative_defect, three products where the direct
+formula takes nine.  Component s of d(xy) - (d(x) y + x d(y)) is label
+s's twisted defect, since wedge passes y through theta^s by phi_s, so a
+leibniz-product pair passes when every label's identity is zero.  Only
+the first pair that breaks an identity builds that form, its witness, so
+witnesses are those of the direct formula.  Without a passed confluence
+check both laws are sampled by the direct formula, leibniz_defect and
+the form, on every pair.
 """
 
 from __future__ import annotations
@@ -43,7 +57,8 @@ from functools import partial
 from importlib import resources
 from itertools import chain
 
-from .algebra import AlgebraError, Element, _first_witness, random_element
+from .algebra import (AlgebraError, Element, _first_witness, _random_terms,
+                      random_element)
 from .calculus import Calculus
 from .dsl import (ModelBundle, ModelDocument, Statement, build_model,
                   parse_coefficient, parse_model, parse_statement,
@@ -319,10 +334,10 @@ def _calculus_checks(bundle, passed, rng, samples):
         return
     if _laws_proved(bundle, passed):
         samples = 0
-    # One unused element per sample comes before the Leibniz pairs: the
-    # witnesses of an unproved run depend on this draw order.
+    # The draws of one unused element per sample come before the Leibniz
+    # pairs: the witnesses of an unproved run depend on this draw order.
     for _ in range(samples):
-        random_element(calc.algebra, rng)
+        _random_terms(calc.algebra, rng)
     for lab in calc.labels:
         yield ("theta-diagonal/%s" % lab,
                "basis form %s commutes through its twist" % lab, True)
@@ -348,21 +363,41 @@ def _calculus_checks(bundle, passed, rng, samples):
     yield ("d-twice", "d applied twice vanishes on generators and basis",
            witness is None, witness)
 
+    associative = "confluence" in passed
     for lab in calc.labels:
+        derivation = calc.derivations[lab]
         witness = _first_witness(
-            (name, calc.derivations[lab].leibniz_defect(x, y))
+            (name, derivation.associative_defect(x, y, x * y) if associative
+             else derivation.leibniz_defect(x, y))
             for name, x, y in _sampled_pairs(calc.algebra, rng, samples))
         yield ("leibniz-twisted/%s" % lab,
                "derivation along %s satisfies the twisted Leibniz rule" % lab,
                witness is None, witness and witness[0])
 
+    pairs = _sampled_pairs(calc.algebra, rng, samples)
+    if associative:
+        pairs = ((name, x, y) for name, x, y in pairs
+                 if _breaks_an_identity(calc, x, y))
     witness = _first_witness(
         (name, calc.d_element(x * y)
          - (calc.wedge(calc.d_element(x), calc.embed(y))
             + calc.wedge(calc.embed(x), calc.d_element(y))))
-        for name, x, y in _sampled_pairs(calc.algebra, rng, samples))
+        for name, x, y in pairs)
     yield ("leibniz-product", "d is a derivation on products",
            witness is None, witness)
+
+
+def _breaks_an_identity(calc: Calculus, x: Element, y: Element) -> bool:
+    """Whether some label's associative defect on (x, y) is nonzero.
+
+    Component i of d(xy) - (d(x) y + x d(y)) is label i's twisted Leibniz
+    defect, since wedge passes y through theta^i by phi_i, so on an
+    associative algebra the form is zero exactly when every
+    associative_defect is.  The suite then builds the form only for the
+    first pair that breaks an identity, its witness."""
+    xy = x * y
+    return any(not calc.derivations[lab].associative_defect(x, y, xy).is_zero()
+               for lab in calc.labels)
 
 
 def _geometry_checks(bundle):

@@ -208,3 +208,19 @@ class TwistedDerivation:
         holds on the pair."""
         return self.apply(x * y) - (self.apply(x) * self.twist.apply(y)
                                     + x * self.apply(y))
+
+    def associative_defect(self, x: Element, y: Element,
+                           xy: Element) -> Element:
+        """weight * (phi(xy) - phi(x) phi(y)), where xy is x * y.
+
+        Expanding e(x) = a phi(x) - x a gives, term by term,
+        e(xy) - e(x) phi(y) - x e(y) = a (phi(xy) - phi(x) phi(y)), with the
+        two x a phi(y) terms and the two x y a terms cancelling.  That needs
+        (x a) phi(y) = x (a phi(y)) and (x y) a = x (y a), so the value
+        equals leibniz_defect(x, y) only where the product is associative:
+        on an algebra whose rewriting passed its confluence check, where
+        normal forms are unique (Bergman's diamond lemma).  Elsewhere only
+        leibniz_defect is the defect.  With x * y it takes three products,
+        where leibniz_defect takes nine."""
+        phi = self.twist.apply
+        return self.weight * (phi(xy) - phi(x) * phi(y))

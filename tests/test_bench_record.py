@@ -24,10 +24,12 @@ def record_file(repo_module, tmp_path):
     """Run tools/bench_record.py; return the whole record."""
     main = repo_module("tools/bench_record.py").main
 
-    def run(parent, change):
+    def run(parent, change, control=()):
         out = tmp_path / "record.json"
-        assert main(["--parent", *parent, "--change", *change,
-                     "--out", str(out)]) == 0
+        argv = ["--parent", *parent, "--change", *change, "--out", str(out)]
+        if control:
+            argv += ["--control", *control]
+        assert main(argv) == 0
         return json.loads(out.read_text())
     return run
 
@@ -35,8 +37,8 @@ def record_file(repo_module, tmp_path):
 @pytest.fixture()
 def record(record_file):
     """Run tools/bench_record.py; return its nf-torus record."""
-    return lambda parent, change: \
-        record_file(parent, change)["workloads"]["nf-torus"]
+    return lambda parent, change, control=(): \
+        record_file(parent, change, control)["workloads"]["nf-torus"]
 
 
 class TestBenchRecord:
@@ -58,6 +60,32 @@ class TestBenchRecord:
         assert (won["median_gap"], won["parent_iqr"]) == (29, 2)
         assert [p["same_digest"] for p in torus["pairs"]] == [True] * 4 + [
             False]
+
+    def test_control_runs_give_an_aa_comparison(self, tmp_path, record):
+        parent = [_run_file(tmp_path, "p-%d" % i, i, v)
+                  for i, v in enumerate([10, 11, 12, 13, 14])]
+        change = [_run_file(tmp_path, "c-%d" % i, i, v)
+                  for i, v in enumerate([20, 22, 24, 26, 28])]
+        control = [_run_file(tmp_path, "p2-%d" % i, i, v, commit="p")
+                   for i, v in enumerate([11, 10, 12, 14, 15])]
+        torus = record(parent, change, control)
+        won = torus["comparison"]["ops_per_s"]
+        assert (won["ratio"], won["change_wins"]) == (2, 5)
+        assert won["control"] == {"ratio": 1, "control_wins": 3,
+                                  "parent_wins": 1}
+        assert torus["control"]["metrics"]["ops_per_s"]["median"] == 12
+        assert torus["control"]["commits"] == ["p"]
+        # Without --control the record has no control side.
+        plain = record(parent, change)
+        assert "control" not in plain
+        assert "control" not in plain["comparison"]["ops_per_s"]
+
+    def test_unpaired_control_runs_are_refused(self, tmp_path, record):
+        run = _run_file(tmp_path, "p-0", 1, 5.0)
+        with pytest.raises(SystemExit) as refused:
+            record([run], [run], [run, run])
+        assert str(refused.value) == (
+            "error: nf-torus has 1 parent runs and 2 control runs")
 
     def test_load_averages_per_run(self, tmp_path, record):
         parent = [_run_file(tmp_path, "p-%d" % i, i, 5.0) for i in (3, 1)]

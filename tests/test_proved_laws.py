@@ -20,6 +20,14 @@ calc block, one per group of texts that build the same calculus (see
 ``corpus_documents``).  Output alone cannot show which path ran where the sampled
 laws pass, so the fallback is also asserted directly by counting Leibniz
 defects.
+
+Where the algebra passed its confluence check, the suite samples both laws
+through ``TwistedDerivation.associative_defect``, the inner-derivation
+identity, and builds the direct form of ``leibniz-product`` only for its
+witness.  The oracle keeps the direct formula, ``leibniz_defect`` and the
+form on every pair, so it also checks the identity against the direct
+formula: on the models whose twists break the relations the defects are
+nonzero, and the first failing pair must be the same on both sides.
 """
 
 import json
@@ -193,6 +201,11 @@ def test_corpus_documents_match_the_oracle(base, repo_module, workloads,
     assert wrong == {}
 
 
+# The unproved models that sample through the identity; the others sample
+# by the direct formula, since their algebra is not confluent.
+IDENTITY_SAMPLED = ("gl-pq2-rfree", "torus-swap-twist")
+
+
 @pytest.mark.parametrize("name, proved", [
     ("quantum-torus", True),
     ("rank-4", True),
@@ -204,14 +217,22 @@ def test_corpus_documents_match_the_oracle(base, repo_module, workloads,
     ("torus-swap-twist", False)])
 def test_sampled_fallback_runs_exactly_when_unproved(
         name, proved, texts, workloads, monkeypatch, tmp_path):
-    defects = []
-    original = TwistedDerivation.leibniz_defect
-
-    def counting(self, x, y):
-        defects.append(1)
-        return original(self, x, y)
-
-    monkeypatch.setattr(TwistedDerivation, "leibniz_defect", counting)
+    called = []
+    for method in ("leibniz_defect", "associative_defect"):
+        monkeypatch.setattr(TwistedDerivation, method,
+                            _counting(method, called))
     workloads.run_cli(
         ["verify", _spec(name, texts, tmp_path), "--samples", "20"])
-    assert (defects == []) is proved
+    assert (called == []) is proved
+    assert ("leibniz_defect" in called) is (name == "non-confluent")
+    assert ("associative_defect" in called) is (name in IDENTITY_SAMPLED)
+
+
+def _counting(method, called):
+    """TwistedDerivation.<method>, appending its name to called per call."""
+    original = getattr(TwistedDerivation, method)
+
+    def counting(self, *args):
+        called.append(method)
+        return original(self, *args)
+    return counting

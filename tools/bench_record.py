@@ -14,6 +14,16 @@ parent's interquartile range.  It also records, per pair, whether the two
 runs had the same seed and the same run digest, which covers every op's
 output digest.  A top-level ``host`` names the CPU model and kernel release
 of the machine making the record, so a change of host shows.
+
+    python3 tools/bench_record.py --parent ... --change ... \
+        --control p2/nf-torus-seed1-trace0.json ... --out BENCH_<tag>.json
+
+With ``--control``, a second set of parent runs, paired with the parent
+runs as the change runs are, gives an A/A comparison: each workload also
+records the control side, and each metric's comparison holds the control's
+median ratio to the parent and its win count under ``control``.  A claim
+is then read against the noise of its own session: a ratio the change
+reaches is no gain if the control reaches it too.
 """
 
 from __future__ import annotations
@@ -126,18 +136,28 @@ def host():
     return {"cpu_model": model, "kernel": platform.release()}
 
 
-def record(parent_paths, change_paths):
+def paired_runs(parent_runs, other_runs, workload, side):
+    """The runs of a workload on one side, as many as the parent's."""
+    p_runs = parent_runs.get(workload, [])
+    o_runs = other_runs.get(workload, [])
+    if len(p_runs) != len(o_runs):
+        raise SystemExit("error: %s has %d parent runs and %d %s runs"
+                         % (workload, len(p_runs), len(o_runs), side))
+    return o_runs
+
+
+def record(parent_paths, change_paths, control_paths=None):
     parent_runs = load_runs(parent_paths)
     change_runs = load_runs(change_paths)
+    control_runs = None if control_paths is None else load_runs(control_paths)
     better = directions()
     workloads = {}
-    for workload in sorted(set(parent_runs) | set(change_runs)):
+    names = set(parent_runs) | set(change_runs) | set(control_runs or ())
+    for workload in sorted(names):
         p_runs = parent_runs.get(workload, [])
-        c_runs = change_runs.get(workload, [])
-        if len(p_runs) != len(c_runs):
-            raise SystemExit("error: %s has %d parent runs and %d change runs"
-                             % (workload, len(p_runs), len(c_runs)))
+        c_runs = paired_runs(parent_runs, change_runs, workload, "change")
         parent, change = summarize_side(p_runs), summarize_side(c_runs)
+        comparison = compare(parent, change, better)
         workloads[workload] = {
             "parent": parent,
             "change": change,
@@ -146,8 +166,18 @@ def record(parent_paths, change_paths):
                        "same_digest": (p["extra"]["digest"]
                                        == c["extra"]["digest"])}
                       for p, c in zip(p_runs, c_runs)],
-            "comparison": compare(parent, change, better),
+            "comparison": comparison,
         }
+        if control_runs is not None:
+            control = summarize_side(paired_runs(parent_runs, control_runs,
+                                                 workload, "control"))
+            workloads[workload]["control"] = control
+            for name, aa in compare(parent, control, better).items():
+                if name in comparison:
+                    comparison[name]["control"] = {
+                        "ratio": aa["ratio"],
+                        "control_wins": aa["change_wins"],
+                        "parent_wins": aa["parent_wins"]}
     return {"host": host(), "workloads": workloads}
 
 
@@ -157,9 +187,12 @@ def main(argv=None) -> int:
                         help="run files of the parent commit")
     parser.add_argument("--change", nargs="+", required=True,
                         help="run files of the change, in the same order")
+    parser.add_argument("--control", nargs="+",
+                        help="a second set of parent runs, in the same "
+                             "order, for an A/A comparison")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
-    result = record(args.parent, args.change)
+    result = record(args.parent, args.change, args.control)
     with open(args.out, "w") as handle:
         json.dump(result, handle, indent=1, sort_keys=True)
         handle.write("\n")
