@@ -941,15 +941,18 @@ def _random_terms(algebra: Algebra, rng, max_terms: int = 3,
     """The free sum of words that random_element normalizes: every draw
     from rng that random_element makes, and no normal form."""
     params = algebra.params
-    pool = [RationalFunction.from_value(params, 1),
-            RationalFunction.from_value(params, -1)]
-    pool += [RationalFunction.parameter(params, name, power)
-             for name, power in zip(params.names, (1, -1))]
+    # Of the pool 1, -1, p1, p2^-1 (the parameters where they exist) only
+    # the drawn coefficient is built; choice draws an index as it would one.
+    pool_size = 2 + min(2, len(params.names))
     n_symbols = len(algebra.table.symbols)
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         length = rng.randint(0, max_length)
         letters = [rng.randrange(n_symbols) for _ in range(length)]
         word = word_from_runs((s, 1) for s in letters)
-        _accumulate(terms, word, rng.choice(pool))
+        i = rng.choice(range(pool_size))
+        sign = (1, -1)[i % 2]
+        _accumulate(terms, word, RationalFunction.from_value(params, sign)
+                    if i < 2 else RationalFunction.parameter(
+                        params, params.names[i - 2], sign))
     return terms

@@ -15,8 +15,10 @@ phi(d g) with d(phi g) on the generators.  Both sides read the calculus's
 table of generator differentials (``Calculus.generator_differentials``),
 built once per map: for a diagonal phi, phi(g) = c_g g and so
 d(phi g) = c_g d(g), and no derivation runs again.  A geometry asks for
-the identity, each twist and its inverse (one inverse per automorphism,
-``Endomorphism.inverse``, shared with transport), so the table holds at most
+the identity, each twist and, only where its extension fails (the
+inverse extension commutes with d exactly when the extension does), its
+inverse (one per automorphism, ``Endomorphism.inverse``, shared with
+transport), so the table holds at most
 (twists + inverse twists + 1) x generator symbols rows.  The derived
 action expresses every target label in the span of the same candidates,
 so one elimination (``coeff.solve_in_span``) gives the whole matrix; the

@@ -123,33 +123,20 @@ class Endomorphism:
             out = out + self._apply_word(word).scale(coeff)
         return out
 
-    def diagonal_scaling(self) -> dict | None:
-        """The scalar c_g per generator when phi(g) = c_g g, else None."""
-        if self._scales is None:
-            return None
-        table = self.algebra.table
-        return {name: self._scales[table.index(name)]
-                for name in table.base_names}
-
     def inverse(self) -> "Endomorphism":
-        """The inverse, built once; derived only for diagonal scalings."""
+        """The inverse, built once and only for a diagonal map: it scales
+        each generator by c_g^-1, so both compositions are the identity."""
         if self._inverse is None:
-            scaling = self.diagonal_scaling()
-            if scaling is None:
+            if self._scales is None:
                 raise MorphismError(
                     "cannot derive the inverse of a non-diagonal endomorphism")
             alg = self.algebra
-            images = {name: alg.gen(name).scale(c.inverse())
-                      for name, c in scaling.items()}
+            images = {name: alg.gen(name).scale(
+                self._scales[alg.table.index(name)].inverse())
+                for name in alg.table.base_names}
             name = None if self.name is None else self.name + "^-1"
             self._inverse = Endomorphism(alg, images, name)
         return self._inverse
-
-    def verify_inverse(self, other: "Endomorphism") -> bool:
-        """True when both compositions fix every generator."""
-        gens = [self.algebra.gen(name) for name in self.algebra.table.base_names]
-        return all(self.apply(other.apply(g)) == g
-                   and other.apply(self.apply(g)) == g for g in gens)
 
     def __repr__(self):
         return "Endomorphism(%s)" % (self.name or "?")

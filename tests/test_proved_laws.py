@@ -28,6 +28,15 @@ witness.  The oracle keeps the direct formula, ``leibniz_defect`` and the
 form on every pair, so it also checks the identity against the direct
 formula: on the models whose twists break the relations the defects are
 nonzero, and the first failing pair must be the same on both sides.
+
+The suite also records two inverse checks from what it has built:
+``automorphism/<name>/inverse`` passes once ``Endomorphism.inverse``
+builds, and ``extension/<lab>/inverse`` probes the inverse extension only
+when ``extension/<lab>`` failed.  ``recomputed_algebra_checks`` and
+``recomputed_geometry_checks`` wrap the suite's streams and recompute
+both the old way, the generator round trip of each passed inverse and
+``inverse_extension(lab).commutes_with_d()`` on every label, so the same
+comparison guards that the records equal the computed verdicts.
 """
 
 import json
@@ -36,7 +45,7 @@ import pathlib
 import pytest
 
 from ncdiff import models
-from ncdiff.algebra import random_element
+from ncdiff.algebra import AlgebraError, random_element
 from ncdiff.dsl import ModelDocument, export_model, load_model
 from ncdiff.models import (_commutes_through, _first_witness, _sampled_pairs,
                            model_source)
@@ -105,6 +114,48 @@ def sampled_calculus_checks(bundle, passed, rng, samples):
            witness is None, witness)
 
 
+_ALGEBRA_CHECKS = models._algebra_checks
+_GEOMETRY_CHECKS = models._geometry_checks
+
+
+def _inverse_of(anchor, head):
+    """The name in head<name>/inverse, or None for any other anchor."""
+    if anchor.startswith(head) and anchor.endswith("/inverse"):
+        return anchor[len(head):-len("/inverse")]
+    return None
+
+
+def recomputed_algebra_checks(bundle):
+    """The algebra layer with each passed automorphism/<name>/inverse
+    recomputed: both compositions must fix every generator."""
+    for record in _ALGEBRA_CHECKS(bundle):
+        name = _inverse_of(record[0], "automorphism/")
+        if name is None or not record[2]:
+            yield record
+            continue
+        endo = bundle.autos[name]
+        inv = endo.inverse()
+        gens = [bundle.algebra.gen(g)
+                for g in bundle.algebra.table.base_names]
+        yield record[:2] + (all(endo.apply(inv.apply(g)) == g
+                                and inv.apply(endo.apply(g)) == g
+                                for g in gens),)
+
+
+def recomputed_geometry_checks(bundle):
+    """The geometry layer with every extension/<lab>/inverse probed."""
+    for record in _GEOMETRY_CHECKS(bundle):
+        lab = _inverse_of(record[0], "extension/")
+        if lab is None:
+            yield record
+            continue
+        try:
+            witness = bundle.geometry.inverse_extension(lab).commutes_with_d()
+        except AlgebraError as exc:
+            witness = exc
+        yield record[:2] + (witness is None, witness)
+
+
 @pytest.fixture(scope="module")
 def workloads(repo_module):
     return repo_module("bench/workloads.py")
@@ -160,6 +211,8 @@ def differing_cases(workloads, monkeypatch, spec):
     proved = {case: run(*case) for case in cases}
     with monkeypatch.context() as patch:
         patch.setattr(models, "_calculus_checks", sampled_calculus_checks)
+        patch.setattr(models, "_algebra_checks", recomputed_algebra_checks)
+        patch.setattr(models, "_geometry_checks", recomputed_geometry_checks)
         return [case for case in cases if run(*case) != proved[case]]
 
 
