@@ -12,6 +12,7 @@ environment variable, then zero.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -69,7 +70,10 @@ def _count(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="ncdiff",
         description="exact differential calculi on finitely presented "

@@ -8,11 +8,19 @@ a parameter combination (the shipped two-parameter model sets r = p*q after
 its relations).  ``build_model`` turns a document into live objects; export
 renders a document back to the text format so that parse, export, parse is
 the identity on documents.
+
+parse_model memoizes its tokenize, parse and static-check pass on the
+source text, for the last _PARSE_MEMO_SIZE texts parsed; a text that
+fails is parsed again and raises again on every call.  Each call returns
+a new ModelDocument over a new list, but the Statements in it are shared
+with every other parse of the same text: documents are values, so never
+mutate a Statement's data.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import re
 
 from .algebra import (Algebra, AlgebraError, Element, GeneratorTable,
@@ -383,8 +391,21 @@ class _Parser:
         return parse_int(key.value[1:])
 
 
+# Room for the builtins and a run's few generated texts; older texts are
+# parsed again.
+_PARSE_MEMO_SIZE = 32
+
+
 def parse_model(text: str) -> ModelDocument:
-    """Parse and statically check a model file, one statement at a time."""
+    """Parse and statically check a model file, one statement at a time;
+    the pass is memoized on the text (see the module docstring)."""
+    statements, name = _parsed(text)
+    return ModelDocument(list(statements), name)
+
+
+@functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
+def _parsed(text: str):
+    """The statements of a model text, as a tuple, and the model's name."""
     parser = _Parser(tokenize(text))
     statements = []
     stage = 0
@@ -394,8 +415,8 @@ def parse_model(text: str) -> ModelDocument:
         stage = spec.stage
         spec.check(checker, stmt)
         statements.append(stmt)
-    name = "model" if checker.name is None else checker.name
-    return ModelDocument(statements, name)
+    return tuple(statements), ("model" if checker.name is None
+                               else checker.name)
 
 
 def parse_statement(text: str) -> Statement:

@@ -6,6 +6,9 @@ its second four-dimensional calculus.  The builders here parse those files,
 attach the frozen expectations the suite compares against, and optionally
 extend the quantum group by a formal inverse of its determinant whose
 commutation rules are derived by the engine rather than entered by hand.
+The determinant's scales are read once per process, from a verify=False
+build of the constant gl-pq2 text, and the documents of both gl-pq2
+builtins are kept for the process; every load still builds a fresh bundle.
 
 run_suite executes every structural layer in a fixed order: relation
 soundness, local confluence, automorphism checks, basis diagonality, the
@@ -59,7 +62,7 @@ the form, on every pair.
 from __future__ import annotations
 
 import random
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from itertools import chain
 
@@ -112,16 +115,13 @@ def build_glpq(adjoin_det_inverse: bool = False,
 
     The model file pins r = p*q, the curve on which the twists respect
     the relations.  With adjoin_det_inverse the model also gets Dinv, a
-    formal inverse of the determinant, whose scales are read off a first
-    build.
+    formal inverse of the determinant, whose scales are read once per
+    process off a verify=False build of the constant gl-pq2 text.
     """
-    doc = parse_model(model_source("gl-pq2"))
-    doc = _with_mirror_checks(doc)
-    bundle = build_model(doc, verify=verify)
+    doc = _glpq_document(adjoin_det_inverse)
+    bundle = build_model(ModelDocument(list(doc.statements), doc.name),
+                         verify=verify)
     if adjoin_det_inverse:
-        lambdas, sigmas = _det_scales(bundle)
-        doc = _adjoin_det_inverse(doc, lambdas, sigmas)
-        bundle = build_model(doc, verify=verify)
         bundle.extras["localized"] = "Dinv"
     bundle.extras["twisted_basis"] = [("tt%d" % s, "phit%d" % s)
                                       for s in range(1, 5)]
@@ -135,6 +135,17 @@ BUILTINS = {
     "gl-pq2": build_glpq,
     "gl-pq2-localized": partial(build_glpq, adjoin_det_inverse=True),
 }
+
+
+@cache
+def _glpq_document(adjoin_det_inverse: bool) -> ModelDocument:
+    """The gl-pq2 document with its mirror checks, and with Dinv adjoined
+    when asked; its text is constant, so each is derived once."""
+    if adjoin_det_inverse:
+        doc = _glpq_document(False)
+        lambdas, sigmas = _det_scales(build_model(doc, verify=False))
+        return _adjoin_det_inverse(doc, lambdas, sigmas)
+    return _with_mirror_checks(parse_model(model_source("gl-pq2")))
 
 
 def _with_mirror_checks(doc: ModelDocument) -> ModelDocument:

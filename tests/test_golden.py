@@ -120,6 +120,17 @@ def test_golden(name, argv, exit_code, tmp_path):
     assert rc == exit_code
 
 
+def test_golden_warm_in_reverse_order(tmp_path):
+    """Every case again, last first, in the process that ran them all: the
+    parse and document memos are then warm in another order than in the
+    first pass, and each case still gives its golden bytes and exit code."""
+    for name, argv, exit_code in reversed(CASES):
+        rc, out = _run(argv, tmp_path)
+        golden = _SHARED_GOLDEN.get(name, name)
+        expected = (GOLDEN_DIR / (golden + ".txt")).read_bytes()
+        assert (out.encode(), rc) == (expected, exit_code), name
+
+
 if __name__ == "__main__":
     import os
     import tempfile
