@@ -930,14 +930,13 @@ class _ClosedForm:
             self.one.den)
 
 
-def random_element(algebra: Algebra, rng, max_terms: int = 3,
-                   max_length: int = 3) -> Element:
-    """A random element: short words, coefficients from a small pool."""
-    return algebra.element(_random_terms(algebra, rng, max_terms, max_length))
+def random_element(algebra: Algebra, rng) -> Element:
+    """A random element: 1 to 3 words of 0 to 3 letters each, coefficients
+    from a small pool."""
+    return algebra.element(_random_terms(algebra, rng))
 
 
-def _random_terms(algebra: Algebra, rng, max_terms: int = 3,
-                  max_length: int = 3) -> dict:
+def _random_terms(algebra: Algebra, rng) -> dict:
     """The free sum of words that random_element normalizes: every draw
     from rng that random_element makes, and no normal form."""
     params = algebra.params
@@ -946,8 +945,8 @@ def _random_terms(algebra: Algebra, rng, max_terms: int = 3,
     pool_size = 2 + min(2, len(params.names))
     n_symbols = len(algebra.table.symbols)
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        length = rng.randint(0, max_length)
+    for _ in range(rng.randint(1, 3)):
+        length = rng.randint(0, 3)
         letters = [rng.randrange(n_symbols) for _ in range(length)]
         word = word_from_runs((s, 1) for s in letters)
         i = rng.choice(range(pool_size))

@@ -9,12 +9,11 @@ its relations).  ``build_model`` turns a document into live objects; export
 renders a document back to the text format so that parse, export, parse is
 the identity on documents.
 
-parse_model memoizes its tokenize, parse and static-check pass on the
-source text, for the last _PARSE_MEMO_SIZE texts parsed; a text that
-fails is parsed again and raises again on every call.  Each call returns
-a new ModelDocument over a new list, but the Statements in it are shared
-with every other parse of the same text: documents are values, so never
-mutate a Statement's data.
+Documents are immutable: statements, name tables and every statement's
+data are tuples, named tuples, strings, ints and expression trees.  So
+parse_model memoizes on the source text, for the last _PARSE_MEMO_SIZE
+texts parsed, and every parse of one text returns the one document; a
+text that fails is parsed again and raises again on every call.
 """
 
 from __future__ import annotations
@@ -230,13 +229,15 @@ Statement = collections.namedtuple("Statement", "kind data line col")
 
 class ModelDocument:
     """The parsed form of a model file: ordered statements plus the declared
-    parameter, generator and invertible names."""
+    parameter, generator and invertible names, all tuples.  A document is
+    immutable, so parses and loads share it."""
 
     def __init__(self, statements, name):
-        self.statements = statements
+        self.statements = statements = tuple(statements)
         self.name = name
         self.params, self.gens, self.invertible = (
-            [n for stmt in statements if stmt.kind == kind for n in stmt.data]
+            tuple(n for stmt in statements if stmt.kind == kind
+                  for n in stmt.data)
             for kind in ("param", "gen", "invertible"))
 
     def semantic_key(self):
@@ -381,7 +382,7 @@ class _Parser:
         while self.at_punct(","):
             self.advance()
             names.append(self.expect_ident().value)
-        return names
+        return tuple(names)
 
     def parse_transport_key(self) -> int:
         key = self.expect_ident("transport key")
@@ -396,16 +397,11 @@ class _Parser:
 _PARSE_MEMO_SIZE = 32
 
 
-def parse_model(text: str) -> ModelDocument:
-    """Parse and statically check a model file, one statement at a time;
-    the pass is memoized on the text (see the module docstring)."""
-    statements, name = _parsed(text)
-    return ModelDocument(list(statements), name)
-
-
 @functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
-def _parsed(text: str):
-    """The statements of a model text, as a tuple, and the model's name."""
+def parse_model(text: str) -> ModelDocument:
+    """Parse and statically check a model file, one statement at a time.
+    Every parse of one text returns the one memoized, immutable document
+    (see the module docstring)."""
     parser = _Parser(tokenize(text))
     statements = []
     stage = 0
@@ -415,8 +411,8 @@ def _parsed(text: str):
         stage = spec.stage
         spec.check(checker, stmt)
         statements.append(stmt)
-    return tuple(statements), ("model" if checker.name is None
-                               else checker.name)
+    return ModelDocument(statements, "model" if checker.name is None
+                         else checker.name)
 
 
 def parse_statement(text: str) -> Statement:
@@ -509,7 +505,7 @@ class _Line:
 
 
 class _Block:
-    """``<name> { entry entry ... }``, parsed to (name, [entry, ...])."""
+    """``<name> { entry entry ... }``, parsed to (name, (entry, ...))."""
 
     _HEADER = _Line("<name> {")
 
@@ -522,7 +518,7 @@ class _Block:
         while not parser.at_punct("}"):
             entries.append(self.entry.parse(parser))
         parser.expect_punct("}")
-        return (name, entries)
+        return (name, tuple(entries))
 
     def render(self, data) -> str:
         name, entries = data
@@ -531,38 +527,40 @@ class _Block:
         return "\n".join(lines + ["}"])
 
 
+# A parsed calc block: theta labels, twists, weights and wedge rules.
+_Calc = collections.namedtuple("_Calc", "thetas twists weights wedges")
+
+
 class _CalcBlock:
     """``{ item item ... }`` with keyword-led items, grouped on parse.
 
-    The parse gives a dict of theta labels, twists, weights and wedge rules;
-    export prints one theta line (none for no labels), then each group in
-    that order.
+    The parse gives a _Calc of tuples, one per item in ITEMS order; export
+    prints one theta line (none for no labels), then each group in that
+    order.
     """
 
-    ITEMS = {"theta": ("thetas", _Line("<ids>;")),
-             "twist": ("twists", _Line("<label> = <auto>;")),
-             "weight": ("weights", _Line("<label> = <expr>;")),
-             "wedge": ("wedges", _Line("<label>*<label> = <expr>;"))}
+    ITEMS = {"theta": _Line("<ids>;"),
+             "twist": _Line("<label> = <auto>;"),
+             "weight": _Line("<label> = <expr>;"),
+             "wedge": _Line("<label>*<label> = <expr>;")}
 
     def parse(self, parser: _Parser):
         parser.expect_punct("{")
-        data = {group: [] for group, _ in self.ITEMS.values()}
+        groups = {item: [] for item in self.ITEMS}
         while not parser.at_punct("}"):
             item = parser.expect_ident("calc item").value
             if item not in self.ITEMS:
                 tok = parser.peek()
                 raise ModelSyntaxError("unknown calc item %r" % item,
                                        tok.line, tok.col)
-            group, syntax = self.ITEMS[item]
-            value = syntax.parse(parser)
-            data[group] += value if item == "theta" else [value]
+            value = self.ITEMS[item].parse(parser)
+            groups[item] += value if item == "theta" else [value]
         parser.expect_punct("}")
-        return data
+        return _Calc(*map(tuple, groups.values()))
 
     def render(self, data) -> str:
         lines = ["{"]
-        for item, (group, syntax) in self.ITEMS.items():
-            entries = data[group]
+        for (item, syntax), entries in zip(self.ITEMS.items(), data):
             if item == "theta":
                 entries = [entries] if entries else []
             lines += ["  %s %s" % (item, syntax.render(entry))
@@ -692,27 +690,27 @@ class _StaticChecker:
             raise _error_at(stmt, "duplicate calc block")
         self.seen_calc = True
         data = stmt.data
-        for lab in data["thetas"]:
+        for lab in data.thetas:
             self._claim(self.thetas, lab, stmt,
                         clash=self._known(lab) or lab in self.autos)
         twisted = set()
-        for lab, auto in data["twists"]:
+        for lab, auto in data.twists:
             self._labels(stmt, lab)
             if auto not in self.autos:
                 raise _error_at(stmt, "unknown automorphism %r" % auto)
             self._claim(twisted, lab, stmt)
         weighted = set()
-        for lab, expr in data["weights"]:
+        for lab, expr in data.weights:
             self._labels(stmt, lab)
             self._claim(weighted, lab, stmt)
             self._expression(expr, self.params | self.gens | self.lets,
                              "a weight")
-        for lab in data["thetas"]:
+        for lab in data.thetas:
             if lab not in twisted:
                 raise _error_at(stmt, "missing twist for %r" % lab)
             if lab not in weighted:
                 raise _error_at(stmt, "missing weight for %r" % lab)
-        for lab1, lab2, expr in data["wedges"]:
+        for lab1, lab2, expr in data.wedges:
             self._labels(stmt, lab1, lab2)
             self._expression(expr, self.params | self.thetas, "a wedge rule")
             self._no_basis_powers(expr, self.thetas)
@@ -1082,14 +1080,14 @@ class _Builder:
     def calc(self, stmt):
         data = stmt.data
         bundle = self.bundle
-        labels = data["thetas"]
-        twists = {lab: bundle.autos[a] for lab, a in data["twists"]}
+        labels = data.thetas
+        twists = {lab: bundle.autos[a] for lab, a in data.twists}
         weights = {lab: self._element(
                        expr, stmt, "weight of %r must be an element", lab)
-                   for lab, expr in data["weights"]}
+                   for lab, expr in data.weights}
         free_thetas = _FreeAlgebra(bundle.params, GeneratorTable(labels))
         theta_rules = {}
-        for lab1, lab2, expr in data["wedges"]:
+        for lab1, lab2, expr in data.wedges:
             terms = _free_terms(expr, free_thetas, self.param_env)
             entries = []
             for word, rf in terms.items():
@@ -1216,13 +1214,11 @@ def load_model(text: str, verify: bool = True) -> ModelBundle:
 
 
 def parse_coefficient(text: str, params: ParameterSet) -> RationalFunction:
-    """Parse a coefficient expression over the given parameters."""
+    """Parse a coefficient expression over the given parameters.  Every
+    value there is a coefficient: names are parameters, and with no
+    calculus every call raises."""
     env = {n: RationalFunction.parameter(params, n) for n in params.names}
-    value = _Evaluator(env, params, None).eval(
-        _parse_expression_text(text))
-    if not isinstance(value, RationalFunction):
-        raise ModelSemanticError("expected a coefficient", 1, 1)
-    return value
+    return _Evaluator(env, params, None).eval(_parse_expression_text(text))
 
 
 # -- the statement kinds ------------------------------------------------------

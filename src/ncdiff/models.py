@@ -7,8 +7,8 @@ attach the frozen expectations the suite compares against, and optionally
 extend the quantum group by a formal inverse of its determinant whose
 commutation rules are derived by the engine rather than entered by hand.
 The determinant's scales are read once per process, from a verify=False
-build of the constant gl-pq2 text, and the documents of both gl-pq2
-builtins are kept for the process; every load still builds a fresh bundle.
+build of the constant gl-pq2 text; loads share the immutable documents of
+both gl-pq2 builtins, kept for the process, and never share a bundle.
 
 run_suite executes every structural layer in a fixed order: relation
 soundness, local confluence, automorphism checks, basis diagonality, the
@@ -116,11 +116,10 @@ def build_glpq(adjoin_det_inverse: bool = False,
     The model file pins r = p*q, the curve on which the twists respect
     the relations.  With adjoin_det_inverse the model also gets Dinv, a
     formal inverse of the determinant, whose scales are read once per
-    process off a verify=False build of the constant gl-pq2 text.
+    process off a verify=False build of the constant gl-pq2 text.  Loads
+    share the document, never the bundle.
     """
-    doc = _glpq_document(adjoin_det_inverse)
-    bundle = build_model(ModelDocument(list(doc.statements), doc.name),
-                         verify=verify)
+    bundle = build_model(_glpq_document(adjoin_det_inverse), verify=verify)
     if adjoin_det_inverse:
         bundle.extras["localized"] = "Dinv"
     bundle.extras["twisted_basis"] = [("tt%d" % s, "phit%d" % s)
@@ -220,7 +219,7 @@ def _adjoin_det_inverse(doc: ModelDocument, lambdas: dict,
         if stmt.kind == "model":
             statements[i] = Statement("model", name, stmt.line, stmt.col)
         elif stmt.kind == "gen" and i == last["gen"]:
-            statements[i] = Statement("gen", stmt.data + ["Dinv"],
+            statements[i] = Statement("gen", stmt.data + ("Dinv",),
                                       stmt.line, stmt.col)
         elif stmt.kind == "auto":
             auto, entries = stmt.data

@@ -156,8 +156,8 @@ class TestJoinWords:
         for bundle in (torus, glpq, glpq_localized):
             alg = bundle.algebra
             for _ in range(40):
-                a = random_element(alg, rng, max_length=4)
-                b = random_element(alg, rng, max_length=4)
+                a = sized_random_element(alg, rng, 3, 4)
+                b = sized_random_element(alg, rng, 3, 4)
                 for product in (a * b, b * a, a * a * b):
                     assert all(_is_canonical(w) for w in product.terms)
 
@@ -253,6 +253,9 @@ class TestElementArithmetic:
         assert not alg.gen("x").is_one()
         assert (alg.one() * 5 - 5).is_zero()
         assert alg.scalar(0).is_zero()
+        x = single_word(alg.table.index("x"))
+        assert alg.element({(): rf(params, 0), x: rf(params, 1)}).terms == {
+            x: rf(params, 1)}
 
     def test_subtraction_cancels(self, params):
         alg = torus_algebra(params)
@@ -403,7 +406,34 @@ class TestRendering:
         assert str(alg.gen("x")) == "x"
 
 
+def sized_random_element(alg, rng, max_terms, max_length):
+    """random_element's draws with other bounds on the number of words and
+    on their length; with both bounds 3 it is random_element."""
+    names = alg.params.names
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        length = rng.randint(0, max_length)
+        letters = [rng.randrange(len(alg.table.symbols))
+                   for _ in range(length)]
+        i = rng.choice(range(2 + min(2, len(names))))
+        sign = (1, -1)[i % 2]
+        _accumulate(terms, word_from_runs((s, 1) for s in letters),
+                    RationalFunction.from_value(alg.params, sign) if i < 2
+                    else RationalFunction.parameter(alg.params, names[i - 2],
+                                                    sign))
+    return alg.element(terms)
+
+
 class TestRandomElements:
+    @pytest.mark.parametrize("names", [(), ("q",), ("q", "r", "s")])
+    def test_sized_draws_with_bounds_3_are_random_element(self, names):
+        alg = Algebra(ParameterSet(names), GeneratorTable(("x", "y"), ("x",)))
+        ours, theirs = random.Random(11), random.Random(11)
+        for _ in range(30):
+            assert (sized_random_element(alg, ours, 3, 3).terms
+                    == random_element(alg, theirs).terms)
+        assert ours.random() == theirs.random()
+
     def test_seed_determinism(self, params):
         alg = torus_algebra(params)
         first = random_element(alg, random.Random(42))

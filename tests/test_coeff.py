@@ -170,6 +170,12 @@ class TestPolynomial:
         one = Polynomial.constant(params, Fraction(1))
         product = (q + one) * (q - one)
         assert product.try_exact_divide(q + one) == q - one
+        assert Polynomial(params).try_exact_divide(q + one).is_zero()
+
+    def test_scale_by_zero(self, params):
+        q = Polynomial.variable(params, "q")
+        for zero in (0, Fraction(0)):
+            assert q.scale(zero) == Polynomial(params)
 
     def test_failing_division_stops_at_a_sign_point(self, params,
                                                     monkeypatch):

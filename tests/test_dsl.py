@@ -435,6 +435,13 @@ class TestRoundTrip:
         renamed = rename_atoms(doc.statements[-1].data[1], {"x": "y"})
         assert expression_to_text(renamed) == expr.replace("x", "y")
 
+    def test_rename_reaches_call_arguments(self):
+        """As the gl-pq2 mirror checks rename an mc check's sides."""
+        stmt = parse_statement('check "c": d(x * y) - x == inner();')
+        _, lhs, rhs = stmt.data
+        assert [expression_to_text(rename_atoms(side, {"x": "a"}))
+                for side in (lhs, rhs)] == ["d(a * y) - a", "inner()"]
+
     @staticmethod
     def _horner(levels):
         text = "x"
@@ -488,9 +495,9 @@ class TestRoundTrip:
     def test_name_tables(self):
         doc = parse_model(self.FULL)
         assert doc.name == "m"
-        assert doc.params == ["q", "r"]
-        assert doc.gens == ["x", "y"]
-        assert doc.invertible == ["x", "y"]
+        assert doc.params == ("q", "r")
+        assert doc.gens == ("x", "y")
+        assert doc.invertible == ("x", "y")
 
     def test_model_line_is_optional(self):
         doc = parse_model("param q;\ngen x;\nrel x*x = q*x;")
@@ -601,6 +608,15 @@ class TestParseCoefficient:
         params = ParameterSet(("p", "q"))
         with pytest.raises(ModelSemanticError):
             parse_coefficient("bogus", params)
+
+    def test_rejects_calls_even_on_a_parameter_named_d(self):
+        """No value but a coefficient reaches the caller."""
+        params = ParameterSet(("p", "d"))
+        assert parse_coefficient("d", params) == RationalFunction.parameter(
+            params, "d")
+        for text in ("d(p)", "inner()", "2*d(d)"):
+            with pytest.raises(ModelSemanticError):
+                parse_coefficient(text, params)
 
     def test_rejects_trailing_input(self):
         params = ParameterSet(("p", "q"))
@@ -771,8 +787,8 @@ class TestDeferredChecks:
 
     def test_an_unknown_name_stays_at_load(self):
         doc = parse_model(BASE)
-        doc = ModelDocument(doc.statements + [
-            parse_statement('check "c": x == zz;')], doc.name)
+        doc = ModelDocument(doc.statements + (
+            parse_statement('check "c": x == zz;'),), doc.name)
         with pytest.raises(ModelSemanticError) as err:
             build_model(doc)
         assert err.value.message == "unknown name 'zz'"

@@ -13,12 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from ncdiff.algebra import Element, _accumulate_scaled, _join_words, \
-    random_element
+from ncdiff.algebra import Element, _accumulate_scaled, _join_words
 from ncdiff.coeff import (ParameterSet, Polynomial, RationalFunction,
                           _content)
 from ncdiff.dsl import load_model
 from ncdiff.morphism import Endomorphism, MorphismError
+
+from test_algebra import sized_random_element
 
 
 def stored(value):
@@ -85,7 +86,7 @@ def _elements(bundle, rng, count):
     pool = _coefficients(alg.params, rng)
     out = []
     for _ in range(count):
-        x = random_element(alg, rng, max_terms=4, max_length=4)
+        x = sized_random_element(alg, rng, 4, 4)
         out.append(Element(alg, {w: c * rng.choice(pool)
                                  for w, c in x.terms.items()}))
     return out

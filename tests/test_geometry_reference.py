@@ -17,11 +17,13 @@ from fractions import Fraction
 
 import pytest
 
-from ncdiff.algebra import Element, random_element
+from ncdiff.algebra import Element
 from ncdiff.coeff import RationalFunction, solve_linear_columns
 from ncdiff.dsl import load_model
 from ncdiff.geometry import (FormExtension, Geometry, TensorForm,
                              _invert_matrix)
+
+from test_algebra import sized_random_element
 
 # -- references -----------------------------------------------------------------
 
@@ -116,7 +118,7 @@ def one_forms(calc, rng, pool, count):
     for _ in range(count):
         terms = {}
         for k in rng.sample(range(n), rng.randint(1, n)):
-            x = random_element(alg, rng, max_terms=3, max_length=2)
+            x = sized_random_element(alg, rng, 3, 2)
             terms[(k,)] = Element(alg, {w: c * rng.choice(pool)
                                         for w, c in x.terms.items()})
         out.append(calc.form(terms))
@@ -227,7 +229,7 @@ def test_from_tensor_A_cancels_and_refills(bundle):
             matrix[2][0] = rng.choice(pool)
         extensions[lab] = FormExtension(calc, calc.twists[lab], matrix)
     geo = Geometry(calc, extensions)
-    x = random_element(calc.algebra, rng, max_terms=3, max_length=2)
+    x = sized_random_element(calc.algebra, rng, 3, 2)
     for s in range(n):
         entries = {(s, k): x for k in range(n)}
         got = geo.from_tensor_A(entries)

@@ -16,9 +16,10 @@ import random
 
 import pytest
 
-from ncdiff.algebra import random_element
 from ncdiff.dsl import load_model
 from ncdiff.models import BUILTINS
+
+from test_algebra import sized_random_element
 
 MODELS = ("quantum-torus", "gl-pq2", "gl-pq2-localized", "gl-pq2-rfree",
           "rank-3", "rank-4", "rank-5", "torus-swap-twist",
@@ -58,7 +59,7 @@ def test_d_is_the_commutator_with_the_inner_form(name, texts):
     vt = calc.inner_form()
     rng = random.Random(0)
     for i in range(60):
-        x = random_element(calc.algebra, rng, max_terms=4, max_length=4)
+        x = sized_random_element(calc.algebra, rng, 4, 4)
         assert stored(calc.d_element(x)) == stored(commutator(calc, vt, x)), \
             "element %d: %s" % (i, x)
 
@@ -74,7 +75,7 @@ def test_a_perturbed_inner_form_differs_on_a_generator(name, texts):
 def _probes(calc):
     rng = random.Random(0)
     return [g for _, g in calc.generator_elements()] + [
-        random_element(calc.algebra, rng, max_terms=4, max_length=4)
+        sized_random_element(calc.algebra, rng, 4, 4)
         for _ in range(60)]
 
 

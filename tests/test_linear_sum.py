@@ -11,10 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from ncdiff.algebra import AlgebraError, Element, _accumulate, random_element
+from ncdiff.algebra import AlgebraError, Element, _accumulate
 from ncdiff.calculus import Form
 from ncdiff.coeff import RationalFunction
 from ncdiff.geometry import TensorForm
+
+from test_algebra import sized_random_element
 
 
 def element_add(a, b):
@@ -91,7 +93,7 @@ def _elements(alg, rng, count):
     pool.append(pool[0] / (pool[4] - pool[1]))
     out = [alg.zero()]
     for _ in range(count):
-        x = random_element(alg, rng, max_terms=4, max_length=3)
+        x = sized_random_element(alg, rng, 4, 3)
         out.append(Element(alg, {w: c * rng.choice(pool)
                                  for w, c in x.terms.items()}))
     return out

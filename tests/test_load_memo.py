@@ -2,20 +2,23 @@
 
 ``dsl.parse_model`` memoizes its parse on the source text, and
 ``models._glpq_document`` keeps the gl-pq2 and gl-pq2-localized documents
-for the process.  These tests check that a memo hands out fresh documents
-whose edits cannot reach it, answers each text with that text's own
-parse, never stores an error, stays within its bound, derives the gl-pq2
-documents as a fresh parse and build would, and that every load still
-builds a bundle of its own.
+for the process.  A document is immutable, so both memos hand out the one
+document they hold.  These tests check that every statement of a parsed
+or derived document holds only immutable values, that a memo answers each
+text with that text's own parse, never stores an error, stays within its
+bound, derives the gl-pq2 documents as a fresh parse and build would, and
+that every load still builds a bundle of its own.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
 from ncdiff import dsl
-from ncdiff.dsl import (ModelError, ModelSemanticError, ModelSyntaxError,
-                        build_model, export_model, parse_model)
+from ncdiff.dsl import (ModelDocument, ModelError, ModelSemanticError,
+                        ModelSyntaxError, build_model, export_model,
+                        parse_model, parse_statement)
 from ncdiff.models import (BUILTINS, _adjoin_det_inverse, _det_scales,
                            _glpq_document, _with_mirror_checks,
                            available_models, model_source)
@@ -38,6 +41,19 @@ def texts(repo_module):
             + [text for _, text in corpus])
 
 
+def _documents(texts):
+    """The document of every text that parses; there are at least 20
+    besides the builtins."""
+    docs = []
+    for text in texts:
+        try:
+            docs.append(parse_model(text))
+        except ModelError:
+            pass
+    assert len(docs) >= len(available_models()) + 20
+    return docs
+
+
 def _outcome(text):
     """What parsing the text gives: its exported document, or its error."""
     try:
@@ -47,23 +63,62 @@ def _outcome(text):
     return ("ok", doc.name, export_model(doc))
 
 
-def test_parses_are_equal_documents_over_fresh_lists(texts):
-    parsed = 0
+def _mutable_part(value):
+    """The first value inside that is not a tuple, str, int or None (an
+    absent call argument), or None when there is none."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, tuple):
+            stack.extend(value)
+        elif value is not None and not isinstance(value, (str, int)):
+            return value
+    return None
+
+
+def _assert_immutable(doc):
+    for attr in ("statements", "params", "gens", "invertible"):
+        assert type(getattr(doc, attr)) is tuple, attr
+    for stmt in doc.statements:
+        assert _mutable_part(stmt) is None, (stmt.kind, stmt.line)
+
+
+def test_mutable_part_finds_a_list_or_dict_at_any_depth():
+    assert _mutable_part(("a", (1, ("b", None)))) is None
+    for planted in ([], {}, set()):
+        assert _mutable_part(("a", (1, ("b", planted)))) is planted
+
+
+def _derived_documents():
+    yield _glpq_document(False)
+    yield _glpq_document(True)
+    for build in BUILTINS.values():
+        yield build(verify=False).doc
+
+
+def test_parsed_and_derived_documents_hold_only_immutable_data(texts):
+    """Parsed documents are walked before any is derived from them, so a
+    derivation that fails on mutable data cannot hide the walk's verdict."""
+    kinds = set()
+    for doc in itertools.chain(_documents(texts), _derived_documents()):
+        _assert_immutable(doc)
+        for stmt in doc.statements:
+            kinds.add(stmt.kind)
+            one = export_model(ModelDocument((stmt,), doc.name))
+            assert _mutable_part(parse_statement(one)) is None, one
+    assert kinds == set(dsl._KINDS)
+
+
+def test_every_parse_of_a_text_is_the_one_document(texts):
+    """Each text is parsed again at once: the texts outnumber the memo."""
     for text in texts:
         try:
-            first = parse_model(text)
+            doc = parse_model(text)
         except ModelError:
             continue
-        second = parse_model(text)
-        assert first == second
-        assert first.statements is not second.statements
-        first.statements.append(first.statements[0])
-        first.statements.reverse()
-        third = parse_model(text)
-        assert third == second
-        assert third.statements == second.statements
-        parsed += 1
-    assert parsed >= len(available_models()) + 20
+        assert parse_model(text) is doc
+        with pytest.raises(AttributeError):
+            doc.statements.append(doc.statements[0])
 
 
 def test_each_text_gets_its_own_parse(texts):
@@ -72,7 +127,7 @@ def test_each_text_gets_its_own_parse(texts):
     another's parse (same length, same prefix, ...) would show here."""
     cold = {}
     for text in texts:
-        dsl._parsed.cache_clear()
+        parse_model.cache_clear()
         cold[text] = _outcome(text)
     for text in reversed(texts):
         assert _outcome(text) == cold[text]
@@ -87,24 +142,24 @@ def test_each_text_gets_its_own_parse(texts):
 ])
 def test_errors_are_raised_every_time_and_not_stored(broken, error):
     parse_model(model_source("quantum-torus"))
-    size = dsl._parsed.cache_info().currsize
+    size = parse_model.cache_info().currsize
     raised = []
     for _ in range(2):
         with pytest.raises(error) as info:
             parse_model(broken)
         raised.append((info.value.message, info.value.line, info.value.col))
     assert raised[0] == raised[1]
-    assert dsl._parsed.cache_info().currsize == size
+    assert parse_model.cache_info().currsize == size
 
 
 def test_memo_stays_within_its_bound():
     bound = dsl._PARSE_MEMO_SIZE
-    assert dsl._parsed.cache_info().maxsize == bound
+    assert parse_model.cache_info().maxsize == bound
     torus = model_source("quantum-torus")
     for i in range(2 * bound + 5):
         parse_model(torus + "# text %d\n" % i)
-        assert dsl._parsed.cache_info().currsize <= bound
-    assert dsl._parsed.cache_info().currsize == bound
+        assert parse_model.cache_info().currsize <= bound
+    assert parse_model.cache_info().currsize == bound
 
 
 def _glpq_documents_fresh():
@@ -126,19 +181,17 @@ def test_glpq_documents_match_a_fresh_derivation():
     for adjoin in (False, True):
         bundle = BUILTINS["gl-pq2-localized" if adjoin else "gl-pq2"](
             verify=False)
-        assert bundle.doc == _glpq_document(adjoin)
-        assert bundle.doc is not _glpq_document(adjoin)
-        assert bundle.doc.statements is not _glpq_document(adjoin).statements
+        assert bundle.doc is _glpq_document(adjoin)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_loads_share_no_engine_state(name):
     first = BUILTINS[name](verify=False)
     second = BUILTINS[name](verify=False)
+    assert second.doc is first.doc
     first.eval_expression(_POWERS[name])
     assert first.algebra._nf_cache
     assert second.algebra is not first.algebra
     assert second.algebra._nf_cache == {}
-    assert second.doc.statements is not first.doc.statements
-    second.doc.statements.clear()
-    assert BUILTINS[name](verify=False).doc == first.doc
+    assert second._checks is not first._checks
+    assert second._env is not first._env

@@ -20,13 +20,15 @@ import pytest
 
 import ncdiff
 from ncdiff import render
-from ncdiff.algebra import Element, deg_lex_key, random_element
+from ncdiff.algebra import Element, deg_lex_key
 from ncdiff.calculus import DerivedRelation
 from ncdiff.coeff import (Polynomial, RationalFunction, _grlex_key,
                           int_text)
 from ncdiff.dsl import load_model
 from ncdiff.geometry import TensorForm
 from ncdiff.render import LATEX, PLAIN, latex_value, render_plain, render_word
+
+from test_algebra import sized_random_element
 
 # -- plain-text references ----------------------------------------------------
 
@@ -325,7 +327,7 @@ def elements(alg, rng, pool, count):
     empty word and on words of those sums."""
     out = [alg.zero(), alg.one(), -alg.one()]
     for _ in range(count):
-        x = random_element(alg, rng, max_terms=4, max_length=3)
+        x = sized_random_element(alg, rng, 4, 3)
         out.append(Element(alg, {w: c * rng.choice(pool)
                                  for w, c in x.terms.items()}))
     words = [()] + [w for x in out[3:13] for w in x.terms]
