@@ -80,6 +80,9 @@ class Calculus:
         self._theta_cache = {}
         # map (None for the identity) -> terms of d(map(g)) per generator
         self._generator_d = {}
+        # whether the theta coefficients e_s(g) of d(g) are linearly
+        # independent, None until geometry.candidates_independent asks
+        self._candidates_independent = None
         self._one = RationalFunction.from_value(algebra.params, 1)
 
     # -- forms ------------------------------------------------------------
@@ -230,7 +233,14 @@ class Calculus:
                 for sym, name in enumerate(alg.table.symbols)]
 
     def d_squared_witness(self):
-        """None when vtheta^2 is graded-central (so d.d = 0), else a witness."""
+        """None when vtheta^2 is graded-central on the generators and the
+        basis forms, else a witness.
+
+        Where wedge is associative, d(d x) = vtheta^2 x - x vtheta^2 for
+        every generator and basis form x, so then None means that d.d
+        vanishes on them.  Without associativity it need not: on gl-pq2
+        with r free the twists break the relations, and d(d x) differs
+        from that commutator as a value."""
         square = self.wedge(self.inner_form(), self.inner_form())
         probes = self.generator_elements() + [(lab, self.theta(lab))
                                               for lab in self.labels]

@@ -570,8 +570,19 @@ class RationalFunction(Printable):
     __rmul__ = __mul__
 
     def inverse(self) -> "RationalFunction":
+        """1/self.  A Laurent unit c*m over 1 inverts in one step, to
+        c^-1 * m^-1 over 1: the terms the general path stores, which
+        clears the content m from the denominator c*m and scales it monic
+        by c^-1, leaving that denominator exactly 1."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        if self._is_unit():
+            (mono, c), = self.num.terms.items()
+            params = self.num.params
+            return RationalFunction._make(
+                Polynomial._make(params,
+                                 {tuple(-e for e in mono): _quotient(1, c)}),
+                _poly_one(params))
         return RationalFunction(self.den, self.num)
 
     def __truediv__(self, other):

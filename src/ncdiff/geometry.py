@@ -23,6 +23,18 @@ transport), so the table holds at most
 action expresses every target label in the span of the same candidates,
 so one elimination (``coeff.solve_in_span``) gives the whole matrix; the
 same solver inverts an action, solving each unit vector in its columns.
+
+The derived action has a closed form (``closed_theta_action``).  Let psi
+be diagonal and multiplicative, let every twist be diagonal, so that psi
+commutes with each phi_s, and let each weight be a psi-eigenvector,
+psi(a_s) = lam_s a_s.  Then psi(e_s(g)) = lam_s a_s phi_s(psi g) -
+psi(g) lam_s a_s = lam_s e_s(psi g): candidate s is lam_s times target s,
+and the matrix is diag(lam_s^-1) when the candidates are independent.  A
+diagonal psi scales every coordinate (generator, word) by a nonzero
+scalar, which keeps independence, so one elimination on the identity's
+candidates e_s(g) decides it for every twist (``candidates_independent``,
+kept on the calculus).  lam_s must be a Laurent unit, whose inverse is
+stored as the elimination stores the same value.
 """
 
 from __future__ import annotations
@@ -95,6 +107,22 @@ def _invert_matrix(matrix, params):
     return [[found[0][k] for found in solved] for k in range(n)]
 
 
+def _label_coordinates(calculus: Calculus, rows, endo=None) -> list:
+    """Per label k, the coordinates (generator index, word) of the theta^k
+    coefficients of rows, one one-form per generator, each mapped by endo
+    when one is given."""
+    absent = calculus.algebra.zero()
+    columns = [{} for _ in calculus.labels]
+    for sym, row in enumerate(rows):
+        for k, coords in enumerate(columns):
+            coeff = row.terms.get((k,), absent)
+            if endo is not None:
+                coeff = endo.apply(coeff)
+            for word, c in coeff.terms.items():
+                coords[(sym, word)] = c
+    return columns
+
+
 def derive_theta_action(calculus: Calculus, endo: Endomorphism) -> list:
     """Solve phi(d g) = d(phi g) for the scalar action on the theta basis.
 
@@ -105,25 +133,68 @@ def derive_theta_action(calculus: Calculus, endo: Endomorphism) -> list:
     candidates in one elimination (``coeff.solve_in_span``), and the
     solution for target j is column j of the action matrix.
     """
-    labels = calculus.labels
-    absent = calculus.algebra.zero()
-    candidates = [{} for _ in labels]
-    targets = [{} for _ in labels]
-    for sym, (dg, d_phi_g) in enumerate(zip(
-            calculus.generator_differentials(),
-            calculus.generator_differentials(endo))):
-        for k, coords in enumerate(candidates):
-            for word, c in endo.apply(dg.terms.get((k,), absent)).terms.items():
-                coords[(sym, word)] = c
-        for j, coords in enumerate(targets):
-            for word, c in d_phi_g.terms.get((j,), absent).terms.items():
-                coords[(sym, word)] = c
+    candidates = _label_coordinates(
+        calculus, calculus.generator_differentials(), endo)
+    targets = _label_coordinates(calculus,
+                                 calculus.generator_differentials(endo))
     solved = solve_in_span(candidates, targets, calculus.algebra.params)
-    for lab_j, found in zip(labels, solved):
+    for lab_j, found in zip(calculus.labels, solved):
         if found is None:
             raise GeometryError(
                 "endomorphism does not extend to the basis form %s" % lab_j)
-    return [[found[0][k] for found in solved] for k in range(len(labels))]
+    return [[found[0][k] for found in solved]
+            for k in range(len(calculus.labels))]
+
+
+def candidates_independent(calculus: Calculus) -> bool:
+    """Whether the theta coefficients e_k(g) of d(g), over every generator
+    g, are linearly independent: the candidates of derive_theta_action for
+    the identity.  One elimination decides it, and the verdict is kept on
+    the calculus."""
+    if calculus._candidates_independent is None:
+        candidates = _label_coordinates(calculus,
+                                        calculus.generator_differentials())
+        (_, free), = solve_in_span(candidates, [{}],
+                                   calculus.algebra.params)
+        calculus._candidates_independent = not free
+    return calculus._candidates_independent
+
+
+def closed_theta_action(calculus: Calculus, endo: Endomorphism):
+    """derive_theta_action in closed form, diag(lam_s^-1), or None where
+    the closed form does not apply.
+
+    The caller vouches that endo is multiplicative on normal forms (the
+    algebra passed its confluence check and endo its automorphism check).
+    The form applies when endo and every twist are diagonal, each weight
+    is an endo-eigenvector, endo(a_s) = lam_s a_s, with a Laurent unit
+    lam_s, and the candidates are independent (candidates_independent).
+    """
+    if endo._scales is None or any(
+            twist._scales is None for twist in calculus.twists.values()):
+        return None
+    lams = []
+    for lab in calculus.labels:
+        lam = _eigenvalue(endo, calculus.weights[lab])
+        if lam is None or not lam._is_unit():
+            return None
+        lams.append(lam)
+    if not candidates_independent(calculus):
+        return None
+    zero = RationalFunction.from_value(calculus.algebra.params, 0)
+    return [[lam.inverse() if j == k else zero for j in range(len(lams))]
+            for k, lam in enumerate(lams)]
+
+
+def _eigenvalue(endo: Endomorphism, weight: Element):
+    """lam with endo(weight) = lam * weight for a diagonal endo and a
+    nonzero weight, else None: the scale every word of weight takes."""
+    words = iter(weight.terms)
+    first = next(words, None)
+    if first is None:
+        return None
+    lam = endo._chi(first)
+    return lam if all(endo._chi(word) == lam for word in words) else None
 
 
 class TensorForm(LinearSum):

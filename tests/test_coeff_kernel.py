@@ -383,3 +383,58 @@ class TestStoredCoefficients:
         assert value.num.terms == {(0, 0, 0): 2}
         assert type(value.num.terms[(0, 0, 0)]) is int
         assert value.den.is_one()
+
+
+class TestUnitInverse:
+    """``RationalFunction.inverse`` inverts a Laurent unit c*m over 1 in one
+    step; the general path, ``RationalFunction(den, num)``, stores the same
+    terms over a denominator of exactly 1."""
+
+    COEFFICIENTS = [1, -1, 2, -7, BIG, -BIG + 1, Fraction(1, 2),
+                    Fraction(-3, 7), Fraction(BIG, 3), Fraction(-5, BIG + 1)]
+
+    def _units(self, params, seed, count):
+        """The constants, then count seeded Laurent units."""
+        units = [RationalFunction.from_value(params, c)
+                 for c in self.COEFFICIENTS]
+        rng = random.Random(seed)
+        for _ in range(count):
+            mono = tuple(rng.choice((-3, -1, 0, 0, 1, 2, 5))
+                         for _ in params.names)
+            c = rng.choice(self.COEFFICIENTS)
+            units.append(RationalFunction(Polynomial(params, {mono: c})))
+        return units
+
+    def test_stores_the_terms_of_the_general_path(self, params):
+        for unit in self._units(params, 1201, 300):
+            assert unit._is_unit()
+            got = unit.inverse()
+            general = RationalFunction(unit.den, unit.num)
+            assert list(got.num.terms.items()) == \
+                list(general.num.terms.items())
+            assert [type(c) for c in got.num.terms.values()] == \
+                [type(c) for c in general.num.terms.values()]
+            assert got.den.terms == general.den.terms == \
+                {(0,) * len(params): 1}
+            assert got * unit == 1
+            assert (1 / unit, unit ** -2) == (got, got * got)
+
+    def test_only_a_non_unit_takes_the_general_path(self, params,
+                                                    monkeypatch):
+        calls = []
+        original = coeff._trial_divided
+
+        def counting(num, den):
+            calls.append((len(num.terms), len(den.terms)))
+            return original(num, den)
+
+        units = self._units(params, 1202, 50)
+        monkeypatch.setattr(coeff, "_trial_divided", counting)
+        for unit in units:
+            unit.inverse()
+        assert calls == []
+        q = RationalFunction.parameter(params, params.names[-1])
+        for value in (q + 1, 1 / (q - 2), (q + 1) / (q - 2)):
+            calls.clear()
+            inverse = value.inverse()
+            assert calls and inverse * value == 1

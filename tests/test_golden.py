@@ -4,6 +4,9 @@ Each case runs one ``ncdiff`` command line in process and compares its
 stdout with ``tests/golden/<case>.txt`` and its exit code with the table
 below.  The ``{rfree}`` placeholder stands for the gl-pq2 model file with
 its ``subst r = p*q;`` line removed, whose twists then break the relations.
+The ``{wrong-action}`` placeholder stands for the quantum torus file whose
+extension of phi2 sends t2 to r*t2; its extension and theta-action records
+over t2 fail, with the witnesses of the direct probes.
 The ``{localized}`` placeholder stands for the exported document of the
 builtin gl-pq2-localized; its case shares the builtin's golden file, which
 the table ``_SHARED_GOLDEN`` records.
@@ -65,6 +68,8 @@ def _cases():
                       ["nf", "builtin:gl-pq2", "-e", _EXPANSION,
                        "--format", fmt], 0))
     cases.append(("gl-pq2-rfree.verify.plain", ["verify", "{rfree}"], 1))
+    cases.append(("torus-wrong-action.verify.plain",
+                  ["verify", "{wrong-action}"], 1))
     cases.append(("gl-pq2-localized-exported.nf.plain",
                   ["nf", "{localized}", "-e",
                    _EXPRESSIONS["gl-pq2-localized"]], 0))
@@ -85,8 +90,16 @@ def _rfree_source() -> str:
     return text.replace("subst r = p*q;\n", "")
 
 
+def _wrong_action_source() -> str:
+    text = model_source("quantum-torus")
+    old = "extension phi2 {\n  t1 -> t1;\n  t2 -> t2;"
+    assert text.count(old) == 1
+    return text.replace(old, "extension phi2 {\n  t1 -> t1;\n  t2 -> r*t2;")
+
+
 _PLACEHOLDERS = {
     "{rfree}": ("gl_pq2_rfree.ncd", _rfree_source),
+    "{wrong-action}": ("wrong_action.ncd", _wrong_action_source),
     "{localized}": ("gl_pq2_localized.ncd",
                     lambda: export_model(
                         build_glpq(adjoin_det_inverse=True).doc)),

@@ -23,7 +23,7 @@ from test_algebra import sized_random_element
 
 MODELS = ("quantum-torus", "gl-pq2", "gl-pq2-localized", "gl-pq2-rfree",
           "rank-3", "rank-4", "rank-5", "torus-swap-twist",
-          "torus-symmetric-wedge", "non-confluent")
+          "torus-symmetric-wedge", "non-confluent", "torus-wrong-action")
 
 
 @pytest.fixture(scope="module")

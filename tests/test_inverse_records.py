@@ -25,7 +25,7 @@ from ncdiff.algebra import random_element
 from ncdiff.coeff import RationalFunction
 from ncdiff.dsl import load_model
 from ncdiff.geometry import FormExtension, Geometry, GeometryError
-from ncdiff.models import BUILTINS, _geometry_checks
+from ncdiff.models import BUILTINS, _algebra_checks, _geometry_checks
 from ncdiff.morphism import MorphismError
 
 MODELS = ("quantum-torus", "gl-pq2", "gl-pq2-localized", "gl-pq2-rfree",
@@ -78,7 +78,9 @@ def test_rfree_verdicts_and_records(bundles):
         "t1": (False, False), "t2": (False, False), "t3": (False, False),
         "t4": (True, True)}
     # A failing record carries the inverse extension's own witness.
-    records = {record[0]: record for record in _geometry_checks(bundle)}
+    passed = {record[0] for record in _algebra_checks(bundle) if record[2]}
+    records = {record[0]: record
+               for record in _geometry_checks(bundle, passed)}
     for lab in geo.extensions:
         record = records["extension/%s/inverse" % lab]
         witness = geo.inverse_extension(lab).commutes_with_d()

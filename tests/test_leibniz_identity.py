@@ -23,7 +23,7 @@ from ncdiff.models import BUILTINS, _breaks_an_identity, _sampled_pairs
 
 MODELS = ("quantum-torus", "gl-pq2", "gl-pq2-localized", "gl-pq2-rfree",
           "rank-3", "rank-4", "rank-5", "torus-swap-twist",
-          "torus-symmetric-wedge", "non-confluent")
+          "torus-symmetric-wedge", "non-confluent", "torus-wrong-action")
 NONZERO = ("gl-pq2-rfree", "torus-swap-twist")
 PAIRS = 24
 

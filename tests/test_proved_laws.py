@@ -32,11 +32,18 @@ nonzero, and the first failing pair must be the same on both sides.
 The suite also records two inverse checks from what it has built:
 ``automorphism/<name>/inverse`` passes once ``Endomorphism.inverse``
 builds, and ``extension/<lab>/inverse`` probes the inverse extension only
-when ``extension/<lab>`` failed.  ``recomputed_algebra_checks`` and
+when ``extension/<lab>`` failed.  It decides ``d-twice`` from
+``two-form-central`` where wedge is associative, takes
+``theta-action/<lab>`` in closed form where that applies, and passes
+``extension/<lab>`` without a probe when the declared matrix is the
+derived one.  ``recomputed_algebra_checks`` and
 ``recomputed_geometry_checks`` wrap the suite's streams and recompute
-both the old way, the generator round trip of each passed inverse and
-``inverse_extension(lab).commutes_with_d()`` on every label, so the same
-comparison guards that the records equal the computed verdicts.
+these the old way: the generator round trip of each passed inverse, and
+on every label ``commutes_with_d()`` of the extension and of its inverse,
+with each action derived by elimination (``derive_theta_action``).  The
+oracle's calculus layer computes ``d-twice`` directly.  So the same
+comparison guards that the records equal the computed verdicts, and that
+their witnesses are those of the direct computations.
 """
 
 import json
@@ -142,17 +149,26 @@ def recomputed_algebra_checks(bundle):
                                 for g in gens),)
 
 
-def recomputed_geometry_checks(bundle):
-    """The geometry layer with every extension/<lab>/inverse probed."""
-    for record in _GEOMETRY_CHECKS(bundle):
-        lab = _inverse_of(record[0], "extension/")
-        if lab is None:
+def recomputed_geometry_checks(bundle, passed):
+    """The geometry layer with nothing deduced: run with no verdict passed,
+    so every theta-action/<lab> is derived by elimination, and with every
+    extension/<lab> and extension/<lab>/inverse probed; ``passed`` is
+    unused."""
+    geo = bundle.geometry
+    for record in _GEOMETRY_CHECKS(bundle, set()):
+        anchor, title = record[:2]
+        lab = _inverse_of(anchor, "extension/")
+        if lab is not None:
+            try:
+                witness = geo.inverse_extension(lab).commutes_with_d()
+            except AlgebraError as exc:
+                witness = exc
+        elif title.startswith("extension over"):
+            witness = geo.extension(anchor[len("extension/"):]) \
+                .commutes_with_d()
+        else:
             yield record
             continue
-        try:
-            witness = bundle.geometry.inverse_extension(lab).commutes_with_d()
-        except AlgebraError as exc:
-            witness = exc
         yield record[:2] + (witness is None, witness)
 
 
@@ -180,9 +196,10 @@ def corpus_documents(repo_module):
 
     Texts whose statements up to the calc block, checks and geometry left
     out, export alike build the same algebra, twists and calculus, so their
-    calculus checks agree; the rest of the suite does not read the random
-    generator and runs the same code on both sides.  Each group is
-    represented by its shortest text.
+    calculus checks agree.  The extension records are decided from the
+    declared matrices, so the extension statements join that key.  The
+    rest of the suite does not read the random generator and runs the same
+    code on both sides.  Each group is represented by its shortest text.
     """
     recorded = json.loads(CORPUS_FILE.read_text())
     groups = {}
@@ -195,6 +212,7 @@ def corpus_documents(repo_module):
             continue
         head = [stmt for stmt in doc.statements[:kinds.index("calc") + 1]
                 if stmt.kind not in _AFTER_THE_CALCULUS]
+        head += [stmt for stmt in doc.statements if stmt.kind == "extension"]
         key = export_model(ModelDocument(head, doc.name))
         if key not in groups or len(text) < len(groups[key][1]):
             groups[key] = (case_id, text)
@@ -227,7 +245,7 @@ def _spec(name, texts, tmp_path):
 NAMED = ("quantum-torus", "gl-pq2", "gl-pq2-localized", "gl-pq2-rfree",
          "rank-3", "rank-4", "rank-5", "torus-swap-twist",
          "torus-swap-twist-geometry", "torus-symmetric-wedge",
-         "non-confluent")
+         "non-confluent", "torus-wrong-action")
 
 
 @pytest.mark.parametrize("name", NAMED)

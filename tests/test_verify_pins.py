@@ -7,8 +7,10 @@ change in which random elements the sampled laws draw, in the order the
 checks run, or in a witness shows up as a named case.  The models are the
 three builtins, gl-pq2 without ``subst r = p*q;`` (its twists break the
 relations, so the sampled Leibniz laws fail with ``sample N`` witnesses),
-rank-3 to rank-5 quantum spaces, two edited quantum tori (one with a swap
-twist, one with a symmetric wedge rule) and a non-confluent algebra.
+rank-3 to rank-5 quantum spaces, three edited quantum tori (one with a swap
+twist, one with a symmetric wedge rule, one whose extension of phi2 sends
+t2 to r*t2, which the derived basis action refutes) and a non-confluent
+algebra.
 
 After an intended change of output, regenerate the file with
 ``PYTHONPATH=src python tests/test_verify_pins.py`` and review the diff.
@@ -50,6 +52,12 @@ def _edited(text, old, new):
     return text.replace(old, new)
 
 
+def wrong_action_text(torus):
+    """The torus whose extension of phi2 sends t2 to r*t2, not to t2."""
+    return _edited(torus, "extension phi2 {\n  t1 -> t1;\n  t2 -> t2;",
+                   "extension phi2 {\n  t1 -> t1;\n  t2 -> r*t2;")
+
+
 def model_texts(workloads):
     """Model file texts by case name; builtins are addressed by name."""
     torus = model_source("quantum-torus")
@@ -62,6 +70,7 @@ def model_texts(workloads):
         "torus-symmetric-wedge": _edited(torus, "wedge t2*t1 = -t1*t2;",
                                          "wedge t2*t1 = t1*t2;"),
         "non-confluent": NON_CONFLUENT,
+        "torus-wrong-action": wrong_action_text(torus),
     }
     for n in (3, 4, 5):
         texts["rank-%d" % n] = workloads.rank_n_text(n, 7)
@@ -71,7 +80,7 @@ def model_texts(workloads):
 BUILTINS = ("quantum-torus", "gl-pq2", "gl-pq2-localized")
 MODELS = BUILTINS + ("gl-pq2-rfree", "rank-3", "rank-4", "rank-5",
                      "torus-swap-twist", "torus-symmetric-wedge",
-                     "non-confluent")
+                     "non-confluent", "torus-wrong-action")
 
 
 def case_id(model, seed, samples):
