@@ -5,7 +5,11 @@ presentation is a list of relations whose orientation (largest word in the
 degree-then-lexicographic order becomes the left-hand side) yields rewriting
 rules with two-letter left-hand sides.  Local confluence is checked on all
 length-three overlap words, which by the diamond lemma suffices for
-confluence of a terminating two-letter system.
+confluence of a terminating two-letter system.  An overlap whose letters
+belong to generators whose rules among themselves are those of a
+q-commuting algebra (see the closed form below) is proved closed by that
+shape without rewriting: those rules alone rewrite its words, and they are
+confluent by the same lemma.  Every other overlap is rewritten.
 
 Normal forms are computed by leftmost reduction, always with the first
 right-hand side listed for a pair, in the reduction system of Bergman's
@@ -75,6 +79,48 @@ of the same value, and a unit is stored as its single term over 1, its
 rational factor an int when integral.  Every other algebra, and one whose
 verdict has not been computed, is rewritten step by step;
 ``normal_form_by_rewriting`` stays callable on all of them as the reference.
+
+Run-pair tables.  A power of a sum (``Element._packed_power``) needs the
+normal form of many products ``u*v`` of two normal words.  On a confluent
+algebra without a closed form it takes them from ``_RunTables`` (as
+Levandovskyy and Schoenemann's Plural does for G-algebras, ISSAC 2003) when
+the rules have an ordered PBW shape: with each symbol ranked by its base,
+every rule ``x*y`` has ``x`` of higher rank or cancels a generator against
+its inverse by a unit, every pair of symbols of falling rank has a rule,
+and the right-hand side of every rule other than a unit swap is a sum of
+words of rising rank between ``y`` and ``x``, as in gl-pq2's
+``d*a -> a*d + (q^-1 - p)*b*c``.  Normal words then rise in rank.  For
+``u = P*x^m`` and ``v = y^n*S`` with a rule ``x*y``, leftmost reduction
+starts at the junction, and the tables keep ``NF(x^m*y^n)`` per rule pair:
+
+* a unit swap or cancel entry is written in closed form, moving whole runs
+  as a run step does;
+* any other entry is filled as the reduction fills it: its first step
+  splices each term ``t`` of the right-hand side between ``x^(m-1)`` and
+  ``y^(n-1)``, and the reduction of ``x^(m-1)*t`` is walked from the
+  smaller entries with each normal word ``w`` it reaches taken to
+  ``NF(w*y^(n-1))``, accumulating at each step as the reduction does.
+
+Coefficients keep the order of the operations that built them (see
+``coeff``), so the suffix ``y^(n-1)`` is applied to each word the
+reduction reaches, never to the accumulated entry: multiplying out an
+accumulated sum stores the same value with its terms in another order.
+
+``P`` and ``S`` are carried past the block when every rule that a letter
+of ``P`` meets on its left, or a letter of ``S`` on its right, is a unit
+swap or cancel, and the bases below those of ``P`` are q-commuting among
+themselves; in rising words that is one rank test on the last run of ``P``
+and one on the first of ``S``.  Then every step of the reduction of
+``u*v`` outside the block is a unit step that branches nothing, the block
+branches as its own reduction does, and each normal word ``w`` of the
+block ends as ``NF(P*w*S)``: one word, distinct for distinct ``w``, times a
+unit that depends on ``w`` alone.  Multiplying by a Laurent unit only
+shifts and scales terms, so it commutes, term for term, with the sums and
+products of the reduction: the stored normal form is the entry's, each
+word moved and its coefficient times its unit.  Any other product is
+rewritten.  The verdict that gates the tables is computed only when a
+power first meets a junction under a rule other than a unit swap or
+cancel; before that, rewriting takes each product in a few run steps.
 
 Elements here, forms in ``calculus`` and tensors in ``geometry`` are all
 finite linear combinations over a basis: words, theta monomials, and pairs
@@ -406,9 +452,9 @@ class Element(LinearSum):
                             default=0)
         packing = _Packing(len(alg.params), bound)
         out = {w: packing.pack(t) for w, t in base}
+        product = alg._normal_product()
         for _ in range(n - 1):
-            forms = [alg.normal_form_word(_join_words(w1, w2))
-                     for w1 in out for w2, _ in base]
+            forms = [product(w1, w2) for w1 in out for w2, _ in base]
             bound += reach + max((abs(e) for nf in forms for c in nf.values()
                                   for m in c.num.terms for e in m), default=0)
             if bound >= packing.half:
@@ -555,10 +601,12 @@ class Algebra:
 
     def _rules_moved(self) -> None:
         """Forget the memoized normal forms and the confluence verdict, with
-        the closed form that rests on it."""
+        the closed form and the run-pair tables that rest on it."""
         self._nf_cache = {}
         self._confluent = None
         self._closed_form = None
+        self._tables = None
+        self._shapes = None
 
     def _index_run(self, pair) -> None:
         """Record whether the first rule for a pair is a unit swap or cancel."""
@@ -766,8 +814,23 @@ class Algebra:
 
     def check_confluence(self):
         """Return all local-confluence violations on length-three overlaps,
-        and cache the verdict that ``is_confluent`` reads."""
+        and cache the verdict that ``is_confluent`` reads.
+
+        An overlap is proved closed by its shape, without rewriting, when
+        each of its two rules is the only one for its pair and the rules
+        among the symbols of the bases of its letters have the shape that
+        ``_ClosedForm.of`` accepts: a unit swap for every pair of those
+        bases, the inverse swaps that ``_conjugated`` derives from it, and
+        the cancels by 1 (``_q_commuting_shapes``).  That sub-presentation
+        is q-commuting, so it is confluent by the diamond lemma, and its
+        rules rewrite words over those symbols to words over them alone:
+        both sides of the overlap reach one normal form.  Every other
+        overlap is rewritten, so the list keeps its entries, witnesses and
+        order.
+        """
         violations = []
+        bases, pairs = self._rule_shapes()
+        base_of = self.table.base_index
         for (u, v), rhs_list in self.rules.items():
             if len(rhs_list) > 1:
                 base = self.element(rhs_list[0])
@@ -776,7 +839,8 @@ class Algebra:
                     if not (base - alt).is_zero():
                         violations.append(ConfluenceViolation((u, v), base, alt))
             for (v2, w), rhs_list2 in self.rules.items():
-                if v2 != v:
+                if v2 != v or len(rhs_list) == len(rhs_list2) == 1 and _shaped(
+                        {base_of[u], base_of[v], base_of[w]}, bases, pairs):
                     continue
                 for rhs1 in rhs_list:
                     for rhs2 in rhs_list2:
@@ -801,10 +865,105 @@ class Algebra:
             self.check_confluence()
         return self._confluent
 
+    def _rule_shapes(self):
+        """``_q_commuting_shapes`` of the rules, kept until they change."""
+        if self._shapes is None:
+            self._shapes = _q_commuting_shapes(self)
+        return self._shapes
+
+    def _normal_product(self):
+        """The function ``(u, v) -> NF(u*v)`` of two normal words that
+        ``Element._packed_power`` takes its normal forms from.
+
+        Rewriting takes a product whose junction has no rule, or a unit
+        swap or cancel, in a few run steps, so the confluence verdict is
+        only read at the first junction under any other rule.  On a
+        confluent algebra without a closed form whose rules the run-pair
+        tables accept, the tables take that product and every later one;
+        otherwise ``normal_form_word`` takes them all.
+        """
+        normal_form_word = self.normal_form_word
+        rules, runs = self.rules, self._runs
+        tables = None
+
+        def product(u, v):
+            nonlocal tables
+            if tables is None and u and v:
+                pair = (u[-1][0], v[0][0])
+                if pair in rules and pair not in runs:
+                    tables = self._run_tables()
+            if tables:
+                return tables.product(u, v)
+            return normal_form_word(_join_words(u, v))
+        return product
+
+    def _run_tables(self):
+        """The run-pair tables of a confluent algebra without a closed form
+        that they accept, else False; kept until the rules change."""
+        if not self.is_confluent() or self._closed_form is not None:
+            return False
+        if self._tables is None:
+            self._tables = _RunTables.of(self) or False
+        return self._tables
+
     def verify_relations(self) -> bool:
         """Soundness: both sides of every declared relation have equal NF."""
         return all((self.element(lhs) - self.element(rhs)).is_zero()
                    for lhs, rhs in self.relations)
+
+
+def _q_commuting_shapes(algebra: Algebra):
+    """The base symbols and the pairs ``(h, b)`` of base symbols ``h > b``
+    whose rules have the shape of a q-commuting algebra.
+
+    A base is shaped when the rules among its own symbols are exactly the
+    cancels of an invertible generator against its inverse, by 1 (none for
+    a generator that is not invertible).  A pair is shaped when the rules
+    between the symbols of ``h`` and those of ``b`` are exactly a unit swap
+    ``h*b -> c*b*h`` and the swaps that ``_conjugated`` derives from it.
+    Only the first rule of each pair is read, as rewriting reads it.
+    """
+    table, rules, runs = algebra.table, algebra.rules, algebra._runs
+    base_of = table.base_index
+    found = {}
+    for pair in rules:
+        h, b = base_of[pair[0]], base_of[pair[1]]
+        found.setdefault((h,) if h == b else (max(h, b), min(h, b)),
+                         set()).add(pair)
+    cancel = (False, algebra._one)
+    bases = set()
+    for g in map(table.index, table.base_names):
+        g_inv = table.inverse_index.get(g)
+        expected = {} if g_inv is None else {(g, g_inv): cancel,
+                                             (g_inv, g): cancel}
+        if _exactly(found.get((g,), set()), expected, runs):
+            bases.add(g)
+    pairs = set()
+    for key, have in found.items():
+        run = runs.get(key) if len(key) == 2 else None
+        if run is None or not run[0]:
+            continue
+        expected = {key: run}
+        for pair, rhs in algebra._conjugated(key, rules[key][0]):
+            expected[pair] = (True, *rhs.values())  # one swap
+        if _exactly(have, expected, runs):
+            pairs.add(key)
+    return bases, pairs
+
+
+def _exactly(have: set, expected: dict, runs: dict) -> bool:
+    """Whether the rule pairs ``have`` are those of ``expected``, each with
+    its run (kind and coefficient)."""
+    return (have == expected.keys()
+            and all(runs.get(pair) == run for pair, run in expected.items()))
+
+
+def _shaped(bases: set, shaped_bases: set, shaped_pairs: set) -> bool:
+    """Whether every base of a set and every pair of them is shaped."""
+    ordered = sorted(bases, reverse=True)
+    return (all(b in shaped_bases for b in ordered)
+            and all((h, b) in shaped_pairs for i, h in enumerate(ordered)
+                    for b in ordered[i + 1:]))
 
 
 class _ClosedForm:
@@ -853,23 +1012,15 @@ class _ClosedForm:
         derives from it; and the cancels of each invertible generator
         against its inverse, by 1.
         """
-        table, runs = algebra.table, algebra._runs
+        table = algebra.table
         bases = [table.index(name) for name in table.base_names]
-        swaps = {}
-        expected = {pair: (False, algebra._one)
-                    for pair in table.inverse_index.items()}
-        for i, b in enumerate(bases):
-            for h in bases[i + 1:]:
-                run = expected[h, b] = runs.get((h, b))
-                if run is None or not run[0]:
-                    return None
-                swaps[h, b] = run[1]
-                for pair, rhs in algebra._conjugated((h, b),
-                                                     algebra.rules[h, b][0]):
-                    expected[pair] = (True, *rhs.values())  # one swap
-        if len(runs) != len(algebra.rules) or runs != expected:
+        shaped_bases, shaped_pairs = algebra._rule_shapes()
+        if (len(shaped_bases) < len(bases) or len(shaped_pairs)
+                < len(bases) * (len(bases) - 1) // 2):
             return None
-        return cls(algebra, swaps)
+        return cls(algebra, {(h, b): algebra._runs[h, b][1]
+                             for i, b in enumerate(bases)
+                             for h in bases[i + 1:]})
 
     def normal_form(self, word) -> dict:
         """The normal form of a word, in one pass over its runs."""
@@ -928,6 +1079,223 @@ class _ClosedForm:
         return RationalFunction._make(
             Polynomial._make(self.params, {tuple(mono): _exact(factor)}),
             self.one.den)
+
+
+# The largest m + n of a block x^m * y^n under a rule other than a run rule
+# that the tables fill; filling one nests a few calls per letter of x^m.
+# Longer blocks are rewritten.
+_TABLE_SPAN = 64
+
+
+class _Unproved(Exception):
+    """A context that the tables cannot prove; the block is rewritten."""
+
+
+class _RunTables:
+    """Normal forms of products of two normal words on an algebra with an
+    ordered PBW shape, from one table per rule pair (see the module
+    docstring); each is the one ``normal_form_by_rewriting`` stores.
+
+    ``rank`` numbers the symbols by the position of their base.  ``left``
+    bounds the ranks of a prefix and ``right`` those of a suffix that the
+    tables carry past a block: every rule whose left-hand side has a letter
+    of a prefix on its left, or of a suffix on its right, is a unit swap or
+    cancel, and the bases of ranks below ``left`` are q-commuting among
+    themselves.  ``entries`` maps ``(x, y, m, n)`` to ``NF(x^m * y^n)``.
+    """
+
+    __slots__ = ("algebra", "rules", "runs", "rank", "left", "right",
+                 "entries", "one")
+
+    def __init__(self, algebra: "Algebra", rank, left: int, right: int):
+        self.algebra = algebra
+        self.rules = algebra.rules
+        self.runs = algebra._runs
+        self.rank = rank
+        self.left = left
+        self.right = right
+        self.entries = {}
+        self.one = algebra._one
+
+    @classmethod
+    def of(cls, algebra: "Algebra"):
+        """The tables of an algebra whose rules have an ordered PBW shape,
+        else None; ``Algebra._run_tables`` asks only once the algebra is
+        found confluent.
+
+        The shape: every rule ``x*y`` has ``rank(x) > rank(y)``, or is a
+        cancel of a generator against its inverse by a unit; every pair of
+        symbols of falling rank has a rule, so that the normal words are the
+        words of rising rank; and every right-hand side of a rule other
+        than a unit swap is a sum of words of rising rank within
+        ``rank(y)..rank(x)``.
+        """
+        table, rules, runs = algebra.table, algebra.rules, algebra._runs
+        bases = [table.index(name) for name in table.base_names]
+        position = {b: i for i, b in enumerate(bases)}
+        rank = [position[table.base_index[sym]]
+                for sym in range(len(table.symbols))]
+        tails = []
+        for (x, y), rhs_list in rules.items():
+            run = runs.get((x, y))
+            if rank[x] == rank[y]:
+                if x == y or run is None or run[0]:
+                    return None
+            elif rank[x] < rank[y] or run is not None and not run[0]:
+                return None
+            elif run is None:
+                for word in rhs_list[0]:
+                    ranks = [rank[sym] for sym, _ in word]
+                    if ranks and (ranks[0] < rank[y] or ranks[-1] > rank[x]
+                                  or any(a >= b for a, b
+                                         in zip(ranks, ranks[1:]))):
+                        return None
+                tails.append((x, y))
+        symbols = range(len(table.symbols))
+        if any(rank[x] > rank[y] and (x, y) not in rules
+               for x in symbols for y in symbols):
+            return None
+        shaped_bases, shaped_pairs = algebra._rule_shapes()
+        left = min((rank[x] for x, _ in tails), default=len(bases))
+        for top in range(left):
+            if not _shaped(set(bases[:top + 1]), shaped_bases, shaped_pairs):
+                left = top
+                break
+        return cls(algebra, rank, left,
+                   max((rank[y] for _, y in tails), default=-1))
+
+    def product(self, u, v) -> dict:
+        """NF(u*v) of two normal words, as ``normal_form_by_rewriting``
+        stores it; callers must not mutate it."""
+        if not (u and v):
+            return {u or v: self.one}
+        (x, m), (y, n) = u[-1], v[0]
+        if (x, y) not in self.rules:
+            return {_join_words(u, v): self.one}
+        prefix, suffix = u[:-1], v[1:]
+        if not self._carried(x, y, m + n, prefix, suffix):
+            return self.algebra.normal_form_by_rewriting(_join_words(u, v))
+        entry = self._entry(x, y, m, n)
+        if not (prefix or suffix):
+            return entry
+        out = {}
+        for word, c in entry.items():
+            moved = self._moved(prefix, word, suffix)
+            if moved is None or moved[0] in out:
+                return self.algebra.normal_form_by_rewriting(
+                    _join_words(u, v))
+            out[moved[0]] = c * moved[1]
+        return out
+
+    def _carried(self, x, y, span: int, prefix, suffix) -> bool:
+        """Whether the block ``x^m*y^n`` between prefix and suffix is taken
+        from the tables.  Normal words rise in rank, so the last run of the
+        prefix and the first of the suffix bound the ranks of the others."""
+        rank = self.rank
+        return ((span <= _TABLE_SPAN or (x, y) in self.runs)
+                and not (prefix and rank[prefix[-1][0]] >= self.left)
+                and not (suffix and rank[suffix[0][0]] <= self.right))
+
+    def _entry(self, x, y, m: int, n: int) -> dict:
+        """NF(x^m * y^n) for a rule x*y, filled on first use."""
+        key = (x, y, m, n)
+        entry = self.entries.get(key)
+        if entry is None:
+            run = self.runs.get((x, y))
+            if run is None:
+                # The leaves of the first y's reduction take the entries
+                # with fewer y, so filling those first bounds the depth.
+                for k in range(1, n):
+                    for j in range(1, m + 1):
+                        self._entry(x, y, j, k)
+                try:
+                    entry = self._block(x, y, m, n, None)
+                except _Unproved:
+                    entry = self.algebra.normal_form_by_rewriting(
+                        ((x, m), (y, n)))
+            elif run[0]:
+                entry = {((y, n), (x, m)): run[1] ** (m * n)}
+            else:
+                k = min(m, n)
+                entry = {word_from_runs(((x, m - k), (y, n - k))):
+                         run[1] ** k}
+            self.entries[key] = entry
+        return entry
+
+    def _block(self, x, y, m: int, n: int, leaf) -> dict:
+        """The leftmost reduction of ``x^m * y^n`` under a rule other than a
+        run rule, each normal word ``w`` it reaches taken to ``leaf(w)``
+        (to ``{w: 1}`` for no leaf): the first step splices each term of the
+        right-hand side between ``x^(m-1)`` and ``y^(n-1)``, whose prefix is
+        reduced first."""
+        head = ((x, m - 1),) if m > 1 else ()
+        if n > 1:
+            tail, outer = ((y, n - 1),), leaf
+
+            def leaf(word):
+                return self._tree(word, tail, outer)
+        out = {}
+        for mid, c in self.rules[x, y][0].items():
+            _accumulate_scaled(out, self._tree(head, mid, leaf), c)
+        return out
+
+    def _tree(self, u, v, leaf) -> dict:
+        """The leftmost reduction of ``u*v`` with each normal word ``w`` it
+        reaches taken to ``leaf(w)``, accumulated as the reduction
+        accumulates; ``product(u, v)`` for no leaf."""
+        if leaf is None:
+            return self.product(u, v)
+        if not (u and v):
+            return leaf(u or v)
+        (x, m), (y, n) = u[-1], v[0]
+        if (x, y) not in self.rules:
+            return leaf(_join_words(u, v))
+        prefix, suffix = u[:-1], v[1:]
+        if not self._carried(x, y, m + n, prefix, suffix):
+            raise _Unproved
+        if prefix or suffix:
+            outer = leaf
+
+            def leaf(word):
+                moved = self._moved(prefix, word, suffix)
+                if moved is None:
+                    raise _Unproved
+                return _scaled(outer(moved[0]), moved[1])
+        if (x, y) in self.runs:
+            (word, c), = self._entry(x, y, m, n).items()
+            return _scaled(leaf(word), c)
+        return self._block(x, y, m, n, leaf)
+
+    def _moved(self, prefix, word, suffix):
+        """(NF word, unit) of ``prefix*word*suffix``, or None unless each
+        of the two products is one word with a unit coefficient."""
+        unit = self.one
+        if prefix:
+            moved = self._unit_term(prefix, word)
+            if moved is None:
+                return None
+            word, unit = moved
+        if suffix:
+            moved = self._unit_term(word, suffix)
+            if moved is None:
+                return None
+            word, unit = moved[0], unit * moved[1]
+        return word, unit
+
+    def _unit_term(self, u, v):
+        nf = self.product(u, v)
+        if len(nf) == 1:
+            (word, c), = nf.items()
+            if c._is_unit():
+                return word, c
+        return None
+
+
+def _scaled(terms: dict, unit) -> dict:
+    """A normal form times a Laurent unit, word by word."""
+    if unit.num.is_one():
+        return terms
+    return {word: c * unit for word, c in terms.items()}
 
 
 def random_element(algebra: Algebra, rng) -> Element:

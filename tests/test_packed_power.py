@@ -5,7 +5,9 @@ rule coefficient, are Laurent polynomials over 1 in ``_packed_power``.  The
 loop below, one element product per factor, is what every other base still
 takes, and it is the reference: the packed power must store what the loop
 stores, the same words in the same order and the same coefficient terms in
-the same order, int or ``Fraction`` alike.
+the same order, int or ``Fraction`` alike.  On a confluent algebra that the
+run-pair tables accept the products come from the tables, and on any other
+from rewriting; both must store the loop's terms.
 """
 
 import random
@@ -34,6 +36,33 @@ param q;
 gen x, y;
 rel x*x = 2;
 rel y*x = -x*y;
+"""
+
+
+# Rules over 1, and not confluent.
+_NOT_CONFLUENT = """model "not-confluent";
+param q;
+gen x, y;
+rel x*x = y;
+rel y*x = q*x*y;
+"""
+
+# gl-pq2 with a fifth generator e that scales a*d and b*c alike, so its
+# swaps with d and a put the tail rule d*a inside the overlap e*d*a.
+_GL_FIVE = """model "gl-five";
+param p, q;
+gen a, b, c, d, e;
+invertible b, c;
+rel a*b = p*b*a;
+rel a*c = q*c*a;
+rel b*c = (q/p)*c*b;
+rel b*d = q*d*b;
+rel c*d = p*d*c;
+rel a*d = d*a + (p - 1/q)*b*c;
+rel e*a = q*a*e;
+rel e*b = p*b*e;
+rel e*c = q*c*e;
+rel e*d = p*d*e;
 """
 
 
@@ -147,3 +176,24 @@ def test_a_denominator_takes_the_loop(glpq, packed_calls):
     base = glpq.eval_expression("a/(q + 1) + d")
     assert stored((base ** 3).terms) == stored(loop_power(base, 3).terms)
     assert packed_calls == []
+
+
+def test_a_non_confluent_algebra_is_rewritten(packed_calls):
+    alg = load_model(_NOT_CONFLUENT, verify=False).algebra
+    x, y = alg.gen("x"), alg.gen("y")
+    bases = (x + y, 2 * x - 3 * y + x * y, x * x + 2 * y * x)
+    for base in bases:
+        for n in range(2, 7):
+            assert stored((base ** n).terms) == stored(
+                loop_power(base, n).terms), (str(base), n)
+    assert packed_calls == list(range(2, 7)) * len(bases)
+    assert not alg.is_confluent() and alg._tables is None
+
+
+def test_a_tail_rule_inside_an_overlap(packed_calls):
+    alg = load_model(_GL_FIVE).algebra
+    for x, n in seeded_bases(alg, 34, 24):
+        assert stored((x ** n).terms) == stored(loop_power(x, n).terms), (
+            str(x), n)
+    assert len(packed_calls) == 24
+    assert alg.check_confluence() == [] and alg._tables

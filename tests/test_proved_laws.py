@@ -38,7 +38,11 @@ when ``extension/<lab>`` failed.  It decides ``d-twice`` from
 ``extension/<lab>`` without a probe when the declared matrix is the
 derived one.  ``recomputed_algebra_checks`` and
 ``recomputed_geometry_checks`` wrap the suite's streams and recompute
-these the old way: the generator round trip of each passed inverse, and
+these the old way: the ``confluence`` record by the full overlap check,
+which rewrites every overlap where the suite proves the q-commuting ones
+by their shape (``full_overlap_check`` of
+``tests/test_confluence_certificate.py``), the generator round trip of
+each passed inverse, and
 on every label ``commutes_with_d()`` of the extension and of its inverse,
 with each action derived by elimination (``derive_theta_action``).  The
 oracle's calculus layer computes ``d-twice`` directly.  So the same
@@ -57,6 +61,8 @@ from ncdiff.dsl import ModelDocument, export_model, load_model
 from ncdiff.models import (_commutes_through, _first_witness, _sampled_pairs,
                            model_source)
 from ncdiff.morphism import TwistedDerivation
+
+from test_confluence_certificate import full_overlap_check
 
 CORPUS_FILE = pathlib.Path(__file__).parent / "data" / "dsl_corpus.json"
 
@@ -133,9 +139,15 @@ def _inverse_of(anchor, head):
 
 
 def recomputed_algebra_checks(bundle):
-    """The algebra layer with each passed automorphism/<name>/inverse
-    recomputed: both compositions must fix every generator."""
+    """The algebra layer with the confluence record recomputed by the full
+    overlap check, and each passed automorphism/<name>/inverse recomputed:
+    both compositions must fix every generator."""
     for record in _ALGEBRA_CHECKS(bundle):
+        if record[0] == "confluence":
+            violations = full_overlap_check(bundle.algebra)
+            yield record[:2] + (not violations,
+                                violations[0] if violations else None)
+            continue
         name = _inverse_of(record[0], "automorphism/")
         if name is None or not record[2]:
             yield record

@@ -1,0 +1,173 @@
+"""Run-pair tables against step-by-step rewriting.
+
+``Element._packed_power`` takes the normal form of each product of two
+normal words from ``_RunTables.product`` on a confluent algebra with an
+ordered PBW shape and no closed form.  ``Algebra.normal_form_by_rewriting``
+stays the reference: for seeded pairs of normal words ``u``, ``v``,
+``product(u, v)`` must store what rewriting ``u*v`` stores, the same words
+in the same order and the same coefficient terms in the same order, int or
+``Fraction`` alike, as ``TestMatchesRecursiveCore`` compares them.
+
+The algebras are gl-pq2, gl-pq2-localized, a rank-4 quantum space and PBW
+presentations built from ``q_commuting_text`` with one swap replaced by a
+tail rule ``h*b = c*b*h + k*t``, the letters of ``t`` declared between
+``b`` and ``h``.  Most of those are not confluent; the tables mirror
+leftmost reduction whatever the verdict, so they are compared as well.
+"""
+
+import random
+
+import pytest
+
+from ncdiff.algebra import Algebra, _join_words, _RunTables, word_from_runs
+from ncdiff.dsl import load_model
+
+from test_closed_form import q_commuting_text, stored
+
+PAIRS = 2000
+
+
+def pbw_text(rng, index: int):
+    """A ``q_commuting_text`` presentation with the swap of one pair of
+    generators ``h``, ``b`` that are not invertible, declared at least two
+    apart and not first and last, replaced by a tail rule whose tail is one
+    or two letters declared between them; None when the presentation has no
+    such pair.  A generator declared before ``b`` or after ``h`` puts the
+    tail rule inside an overlap."""
+    lines = q_commuting_text(rng, index).splitlines()
+    declared = next(line for line in lines if line.startswith("gen "))
+    declared = declared[len("gen "):-1].split(", ")
+    invertible = next((line[len("invertible "):-1].split(", ")
+                       for line in lines if line.startswith("invertible ")),
+                      [])
+    plain = [g for g in declared if g not in invertible]
+    pairs = [(h, b) for b in plain for h in plain
+             if declared.index(h) >= declared.index(b) + 2
+             and (b, h) != (declared[0], declared[-1])]
+    if not pairs:
+        return None
+    h, b = rng.choice(pairs)
+    between = declared[declared.index(b) + 1:declared.index(h)]
+    letters = sorted(rng.sample(between, min(len(between),
+                                             rng.randint(1, 2))),
+                     key=declared.index)
+    tail = "*".join(g + ("^-1" if g in invertible and rng.random() < 0.5
+                         else "^2" if len(letters) == 1
+                         and rng.random() < 0.3 else "")
+                    for g in letters)
+    swap = next(i for i, line in enumerate(lines)
+                if line.startswith("rel ") and {h, b} == set(
+                    line[len("rel "):line.index(" =")].split("*")))
+    lines[swap] = "rel %s*%s = %s*p^%d*%s*%s + %s*%s;" % (
+        h, b, rng.choice(("1", "-1", "2", "3/2")), rng.randint(-2, 2), b, h,
+        rng.choice(("(p - 1/q)", "3", "q", "(2*p + 1)")), tail)
+    return "\n".join(lines) + "\n"
+
+
+def pbw_texts(seed: int, count: int):
+    rng = random.Random(seed)
+    texts = []
+    index = 0
+    while len(texts) < count:
+        text = pbw_text(rng, index)
+        index += 1
+        if text is not None:
+            texts.append(text)
+    return texts
+
+
+def normal_words(alg: Algebra, rng, count: int):
+    """Words of the normal forms of random words: normal words."""
+    n_symbols = len(alg.table.symbols)
+    words = []
+    while len(words) < count:
+        word = word_from_runs((rng.randrange(n_symbols), rng.randint(1, 3))
+                              for _ in range(rng.randint(0, 4)))
+        words.extend(alg.normal_form_by_rewriting(word))
+    return words
+
+
+def compare(alg: Algebra, seed, pairs: int):
+    """Compare ``pairs`` seeded products; return the tables and how many
+    products rewriting took in their place."""
+    tables = _RunTables.of(alg)
+    assert tables is not None
+    rng = random.Random(seed)
+    words = normal_words(alg, rng, 300)
+    rewritten = []
+    reference = alg.normal_form_by_rewriting
+
+    def counted(word):
+        rewritten.append(word)
+        return reference(word)
+    alg.normal_form_by_rewriting = counted
+    try:
+        for _ in range(pairs):
+            u, v = rng.choice(words), rng.choice(words)
+            got = stored(tables.product(u, v))
+            assert got == stored(reference(_join_words(u, v))), (u, v)
+    finally:
+        del alg.normal_form_by_rewriting
+    return tables, len(rewritten)
+
+
+def tail_entries(tables):
+    """The filled entries under a rule other than a unit swap or cancel."""
+    return [key for key in tables.entries
+            if (key[0], key[1]) not in tables.runs]
+
+
+def test_gl_pq2(glpq):
+    tables, rewritten = compare(glpq.algebra, 1, PAIRS)
+    # Every prefix and suffix of a normal gl-pq2 word is carried.
+    assert rewritten == 0
+    assert any(n > 1 for _, _, _, n in tail_entries(tables))
+
+
+def test_gl_pq2_localized(glpq_localized):
+    tables, rewritten = compare(glpq_localized.algebra, 2, PAIRS)
+    # A prefix holding d before a letter that moves past it is rewritten.
+    assert 0 < rewritten < PAIRS // 5
+    assert tail_entries(tables)
+
+
+def test_rank_4(repo_module):
+    workloads = repo_module("bench/workloads.py")
+    alg = load_model(workloads.rank_n_text(4, 4004)).algebra
+    tables, rewritten = compare(alg, 3, PAIRS)
+    assert rewritten == 0 and not tail_entries(tables)
+    assert tables.left == 4 and tables.right == -1
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_pbw_texts(part):
+    texts = pbw_texts(40 + part, 5)
+    filled = 0
+    for i, text in enumerate(texts):
+        alg = load_model(text, verify=False).algebra
+        tables, _ = compare(alg, "%d/%d" % (part, i), PAIRS // 20)
+        filled += len(tail_entries(tables))
+    assert filled
+
+
+def test_pbw_texts_hold_tails_inside_overlaps():
+    for text in pbw_texts(40, 20):
+        alg = load_model(text, verify=False).algebra
+        tails = [pair for pair in alg.rules if pair not in alg._runs]
+        assert len(tails) == 1
+        (h, b), = tails
+        assert any(v == h or u == b for u, v in alg.rules
+                   if (u, v) != (h, b))
+
+
+@pytest.mark.parametrize("text", [
+    # A square rule.
+    'model "m"; param q; gen x, y; rel x*x = y; rel y*x = q*x*y;',
+    # y*x has no rule, so a normal word need not rise.
+    'model "m"; param q; gen x, y, z; rel z*x = q*x*z; rel z*y = y*z;',
+    # The tail z*z is not between x and y.
+    'model "m"; param q; gen x, y, z; rel y*x = q*x*y + z^2;'
+    ' rel z*x = x*z; rel z*y = y*z;',
+], ids=["square", "missing-pair", "tail-outside"])
+def test_shape_refused(text):
+    assert _RunTables.of(load_model(text, verify=False).algebra) is None
