@@ -7,9 +7,11 @@ rules with two-letter left-hand sides.  Local confluence is checked on all
 length-three overlap words, which by the diamond lemma suffices for
 confluence of a terminating two-letter system.  An overlap whose letters
 belong to generators whose rules among themselves are those of a
-q-commuting algebra (see the closed form below) is proved closed by that
-shape without rewriting: those rules alone rewrite its words, and they are
-confluent by the same lemma.  Every other overlap is rewritten.
+q-commuting algebra, each the only rule of its pair (see the closed form
+below), is proved closed by that shape without rewriting: those rules alone
+rewrite its words, and they are confluent by the same lemma.  Every other
+overlap is rewritten.  A relation whose right-hand side equals one that its
+pair already holds adds no second rule.
 
 Normal forms are computed by leftmost reduction, always with the first
 right-hand side listed for a pair, in the reduction system of Bergman's
@@ -54,9 +56,11 @@ Closed form.  An algebra is q-commuting when its rules are exactly: a unit
 swap ``h*b -> c_hb*b*h`` for every pair of base generators ``h > b``; the
 swaps of their inverse symbols, by ``c_hb`` when both or neither symbol is an
 inverse and by ``1/c_hb`` otherwise; and the cancels ``g*g^-1 -> 1`` and
-``g^-1*g -> 1`` of each invertible generator.  Once ``check_confluence`` has
-found such an algebra confluent, it keeps the table of the ``c_hb``, and
-until the rules change:
+``g^-1*g -> 1`` of each invertible generator, each the only rule of its
+pair.  Such rules are confluent by the diamond lemma, so no verdict is
+needed: ``Algebra._closed`` reads the shapes, and once a power of a unit
+monomial or of a sum, or ``check_confluence``, has asked for it, the algebra
+keeps the table of the ``c_hb``, and until the rules change:
 
 * the normal form of a word is its exponent vector ``e`` (one integer per
   base generator, inverse symbols counting negative) spelled as one sorted
@@ -76,15 +80,15 @@ until the rules change:
 
 The stored coefficient is the one rewriting stores: both are Laurent units
 of the same value, and a unit is stored as its single term over 1, its
-rational factor an int when integral.  Every other algebra, and one whose
-verdict has not been computed, is rewritten step by step;
+rational factor an int when integral.  Every other algebra, and one that
+nothing has asked for its closed form yet, is rewritten step by step;
 ``normal_form_by_rewriting`` stays callable on all of them as the reference.
 
 Run-pair tables.  A power of a sum (``Element._packed_power``) needs the
-normal form of many products ``u*v`` of two normal words.  On a confluent
-algebra without a closed form it takes them from ``_RunTables`` (as
-Levandovskyy and Schoenemann's Plural does for G-algebras, ISSAC 2003) when
-the rules have an ordered PBW shape: with each symbol ranked by its base,
+normal form of many products ``u*v`` of two normal words.  On an algebra
+without a closed form it takes them from ``_RunTables`` (as Levandovskyy and
+Schoenemann's Plural does for G-algebras, ISSAC 2003) when the rules have an
+ordered PBW shape, confluent or not: with each symbol ranked by its base,
 every rule ``x*y`` has ``x`` of higher rank or cancels a generator against
 its inverse by a unit, every pair of symbols of falling rank has a rule,
 and the right-hand side of every rule other than a unit swap is a sum of
@@ -108,19 +112,48 @@ accumulated sum stores the same value with its terms in another order.
 
 ``P`` and ``S`` are carried past the block when every rule that a letter
 of ``P`` meets on its left, or a letter of ``S`` on its right, is a unit
-swap or cancel, and the bases below those of ``P`` are q-commuting among
-themselves; in rising words that is one rank test on the last run of ``P``
-and one on the first of ``S``.  Then every step of the reduction of
-``u*v`` outside the block is a unit step that branches nothing, the block
-branches as its own reduction does, and each normal word ``w`` of the
-block ends as ``NF(P*w*S)``: one word, distinct for distinct ``w``, times a
-unit that depends on ``w`` alone.  Multiplying by a Laurent unit only
-shifts and scales terms, so it commutes, term for term, with the sums and
-products of the reduction: the stored normal form is the entry's, each
-word moved and its coefficient times its unit.  Any other product is
-rewritten.  The verdict that gates the tables is computed only when a
-power first meets a junction under a rule other than a unit swap or
-cancel; before that, rewriting takes each product in a few run steps.
+swap or cancel, and the bases below ``left``, those of ``P`` among them, are
+q-commuting among themselves; in rising words that is one rank test on the
+last run of ``P`` and one on the first of ``S``.  Each normal word ``w`` of
+the block then ends as ``NF(P*w*S)``, one word times a unit that depends on
+``w`` alone, and where those words are distinct the stored normal form is
+the entry's, each word moved and its coefficient times its unit.  Any other
+product is rewritten.  A power asks for the tables only when it first meets
+a junction under a rule other than a unit swap or cancel; before that,
+rewriting takes each product in a few run steps.
+
+Why the tables need no confluence.  Rewriting is a function of the word
+whatever the overlaps do: leftmost reduction with the first rule of each
+pair, whose run steps give the one-letter steps' terms (above).  The tables
+follow that function, not the product of the algebra, in three parts.
+
+* The block.  An entry is filled by walking the leftmost reduction of
+  ``x^m*y^n`` step for step, or is rewritten.
+* The suffix.  The leftmost redex of ``X*S`` lies in ``X`` until ``X`` is
+  normal, and a step of ``X`` takes ``X*S`` to its children times ``S``.
+  So the reduction of ``X*S`` is the reduction tree of ``X`` with each
+  normal word ``w`` at a leaf replaced by the reduction of ``w*S``,
+  accumulated as that tree accumulates, for any words ``X`` and ``S``.
+* The prefix.  Let ``P`` be a normal word of ranks below ``left``, and call
+  a step of ``P*X`` that takes a letter of ``P`` a carry step.  A letter
+  moves left only past one of higher rank, and a tail rule's letters stand
+  right of its left letter, whose rank is ``left`` or more; so every letter
+  left of a letter of ``P`` ranks below it, and a carry step pairs two
+  letters below ``left``: the one unit swap or cancel of those q-commuting
+  bases.  It shares no letter with a tail step, and where it shares one
+  with another step all three letters rank below ``left``, where every
+  overlap closes by the diamond lemma.  So, as in Bergman's proof of that
+  lemma, the carry steps commute with the steps of ``X`` and branch
+  nothing: the reduction of ``P*X`` is that of ``X`` with each leaf ``w``
+  replaced by ``NF(P*w)``, one word times a unit that depends on ``w``
+  alone.
+
+Multiplying by a Laurent unit only shifts and scales terms, so it commutes,
+term for term, with the sums and products of the reduction: moving a carry
+or run step, or scaling an accumulated entry by the unit of its word, does
+not change what is stored.  Only the prefix rests on a shape, that of the
+bases below ``left``, and ``_RunTables.of`` tests it; no part needs the
+whole algebra to be confluent.
 
 Elements here, forms in ``calculus`` and tensors in ``geometry`` are all
 finite linear combinations over a basis: words, theta monomials, and pairs
@@ -423,15 +456,15 @@ class Element(LinearSum):
     def __pow__(self, n: int) -> "Element":
         if n < 0:
             raise AlgebraError("negative power of an element")
-        if (n > 1 and self._is_unit_monomial()
-                and self.algebra.is_confluent()):
-            closed = self.algebra._closed_form
+        if n > 1 and self._is_unit_monomial():
+            closed = self.algebra._closed()
             if closed is not None:
                 (word, coeff), = self.terms.items()
                 return Element(self.algebra, closed.power(word, coeff, n))
-            out = self._squared_power(n)
-            if out is not None:
-                return out
+            if self.algebra.is_confluent():
+                out = self._squared_power(n)
+                if out is not None:
+                    return out
         if (n > 1 and len(self.terms) > 1
                 and all(len(c.den.terms) == 1 for c in self.terms.values())
                 and all(len(c.den.terms) == 1
@@ -600,8 +633,9 @@ class Algebra:
         self._rules_moved()
 
     def _rules_moved(self) -> None:
-        """Forget the memoized normal forms and the confluence verdict, with
-        the closed form and the run-pair tables that rest on it."""
+        """Forget the memoized normal forms, the confluence verdict, and
+        the rule shapes with the closed form and the run-pair tables that
+        rest on them."""
         self._nf_cache = {}
         self._confluent = None
         self._closed_form = None
@@ -619,7 +653,13 @@ class Algebra:
                 self._runs[pair] = (bool(mid), c)
 
     def add_relation(self, lhs_terms: dict, rhs_terms: dict) -> None:
-        """Orient lhs = rhs into a rule with a two-letter left-hand side."""
+        """Orient lhs = rhs into a rule with a two-letter left-hand side.
+
+        A right-hand side equal to one that its pair already holds, such as
+        a declared swap of inverse symbols that ``_conjugated`` derived
+        before, adds no rule; a different one is kept after the first, and
+        ``check_confluence`` reports it.
+        """
         diff = {w: c for w, c in lhs_terms.items() if not c.is_zero()}
         for w, c in rhs_terms.items():
             _accumulate(diff, w, -c)
@@ -636,7 +676,8 @@ class Algebra:
         rhs = {w: -c * inv for w, c in diff.items()}
         pair = (letters[0], letters[1])
         self.relations.append((dict(lhs_terms), dict(rhs_terms)))
-        self._add_rule(pair, rhs)
+        if rhs not in self.rules.get(pair, ()):
+            self._add_rule(pair, rhs)
         for derived_pair, derived_rhs in self._conjugated(pair, rhs):
             if derived_pair not in self.rules:
                 self._add_rule(derived_pair, derived_rhs)
@@ -654,7 +695,7 @@ class Algebra:
         if u == v:
             raise UnsupportedRelationError(
                 "cannot derive inverse rules for a squared generator")
-        swap = concat_words(single_word(u), single_word(v))
+        swap = ((u, 1), (v, 1))
         if len(rhs) != 1 or swap not in rhs:
             raise UnsupportedRelationError(
                 "relation with a tail or non-swap shape on an invertible pair")
@@ -662,14 +703,11 @@ class Algebra:
         alpha = c.inverse()
         out = []
         if u_inv is not None:
-            out.append(((v, u_inv),
-                        {concat_words(single_word(u_inv), single_word(v)): alpha}))
+            out.append(((v, u_inv), {((u_inv, 1), (v, 1)): alpha}))
         if v_inv is not None:
-            out.append(((v_inv, u),
-                        {concat_words(single_word(u), single_word(v_inv)): alpha}))
+            out.append(((v_inv, u), {((u, 1), (v_inv, 1)): alpha}))
         if u_inv is not None and v_inv is not None:
-            out.append(((v_inv, u_inv),
-                        {concat_words(single_word(u_inv), single_word(v_inv)): c}))
+            out.append(((v_inv, u_inv), {((u_inv, 1), (v_inv, 1)): c}))
         return out
 
     def normalize_rules(self) -> None:
@@ -839,8 +877,8 @@ class Algebra:
                     if not (base - alt).is_zero():
                         violations.append(ConfluenceViolation((u, v), base, alt))
             for (v2, w), rhs_list2 in self.rules.items():
-                if v2 != v or len(rhs_list) == len(rhs_list2) == 1 and _shaped(
-                        {base_of[u], base_of[v], base_of[w]}, bases, pairs):
+                if v2 != v or _shaped({base_of[u], base_of[v], base_of[w]},
+                                      bases, pairs):
                     continue
                 for rhs1 in rhs_list:
                     for rhs2 in rhs_list2:
@@ -851,11 +889,7 @@ class Algebra:
                                 ConfluenceViolation((u, v, w), left, right))
         self._confluent = not violations
         if self._confluent:
-            self._closed_form = _ClosedForm.of(self)
-            if self._closed_form is not None:
-                # No lookup reads the memoized words while the closed form
-                # serves every word.
-                self._nf_cache.clear()
+            self._closed()
         return violations
 
     def is_confluent(self) -> bool:
@@ -871,40 +905,45 @@ class Algebra:
             self._shapes = _q_commuting_shapes(self)
         return self._shapes
 
+    def _closed(self):
+        """The closed form of a q-commuting algebra, else None; built from
+        the shapes once per change of the rules.  A rule other than a unit
+        swap or cancel refuses it at once; otherwise a refusal is read from
+        the kept shapes.  Once it is built no lookup reads the memoized
+        words, so they are dropped."""
+        if self._closed_form is None and len(self._runs) == len(self.rules):
+            self._closed_form = _ClosedForm.of(self)
+            if self._closed_form is not None:
+                self._nf_cache.clear()
+        return self._closed_form
+
     def _normal_product(self):
         """The function ``(u, v) -> NF(u*v)`` of two normal words that
         ``Element._packed_power`` takes its normal forms from.
 
-        Rewriting takes a product whose junction has no rule, or a unit
-        swap or cancel, in a few run steps, so the confluence verdict is
-        only read at the first junction under any other rule.  On a
-        confluent algebra without a closed form whose rules the run-pair
-        tables accept, the tables take that product and every later one;
-        otherwise ``normal_form_word`` takes them all.
+        A q-commuting algebra takes them all in closed form.  Otherwise
+        rewriting takes a product whose junction has no rule, or a unit swap
+        or cancel, in a few run steps, while the shape tests that the
+        run-pair tables need cost more than the tables save on a power that
+        meets only such junctions; so the tables are first asked for at a
+        junction under any other rule.  Where they accept the rules they
+        take that product and every later one, else ``normal_form_word``
+        takes them all.
         """
+        self._closed()
         normal_form_word = self.normal_form_word
         rules, runs = self.rules, self._runs
-        tables = None
 
         def product(u, v):
-            nonlocal tables
+            tables = self._tables
             if tables is None and u and v:
                 pair = (u[-1][0], v[0][0])
                 if pair in rules and pair not in runs:
-                    tables = self._run_tables()
+                    tables = self._tables = _RunTables.of(self) or False
             if tables:
                 return tables.product(u, v)
             return normal_form_word(_join_words(u, v))
         return product
-
-    def _run_tables(self):
-        """The run-pair tables of a confluent algebra without a closed form
-        that they accept, else False; kept until the rules change."""
-        if not self.is_confluent() or self._closed_form is not None:
-            return False
-        if self._tables is None:
-            self._tables = _RunTables.of(self) or False
-        return self._tables
 
     def verify_relations(self) -> bool:
         """Soundness: both sides of every declared relation have equal NF."""
@@ -921,9 +960,10 @@ def _q_commuting_shapes(algebra: Algebra):
     a generator that is not invertible).  A pair is shaped when the rules
     between the symbols of ``h`` and those of ``b`` are exactly a unit swap
     ``h*b -> c*b*h`` and the swaps that ``_conjugated`` derives from it.
-    Only the first rule of each pair is read, as rewriting reads it.
+    Each of those pairs must hold that one rule and no other.
     """
-    table, rules, runs = algebra.table, algebra.rules, algebra._runs
+    table, rules = algebra.table, algebra.rules
+    runs = {p: run for p, run in algebra._runs.items() if len(rules[p]) == 1}
     base_of = table.base_index
     found = {}
     for pair in rules:
@@ -1003,14 +1043,14 @@ class _ClosedForm:
 
     @classmethod
     def of(cls, algebra: "Algebra"):
-        """The closed form of a confluent algebra when it is q-commuting,
-        else None.
+        """The closed form of a q-commuting algebra, else None.
 
-        q-commuting means that the rules are exactly these, each a run rule:
-        a swap ``h*b -> c_hb*b*h`` for every pair of base generators
-        ``h > b``; for their inverse symbols the swaps that ``_conjugated``
-        derives from it; and the cancels of each invertible generator
-        against its inverse, by 1.
+        q-commuting means that the rules are exactly these, each a run rule
+        and the only rule of its pair: a swap ``h*b -> c_hb*b*h`` for every
+        pair of base generators ``h > b``; for their inverse symbols the
+        swaps that ``_conjugated`` derives from it; and the cancels of each
+        invertible generator against its inverse, by 1.  Such rules are
+        confluent by the diamond lemma, so no verdict is needed.
         """
         table = algebra.table
         bases = [table.index(name) for name in table.base_names]
@@ -1120,8 +1160,9 @@ class _RunTables:
     @classmethod
     def of(cls, algebra: "Algebra"):
         """The tables of an algebra whose rules have an ordered PBW shape,
-        else None; ``Algebra._run_tables`` asks only once the algebra is
-        found confluent.
+        else None; ``Algebra._normal_product`` asks at a power's first
+        junction under a rule other than a unit swap or cancel, and no
+        confluence verdict is read (see the module docstring).
 
         The shape: every rule ``x*y`` has ``rank(x) > rank(y)``, or is a
         cancel of a generator against its inverse by a unit; every pair of

@@ -37,6 +37,11 @@ _EXPRESSIONS = {
 # coefficients.
 _EXPANSION = "(b + 3*d - 2*a + 2*c)^5"
 
+# A power of a sum on the quantum torus, inverse symbols included: a cold
+# process takes its products in closed form, and the golden was written when
+# they were rewritten step by step.
+_TORUS_EXPANSION = "(x + 2*y^-1 - x*y)^6"
+
 _RELATIONS = {
     "quantum-torus": ["--forms", "dx,dy", "--elements", "x,y"],
     "gl-pq2": ["--forms", "v1,v2,v3,v4", "--elements", "a,b,c,d"],
@@ -67,6 +72,8 @@ def _cases():
         cases.append(("gl-pq2-expand.nf.%s" % fmt,
                       ["nf", "builtin:gl-pq2", "-e", _EXPANSION,
                        "--format", fmt], 0))
+    cases.append(("quantum-torus-expand.nf.plain",
+                  ["nf", "builtin:quantum-torus", "-e", _TORUS_EXPANSION], 0))
     cases.append(("gl-pq2-rfree.verify.plain", ["verify", "{rfree}"], 1))
     cases.append(("torus-wrong-action.verify.plain",
                   ["verify", "{wrong-action}"], 1))

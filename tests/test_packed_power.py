@@ -187,7 +187,7 @@ def test_a_non_confluent_algebra_is_rewritten(packed_calls):
             assert stored((base ** n).terms) == stored(
                 loop_power(base, n).terms), (str(base), n)
     assert packed_calls == list(range(2, 7)) * len(bases)
-    assert not alg.is_confluent() and alg._tables is None
+    assert alg._confluent is None and alg._tables is False
 
 
 def test_a_tail_rule_inside_an_overlap(packed_calls):

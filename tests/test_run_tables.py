@@ -13,6 +13,9 @@ presentations built from ``q_commuting_text`` with one swap replaced by a
 tail rule ``h*b = c*b*h + k*t``, the letters of ``t`` declared between
 ``b`` and ``h``.  Most of those are not confluent; the tables mirror
 leftmost reduction whatever the verdict, so they are compared as well.
+``planted_text`` builds PBW texts that are not confluent on purpose: a tail
+rule whose overlaps do not close, and swaps of inverse symbols declared with
+constants other than the ones ``_conjugated`` derives.
 """
 
 import random
@@ -64,16 +67,63 @@ def pbw_text(rng, index: int):
     return "\n".join(lines) + "\n"
 
 
-def pbw_texts(seed: int, count: int):
+def pbw_texts(seed: int, count: int, make=pbw_text):
+    """``count`` seeded texts of ``make``, skipping the None draws."""
     rng = random.Random(seed)
     texts = []
     index = 0
     while len(texts) < count:
-        text = pbw_text(rng, index)
+        text = make(rng, index)
         index += 1
         if text is not None:
             texts.append(text)
     return texts
+
+
+_UNITS = ("1", "-1", "2", "3/2", "p", "q^-1", "-2*p*q")
+
+
+def planted_text(rng, index: int):
+    """A seeded PBW text: 3-5 generators ``g0 < g1 < ...`` declared in rank
+    order, a random invertible subset, and a unit swap on every pair but
+    one, ``h*b = c*b*h + k*t``, where ``h`` and ``b`` are not invertible,
+    ``t`` is a generator strictly between them and some generator ``x``
+    lies outside them.  The swaps of ``x`` with ``h`` and ``b`` scale by 2
+    and that with ``t`` by 3, so the overlap of the tail with ``x`` does not
+    close.  Swaps of inverse symbols are declared first, a third of them
+    with a constant of their own.  None when no pair can take the tail."""
+    n = rng.randint(3, 5)
+    gens = ["g%d" % i for i in range(n)]
+    invertible = set(rng.sample(gens, rng.randint(0, n - 1)))
+    tails = [(h, b) for h in range(n) for b in range(h - 1)
+             if not {gens[h], gens[b]} & invertible and (b, h) != (0, n - 1)]
+    if not tails:
+        return None
+    top, low = rng.choice(tails)
+    mid = rng.randrange(low + 1, top)
+    x = rng.choice([g for g in range(n) if not low <= g <= top])
+    planted = []
+    rels = []
+    for h in range(n):
+        for b in range(h):
+            c = ("2" if {h, b} in ({x, top}, {x, low})
+                 else "3" if {h, b} == {x, mid} else rng.choice(_UNITS))
+            tail = " + %s*%s" % (rng.choice(("(p - 1/q)", "3", "q")),
+                                 gens[mid]) if (h, b) == (top, low) else ""
+            rels.append("rel %s*%s = %s*%s*%s%s;" % (
+                gens[h], gens[b], c, gens[b], gens[h], tail))
+            for hs, bs in (("^-1", ""), ("", "^-1"), ("^-1", "^-1")):
+                if ((gens[h] in invertible or not hs)
+                        and (gens[b] in invertible or not bs)
+                        and rng.random() < 1 / 3):
+                    planted.append("rel %s%s*%s%s = %s*%s%s*%s%s;" % (
+                        gens[h], hs, gens[b], bs, rng.choice(_UNITS),
+                        gens[b], bs, gens[h], hs))
+    lines = ['model "planted-%d";' % index, "param p, q;",
+             "gen %s;" % ", ".join(gens)]
+    if invertible:
+        lines.append("invertible %s;" % ", ".join(sorted(invertible)))
+    return "\n".join(lines + planted + rels) + "\n"
 
 
 def normal_words(alg: Algebra, rng, count: int):
@@ -158,6 +208,26 @@ def test_pbw_texts_hold_tails_inside_overlaps():
         (h, b), = tails
         assert any(v == h or u == b for u, v in alg.rules
                    if (u, v) != (h, b))
+
+
+def test_planted_texts():
+    """2000 seeded pairs over 20 texts whose tail overlaps do not close, most
+    also with inverse swaps of their own that break overlaps among unit
+    rules, against rewriting.  Carrying a prefix past bases that are not
+    q-commuting (no ``_shaped`` bound on ``left``) fails it."""
+    carrying = inconsistent = 0
+    for i, text in enumerate(pbw_texts(60, 20, planted_text)):
+        alg = load_model(text, verify=False).algebra
+        (top, low), = [pair for pair in alg.rules if pair not in alg._runs]
+        violations = alg.check_confluence()
+        assert any(len(word) == 3 and (word[:2] == (top, low)
+                                       or word[1:] == (top, low))
+                   for word, _, _ in violations), text
+        inconsistent += any(len(word) == 3 and (top, low) not in (
+            word[:2], word[1:]) for word, _, _ in violations)
+        tables, _ = compare(alg, "planted/%d" % i, PAIRS // 20)
+        carrying += tables.left > 0
+    assert inconsistent >= 10 and carrying >= 10
 
 
 @pytest.mark.parametrize("text", [
