@@ -31,10 +31,13 @@ psi(a_s) = lam_s a_s.  Then psi(e_s(g)) = lam_s a_s phi_s(psi g) -
 psi(g) lam_s a_s = lam_s e_s(psi g): candidate s is lam_s times target s,
 and the matrix is diag(lam_s^-1) when the candidates are independent.  A
 diagonal psi scales every coordinate (generator, word) by a nonzero
-scalar, which keeps independence, so one elimination on the identity's
+scalar, which keeps independence, so the independence of the identity's
 candidates e_s(g) decides it for every twist (``candidates_independent``,
-kept on the calculus).  lam_s must be a Laurent unit, whose inverse is
-stored as the elimination stores the same value.
+kept on the calculus).  A candidate holding a coordinate that no other
+holds takes a zero coefficient in any dependency, so such candidates are
+dropped, again and again; only when some are left does an elimination
+decide.  lam_s must be a Laurent unit, whose inverse is stored as the
+elimination stores the same value.
 """
 
 from __future__ import annotations
@@ -149,15 +152,39 @@ def derive_theta_action(calculus: Calculus, endo: Endomorphism) -> list:
 def candidates_independent(calculus: Calculus) -> bool:
     """Whether the theta coefficients e_k(g) of d(g), over every generator
     g, are linearly independent: the candidates of derive_theta_action for
-    the identity.  One elimination decides it, and the verdict is kept on
-    the calculus."""
+    the identity.  Candidates that _peeled drops entirely are independent
+    (see the module docstring); others are eliminated.  The verdict is
+    kept on the calculus."""
     if calculus._candidates_independent is None:
         candidates = _label_coordinates(calculus,
                                         calculus.generator_differentials())
-        (_, free), = solve_in_span(candidates, [{}],
-                                   calculus.algebra.params)
-        calculus._candidates_independent = not free
+        if _peeled(candidates):
+            calculus._candidates_independent = True
+        else:
+            (_, free), = solve_in_span(candidates, [{}],
+                                       calculus.algebra.params)
+            calculus._candidates_independent = not free
     return calculus._candidates_independent
+
+
+def _peeled(candidates) -> bool:
+    """Whether repeatedly dropping every candidate that holds a coordinate
+    no other remaining candidate holds drops them all."""
+    holders = {}
+    for k, coords in enumerate(candidates):
+        for coord in coords:
+            holders.setdefault(coord, set()).add(k)
+    left = set(range(len(candidates)))
+    while left:
+        private = {k for k in left
+                   if any(len(holders[coord]) == 1 for coord in candidates[k])}
+        if not private:
+            return False
+        left -= private
+        for k in private:
+            for coord in candidates[k]:
+                holders[coord].discard(k)
+    return True
 
 
 def closed_theta_action(calculus: Calculus, endo: Endomorphism):

@@ -29,7 +29,8 @@ diagonal map, phi(g) = c_g g, scaling each g by c_g^-1, so
 automorphism/<name>/inverse passes once it builds; an extension E and
 its inverse E' satisfy E'E = EE' = id and are linear over the scalars,
 so E' commutes with d exactly when E does, and extension/<lab>/inverse
-probes E' only when extension/<lab> failed, for its witness.
+probes E' only when extension/<lab> failed, for its witness.  Where E'
+need not be built at all, the record is deduced (below).
 
 The two Leibniz laws are proved once per suite when they can be.  Each
 derivation e_s(x) = a_s phi_s(x) - x a_s is inner, and expanding gives
@@ -45,9 +46,22 @@ samples unused elements first, building none of them, then each Leibniz
 law draws x and y of a pair only when it checks the pair, so it stops at
 its first failure.
 
-Three more records are decided from verdicts already in hand, each under
+Five more records are decided from verdicts already in hand, each under
 a stated hypothesis; where it fails, the record is computed directly, so
 every witness is that of the direct computation.
+- automorphism/<name>.  A diagonal map multiplies each word w by its
+  character chi(w), the product of its letters' scales; words with one
+  exponent vector over the base generators, an inverse symbol counting
+  negative, have one character.  Where the relations record passed and
+  every word of a relation, both sides, has one character chi, the image
+  of lhs - rhs is chi (lhs - rhs), which normalizes to zero, so the map
+  keeps the relation.  One word per vector is compared, once per map
+  (_character_classes, _keeps_characters).  The inverse pairs hold by
+  construction: the image of g^-1 is c_g^-1 g^-1, and g g^-1 rewrites
+  to 1 by the first rule of its pair, which is always the cancel.
+  Otherwise Endomorphism.respects_relations normalizes the images; on
+  gl-pq2 with r free six twists scale a*d and b*c apart and are
+  normalized.
 - d-twice.  d is the graded commutator with vtheta on forms, and on
   elements too (inner-form).  Where wedge is associative, expanding gives
   d(d x) = vtheta^2 x - x vtheta^2 for every generator and basis form x,
@@ -72,6 +86,11 @@ every witness is that of the direct computation.
   equal to M gives E(d g) = d(psi g) on every generator, and the
   extension passes without a probe.  Any other matrix, or an action that
   cannot be derived, is probed with commutes_with_d.
+- extension/<lab>/inverse.  Where extension/<lab> passed, the twist is
+  diagonal, so that Endomorphism.inverse builds, and the declared matrix
+  is diagonal with every diagonal entry nonzero, so that it inverts, the
+  inverse extension exists and commutes with d as E does: it is not
+  built.  Otherwise it is built, and probed when E failed.
 
 When the laws are sampled and the confluence check passed, the identity's
 one hypothesis, each pair is tested through it: the defect is then a_s
@@ -322,15 +341,19 @@ def run_suite(bundle: ModelBundle, seed: int = 0,
 
 
 def _algebra_checks(bundle):
-    yield ("relations", "declared relations rewrite to zero",
-           bundle.algebra.verify_relations())
-    violations = bundle.algebra.check_confluence()
+    alg = bundle.algebra
+    sound = alg.verify_relations()
+    yield "relations", "declared relations rewrite to zero", sound
+    violations = alg.check_confluence()
     yield ("confluence", "all rewrite overlaps close",
            not violations, violations[0] if violations else None)
 
+    classes = _character_classes(alg) if sound else None
     for name in sorted(bundle.autos):
         endo = bundle.autos[name]
-        ok = endo.respects_relations()
+        ok = ((classes is not None and endo._scales is not None
+               and _keeps_characters(endo, classes))
+              or endo.respects_relations())
         yield ("automorphism/%s" % name, "%s respects the relations" % name,
                ok)
         if not ok:
@@ -343,6 +366,37 @@ def _algebra_checks(bundle):
         else:
             yield (anchor, "%s composed with its inverse is the identity"
                    % name, True)
+
+
+def _character_classes(alg) -> list:
+    """One word of each exponent vector over the base generators, an
+    inverse symbol counting negative, per declared relation whose words,
+    both sides, have more than one vector.  Words of one vector take one
+    scale under every diagonal map (see the module docstring)."""
+    base = alg.table.base_index
+    classes = []
+    for lhs, rhs in alg.relations:
+        words = {}
+        for word in chain(lhs, rhs):
+            vector = {}
+            for sym, count in word:
+                b = base[sym]
+                vector[b] = vector.get(b, 0) + (count if b == sym else -count)
+            words.setdefault(frozenset(vector.items()), word)
+        if len(words) > 1:
+            classes.append(list(words.values()))
+    return classes
+
+
+def _keeps_characters(endo, classes) -> bool:
+    """Whether the diagonal endo gives the words of each class, and so
+    every word of its relation, one scale."""
+    chi = endo._chi
+    for first, *rest in classes:
+        scale = chi(first)
+        if any(chi(word) != scale for word in rest):
+            return False
+    return True
 
 
 def _sampled_pairs(alg, rng, samples: int):
@@ -515,11 +569,13 @@ def _geometry_checks(bundle, passed):
         yield ("extension/%s" % lab,
                "extension over %s commutes with d" % lab,
                witness is None, witness)
-        try:
-            inverse = geo.inverse_extension(lab)
-            witness = witness and inverse.commutes_with_d()
-        except AlgebraError as exc:
-            witness = exc
+        if (witness is not None or calc.twists[lab]._scales is None
+                or not _invertible_diagonal(ext.matrix)):
+            try:
+                inverse = geo.inverse_extension(lab)
+                witness = witness and inverse.commutes_with_d()
+            except AlgebraError as exc:
+                witness = exc
         yield ("extension/%s/inverse" % lab,
                "inverse extension over %s commutes with d" % lab,
                witness is None, witness)
@@ -553,6 +609,13 @@ def _geometry_checks(bundle, passed):
             yield ("torsion/%s/%s" % (cname, fname),
                    "connection %s is torsion free on %s" % (cname, fname),
                    value.is_zero(), value)
+
+
+def _invertible_diagonal(matrix) -> bool:
+    """Whether matrix is diagonal with every diagonal entry nonzero, so
+    that it is invertible."""
+    return all(rf.is_zero() == (j != k)
+               for k, row in enumerate(matrix) for j, rf in enumerate(row))
 
 
 def _derived_action(bundle, passed, endo):

@@ -7,6 +7,10 @@ its ``subst r = p*q;`` line removed, whose twists then break the relations.
 The ``{wrong-action}`` placeholder stands for the quantum torus file whose
 extension of phi2 sends t2 to r*t2; its extension and theta-action records
 over t2 fail, with the witnesses of the direct probes.
+The ``{rank-5}`` placeholder stands for the rank-5 quantum space of the
+benchmark, ``rank_n_text(5, 7)`` of ``bench/workloads.py``, on which the
+suite decides every automorphism, theta-action, extension and inverse
+extension record without a probe.
 The ``{localized}`` placeholder stands for the exported document of the
 builtin gl-pq2-localized; its case shares the builtin's golden file, which
 the table ``_SHARED_GOLDEN`` records.
@@ -16,6 +20,7 @@ After an intended output change, regenerate the files with
 """
 
 import contextlib
+import importlib.util
 import io
 import pathlib
 
@@ -26,6 +31,7 @@ from ncdiff.dsl import export_model
 from ncdiff.models import build_glpq, model_source
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+WORKLOADS = pathlib.Path(__file__).parent.parent / "bench" / "workloads.py"
 
 _EXPRESSIONS = {
     "quantum-torus": "d(x*y) + y^-1*x*t1 - (1 - r)^-2*x^2",
@@ -77,6 +83,7 @@ def _cases():
     cases.append(("gl-pq2-rfree.verify.plain", ["verify", "{rfree}"], 1))
     cases.append(("torus-wrong-action.verify.plain",
                   ["verify", "{wrong-action}"], 1))
+    cases.append(("rank-5.verify.plain", ["verify", "{rank-5}"], 0))
     cases.append(("gl-pq2-localized-exported.nf.plain",
                   ["nf", "{localized}", "-e",
                    _EXPRESSIONS["gl-pq2-localized"]], 0))
@@ -104,9 +111,18 @@ def _wrong_action_source() -> str:
     return text.replace(old, "extension phi2 {\n  t1 -> t1;\n  t2 -> r*t2;")
 
 
+def _rank_5_source() -> str:
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.rank_n_text(5, 7)
+
+
 _PLACEHOLDERS = {
     "{rfree}": ("gl_pq2_rfree.ncd", _rfree_source),
     "{wrong-action}": ("wrong_action.ncd", _wrong_action_source),
+    "{rank-5}": ("rank_5.ncd", _rank_5_source),
     "{localized}": ("gl_pq2_localized.ncd",
                     lambda: export_model(
                         build_glpq(adjoin_det_inverse=True).doc)),

@@ -11,6 +11,8 @@ from ncdiff.models import (CheckResult, SuiteReport, _det_scales,
                            available_models, build_glpq, build_quantum_torus,
                            model_source, run_suite, scalar_ratio)
 
+from test_verify_pins import wrong_action_text
+
 TORUS_ANCHORS = [
     "relations",
     "confluence",
@@ -265,15 +267,18 @@ class TestSuiteTorus:
         assert report.seed == 7
         assert report.ok
 
-    def test_programming_error_is_not_a_failed_check(self, torus,
-                                                     monkeypatch):
+    def test_programming_error_is_not_a_failed_check(self, monkeypatch):
         """Only engine errors become failed checks: a TypeError raised
-        inside the inverse extension check propagates."""
+        inside the inverse extension check propagates.  The torus whose
+        extension of phi2 sends t2 to r*t2 fails extension/t2, so its
+        suite still builds that inverse, for the witness."""
+        bundle = load_model(wrong_action_text(model_source("quantum-torus")))
+
         def broken(self, label):
             raise TypeError("engine bug")
         monkeypatch.setattr(Geometry, "inverse_extension", broken)
         with pytest.raises(TypeError, match="engine bug"):
-            run_suite(torus)
+            run_suite(bundle)
 
 
 class TestSuiteGlpq:

@@ -32,7 +32,10 @@ nonzero, and the first failing pair must be the same on both sides.
 The suite also records two inverse checks from what it has built:
 ``automorphism/<name>/inverse`` passes once ``Endomorphism.inverse``
 builds, and ``extension/<lab>/inverse`` probes the inverse extension only
-when ``extension/<lab>`` failed.  It decides ``d-twice`` from
+when ``extension/<lab>`` failed.  It decides ``automorphism/<name>`` of a
+diagonal map by the scales of each relation's words, and skips building
+the inverse of a passed extension over a diagonal twist whose matrix is
+diagonal with nonzero entries.  It decides ``d-twice`` from
 ``two-form-central`` where wedge is associative, takes
 ``theta-action/<lab>`` in closed form where that applies, and passes
 ``extension/<lab>`` without a probe when the declared matrix is the
@@ -41,7 +44,8 @@ derived one.  ``recomputed_algebra_checks`` and
 these the old way: the ``confluence`` record by the full overlap check,
 which rewrites every overlap where the suite proves the q-commuting ones
 by their shape (``full_overlap_check`` of
-``tests/test_confluence_certificate.py``), the generator round trip of
+``tests/test_confluence_certificate.py``), every ``automorphism/<name>``
+by ``Endomorphism.respects_relations``, the generator round trip of
 each passed inverse, and
 on every label ``commutes_with_d()`` of the extension and of its inverse,
 with each action derived by elimination (``derive_theta_action``).  The
@@ -140,13 +144,18 @@ def _inverse_of(anchor, head):
 
 def recomputed_algebra_checks(bundle):
     """The algebra layer with the confluence record recomputed by the full
-    overlap check, and each passed automorphism/<name>/inverse recomputed:
-    both compositions must fix every generator."""
+    overlap check, each automorphism/<name> by respects_relations, and
+    each passed automorphism/<name>/inverse recomputed: both compositions
+    must fix every generator."""
     for record in _ALGEBRA_CHECKS(bundle):
         if record[0] == "confluence":
             violations = full_overlap_check(bundle.algebra)
             yield record[:2] + (not violations,
                                 violations[0] if violations else None)
+            continue
+        name = record[0][len("automorphism/"):]
+        if record[0].startswith("automorphism/") and name in bundle.autos:
+            yield record[:2] + (bundle.autos[name].respects_relations(),)
             continue
         name = _inverse_of(record[0], "automorphism/")
         if name is None or not record[2]:
