@@ -14,6 +14,28 @@ data are tuples, named tuples, strings, ints and expression trees.  So
 parse_model memoizes on the source text, for the last _PARSE_MEMO_SIZE
 texts parsed, and every parse of one text returns the one document; a
 text that fails is parsed again and raises again on every call.
+
+Two more memos keep values that depend only on immutable inputs, so
+sharing them changes nothing a reader sees:
+
+* ``_parse_expression_text`` (``nf -e``, ``ModelBundle.eval_expression``
+  and ``parse_coefficient``) keeps the trees of the last
+  _EXPRESSION_MEMO_SIZE (2048) texts of at most _EXPRESSION_MEMO_TEXT (32)
+  characters it parsed.  A tree is tuples of strings, ints and tuples, so
+  every parse of one text returns the one tree.  A tree takes about 1 KB,
+  and at most about 160 bytes per character of its text, so the memo holds
+  at most about 10 MB.  A longer text is parsed on every call: a fuzzed
+  3000-term sum parses to a 0.9 MB tree.  A text that fails raises again
+  on every call.
+* ``build_model`` keeps, for each document it built to the end, which of
+  its check statements wait (``_WAITS``, see ``_Builder.check``).  The
+  verdict follows from the document alone, so later builds of the document
+  read it instead of running the trials again.  An entry is one bool per
+  check, under 1 KB with its upkeep, keyed on the document object and
+  dropped with it, so there is at most one per live document.
+
+Every load still builds a bundle of its own: no algebra, element or memo
+of the engine is shared between loads.
 """
 
 from __future__ import annotations
@@ -21,6 +43,7 @@ from __future__ import annotations
 import collections
 import functools
 import re
+import weakref
 
 from .algebra import (Algebra, AlgebraError, Element, GeneratorTable,
                       word_letters)
@@ -423,11 +446,29 @@ def parse_statement(text: str) -> Statement:
     return stmt
 
 
-def _parse_expression_text(text: str):
+def _parse_expression(text: str):
     parser = _Parser(tokenize(text))
     node = parser.parse_expression()
     parser.expect_eof()
     return node
+
+
+# Room for the distinct short expressions of a long session: the nf-torus
+# benchmark session meets about 1500 in 30 s, each under 16 characters.  The
+# length limit bounds each tree (see the module docstring).
+_EXPRESSION_MEMO_SIZE = 2048
+_EXPRESSION_MEMO_TEXT = 32
+
+_memoized_expression = functools.lru_cache(maxsize=_EXPRESSION_MEMO_SIZE)(
+    _parse_expression)
+
+
+def _parse_expression_text(text: str):
+    """The expression tree of the text, memoized for short texts (see the
+    module docstring)."""
+    if len(text) > _EXPRESSION_MEMO_TEXT:
+        return _parse_expression(text)
+    return _memoized_expression(text)
 
 
 def _parse_statement(parser: _Parser, stage: int = 0):
@@ -1030,6 +1071,7 @@ class _Builder:
 
     def __init__(self, doc: ModelDocument, verify: bool):
         self.verify = verify
+        self.known_waits = _WAITS.get(id(doc))
         params = ParameterSet(doc.params)
         self.param_env = {n: RationalFunction.parameter(params, n)
                           for n in doc.params}
@@ -1174,16 +1216,32 @@ class _Builder:
         ``check_confluence`` may turn on gives the terms rewriting gives.
         No load keeps a confluence verdict either way, since the final
         ``normalize_rules`` drops any that a check computed.
+
+        The verdict follows from the document alone: the first ``auto``
+        comes where the document puts it, and a trial reads only what the
+        document fixes (which names are elements or forms, the values of
+        coefficient names, the wedge rules of the calc block).  So only a
+        document's first build runs the trials; ``build_model`` keeps its
+        verdicts in ``_WAITS``, one bool per check, keyed on the document
+        object and dropped with it, at most one entry of under 1 KB per
+        live document.  Later builds read them, and each still builds a
+        bundle of its own and evaluates here every check that does not
+        wait.  The expression memo (module docstring: the last 2048 trees
+        of texts of at most 32 characters, at most about 10 MB) is sound
+        for the same reason: it keeps values of immutable inputs only.
         """
         bundle = self.bundle
         evaluator = _Evaluator(dict(bundle._env), bundle.params,
                                bundle.calculus)
-        waits = bool(bundle.autos)
-        try:
-            for side in stmt.data[1:]:
-                bundle._trial(side)
-        except ModelSemanticError:
-            waits = False
+        if self.known_waits is not None:
+            waits = self.known_waits[len(bundle._checks)]
+        else:
+            waits = bool(bundle.autos)
+            try:
+                for side in stmt.data[1:]:
+                    bundle._trial(side)
+            except ModelSemanticError:
+                waits = False
         bundle._checks.append((stmt.data, evaluator) if waits else
                               _check_case(stmt.data, evaluator, bundle.algebra))
 
@@ -1200,13 +1258,24 @@ def _check_case(data, evaluator: _Evaluator, algebra: Algebra) -> CheckCase:
     return CheckCase(name, *sides)
 
 
+# For each document built to the end, keyed by its id: whether each of its
+# check statements waits (``_Builder.check``), in statement order.  An entry
+# goes when its document does, so no id is read for another document.
+_WAITS = {}
+
+
 def build_model(doc: ModelDocument, verify: bool = True) -> ModelBundle:
     """Evaluate a document into a bundle of live objects."""
     builder = _Builder(doc, verify)
     for stmt in doc.statements:
         _KINDS[stmt.kind].build(builder, stmt)
-    builder.bundle.algebra.normalize_rules()
-    return builder.bundle
+    bundle = builder.bundle
+    bundle.algebra.normalize_rules()
+    if builder.known_waits is None:
+        _WAITS[id(doc)] = tuple(not isinstance(case, CheckCase)
+                                for case in bundle._checks)
+        weakref.finalize(doc, _WAITS.pop, id(doc), None)
+    return bundle
 
 
 def load_model(text: str, verify: bool = True) -> ModelBundle:

@@ -524,28 +524,30 @@ def _calculus_checks(bundle, passed, rng, samples):
                "derivation along %s satisfies the twisted Leibniz rule" % lab,
                witness is None, witness and witness[0])
 
-    pairs = _sampled_pairs(calc.algebra, rng, samples)
+    pairs = ((name, x, y, x * y) for name, x, y
+             in _sampled_pairs(calc.algebra, rng, samples))
     if associative:
-        pairs = ((name, x, y) for name, x, y in pairs
-                 if _breaks_an_identity(calc, x, y))
+        pairs = (pair for pair in pairs
+                 if _breaks_an_identity(calc, *pair[1:]))
     witness = _first_witness(
-        (name, calc.d_element(x * y)
+        (name, calc.d_element(xy)
          - (calc.wedge(calc.d_element(x), calc.embed(y))
             + calc.wedge(calc.embed(x), calc.d_element(y))))
-        for name, x, y in pairs)
+        for name, x, y, xy in pairs)
     yield ("leibniz-product", "d is a derivation on products",
            witness is None, witness)
 
 
-def _breaks_an_identity(calc: Calculus, x: Element, y: Element) -> bool:
-    """Whether some label's associative defect on (x, y) is nonzero.
+def _breaks_an_identity(calc: Calculus, x: Element, y: Element,
+                        xy: Element) -> bool:
+    """Whether some label's associative defect on (x, y), whose product is
+    xy, is nonzero.
 
     Component i of d(xy) - (d(x) y + x d(y)) is label i's twisted Leibniz
     defect, since wedge passes y through theta^i by phi_i, so on an
     associative algebra the form is zero exactly when every
     associative_defect is.  The suite then builds the form only for the
     first pair that breaks an identity, its witness."""
-    xy = x * y
     return any(not calc.derivations[lab].associative_defect(x, y, xy).is_zero()
                for lab in calc.labels)
 

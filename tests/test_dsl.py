@@ -666,9 +666,12 @@ def refuse(bundle, node):
 @pytest.fixture
 def eager(monkeypatch):
     """Load with every check evaluated at load, as a gate that clears
-    nothing would."""
+    nothing would.  The patched gate decides over an empty memo of
+    deferrals, which goes with the patch, so no verdict of a document built
+    before skips it and none of its verdicts outlives it."""
     def load(build):
         with monkeypatch.context() as patch:
+            patch.setattr(dsl, "_WAITS", {})
             patch.setattr(dsl.ModelBundle, "_trial", refuse)
             return build(verify=False)
     return load
@@ -864,7 +867,9 @@ class TestDeferredChecks:
     def test_the_gate_does_no_engine_arithmetic(self, monkeypatch):
         """The trials of every check of every builtin multiply, raise to a
         power, wedge, differentiate and twist no engine value, while the
-        rest of each load does."""
+        rest of each load does.  The memo of deferrals starts empty, so
+        every check is tried."""
+        monkeypatch.setattr(dsl, "_WAITS", {})
         inside = []
         calls = collections.Counter()
         for owner, name in [(dsl.Element, "__mul__"), (dsl.Element, "__pow__"),

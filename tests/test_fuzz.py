@@ -24,6 +24,13 @@ Every run is checked by three oracles:
 * an exit-0 plain ``nf`` value, evaluated again in the same bundle,
   differs from the value of the expression by zero.
 
+The ``nf`` command of each expression and stress case runs a second time
+at once, in the same process, and must give the same exit code, stdout and
+stderr: the repeat parses its expression from the memo the first run left
+(``dsl._parse_expression_text``), so a memo that kept a failure, or a tree
+it does not hold for that text, shows here.  The fuzzer counts the repeats
+it checked.
+
 A model text that loads (``load_model`` with ``verify=False``) must also
 evaluate every check it deferred when its ``checks`` are read: a check is
 deferred only when its evaluation cannot raise.  The fuzzer counts the
@@ -255,6 +262,7 @@ class Fuzzer:
         self.values = 0
         self.loaded = 0
         self.deferred = 0
+        self.repeats = 0
         self._bundles = {}
         self._vocab = {}
 
@@ -276,11 +284,15 @@ class Fuzzer:
         shown = [a if len(a) < 200 else a[:200] + "..." for a in argv]
         self.failures.append("%s: %s" % (shown, reason))
 
-    def check(self, argv, expr=None):
+    def check(self, argv, expr=None, repeat=False):
         """Run argv and apply the oracles; a plain nf run passes its
-        expression for the parse-back oracle."""
+        expression for the parse-back oracle, and an expression case asks
+        for the warm repeat."""
         self.runs += 1
-        rc, out, err, trace = run_cli(argv)
+        first = run_cli(argv)
+        rc, out, err, trace = first
+        if repeat:
+            self.repeat(argv, first)
         if trace is not None:
             self.fail(argv, "exception escaped:\n" + trace)
             return
@@ -293,6 +305,14 @@ class Fuzzer:
             self.fail(argv, "exit %d with stderr %r" % (rc, err[:300]))
         if rc == 0 and expr is not None:
             self.parse_back(argv, expr, out.rstrip("\n"))
+
+    def repeat(self, argv, first):
+        """Run argv again; it must end as the first run did."""
+        self.repeats += 1
+        again = run_cli(argv)
+        if again[:3] != first[:3]:
+            self.fail(argv, "a second run gave %.300r after %.300r"
+                      % (again[:3], first[:3]))
 
     def parse_back(self, argv, expr, printed):
         """Evaluate the printed value in the model of the run, argv[1]."""
@@ -308,12 +328,12 @@ class Fuzzer:
             self.fail(argv, "printed %r differs from the value by %s"
                       % (printed[:300], str(diff)[:300]))
 
-    def nf(self, spec, expr, fmt):
+    def nf(self, spec, expr, fmt, repeat=False):
         argv = ["nf", spec, "--expr=" + expr]
         if fmt == "plain":
-            self.check(argv, expr)
+            self.check(argv, expr, repeat)
         else:
-            self.check(argv + ["--format", fmt])
+            self.check(argv + ["--format", fmt], None, repeat)
 
     def deferred_checks(self, path, data):
         """Load the text, if it loads, and read its checks."""
@@ -379,13 +399,22 @@ class Fuzzer:
                 else:
                     expr = stress_expression(rng, vocab)
                     fmt = "plain"
-                self.nf("builtin:" + model, expr, fmt)
+                self.nf("builtin:" + model, expr, fmt, repeat=True)
         return self
+
+
+def defer_every_check(monkeypatch):
+    """Patch in a gate that defers every check.  It decides over an empty
+    memo of deferrals, so the documents built before are tried again, and
+    the memo goes with the patch."""
+    monkeypatch.setattr(dsl, "_WAITS", {})
+    monkeypatch.setattr(dsl.ModelBundle, "_trial", lambda self, node: 0)
 
 
 def test_fuzz_cli():
     fuzzer = Fuzzer().run(seed=0, cases=450)
     assert fuzzer.values > 200 and fuzzer.loaded > 0 and fuzzer.deferred > 0
+    assert fuzzer.repeats == 450 * 5 // 6
     assert not fuzzer.failures, "\n\n".join(fuzzer.failures[:5])
 
 
@@ -395,9 +424,9 @@ def test_fuzz_texts_catch_a_gate_that_defers_every_check(monkeypatch):
     that raises when read.  Only 4 of the 75 texts of the 450 cases of
     test_fuzz_cli load, and none of them draws a check, so this runs more
     cases."""
-    monkeypatch.setattr(Fuzzer, "check", lambda self, argv, expr=None: None)
+    monkeypatch.setattr(Fuzzer, "check", lambda self, *args: None)
     assert not Fuzzer().run(seed=0, cases=2700).failures
-    monkeypatch.setattr(dsl.ModelBundle, "_trial", lambda self, node: 0)
+    defer_every_check(monkeypatch)
     assert Fuzzer().run(seed=0, cases=2700).failures
 
 
@@ -411,7 +440,7 @@ def test_parse_back_catches_a_wrong_print():
 def test_deferred_checks_oracle_catches_a_raising_check(monkeypatch):
     """Under a gate that defers every check, a check that divides by zero
     loads and raises when read."""
-    monkeypatch.setattr(dsl.ModelBundle, "_trial", lambda self, node: 0)
+    defer_every_check(monkeypatch)
     text = model_source("quantum-torus") + 'check "c": x/(q - q) == x;\n'
     fuzzer = Fuzzer()
     fuzzer.deferred_checks("case.ncd", text.encode())

@@ -81,7 +81,7 @@ def test_product_zero_test_agrees_with_the_direct_form(name, calculi):
         for lab in calc.labels:
             assert form.coefficient(lab) == calc.derivations[
                 lab].associative_defect(x, y, x * y), "%s, %s" % (lab, sample)
-        breaks = _breaks_an_identity(calc, x, y)
+        breaks = _breaks_an_identity(calc, x, y, x * y)
         assert breaks is not form.is_zero(), sample
         broken += breaks
     assert (broken > 0) is (name in NONZERO)

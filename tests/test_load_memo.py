@@ -1,24 +1,33 @@
-"""The load memos: parsed texts and the gl-pq2 documents.
+"""The load memos: parsed texts, expression trees, the gl-pq2 documents
+and the deferrals of built documents.
 
-``dsl.parse_model`` memoizes its parse on the source text, and
-``models._glpq_document`` keeps the gl-pq2 and gl-pq2-localized documents
-for the process.  A document is immutable, so both memos hand out the one
-document they hold.  These tests check that every statement of a parsed
-or derived document holds only immutable values, that a memo answers each
-text with that text's own parse, never stores an error, stays within its
-bound, derives the gl-pq2 documents as a fresh parse and build would, and
-that every load still builds a bundle of its own.
+``dsl.parse_model`` memoizes its parse on the source text,
+``dsl._parse_expression_text`` memoizes the tree of a short expression
+text, and ``models._glpq_document`` keeps the gl-pq2 and gl-pq2-localized
+documents for the process.  Documents and trees are immutable, so these
+memos hand out the one value they hold.  ``dsl.build_model`` keeps, for
+each document it built, which of its checks wait (``dsl._WAITS``).
+
+These tests check that every statement of a parsed or derived document,
+and every memoized tree, holds only immutable values; that a memo answers
+each text with that text's own parse, never stores an error and stays
+within its bound; that the gl-pq2 documents are derived as a fresh parse
+and build would derive them; that a warm build defers what a cold one
+does, and its deferrals go with the document; and that every load still
+builds a bundle of its own.
 """
 
+import gc
 import hashlib
 import itertools
+import random
 
 import pytest
 
 from ncdiff import dsl
-from ncdiff.dsl import (ModelDocument, ModelError, ModelSemanticError,
-                        ModelSyntaxError, build_model, export_model,
-                        parse_model, parse_statement)
+from ncdiff.dsl import (CheckCase, ModelDocument, ModelError,
+                        ModelSemanticError, ModelSyntaxError, build_model,
+                        export_model, parse_model, parse_statement)
 from ncdiff.models import (BUILTINS, _adjoin_det_inverse, _det_scales,
                            _glpq_document, _with_mirror_checks,
                            available_models, model_source)
@@ -198,3 +207,142 @@ def test_loads_share_no_engine_state(name):
     assert second.algebra._nf_cache == {}
     assert second._checks is not first._checks
     assert second._env is not first._env
+
+
+# -- the expression memo ------------------------------------------------------
+
+_EXPRESSIONS = dsl._memoized_expression
+
+
+def _fuzz_expressions(repo_module, count):
+    """count expressions and stress expressions of the fuzzer, seed 0, over
+    the builtins in turn."""
+    fuzz = repo_module("tests/test_fuzz.py")
+    vocabs = [fuzz.Vocabulary(BUILTINS[name](verify=False))
+              for name in fuzz.MODELS]
+    rng = random.Random(0)
+    return [(fuzz.stress_expression if i % 4 == 3 else fuzz.expression)(
+                rng, vocabs[i % len(vocabs)]) for i in range(count)]
+
+
+def test_every_parse_of_a_short_text_is_the_one_immutable_tree(repo_module):
+    kept = 0
+    for text in _fuzz_expressions(repo_module, 600):
+        try:
+            tree = dsl._parse_expression_text(text)
+        except ModelSyntaxError:
+            continue
+        assert _mutable_part(tree) is None, text
+        if len(text) <= dsl._EXPRESSION_MEMO_TEXT:
+            assert dsl._parse_expression_text(text) is tree, text
+            kept += 1
+    assert kept > 50
+
+
+def test_a_long_text_is_parsed_every_time():
+    text = " + ".join("xy")
+    text += " + x" * ((dsl._EXPRESSION_MEMO_TEXT - len(text)) // 4 + 1)
+    assert len(text) > dsl._EXPRESSION_MEMO_TEXT
+    size = _EXPRESSIONS.cache_info().currsize
+    first = dsl._parse_expression_text(text)
+    again = dsl._parse_expression_text(text)
+    assert again == first and again is not first
+    assert _EXPRESSIONS.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x + * y", "expected an expression"),
+    ("-" * (dsl._MAX_NESTING + 1) + "x",
+     "expression nests deeper than %d levels" % dsl._MAX_NESTING),
+    ("x $ y", "unexpected character '$'"),
+], ids=["syntax", "nesting", "character"])
+def test_expression_errors_are_raised_every_time_and_not_stored(text,
+                                                                message):
+    dsl._parse_expression_text("(y*x)^3")
+    size = _EXPRESSIONS.cache_info().currsize
+    raised = []
+    for _ in range(2):
+        with pytest.raises(ModelSyntaxError) as info:
+            dsl._parse_expression_text(text)
+        raised.append((info.value.message, info.value.line, info.value.col))
+    assert raised[0] == raised[1]
+    assert raised[0][0] == message
+    assert _EXPRESSIONS.cache_info().currsize == size
+
+
+def test_expression_memo_stays_within_its_bound(repo_module):
+    bound = dsl._EXPRESSION_MEMO_SIZE
+    assert _EXPRESSIONS.cache_info().maxsize == bound
+    for text in _fuzz_expressions(repo_module, 400):
+        try:
+            dsl._parse_expression_text(text)
+        except ModelSyntaxError:
+            pass
+    assert _EXPRESSIONS.cache_info().currsize <= bound
+    for i in range(2 * bound + 5):
+        dsl._parse_expression_text("(y*x)^%d" % i)
+        assert _EXPRESSIONS.cache_info().currsize <= bound
+    assert _EXPRESSIONS.cache_info().currsize == bound
+
+
+# -- the deferrals of built documents ------------------------------------------
+
+def _loadable_documents(texts):
+    """Every parsed document that builds with verify=False, then the
+    documents of the builtins."""
+    docs = []
+    for doc in _documents(texts):
+        try:
+            build_model(doc, verify=False)
+        except ModelError:
+            continue
+        docs.append(doc)
+    assert len(docs) >= 10
+    return docs + [build(verify=False).doc for build in BUILTINS.values()]
+
+
+def _deferrals(bundle):
+    """The positions of the checks that wait, then the name and printed
+    sides of every check."""
+    waiting = [i for i, case in enumerate(bundle._checks)
+               if not isinstance(case, CheckCase)]
+    return waiting, [(case.name, str(case.lhs), str(case.rhs))
+                     for case in bundle.checks]
+
+
+def _no_trial(bundle, node):
+    raise AssertionError("a warm build ran a trial")
+
+
+def test_a_warm_build_defers_what_a_cold_one_does(texts, monkeypatch):
+    """Each document is built cold, the memo cleared before it.  Then the
+    documents are built again, each first over the memo another document
+    left, and then once more warm, with every trial refused: each time the
+    same checks wait, at the same positions, and read the same sides."""
+    monkeypatch.setattr(dsl, "_WAITS", {})
+    docs = _loadable_documents(texts)
+    cold = []
+    for doc in docs:
+        dsl._WAITS.clear()
+        cold.append(_deferrals(build_model(doc, verify=False)))
+    assert sum(bool(waiting) for waiting, _ in cold) >= 10
+    for doc, want in zip(docs, cold):
+        assert _deferrals(build_model(doc, verify=False)) == want
+    assert set(dsl._WAITS) == {id(doc) for doc in docs}
+    monkeypatch.setattr(dsl.ModelBundle, "_trial", _no_trial)
+    for doc, want in zip(reversed(docs), reversed(cold)):
+        assert _deferrals(build_model(doc, verify=False)) == want
+
+
+def test_the_deferrals_of_a_document_go_with_it(monkeypatch):
+    monkeypatch.setattr(dsl, "_WAITS", {})
+    torus = model_source("quantum-torus")
+    doc = ModelDocument(parse_model(torus).statements, "copy")
+    build_model(doc, verify=False)
+    assert dsl._WAITS == {id(doc): (False, False, True)}
+    del doc
+    gc.collect()
+    assert dsl._WAITS == {}
+    with pytest.raises(ModelSemanticError):
+        build_model(parse_model(torus + 'check "c": x/(q - q) == x;\n'))
+    assert dsl._WAITS == {}
