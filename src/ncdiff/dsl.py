@@ -27,14 +27,28 @@ sharing them changes nothing a reader sees:
   at most about 10 MB.  A longer text is parsed on every call: a fuzzed
   3000-term sum parses to a 0.9 MB tree.  A text that fails raises again
   on every call.
-* ``build_model`` keeps, for each document it built to the end, which of
-  its check statements wait (``_WAITS``, see ``_Builder.check``).  The
-  verdict follows from the document alone, so later builds of the document
-  read it instead of running the trials again.  An entry is one bool per
-  check, under 1 KB with its upkeep, keyed on the document object and
-  dropped with it, so there is at most one per live document.
+* ``build_model`` keeps, for each document it built to the end, its record
+  (``_RECORDS``, see ``_Record``): over the document's ParameterSet and
+  GeneratorTable, the free terms of its relations, the normalized rule
+  table, the terms of every value the build evaluated (automorphism images,
+  weights, ``let`` values, wedge rules, extension rows, metric and
+  connection entries, the sides of the checks evaluated at load) and which
+  checks wait (``_Builder.check``).  All of it follows from the document
+  alone, so every load, the first one included, constructs its bundle from
+  the record: a fresh algebra on copies of the rules with empty memos, and
+  fresh maps, calculus, geometry, environment and checks, each owning its
+  dicts and lists.  A load evaluates no expression and normalizes no rule; a
+  ``verify=True`` load still checks its maps against the relations (on a
+  first build, the evaluation checks the maps whose images the load's maps
+  copy).  Besides its own dicts and lists a record holds only immutable
+  values (words, coefficients, statements of the document and the two
+  tables), so no load can change what another reads.  It is keyed on the
+  document object and dropped with it, so there is at most one per live
+  document; gl-pq2-localized's takes about 90 KB (tracemalloc), and the
+  tests hold it under 150 KB.  A build that raises keeps no record, so every
+  error and its location come from evaluation.
 
-Every load still builds a bundle of its own: no algebra, element or memo
+Every load still gets a bundle of its own: no algebra, element, map or memo
 of the engine is shared between loads.
 """
 
@@ -267,6 +281,8 @@ class ModelDocument:
         return (self.name, export_model(self))
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (isinstance(other, ModelDocument)
                 and self.semantic_key() == other.semantic_key())
 
@@ -818,14 +834,15 @@ CheckCase = collections.namedtuple("CheckCase", "name lhs rhs")
 class ModelBundle:
     """Built model objects: algebra, automorphisms, calculus, geometry.
 
-    build_model fills the tables one statement at a time.  Every named
-    value (parameter, generator, basis form, let definition) lives in one
-    environment, read with value(name).
+    A load fills the tables from its document's record, one step per
+    statement (``_Filler``).  Every named value (parameter, generator, basis
+    form, let definition) lives in one environment, read with value(name).
 
     ``checks`` lists the model's check statements as CheckCases, in
     statement order.  A check whose evaluation cannot raise, as ``_trial``
     shows, is evaluated when ``checks`` is first read, which only the suite
-    does; any other check is evaluated at load, where its error is reported
+    does; any other check is evaluated by the document's first build, where
+    its error is reported, and every load gets its sides from the record
     (see ``_Builder.check``).  So ``nf``, ``relations`` and ``confluence``
     never evaluate a check that can be deferred.
     """
@@ -1066,22 +1083,165 @@ def _located(stmt: Statement, make, *args):
         raise _error_at(stmt, str(exc)) from None
 
 
+class _Record:
+    """A document evaluated, free of any algebra: what every load of the
+    document constructs its bundle from (see the module docstring).
+
+    ``params`` and ``table`` are those every recorded value refers to, and
+    ``names`` holds the value of each parameter name.  ``relations`` and
+    ``rules`` are the free terms of the relations and the normalized rule
+    table of the built algebra, and ``one`` is the algebra's 1, which its
+    cancel rules hold: each load's algebra takes it as its own, so that
+    the shape tests of the rules find it there by identity, as on the
+    built algebra, and compare no coefficients.  ``steps`` holds the rest,
+    in statement order: each is the name of a _Filler method and its
+    arguments, whose values are coefficients or recorded terms
+    (``_kept``).
+    """
+
+    __slots__ = ("params", "table", "names", "relations", "rules", "one",
+                 "steps")
+
+    def __init__(self, params: ParameterSet, table: GeneratorTable):
+        self.params = params
+        self.table = table
+        self.names = {n: RationalFunction.parameter(params, n)
+                      for n in params.names}
+        self.relations = self.rules = self.one = None
+        self.steps = []
+
+
+def _kept(value):
+    """A value as a record keeps it: a coefficient as it is, an element as
+    (Element, its terms), a form as (Form, the terms of each coefficient)."""
+    if isinstance(value, Form):
+        return Form, {key: elt.terms for key, elt in value.terms.items()}
+    if isinstance(value, Element):
+        return Element, value.terms
+    return value
+
+
+class _Filler:
+    """Fills a bundle from the steps of a record, one method per step kind.
+
+    Every element, form, map and table is made afresh from the recorded
+    terms, so the bundle owns each dict and list it holds; it shares only
+    immutable values with the record: words, coefficients, the
+    ParameterSet and the GeneratorTable.
+    """
+
+    def __init__(self, doc: ModelDocument, record: _Record, algebra: Algebra,
+                 verify: bool):
+        self.verify = verify
+        env = dict(record.names)
+        for sym, sym_name in enumerate(record.table.symbols):
+            env[sym_name] = algebra.symbol_element(sym)
+        self.bundle = ModelBundle(doc, record.params, algebra, env)
+
+    def _element(self, terms: dict) -> Element:
+        return Element(self.bundle.algebra, dict(terms))
+
+    def _made(self, kept):
+        """The value that ``_kept`` recorded, made afresh."""
+        if not isinstance(kept, tuple):
+            return kept
+        kind, terms = kept
+        if kind is Element:
+            return self._element(terms)
+        return Form(self.bundle.calculus, {key: self._element(elt)
+                                           for key, elt in terms.items()})
+
+    def value(self, name: str, kept):
+        self.bundle._env[name] = self._made(kept)
+
+    def auto(self, stmt: Statement, images: dict):
+        name = stmt.data[0]
+        algebra = self.bundle.algebra
+        endo = Endomorphism.of_symbols(
+            algebra, {sym: self._element(terms)
+                      for sym, terms in images.items()}, name)
+        if self.verify and not endo.respects_relations():
+            raise _error_at(stmt, "%r does not respect the relations" % name)
+        self.bundle.autos[name] = endo
+
+    def calc(self, stmt: Statement, weights: dict, theta_rules: dict):
+        bundle = self.bundle
+        labels = stmt.data.thetas
+        twists = {lab: bundle.autos[a] for lab, a in stmt.data.twists}
+        weights = {lab: self._element(terms)
+                   for lab, terms in weights.items()}
+        bundle.calculus = _located(stmt, Calculus, bundle.algebra, labels,
+                                   twists, weights, theta_rules)
+        for lab in labels:
+            bundle._env[lab] = bundle.calculus.theta(lab)
+        bundle._shadows.form = _Shadow(True, all(
+            (i, j) in bundle.calculus.theta_rules
+            for i in range(len(labels)) for j in range(i + 1)))
+        bundle.geometry = Geometry(bundle.calculus, {})
+
+    def extension(self, name: str, matrix: list):
+        calculus = self.bundle.calculus
+        base = self.bundle.autos[name]
+        ext = FormExtension(calculus, base, [list(row) for row in matrix])
+        for lab in calculus.labels:
+            if calculus.twists[lab] is base:
+                self.bundle.geometry.extensions[lab] = ext
+
+    def metric(self, name: str, entries: dict):
+        self.bundle.metrics[name] = TensorForm(
+            self.bundle.calculus, {key: self._element(terms)
+                                   for key, terms in entries.items()})
+
+    def connection(self, stmt: Statement, entries: dict):
+        bundle = self.bundle
+        bundle.connections[stmt.data[0]] = _located(
+            stmt, Connection, bundle.geometry,
+            {key: self._made(kept) for key, kept in entries.items()})
+
+    def check(self, data, sides):
+        """A CheckCase of the recorded sides, or, for a check that waits,
+        its data and an evaluator over this statement's environment."""
+        bundle = self.bundle
+        if sides is None:
+            bundle._checks.append((data, _Evaluator(
+                dict(bundle._env), bundle.params, bundle.calculus)))
+        else:
+            bundle._checks.append(CheckCase(data[0], *map(self._made, sides)))
+
+
 class _Builder:
-    """Builds a document into a ModelBundle, one method per statement kind."""
+    """Evaluates a document into a _Record, one method per statement kind.
+
+    Each statement's values become a record step, which fills the
+    builder's own bundle as it will fill every load's, so each statement
+    evaluates over the values that the statements before it give a load.
+    """
 
     def __init__(self, doc: ModelDocument, verify: bool):
-        self.verify = verify
-        self.known_waits = _WAITS.get(id(doc))
+        self.doc = doc
         params = ParameterSet(doc.params)
-        self.param_env = {n: RationalFunction.parameter(params, n)
-                          for n in doc.params}
         table = GeneratorTable(doc.gens, doc.invertible)
-        algebra = Algebra(params, table)
+        self.record = _Record(params, table)
+        self.param_env = dict(self.record.names)
         self.free_words = _FreeAlgebra(params, table)
-        env = dict(self.param_env)
-        for sym_name in table.symbols:
-            env[sym_name] = algebra.symbol_element(table.index(sym_name))
-        self.bundle = ModelBundle(doc, params, algebra, env)
+        self.filler = _Filler(doc, self.record, Algebra(params, table), verify)
+        self.bundle = self.filler.bundle
+
+    def evaluate(self) -> _Record:
+        """The document's record, evaluated one statement at a time; the
+        builder's bundle then holds what it gives a load."""
+        for stmt in self.doc.statements:
+            _KINDS[stmt.kind].build(self, stmt)
+        algebra = self.bundle.algebra
+        algebra.normalize_rules()
+        self.record.relations = algebra.relations
+        self.record.rules = algebra.rules
+        self.record.one = algebra._one
+        return self.record
+
+    def _step(self, kind: str, *args):
+        self.record.steps.append((kind,) + args)
+        getattr(self.filler, kind)(*args)
 
     def _element(self, expr, stmt: Statement, message: str, *args) -> Element:
         value = self.bundle._eval(expr)
@@ -1104,7 +1264,8 @@ class _Builder:
     def subst(self, stmt):
         target, expr = stmt.data
         value = _Evaluator(self.param_env, self.bundle.params, None).eval(expr)
-        self.param_env[target] = self.bundle._env[target] = value
+        self.param_env[target] = value
+        self._step("value", target, value)
 
     def auto(self, stmt):
         name, entries = stmt.data
@@ -1115,19 +1276,16 @@ class _Builder:
                       expr, stmt, "image of %r must be an element", gen_name)
                   for gen_name, expr in entries}
         endo = _located(stmt, Endomorphism, algebra, images, name)
-        if self.verify and not endo.respects_relations():
-            raise _error_at(stmt, "%r does not respect the relations" % name)
-        self.bundle.autos[name] = endo
+        self._step("auto", stmt, {sym: img.terms
+                                  for sym, img in endo.images.items()})
 
     def calc(self, stmt):
         data = stmt.data
-        bundle = self.bundle
         labels = data.thetas
-        twists = {lab: bundle.autos[a] for lab, a in data.twists}
-        weights = {lab: self._element(
-                       expr, stmt, "weight of %r must be an element", lab)
+        weights = {lab: self._element(expr, stmt, "weight of %r must be an "
+                                      "element", lab).terms
                    for lab, expr in data.weights}
-        free_thetas = _FreeAlgebra(bundle.params, GeneratorTable(labels))
+        free_thetas = _FreeAlgebra(self.bundle.params, GeneratorTable(labels))
         theta_rules = {}
         for lab1, lab2, expr in data.wedges:
             terms = _free_terms(expr, free_thetas, self.param_env)
@@ -1139,14 +1297,7 @@ class _Builder:
                         stmt, "wedge rule must be a sum of basis pairs")
                 entries.append((rf, key))
             theta_rules[(lab1, lab2)] = sorted(entries, key=lambda e: e[1])
-        bundle.calculus = _located(stmt, Calculus, bundle.algebra, labels,
-                                   twists, weights, theta_rules)
-        for lab in labels:
-            bundle._env[lab] = bundle.calculus.theta(lab)
-        bundle._shadows.form = _Shadow(True, all(
-            (i, j) in bundle.calculus.theta_rules
-            for i in range(len(labels)) for j in range(i + 1)))
-        bundle.geometry = Geometry(bundle.calculus, {})
+        self._step("calc", stmt, weights, theta_rules)
 
     def extension(self, stmt):
         name, entries = stmt.data
@@ -1168,37 +1319,29 @@ class _Builder:
         for lab in calculus.labels:
             if lab not in rows:
                 raise _error_at(stmt, "missing theta image for %r" % lab)
-        base = self.bundle.autos[name]
-        ext = FormExtension(calculus, base,
-                            [rows[lab] for lab in calculus.labels])
-        for lab in calculus.labels:
-            if calculus.twists[lab] is base:
-                self.bundle.geometry.extensions[lab] = ext
+        self._step("extension", name, [rows[lab] for lab in calculus.labels])
 
     def let(self, stmt):
         name, expr = stmt.data
-        self.bundle._env[name] = self.bundle._eval(expr)
+        self._step("value", name, _kept(self.bundle._eval(expr)))
 
     def metric(self, stmt):
         name, entries = stmt.data
         calculus = self._needs_calculus(stmt)
         terms = {}
         for lab1, lab2, expr in entries:
-            value = self._element(expr, stmt,
-                                  "metric entries must be elements")
             key = (calculus.labels.index(lab1), calculus.labels.index(lab2))
-            terms[key] = value
-        self.bundle.metrics[name] = TensorForm(calculus, terms)
+            terms[key] = self._element(
+                expr, stmt, "metric entries must be elements").terms
+        self._step("metric", name, terms)
 
     def connection(self, stmt):
-        name, entries = stmt.data
         calculus = self._needs_calculus(stmt)
         table_entries = {}
-        for index, basis, expr in entries:
+        for index, basis, expr in stmt.data[1]:
             value = calculus.embed(self.bundle._eval(expr))
-            table_entries[(calculus.labels[index - 1], basis)] = value
-        self.bundle.connections[name] = _located(
-            stmt, Connection, self.bundle.geometry, table_entries)
+            table_entries[(calculus.labels[index - 1], basis)] = _kept(value)
+        self._step("connection", stmt, table_entries)
 
     def check(self, stmt):
         """Evaluate the check now, or defer it to the first read of
@@ -1214,36 +1357,33 @@ class _Builder:
         ``subst`` does not reach the check.  Nothing else it reads changes
         later: memos only come and go, and the closed form that
         ``check_confluence`` may turn on gives the terms rewriting gives.
-        No load keeps a confluence verdict either way, since the final
-        ``normalize_rules`` drops any that a check computed.
+        No load keeps a confluence verdict either way, since every load
+        starts from the normalized rules with no verdict.
 
         The verdict follows from the document alone: the first ``auto``
         comes where the document puts it, and a trial reads only what the
         document fixes (which names are elements or forms, the values of
-        coefficient names, the wedge rules of the calc block).  So only a
-        document's first build runs the trials; ``build_model`` keeps its
-        verdicts in ``_WAITS``, one bool per check, keyed on the document
-        object and dropped with it, at most one entry of under 1 KB per
-        live document.  Later builds read them, and each still builds a
-        bundle of its own and evaluates here every check that does not
-        wait.  The expression memo (module docstring: the last 2048 trees
-        of texts of at most 32 characters, at most about 10 MB) is sound
-        for the same reason: it keeps values of immutable inputs only.
+        coefficient names, the wedge rules of the calc block).  So the
+        record keeps it, as the check step's sides: the terms of both sides
+        of a check evaluated here, or None for one that waits.  Every load
+        constructs from the record a bundle of its own, with each check
+        evaluated here made afresh from its terms and each check that waits
+        given an evaluator over its own environment.
         """
         bundle = self.bundle
-        evaluator = _Evaluator(dict(bundle._env), bundle.params,
-                               bundle.calculus)
-        if self.known_waits is not None:
-            waits = self.known_waits[len(bundle._checks)]
-        else:
-            waits = bool(bundle.autos)
-            try:
-                for side in stmt.data[1:]:
-                    bundle._trial(side)
-            except ModelSemanticError:
-                waits = False
-        bundle._checks.append((stmt.data, evaluator) if waits else
-                              _check_case(stmt.data, evaluator, bundle.algebra))
+        waits = bool(bundle.autos)
+        try:
+            for side in stmt.data[1:]:
+                bundle._trial(side)
+        except ModelSemanticError:
+            waits = False
+        sides = None
+        if not waits:
+            evaluator = _Evaluator(dict(bundle._env), bundle.params,
+                                   bundle.calculus)
+            case = _check_case(stmt.data, evaluator, bundle.algebra)
+            sides = (_kept(case.lhs), _kept(case.rhs))
+        self._step("check", stmt.data, sides)
 
 
 def _check_case(data, evaluator: _Evaluator, algebra: Algebra) -> CheckCase:
@@ -1258,24 +1398,43 @@ def _check_case(data, evaluator: _Evaluator, algebra: Algebra) -> CheckCase:
     return CheckCase(name, *sides)
 
 
-# For each document built to the end, keyed by its id: whether each of its
-# check statements waits (``_Builder.check``), in statement order.  An entry
+def _construct(doc: ModelDocument, record: _Record,
+               verify: bool) -> ModelBundle:
+    """A bundle of its own for one load, made from the record: a fresh
+    algebra on copies of the recorded rules and relations, with empty
+    memos, then every step in order.  No expression is evaluated and no
+    rule normalized."""
+    algebra = Algebra(record.params, record.table)
+    algebra._one = record.one
+    algebra.relations = [(dict(lhs), dict(rhs))
+                         for lhs, rhs in record.relations]
+    algebra.rules = {pair: [dict(rhs) for rhs in rhs_list]
+                     for pair, rhs_list in record.rules.items()}
+    algebra.rules_changed()
+    filler = _Filler(doc, record, algebra, verify)
+    for kind, *args in record.steps:
+        getattr(filler, kind)(*args)
+    return filler.bundle
+
+
+# The record of each document built to the end, keyed by its id.  An entry
 # goes when its document does, so no id is read for another document.
-_WAITS = {}
+_RECORDS = {}
 
 
 def build_model(doc: ModelDocument, verify: bool = True) -> ModelBundle:
-    """Evaluate a document into a bundle of live objects."""
-    builder = _Builder(doc, verify)
-    for stmt in doc.statements:
-        _KINDS[stmt.kind].build(builder, stmt)
-    bundle = builder.bundle
-    bundle.algebra.normalize_rules()
-    if builder.known_waits is None:
-        _WAITS[id(doc)] = tuple(not isinstance(case, CheckCase)
-                                for case in bundle._checks)
-        weakref.finalize(doc, _WAITS.pop, id(doc), None)
-    return bundle
+    """A bundle of live objects for the document, constructed from its
+    record, which the document's first build evaluates.  A verified load
+    checks its maps against the relations; on the first build the
+    evaluation has checked the maps it made, whose images the load's maps
+    copy, so they are not checked twice."""
+    record = _RECORDS.get(id(doc))
+    if record is None:
+        record = _Builder(doc, verify).evaluate()
+        _RECORDS[id(doc)] = record
+        weakref.finalize(doc, _RECORDS.pop, id(doc), None)
+        verify = False
+    return _construct(doc, record, verify)
 
 
 def load_model(text: str, verify: bool = True) -> ModelBundle:

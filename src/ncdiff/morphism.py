@@ -50,6 +50,21 @@ class Endomorphism:
             by_symbol[sym] = img
             if gen_name in table.invertible:
                 by_symbol[table.inverse_index[sym]] = _invert_monomial(img, gen_name)
+        self._set_images(by_symbol)
+
+    @classmethod
+    def of_symbols(cls, algebra: Algebra, images: dict,
+                   name: str | None = None) -> "Endomorphism":
+        """The map with these images by symbol, inverse symbols included,
+        as ``__init__`` derives them from images that it accepted; nothing
+        is checked again."""
+        endo = cls.__new__(cls)
+        endo.algebra = algebra
+        endo.name = name
+        endo._set_images(images)
+        return endo
+
+    def _set_images(self, by_symbol: dict) -> None:
         self.images = by_symbol
         self._scales = _scales(by_symbol)
         # word -> its scale under a diagonal map, else its image

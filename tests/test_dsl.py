@@ -666,12 +666,12 @@ def refuse(bundle, node):
 @pytest.fixture
 def eager(monkeypatch):
     """Load with every check evaluated at load, as a gate that clears
-    nothing would.  The patched gate decides over an empty memo of
-    deferrals, which goes with the patch, so no verdict of a document built
-    before skips it and none of its verdicts outlives it."""
+    nothing would.  The patched gate decides over an empty record table,
+    which goes with the patch, so no record of a document built before
+    skips it and none of its records outlives it."""
     def load(build):
         with monkeypatch.context() as patch:
-            patch.setattr(dsl, "_WAITS", {})
+            patch.setattr(dsl, "_RECORDS", {})
             patch.setattr(dsl.ModelBundle, "_trial", refuse)
             return build(verify=False)
     return load
@@ -679,7 +679,9 @@ def eager(monkeypatch):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """The names of the checks evaluated so far, in order."""
+    """The names of the checks evaluated so far, in order.  The record
+    table starts empty, so each document's first load evaluates it."""
+    monkeypatch.setattr(dsl, "_RECORDS", {})
     names = []
     evaluate = dsl._check_case
 
@@ -867,9 +869,9 @@ class TestDeferredChecks:
     def test_the_gate_does_no_engine_arithmetic(self, monkeypatch):
         """The trials of every check of every builtin multiply, raise to a
         power, wedge, differentiate and twist no engine value, while the
-        rest of each load does.  The memo of deferrals starts empty, so
-        every check is tried."""
-        monkeypatch.setattr(dsl, "_WAITS", {})
+        rest of each load does.  The record table starts empty, so every
+        document is evaluated and every check is tried."""
+        monkeypatch.setattr(dsl, "_RECORDS", {})
         inside = []
         calls = collections.Counter()
         for owner, name in [(dsl.Element, "__mul__"), (dsl.Element, "__pow__"),
@@ -899,7 +901,9 @@ class TestDeferredChecks:
 
 def test_rule_free_algebras_keep_no_memo(monkeypatch):
     """The algebras that only read relation and wedge terms take each word
-    as its own normal form."""
+    as its own normal form.  The record table starts empty, so the load
+    evaluates its document."""
+    monkeypatch.setattr(dsl, "_RECORDS", {})
     made = []
 
     class Recorded(dsl._FreeAlgebra):

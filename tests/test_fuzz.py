@@ -31,6 +31,12 @@ stderr: the repeat parses its expression from the memo the first run left
 it does not hold for that text, shows here.  The fuzzer counts the repeats
 it checked.
 
+The ``nf`` and ``verify`` commands of a model text that loads each run a
+second time over an empty record table (``dsl._RECORDS``), which evaluates
+the text afresh, and must end as the first run did, which constructed its
+bundle from the record kept for the text.  A record that dropped or
+changed a value shows here.  The fuzzer counts these replays.
+
 A model text that loads (``load_model`` with ``verify=False``) must also
 evaluate every check it deferred when its ``checks`` are read: a check is
 deferred only when its evaluation cannot raise.  The fuzzer counts the
@@ -263,6 +269,7 @@ class Fuzzer:
         self.loaded = 0
         self.deferred = 0
         self.repeats = 0
+        self.replays = 0
         self._bundles = {}
         self._vocab = {}
 
@@ -284,15 +291,15 @@ class Fuzzer:
         shown = [a if len(a) < 200 else a[:200] + "..." for a in argv]
         self.failures.append("%s: %s" % (shown, reason))
 
-    def check(self, argv, expr=None, repeat=False):
+    def check(self, argv, expr=None, again=None):
         """Run argv and apply the oracles; a plain nf run passes its
-        expression for the parse-back oracle, and an expression case asks
-        for the warm repeat."""
+        expression for the parse-back oracle, and ``again`` (``repeat`` or
+        ``replay``) runs argv a second time against the first run."""
         self.runs += 1
         first = run_cli(argv)
         rc, out, err, trace = first
-        if repeat:
-            self.repeat(argv, first)
+        if again is not None:
+            again(argv, first)
         if trace is not None:
             self.fail(argv, "exception escaped:\n" + trace)
             return
@@ -314,6 +321,21 @@ class Fuzzer:
             self.fail(argv, "a second run gave %.300r after %.300r"
                       % (again[:3], first[:3]))
 
+    def replay(self, argv, first):
+        """Run argv again over an empty record table, so that its model
+        text is evaluated afresh; it must end as the first run did, whose
+        load constructed its bundle from the record kept for the text."""
+        self.replays += 1
+        kept = dsl._RECORDS
+        dsl._RECORDS = {}
+        try:
+            again = run_cli(argv)
+        finally:
+            dsl._RECORDS = kept
+        if again[:3] != first[:3]:
+            self.fail(argv, "a run over an empty record table gave %.300r "
+                      "after %.300r" % (again[:3], first[:3]))
+
     def parse_back(self, argv, expr, printed):
         """Evaluate the printed value in the model of the run, argv[1]."""
         self.values += 1
@@ -328,19 +350,20 @@ class Fuzzer:
             self.fail(argv, "printed %r differs from the value by %s"
                       % (printed[:300], str(diff)[:300]))
 
-    def nf(self, spec, expr, fmt, repeat=False):
+    def nf(self, spec, expr, fmt, again=None):
         argv = ["nf", spec, "--expr=" + expr]
         if fmt == "plain":
-            self.check(argv, expr, repeat)
+            self.check(argv, expr, again)
         else:
-            self.check(argv + ["--format", fmt], None, repeat)
+            self.check(argv + ["--format", fmt], None, again)
 
     def deferred_checks(self, path, data):
-        """Load the text, if it loads, and read its checks."""
+        """Load the text, if it loads, and read its checks; whether it
+        loaded."""
         try:
             bundle = dsl.load_model(data.decode("utf-8"), verify=False)
         except Exception:
-            return
+            return False
         self.loaded += 1
         self.deferred += sum(not isinstance(case, dsl.CheckCase)
                              for case in bundle._checks)
@@ -349,18 +372,20 @@ class Fuzzer:
         except Exception:
             self.fail(["load_model", path], "reading the deferred checks "
                       "raised:\n" + traceback.format_exc())
+        return True
 
     def text(self, rng, data, directory):
         """Write the bytes of a model text, read its deferred checks, and
-        run all four subcommands on it."""
+        run all four subcommands on it; a text that loads has its nf and
+        verify runs replayed over an empty record table."""
         path = os.path.join(directory, "case.ncd")
         with open(path, "wb") as handle:
             handle.write(data)
-        self.deferred_checks(path, data)
+        replay = self.replay if self.deferred_checks(path, data) else None
         self.nf(path, expression(rng, self.vocabulary("quantum-torus"), 2),
-                "plain")
+                "plain", replay)
         self.check(["verify", path, "--samples", "3",
-                    "--seed", str(rng.randrange(100))])
+                    "--seed", str(rng.randrange(100))], None, replay)
         self.check(["relations", path, "--forms", "dx,dy",
                     "--elements", "x,y"])
         self.check(["confluence", path])
@@ -399,15 +424,15 @@ class Fuzzer:
                 else:
                     expr = stress_expression(rng, vocab)
                     fmt = "plain"
-                self.nf("builtin:" + model, expr, fmt, repeat=True)
+                self.nf("builtin:" + model, expr, fmt, self.repeat)
         return self
 
 
 def defer_every_check(monkeypatch):
     """Patch in a gate that defers every check.  It decides over an empty
-    memo of deferrals, so the documents built before are tried again, and
-    the memo goes with the patch."""
-    monkeypatch.setattr(dsl, "_WAITS", {})
+    record table, so the documents built before are evaluated again, and
+    the table goes with the patch."""
+    monkeypatch.setattr(dsl, "_RECORDS", {})
     monkeypatch.setattr(dsl.ModelBundle, "_trial", lambda self, node: 0)
 
 
@@ -415,6 +440,7 @@ def test_fuzz_cli():
     fuzzer = Fuzzer().run(seed=0, cases=450)
     assert fuzzer.values > 200 and fuzzer.loaded > 0 and fuzzer.deferred > 0
     assert fuzzer.repeats == 450 * 5 // 6
+    assert fuzzer.replays == 2 * fuzzer.loaded == 8
     assert not fuzzer.failures, "\n\n".join(fuzzer.failures[:5])
 
 

@@ -15,6 +15,9 @@ The ``{localized}`` placeholder stands for the exported document of the
 builtin gl-pq2-localized; its case shares the builtin's golden file, which
 the table ``_SHARED_GOLDEN`` records.
 
+Each case runs twice in a row, and the second run, whose load constructs
+its bundle from the record the first one kept, must give the same bytes.
+
 After an intended output change, regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -26,6 +29,7 @@ import pathlib
 
 import pytest
 
+from ncdiff import dsl
 from ncdiff.cli import main
 from ncdiff.dsl import export_model
 from ncdiff.models import build_glpq, model_source
@@ -148,12 +152,21 @@ def clean_seed(monkeypatch):
 
 @pytest.mark.parametrize("name,argv,exit_code", CASES,
                          ids=[case[0] for case in CASES])
-def test_golden(name, argv, exit_code, tmp_path):
+def test_golden(name, argv, exit_code, tmp_path, monkeypatch):
+    """The case, then the case again in the same process, whose load
+    constructs its bundle from the record the first run kept: no document
+    is evaluated the second time."""
     rc, out = _run(argv, tmp_path)
     golden = _SHARED_GOLDEN.get(name, name)
     expected = (GOLDEN_DIR / (golden + ".txt")).read_bytes()
     assert out.encode() == expected
     assert rc == exit_code
+    evaluated = []
+    evaluate = dsl._Builder.evaluate
+    monkeypatch.setattr(dsl._Builder, "evaluate", lambda builder: (
+        evaluated.append(builder.doc.name) or evaluate(builder)))
+    assert _run(argv, tmp_path) == (exit_code, expected.decode())
+    assert evaluated == []
 
 
 def test_golden_warm_in_reverse_order(tmp_path):

@@ -1,36 +1,44 @@
 """The load memos: parsed texts, expression trees, the gl-pq2 documents
-and the deferrals of built documents.
+and the records of built documents.
 
 ``dsl.parse_model`` memoizes its parse on the source text,
 ``dsl._parse_expression_text`` memoizes the tree of a short expression
 text, and ``models._glpq_document`` keeps the gl-pq2 and gl-pq2-localized
 documents for the process.  Documents and trees are immutable, so these
 memos hand out the one value they hold.  ``dsl.build_model`` keeps, for
-each document it built, which of its checks wait (``dsl._WAITS``).
+each document it built, its record (``dsl._RECORDS``): what evaluating the
+document gave, from which every load constructs its bundle.
 
 These tests check that every statement of a parsed or derived document,
 and every memoized tree, holds only immutable values; that a memo answers
 each text with that text's own parse, never stores an error and stays
 within its bound; that the gl-pq2 documents are derived as a fresh parse
-and build would derive them; that a warm build defers what a cold one
-does, and its deferrals go with the document; and that every load still
-builds a bundle of its own.
+and build would derive them; that a load constructed from a record holds
+what evaluation gave, term for term and in stored order, and defers what
+a cold build does; that a record goes with its document, is never kept
+for a build that raises, and stays within the bound the ``dsl`` docstring
+states; that a verified load still checks the maps of a record made
+unverified; and that every load still gets a bundle of its own, sharing
+only immutable values with other loads and with the record.
 """
 
 import gc
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from ncdiff import dsl
+from ncdiff.algebra import AlgebraError, Element, GeneratorTable
+from ncdiff.coeff import ParameterSet, RationalFunction
 from ncdiff.dsl import (CheckCase, ModelDocument, ModelError,
                         ModelSemanticError, ModelSyntaxError, build_model,
                         export_model, parse_model, parse_statement)
 from ncdiff.models import (BUILTINS, _adjoin_det_inverse, _det_scales,
                            _glpq_document, _with_mirror_checks,
-                           available_models, model_source)
+                           available_models, model_source, run_suite)
 
 # sha256 of export_model of the gl-pq2-localized document, as the builder
 # wrote it when it built gl-pq2 once per load.
@@ -285,7 +293,7 @@ def test_expression_memo_stays_within_its_bound(repo_module):
     assert _EXPRESSIONS.cache_info().currsize == bound
 
 
-# -- the deferrals of built documents ------------------------------------------
+# -- the records of built documents -------------------------------------------
 
 def _loadable_documents(texts):
     """Every parsed document that builds with verify=False, then the
@@ -299,6 +307,22 @@ def _loadable_documents(texts):
         docs.append(doc)
     assert len(docs) >= 10
     return docs + [build(verify=False).doc for build in BUILTINS.values()]
+
+
+def _rfree_text():
+    text = model_source("gl-pq2")
+    assert "subst r = p*q;\n" in text
+    return text.replace("subst r = p*q;\n", "")
+
+
+def _recorded_documents(texts, repo_module):
+    """The loadable documents, the rank-3..5 spaces of the benchmark at two
+    seeds each, and the r-free gl-pq2 text, each document once."""
+    rank_n_text = repo_module("bench/workloads.py").rank_n_text
+    extra = [rank_n_text(n, seed) for n in (3, 4, 5) for seed in (7, 1000 + n)]
+    docs = _loadable_documents(texts) + [parse_model(text) for text in
+                                         extra + [_rfree_text()]]
+    return list({id(doc): doc for doc in docs}.values())
 
 
 def _deferrals(bundle):
@@ -315,34 +339,275 @@ def _no_trial(bundle, node):
 
 
 def test_a_warm_build_defers_what_a_cold_one_does(texts, monkeypatch):
-    """Each document is built cold, the memo cleared before it.  Then the
-    documents are built again, each first over the memo another document
-    left, and then once more warm, with every trial refused: each time the
-    same checks wait, at the same positions, and read the same sides."""
-    monkeypatch.setattr(dsl, "_WAITS", {})
+    """Each document is built cold, the record table cleared before it.
+    Then the documents are built again, each first over the table another
+    document left, and then once more warm, with every trial refused: each
+    time the same checks wait, at the same positions, and read the same
+    sides."""
+    monkeypatch.setattr(dsl, "_RECORDS", {})
     docs = _loadable_documents(texts)
     cold = []
     for doc in docs:
-        dsl._WAITS.clear()
+        dsl._RECORDS.clear()
         cold.append(_deferrals(build_model(doc, verify=False)))
     assert sum(bool(waiting) for waiting, _ in cold) >= 10
     for doc, want in zip(docs, cold):
         assert _deferrals(build_model(doc, verify=False)) == want
-    assert set(dsl._WAITS) == {id(doc) for doc in docs}
+    assert set(dsl._RECORDS) == {id(doc) for doc in docs}
     monkeypatch.setattr(dsl.ModelBundle, "_trial", _no_trial)
     for doc, want in zip(reversed(docs), reversed(cold)):
         assert _deferrals(build_model(doc, verify=False)) == want
 
 
+def _waits(record):
+    return [step[2] is None for step in record.steps if step[0] == "check"]
+
+
 def test_the_deferrals_of_a_document_go_with_it(monkeypatch):
-    monkeypatch.setattr(dsl, "_WAITS", {})
+    """The record of a document, which holds whether each check waits, goes
+    with the document; a build that raises leaves none."""
+    monkeypatch.setattr(dsl, "_RECORDS", {})
     torus = model_source("quantum-torus")
     doc = ModelDocument(parse_model(torus).statements, "copy")
     build_model(doc, verify=False)
-    assert dsl._WAITS == {id(doc): (False, False, True)}
+    assert list(dsl._RECORDS) == [id(doc)]
+    assert _waits(dsl._RECORDS[id(doc)]) == [False, False, True]
     del doc
     gc.collect()
-    assert dsl._WAITS == {}
+    assert dsl._RECORDS == {}
     with pytest.raises(ModelSemanticError):
         build_model(parse_model(torus + 'check "c": x/(q - q) == x;\n'))
-    assert dsl._WAITS == {}
+    assert dsl._RECORDS == {}
+
+
+def _coeff(rf):
+    return list(rf.num.terms.items()), list(rf.den.terms.items())
+
+
+def _terms(terms):
+    """Element terms in stored order, each coefficient as its layout."""
+    return [(word, _coeff(c)) for word, c in terms.items()]
+
+
+def _value(value):
+    """The type, printed text and stored layout of a value."""
+    if isinstance(value, RationalFunction):
+        layout = _coeff(value)
+    elif isinstance(value, Element):
+        layout = _terms(value.terms)
+    else:
+        layout = [(key, _terms(elt.terms)) for key, elt in value.terms.items()]
+    return type(value).__name__, str(value), layout
+
+
+def _check_layout(case):
+    if isinstance(case, CheckCase):
+        return case.name, _value(case.lhs), _value(case.rhs)
+    return "waits", case[0]
+
+
+def _layout(bundle):
+    """Everything a load holds, in stored order, down to the terms of every
+    coefficient; the deferred checks are read at the end."""
+    algebra = bundle.algebra
+    out = [("rules", [(pair, [_terms(rhs) for rhs in rhs_list])
+                      for pair, rhs_list in algebra.rules.items()]),
+           ("relations", [(_terms(lhs), _terms(rhs))
+                          for lhs, rhs in algebra.relations]),
+           ("env", [(name, _value(v)) for name, v in bundle._env.items()]),
+           ("autos", [(name, [(sym, _terms(img.terms))
+                              for sym, img in endo.images.items()],
+                       None if endo._scales is None else
+                       [(sym, _coeff(c)) for sym, c in endo._scales.items()])
+                      for name, endo in bundle.autos.items()]),
+           ("checks", [_check_layout(case) for case in bundle._checks])]
+    calc = bundle.calculus
+    if calc is not None:
+        out += [("calculus", calc.labels,
+                 [(lab, calc.twists[lab].name, _terms(w.terms))
+                  for lab, w in calc.weights.items()],
+                 [(key, [(_coeff(rf), pair) for rf, pair in entries])
+                  for key, entries in calc.theta_rules.items()]),
+                ("extensions", [(lab, ext.base.name,
+                                 [[_coeff(rf) for rf in row]
+                                  for row in ext.matrix])
+                                for lab, ext in
+                                bundle.geometry.extensions.items()]),
+                ("metrics", [(name, _value(metric))
+                             for name, metric in bundle.metrics.items()]),
+                ("connections", [(name, [(key, _value(form))
+                                         for key, form in conn.table.items()])
+                                 for name, conn in bundle.connections.items()])]
+    out.append(("read", [_check_layout(case) for case in bundle.checks]))
+    return out
+
+
+def _suite(bundle):
+    """The suite's records at seeds 0 and 1, or what a run raises."""
+    out = []
+    for seed in (0, 1):
+        try:
+            out.append([(r.anchor, r.name, r.status, r.witness)
+                        for r in run_suite(bundle, seed).results])
+        except AlgebraError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def test_construction_equals_evaluation_term_for_term(texts, repo_module,
+                                                      monkeypatch):
+    """Each document is built over an empty record table, which evaluates
+    it, and then again from the record kept: the builder's own bundle, the
+    first load and the second hold the same values in the same stored
+    layout, and the suite gives the same records on all three."""
+    docs = _recorded_documents(texts, repo_module)
+    monkeypatch.setattr(dsl, "_RECORDS", {})
+    evaluated = []
+    evaluate = dsl._Builder.evaluate
+
+    def kept(builder):
+        record = evaluate(builder)
+        evaluated.append(builder.bundle)
+        return record
+    monkeypatch.setattr(dsl._Builder, "evaluate", kept)
+    ran = 0
+    for i, doc in enumerate(docs):
+        first = build_model(doc, verify=False)
+        second = build_model(doc, verify=False)
+        assert len(evaluated) == i + 1
+        want = _layout(evaluated[i])
+        assert _layout(first) == want, doc.name
+        assert _layout(second) == want, doc.name
+        suite = _suite(evaluated[i])
+        assert _suite(first) == suite and _suite(second) == suite, doc.name
+        ran += isinstance(suite[0], list)
+    assert len(evaluated) == len(docs) >= 100 and ran >= 90
+
+
+_UNSHARED = (str, int, bool, type(None), type, RationalFunction,
+             ParameterSet, GeneratorTable, ModelDocument)
+
+
+def _objects(*roots):
+    """id -> object of every dict, list and engine object reachable from
+    the roots through containers and attributes.  Tuples are walked, and
+    immutable values are neither walked nor kept."""
+    seen = {}
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, _UNSHARED) or id(obj) in seen:
+            continue
+        if isinstance(obj, tuple):
+            stack.extend(obj)
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, set)):
+            stack.extend(obj)
+        else:
+            slots = [name for cls in type(obj).__mro__
+                     for name in getattr(cls, "__slots__", ())]
+            stack.extend(getattr(obj, name) for name in slots
+                         if hasattr(obj, name))
+            stack.extend(getattr(obj, "__dict__", {}).values())
+    return seen
+
+
+def _load_objects(bundle):
+    geometry = bundle.geometry
+    return _objects(bundle.algebra.rules, bundle.algebra.relations,
+                    bundle._env, bundle.autos, bundle.calculus,
+                    geometry and geometry.extensions, bundle.metrics,
+                    bundle.connections, bundle._checks)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_loads_share_only_immutable_values(name):
+    """Two loads of one document, and its record, share no dict, list or
+    engine object: only words, coefficients, the ParameterSet and the
+    GeneratorTable, which nothing changes."""
+    first = BUILTINS[name](verify=False)
+    second = BUILTINS[name](verify=False)
+    record = dsl._RECORDS[id(first.doc)]
+    mine, theirs = _load_objects(first), _load_objects(second)
+    kept = _objects(record)
+    assert len(mine) > 100 and len(kept) > 50
+    assert not mine.keys() & theirs.keys()
+    assert not mine.keys() & kept.keys()
+    assert not theirs.keys() & kept.keys()
+    assert first.params is second.params is record.params
+    assert first.algebra.table is second.algebra.table is record.table
+    types = {type(obj).__name__ for obj in mine.values()}
+    assert {"dict", "list", "Element", "Form", "Endomorphism", "Calculus",
+            "Algebra"} <= types
+
+
+def test_a_build_that_raises_keeps_no_record_and_raises_again(monkeypatch):
+    monkeypatch.setattr(dsl, "_RECORDS", {})
+    doc = parse_model(model_source("quantum-torus")
+                      + 'check "c": x/(q - q) == x;\n')
+    raised = []
+    for _ in range(2):
+        with pytest.raises(ModelSemanticError) as info:
+            build_model(doc, verify=False)
+        raised.append((info.value.message, info.value.line, info.value.col))
+        assert dsl._RECORDS == {}
+    assert raised[0] == raised[1] == ("division by zero", 65, 13)
+
+
+def test_a_verified_load_checks_the_maps_a_record_holds(monkeypatch):
+    """The r-free gl-pq2 text builds unverified; a verified load from that
+    record then fails as a cold verified build does."""
+    monkeypatch.setattr(dsl, "_RECORDS", {})
+    doc = parse_model(_rfree_text())
+    with pytest.raises(ModelSemanticError) as cold:
+        build_model(doc, verify=True)
+    assert dsl._RECORDS == {}
+    build_model(doc, verify=False)
+    assert list(dsl._RECORDS) == [id(doc)]
+    with pytest.raises(ModelSemanticError) as warm:
+        build_model(doc, verify=True)
+    raised = [(info.value.message, info.value.line, info.value.col)
+              for info in (cold, warm)]
+    assert raised[0] == raised[1]
+    assert raised[0][0] == "'phi1' does not respect the relations"
+
+
+def test_the_record_of_gl_pq2_localized_is_bounded():
+    """The record's size as tracemalloc counts it, within the bound the
+    dsl docstring states; an evaluation before warms the process."""
+    doc = _glpq_document(True)
+    dsl._Builder(doc, False).evaluate()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        record = dsl._Builder(doc, False).evaluate()
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert record.steps and 20_000 < size < 150_000
+
+
+def test_a_document_equals_itself_without_an_export(monkeypatch):
+    doc = _glpq_document(True)
+    exports = []
+    export = dsl.export_model
+
+    def counted(document):
+        exports.append(document)
+        return export(document)
+    monkeypatch.setattr(dsl, "export_model", counted)
+    assert doc == doc
+    assert exports == []
+    copy = ModelDocument(doc.statements, doc.name)
+    assert copy == doc and doc == copy
+    assert doc != _glpq_document(False)
+    assert ModelDocument(doc.statements, "other") != doc
+    assert len(exports) == 8
+    with pytest.raises(TypeError):
+        hash(doc)

@@ -5,9 +5,10 @@
 The cases and the oracles are those of ``tests/test_fuzz.py``, which runs a
 short sweep of seed 0 in the test suite: expressions over the shipped
 models, the stress classes, and one-token mutations of the quantum-torus
-text through all four subcommands, each expression case run twice.  The
-sweep prints one line of counts and then every failure, and exits 1 when
-there is one.
+text through all four subcommands, each expression case run twice, and
+the nf and verify runs of each text that loads replayed over an empty
+record table.  The sweep prints one line of counts and then every
+failure, and exits 1 when there is one.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     fuzzer = load_fuzzer().Fuzzer().run(args.seed, args.cases)
     print("seed %d: %d cases, %d runs, %d values parsed back, %d texts "
-          "loaded, %d deferred checks read, %d repeats checked, %d failures, "
-          "%.1f s"
+          "loaded, %d deferred checks read, %d repeats checked, %d replays "
+          "checked, %d failures, %.1f s"
           % (args.seed, args.cases, fuzzer.runs, fuzzer.values,
-             fuzzer.loaded, fuzzer.deferred, fuzzer.repeats,
+             fuzzer.loaded, fuzzer.deferred, fuzzer.repeats, fuzzer.replays,
              len(fuzzer.failures), time.perf_counter() - start))
     for failure in fuzzer.failures:
         print(failure)
