@@ -52,6 +52,23 @@ multi-term power whose coefficients and rule coefficients are all over 1 is
 taken with packed exponent vectors (``Element._packed_power``), cancelling
 and ordering terms as the products do, so it stores the loop's terms.
 
+Each step of that power multiplies every coefficient ``c1`` it holds by
+each base coefficient ``c2`` and by the coefficient ``f`` of the normal
+form of each product of their words, and adds the result.  It reads every
+normal form once, packing each single-term coefficient into one monomial
+code and one rational factor and finding the step's largest exponent in
+the same pass.  Where ``f`` has one term, the step adds straight into the
+target word's coefficient, term by term in order, each term shifted by the
+codes and scaled by the factors: the terms of ``c1`` by those of ``c2`` and
+``f`` where ``c2`` has one term too, else the terms of ``c1*c2``, taken
+once per pair, by those of ``f``.  That stores what multiplying and then
+adding stores: the arithmetic is exact, so ``(ca*cb)*cf == ca*(cb*cf)``,
+the codes add the same way, and a product by a single nonzero term never
+cancels, so only the sum drops terms.  A multi-term ``f`` is multiplied
+and added as a polynomial.  A power whose exponents outgrow its packing
+repacks into one sized for four times the bound reached, so that it
+repacks once or twice.
+
 Closed form.  An algebra is q-commuting when its rules are exactly: a unit
 swap ``h*b -> c_hb*b*h`` for every pair of base generators ``h > b``; the
 swaps of their inverse symbols, by ``c_hb`` when both or neither symbol is an
@@ -118,9 +135,11 @@ last run of ``P`` and one on the first of ``S``.  Each normal word ``w`` of
 the block then ends as ``NF(P*w*S)``, one word times a unit that depends on
 ``w`` alone, and where those words are distinct the stored normal form is
 the entry's, each word moved and its coefficient times its unit.  Any other
-product is rewritten.  A power asks for the tables only when it first meets
-a junction under a rule other than a unit swap or cancel; before that,
-rewriting takes each product in a few run steps.
+product is rewritten.  The tables serve a power from its first product.
+The facts they rest on depend on the rules alone, so an algebra built from
+a document's record (``Algebra.presented``) takes the run index, the rule
+shapes and the tables' layout from there, and one built otherwise derives
+them on first use.
 
 Why the tables need no confluence.  Rewriting is a function of the word
 whatever the overlaps do: leftmost reduction with the first rule of each
@@ -152,7 +171,7 @@ Multiplying by a Laurent unit only shifts and scales terms, so it commutes,
 term for term, with the sums and products of the reduction: moving a carry
 or run step, or scaling an accumulated entry by the unit of its word, does
 not change what is stored.  Only the prefix rests on a shape, that of the
-bases below ``left``, and ``_RunTables.of`` tests it; no part needs the
+bases below ``left``, and ``_RunTables.layout`` tests it; no part needs the
 whole algebra to be confluent.
 
 Elements here, forms in ``calculus`` and tensors in ``geometry`` are all
@@ -480,33 +499,59 @@ class Element(LinearSum):
         """self**n, factor by factor as the loop takes it, for a sum whose
         coefficients and normal forms are Laurent polynomials over 1."""
         alg = self.algebra
+        size = len(alg.params)
         base = [(w, c.num.terms) for w, c in self.terms.items()]
+        words = [w for w, _ in base]
         reach = bound = max((abs(e) for _, t in base for m in t for e in m),
                             default=0)
-        packing = _Packing(len(alg.params), bound)
+        packing = _Packing(size, bound)
         out = {w: packing.pack(t) for w, t in base}
+        factors = _factors(base, packing)
         product = alg._normal_product()
+        one = alg._one
         for _ in range(n - 1):
-            forms = [product(w1, w2) for w1 in out for w2, _ in base]
-            bound += reach + max((abs(e) for nf in forms for c in nf.values()
-                                  for m in c.num.terms for e in m), default=0)
+            forms = [product(w1, w2) for w1 in out for w2 in words]
+            rows, top = _scanned(forms, packing.units, one)
+            bound += reach + top
             if bound >= packing.half:
-                old, packing = packing, _Packing(len(alg.params), bound)
+                old, packing = packing, _Packing(size, _HEADROOM * bound)
                 out = {w: packing.pack(old.unpacked(c))
                        for w, c in out.items()}
-            factors = [packing.pack(t) for _, t in base]
-            forms = iter(forms)
+                factors = _factors(base, packing)
+                rows = _scanned(forms, packing.units, one)[0]
+            rows = iter(rows)
             terms = {}
             for c1 in out.values():
-                for c2 in factors:
-                    coeff = _packed_product(c1, c2)
-                    for word, c in next(forms).items():
-                        c = coeff if c.num.is_one() else _packed_product(
-                            coeff, packing.pack(c.num.terms))
+                for pb, cb, c2 in factors:
+                    coeff = None
+                    for word, pm, f in next(rows):
+                        if coeff is None and (pb is None or pm is None):
+                            coeff = _packed_product(c1, c2)
+                        if pm is None:
+                            c = _packed_product(coeff, f)
+                            prev = terms.get(word)
+                            if prev is None:
+                                terms[word] = dict(c)
+                            elif not _packed_add(prev, c):
+                                del terms[word]
+                            continue
+                        if pb is None:
+                            source, shift, scale = coeff, pm, f
+                        else:
+                            source, shift, scale = c1, pb + pm, cb * f
                         prev = terms.get(word)
                         if prev is None:
-                            terms[word] = dict(c)
-                        elif not _packed_add(prev, c):
+                            terms[word] = {k + shift: v * scale
+                                           for k, v in source.items()}
+                            continue
+                        for k, v in source.items():
+                            k += shift
+                            v = prev.get(k, 0) + v * scale
+                            if v:
+                                prev[k] = v
+                            else:
+                                del prev[k]
+                        if not prev:
                             del terms[word]
             out = terms
         return Element(alg, {w: RationalFunction._make(Polynomial._make(
@@ -601,6 +646,54 @@ def _packed_product(a: dict, b: dict) -> dict:
     return out
 
 
+# A packing that a power outgrows is replaced by one sized for this many
+# times the bound it reached, so that a power repacks once or twice.
+_HEADROOM = 4
+
+
+def _factors(base, packing: _Packing) -> list:
+    """``(monomial, factor, packed terms)`` for each single-term coefficient
+    of a power's base, and ``(None, None, packed terms)`` for the rest."""
+    out = []
+    for _, terms in base:
+        packed = packing.pack(terms)
+        m = f = None
+        if len(packed) == 1:
+            (m, f), = packed.items()
+        out.append((m, f, packed))
+    return out
+
+
+def _scanned(forms, units, one):
+    """Each normal form as a row of ``(word, monomial, factor)``, the
+    monomial packed by ``units``, for each single-term coefficient, and of
+    ``(word, None, packed terms)`` for the others; and the largest absolute
+    exponent of their coefficients."""
+    top = 0
+    rows = []
+    for nf in forms:
+        row = []
+        for word, c in nf.items():
+            if c is one:
+                row.append((word, 0, 1))
+                continue
+            terms = c.num.terms
+            for m in terms:
+                for e in m:
+                    if e > top:
+                        top = e
+                    elif -e > top:
+                        top = -e
+            if len(terms) == 1:
+                (m, f), = terms.items()
+                row.append((word, sum(map(mul, m, units)), f))
+            else:
+                row.append((word, None, {sum(map(mul, m, units)): f
+                                         for m, f in terms.items()}))
+        rows.append(row)
+    return rows, top
+
+
 # A length-three overlap (or duplicated pair) with distinct normal forms.
 ConfluenceViolation = namedtuple("ConfluenceViolation", "word left right")
 
@@ -618,6 +711,32 @@ class Algebra:
         self.reduction_count = 0
         self.rules_changed()
 
+    @classmethod
+    def presented(cls, params: ParameterSet, table: GeneratorTable, one,
+                  relations: list, rules: dict, facts) -> "Algebra":
+        """An algebra that takes these relations, rules and 1 as its own,
+        with empty memos, given the ``rule_facts`` of an algebra holding the
+        same rules: no rule is indexed or tested."""
+        algebra = cls.__new__(cls)
+        algebra.params, algebra.table, algebra._one = params, table, one
+        algebra.relations, algebra.rules = relations, rules
+        algebra.reduction_count = 0
+        runs, shapes, layout = facts
+        algebra._runs = dict(runs)
+        algebra._rules_moved()
+        algebra._shapes = shapes
+        algebra._layout = layout or False
+        return algebra
+
+    def rule_facts(self):
+        """What ``rules_changed`` and the shape tests derive from the rules:
+        the run index, which ``presented`` copies, the rule shapes as two
+        frozensets, and the run-pair layout, or None where the tables
+        refuse the rules."""
+        bases, pairs = self._rule_shapes()
+        return (self._runs, (frozenset(bases), frozenset(pairs)),
+                self._run_layout() or None)
+
     # -- presentation ----------------------------------------------------
 
     def _add_rule(self, pair, rhs_terms: dict) -> None:
@@ -634,13 +753,14 @@ class Algebra:
 
     def _rules_moved(self) -> None:
         """Forget the memoized normal forms, the confluence verdict, and
-        the rule shapes with the closed form and the run-pair tables that
-        rest on them."""
+        the rule shapes and run-pair layout with the closed form and the
+        run-pair tables that rest on them."""
         self._nf_cache = {}
         self._confluent = None
         self._closed_form = None
         self._tables = None
         self._shapes = None
+        self._layout = None
 
     def _index_run(self, pair) -> None:
         """Record whether the first rule for a pair is a unit swap or cancel."""
@@ -905,6 +1025,13 @@ class Algebra:
             self._shapes = _q_commuting_shapes(self)
         return self._shapes
 
+    def _run_layout(self):
+        """``_RunTables.layout`` of the rules, or False where the tables
+        refuse them; kept until the rules change."""
+        if self._layout is None:
+            self._layout = _RunTables.layout(self) or False
+        return self._layout
+
     def _closed(self):
         """The closed form of a q-commuting algebra, else None; built from
         the shapes once per change of the rules.  A rule other than a unit
@@ -921,27 +1048,19 @@ class Algebra:
         """The function ``(u, v) -> NF(u*v)`` of two normal words that
         ``Element._packed_power`` takes its normal forms from.
 
-        A q-commuting algebra takes them all in closed form.  Otherwise
-        rewriting takes a product whose junction has no rule, or a unit swap
-        or cancel, in a few run steps, while the shape tests that the
-        run-pair tables need cost more than the tables save on a power that
-        meets only such junctions; so the tables are first asked for at a
-        junction under any other rule.  Where they accept the rules they
-        take that product and every later one, else ``normal_form_word``
-        takes them all.
+        A q-commuting algebra takes them all in closed form.  Otherwise the
+        run-pair tables take every product where they accept the rules, and
+        ``normal_form_word`` takes them all where they refuse.
         """
-        self._closed()
+        if self._closed() is None:
+            if self._tables is None:
+                layout = self._run_layout()
+                self._tables = layout and _RunTables(self, *layout)
+            if self._tables:
+                return self._tables.product
         normal_form_word = self.normal_form_word
-        rules, runs = self.rules, self._runs
 
         def product(u, v):
-            tables = self._tables
-            if tables is None and u and v:
-                pair = (u[-1][0], v[0][0])
-                if pair in rules and pair not in runs:
-                    tables = self._tables = _RunTables.of(self) or False
-            if tables:
-                return tables.product(u, v)
             return normal_form_word(_join_words(u, v))
         return product
 
@@ -1157,12 +1276,11 @@ class _RunTables:
         self.entries = {}
         self.one = algebra._one
 
-    @classmethod
-    def of(cls, algebra: "Algebra"):
-        """The tables of an algebra whose rules have an ordered PBW shape,
-        else None; ``Algebra._normal_product`` asks at a power's first
-        junction under a rule other than a unit swap or cancel, and no
-        confluence verdict is read (see the module docstring).
+    @staticmethod
+    def layout(algebra: "Algebra"):
+        """``(rank, left, right)``, ``rank`` a tuple, the arguments of the
+        tables of an algebra whose rules have an ordered PBW shape, else
+        None; no confluence verdict is read (see the module docstring).
 
         The shape: every rule ``x*y`` has ``rank(x) > rank(y)``, or is a
         cancel of a generator against its inverse by a unit; every pair of
@@ -1174,8 +1292,8 @@ class _RunTables:
         table, rules, runs = algebra.table, algebra.rules, algebra._runs
         bases = [table.index(name) for name in table.base_names]
         position = {b: i for i, b in enumerate(bases)}
-        rank = [position[table.base_index[sym]]
-                for sym in range(len(table.symbols))]
+        rank = tuple(position[table.base_index[sym]]
+                     for sym in range(len(table.symbols)))
         tails = []
         for (x, y), rhs_list in rules.items():
             run = runs.get((x, y))
@@ -1202,8 +1320,7 @@ class _RunTables:
             if not _shaped(set(bases[:top + 1]), shaped_bases, shaped_pairs):
                 left = top
                 break
-        return cls(algebra, rank, left,
-                   max((rank[y] for _, y in tails), default=-1))
+        return rank, left, max((rank[y] for _, y in tails), default=-1)
 
     def product(self, u, v) -> dict:
         """NF(u*v) of two normal words, as ``normal_form_by_rewriting``

@@ -31,19 +31,42 @@ class InexpressibleError(CalculusError):
     """A commutation relation has no solution in the candidate family."""
 
 
+def indexed_theta_rules(labels, theta_rules: dict) -> dict:
+    """Wedge rules keyed by pairs of labels, each a list of
+    ``(coefficient, (label, label))``, keyed and written by basis positions
+    instead, after checking that each rewrites a descent ``theta^i
+    theta^j`` (``i >= j``) into ascending pairs below it."""
+    pos = {lab: i for i, lab in enumerate(labels)}
+    out = {}
+    for (l1, l2), entries in theta_rules.items():
+        i, j = pos[l1], pos[l2]
+        if i < j:
+            raise CalculusError(
+                "rule %s*%s does not rewrite a descent" % (l1, l2))
+        converted = []
+        for rf, (l3, l4) in entries:
+            k, m = pos[l3], pos[l4]
+            if k >= m:
+                raise CalculusError(
+                    "rule %s*%s produces the non-ascending pair %s*%s"
+                    % (l1, l2, l3, l4))
+            if (k, m) >= (i, j):
+                raise CalculusError(
+                    "rule %s*%s does not decrease the pair order" % (l1, l2))
+            converted.append((rf, (k, m)))
+        out[(i, j)] = tuple(converted)
+    return out
+
+
 class Calculus:
     """A first-order calculus with a diagonal basis and its wedge rules."""
 
     def __init__(self, algebra: Algebra, labels, twists: dict, weights: dict,
                  theta_rules: dict):
-        self.algebra = algebra
-        self.labels = tuple(labels)
-        if len(set(self.labels)) != len(self.labels):
+        labels = tuple(labels)
+        if len(set(labels)) != len(labels):
             raise CalculusError("duplicate basis label")
-        self._pos = {lab: i for i, lab in enumerate(self.labels)}
-        self.twists = {}
-        self.weights = {}
-        for lab in self.labels:
+        for lab in labels:
             if lab not in twists:
                 raise CalculusError("missing twist for %r" % lab)
             if lab not in weights:
@@ -54,29 +77,31 @@ class Calculus:
             weight = weights[lab]
             if not isinstance(weight, Element) or weight.algebra is not algebra:
                 raise CalculusError("weight of %r is not an element" % lab)
-            self.twists[lab] = twist
-            self.weights[lab] = weight
+        self._set(algebra, labels, twists, weights,
+                  indexed_theta_rules(labels, theta_rules))
+
+    @classmethod
+    def of_indexed(cls, algebra: Algebra, labels, twists: dict,
+                   weights: dict, theta_rules: dict) -> "Calculus":
+        """The calculus that ``__init__`` builds from arguments it accepted,
+        its wedge rules given as ``indexed_theta_rules`` returned them;
+        nothing is checked again."""
+        calculus = cls.__new__(cls)
+        calculus._set(algebra, tuple(labels), twists, weights,
+                      dict(theta_rules))
+        return calculus
+
+    def _set(self, algebra: Algebra, labels: tuple, twists: dict,
+             weights: dict, theta_rules: dict) -> None:
+        self.algebra = algebra
+        self.labels = labels
+        self._pos = {lab: i for i, lab in enumerate(labels)}
+        self.twists = {lab: twists[lab] for lab in labels}
+        self.weights = {lab: weights[lab] for lab in labels}
         self.derivations = {lab: TwistedDerivation(self.twists[lab],
                                                    self.weights[lab])
-                            for lab in self.labels}
-        self.theta_rules = {}
-        for (l1, l2), entries in theta_rules.items():
-            i, j = self._pos[l1], self._pos[l2]
-            if i < j:
-                raise CalculusError(
-                    "rule %s*%s does not rewrite a descent" % (l1, l2))
-            converted = []
-            for rf, (l3, l4) in entries:
-                k, m = self._pos[l3], self._pos[l4]
-                if k >= m:
-                    raise CalculusError(
-                        "rule %s*%s produces the non-ascending pair %s*%s"
-                        % (l1, l2, l3, l4))
-                if (k, m) >= (i, j):
-                    raise CalculusError(
-                        "rule %s*%s does not decrease the pair order" % (l1, l2))
-                converted.append((rf, (k, m)))
-            self.theta_rules[(i, j)] = tuple(converted)
+                            for lab in labels}
+        self.theta_rules = theta_rules
         self._theta_cache = {}
         # map (None for the identity) -> terms of d(map(g)) per generator
         self._generator_d = {}

@@ -30,23 +30,27 @@ sharing them changes nothing a reader sees:
 * ``build_model`` keeps, for each document it built to the end, its record
   (``_RECORDS``, see ``_Record``): over the document's ParameterSet and
   GeneratorTable, the free terms of its relations, the normalized rule
-  table, the terms of every value the build evaluated (automorphism images,
-  weights, ``let`` values, wedge rules, extension rows, metric and
-  connection entries, the sides of the checks evaluated at load) and which
-  checks wait (``_Builder.check``).  All of it follows from the document
-  alone, so every load, the first one included, constructs its bundle from
-  the record: a fresh algebra on copies of the rules with empty memos, and
-  fresh maps, calculus, geometry, environment and checks, each owning its
-  dicts and lists.  A load evaluates no expression and normalizes no rule; a
-  ``verify=True`` load still checks its maps against the relations (on a
-  first build, the evaluation checks the maps whose images the load's maps
-  copy).  Besides its own dicts and lists a record holds only immutable
-  values (words, coefficients, statements of the document and the two
-  tables), so no load can change what another reads.  It is keyed on the
-  document object and dropped with it, so there is at most one per live
-  document; gl-pq2-localized's takes about 90 KB (tracemalloc), and the
-  tests hold it under 150 KB.  A build that raises keeps no record, so every
-  error and its location come from evaluation.
+  table and its facts (the run index, the rule shapes as frozensets and the
+  run-pair layout, see ``Algebra.rule_facts``), the terms of every value
+  the build evaluated (automorphism images with each map's scales,
+  weights, ``let`` values, wedge rules keyed by basis positions, extension
+  rows, metric and connection entries, the sides of the checks evaluated at
+  load) and which checks wait (``_Builder.check``).  All of it follows from
+  the document alone, so every load, the first one included, constructs
+  its bundle from the record: a fresh algebra on copies of the rules with
+  empty memos, and fresh maps, calculus, geometry, environment and checks,
+  each owning its dicts and lists.  A load evaluates no expression,
+  normalizes, indexes or tests no rule, finds no scales and checks no wedge
+  rule; a ``verify=True`` load still checks its maps against the relations
+  (on a first build, the evaluation checks the maps whose images the load's
+  maps copy).  Besides its own dicts and lists a record holds only
+  immutable values (words, coefficients, frozensets and tuples of ints,
+  statements of the document and the two tables), so no load can change
+  what another reads.  It is keyed on the document object and dropped with
+  it, so there is at most one per live document; gl-pq2-localized's takes
+  about 98 KB (tracemalloc), and the tests hold it under 150 KB.  A build
+  that raises keeps no record, so every error and its location come from
+  evaluation.
 
 Every load still gets a bundle of its own: no algebra, element, map or memo
 of the engine is shared between loads.
@@ -61,7 +65,7 @@ import weakref
 
 from .algebra import (Algebra, AlgebraError, Element, GeneratorTable,
                       word_letters)
-from .calculus import Calculus, Form
+from .calculus import Calculus, Form, indexed_theta_rules
 from .coeff import ParameterSet, RationalFunction, int_text, parse_int
 from .geometry import Connection, FormExtension, Geometry, TensorForm
 from .morphism import Endomorphism
@@ -1092,22 +1096,26 @@ class _Record:
     ``rules`` are the free terms of the relations and the normalized rule
     table of the built algebra, and ``one`` is the algebra's 1, which its
     cancel rules hold: each load's algebra takes it as its own, so that
-    the shape tests of the rules find it there by identity, as on the
-    built algebra, and compare no coefficients.  ``steps`` holds the rest,
-    in statement order: each is the name of a _Filler method and its
+    a shape test after a later change of its rules finds it there by
+    identity, as on the built algebra, and compares no coefficients.
+    ``facts`` holds what
+    depends on the rule table alone (``Algebra.rule_facts``): the run
+    index, the rule shapes and the run-pair layout, which each load's
+    algebra takes instead of deriving them again.  ``steps`` holds the
+    rest, in statement order: each is the name of a _Filler method and its
     arguments, whose values are coefficients or recorded terms
     (``_kept``).
     """
 
     __slots__ = ("params", "table", "names", "relations", "rules", "one",
-                 "steps")
+                 "facts", "steps")
 
     def __init__(self, params: ParameterSet, table: GeneratorTable):
         self.params = params
         self.table = table
         self.names = {n: RationalFunction.parameter(params, n)
                       for n in params.names}
-        self.relations = self.rules = self.one = None
+        self.relations = self.rules = self.one = self.facts = None
         self.steps = []
 
 
@@ -1154,12 +1162,12 @@ class _Filler:
     def value(self, name: str, kept):
         self.bundle._env[name] = self._made(kept)
 
-    def auto(self, stmt: Statement, images: dict):
+    def auto(self, stmt: Statement, images: dict, scales):
         name = stmt.data[0]
         algebra = self.bundle.algebra
         endo = Endomorphism.of_symbols(
             algebra, {sym: self._element(terms)
-                      for sym, terms in images.items()}, name)
+                      for sym, terms in images.items()}, scales, name)
         if self.verify and not endo.respects_relations():
             raise _error_at(stmt, "%r does not respect the relations" % name)
         self.bundle.autos[name] = endo
@@ -1170,8 +1178,8 @@ class _Filler:
         twists = {lab: bundle.autos[a] for lab, a in stmt.data.twists}
         weights = {lab: self._element(terms)
                    for lab, terms in weights.items()}
-        bundle.calculus = _located(stmt, Calculus, bundle.algebra, labels,
-                                   twists, weights, theta_rules)
+        bundle.calculus = Calculus.of_indexed(bundle.algebra, labels, twists,
+                                              weights, theta_rules)
         for lab in labels:
             bundle._env[lab] = bundle.calculus.theta(lab)
         bundle._shadows.form = _Shadow(True, all(
@@ -1237,6 +1245,7 @@ class _Builder:
         self.record.relations = algebra.relations
         self.record.rules = algebra.rules
         self.record.one = algebra._one
+        self.record.facts = algebra.rule_facts()
         return self.record
 
     def _step(self, kind: str, *args):
@@ -1277,7 +1286,8 @@ class _Builder:
                   for gen_name, expr in entries}
         endo = _located(stmt, Endomorphism, algebra, images, name)
         self._step("auto", stmt, {sym: img.terms
-                                  for sym, img in endo.images.items()})
+                                  for sym, img in endo.images.items()},
+                   endo._scales)
 
     def calc(self, stmt):
         data = stmt.data
@@ -1297,7 +1307,8 @@ class _Builder:
                         stmt, "wedge rule must be a sum of basis pairs")
                 entries.append((rf, key))
             theta_rules[(lab1, lab2)] = sorted(entries, key=lambda e: e[1])
-        self._step("calc", stmt, weights, theta_rules)
+        self._step("calc", stmt, weights,
+                   _located(stmt, indexed_theta_rules, labels, theta_rules))
 
     def extension(self, stmt):
         name, entries = stmt.data
@@ -1402,15 +1413,14 @@ def _construct(doc: ModelDocument, record: _Record,
                verify: bool) -> ModelBundle:
     """A bundle of its own for one load, made from the record: a fresh
     algebra on copies of the recorded rules and relations, with empty
-    memos, then every step in order.  No expression is evaluated and no
-    rule normalized."""
-    algebra = Algebra(record.params, record.table)
-    algebra._one = record.one
-    algebra.relations = [(dict(lhs), dict(rhs))
-                         for lhs, rhs in record.relations]
-    algebra.rules = {pair: [dict(rhs) for rhs in rhs_list]
-                     for pair, rhs_list in record.rules.items()}
-    algebra.rules_changed()
+    memos and the recorded facts of the rules, then every step in order.
+    No expression is evaluated, no rule normalized or indexed, and no
+    shape tested."""
+    algebra = Algebra.presented(
+        record.params, record.table, record.one,
+        [(dict(lhs), dict(rhs)) for lhs, rhs in record.relations],
+        {pair: [dict(rhs) for rhs in rhs_list]
+         for pair, rhs_list in record.rules.items()}, record.facts)
     filler = _Filler(doc, record, algebra, verify)
     for kind, *args in record.steps:
         getattr(filler, kind)(*args)

@@ -50,23 +50,24 @@ class Endomorphism:
             by_symbol[sym] = img
             if gen_name in table.invertible:
                 by_symbol[table.inverse_index[sym]] = _invert_monomial(img, gen_name)
-        self._set_images(by_symbol)
+        self._set_images(by_symbol, _scales(by_symbol))
 
     @classmethod
-    def of_symbols(cls, algebra: Algebra, images: dict,
+    def of_symbols(cls, algebra: Algebra, images: dict, scales,
                    name: str | None = None) -> "Endomorphism":
         """The map with these images by symbol, inverse symbols included,
-        as ``__init__`` derives them from images that it accepted; nothing
-        is checked again."""
+        as ``__init__`` derives them from images that it accepted, and the
+        ``_scales`` it found for them (copied here); nothing is checked or
+        derived again."""
         endo = cls.__new__(cls)
         endo.algebra = algebra
         endo.name = name
-        endo._set_images(images)
+        endo._set_images(images, None if scales is None else dict(scales))
         return endo
 
-    def _set_images(self, by_symbol: dict) -> None:
+    def _set_images(self, by_symbol: dict, scales) -> None:
         self.images = by_symbol
-        self._scales = _scales(by_symbol)
+        self._scales = scales
         # word -> its scale under a diagonal map, else its image
         self._word_cache = {}
         self._inverse = None

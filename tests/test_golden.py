@@ -47,6 +47,13 @@ _EXPRESSIONS = {
 # coefficients.
 _EXPANSION = "(b + 3*d - 2*a + 2*c)^5"
 
+# A power of a sum that takes every kind of step of the packed power: a
+# Fraction coefficient, a multi-term base coefficient beside single-term
+# ones, a multi-letter base word and the multi-term coefficients of the
+# tail rule d*a.  The golden was written before products were added in one
+# pass.
+_MIXED_EXPANSION = "(1/2*a + (q + 1)*d - b*c)^4"
+
 # A power of a sum on the quantum torus, inverse symbols included: a cold
 # process takes its products in closed form, and the golden was written when
 # they were rewritten step by step.
@@ -82,6 +89,8 @@ def _cases():
         cases.append(("gl-pq2-expand.nf.%s" % fmt,
                       ["nf", "builtin:gl-pq2", "-e", _EXPANSION,
                        "--format", fmt], 0))
+    cases.append(("gl-pq2-mixed-expand.nf.plain",
+                  ["nf", "builtin:gl-pq2", "-e", _MIXED_EXPANSION], 0))
     cases.append(("quantum-torus-expand.nf.plain",
                   ["nf", "builtin:quantum-torus", "-e", _TORUS_EXPANSION], 0))
     cases.append(("gl-pq2-rfree.verify.plain", ["verify", "{rfree}"], 1))

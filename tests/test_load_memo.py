@@ -490,15 +490,15 @@ _UNSHARED = (str, int, bool, type(None), type, RationalFunction,
 
 def _objects(*roots):
     """id -> object of every dict, list and engine object reachable from
-    the roots through containers and attributes.  Tuples are walked, and
-    immutable values are neither walked nor kept."""
+    the roots through containers and attributes.  Tuples and frozensets
+    are walked, and immutable values are neither walked nor kept."""
     seen = {}
     stack = list(roots)
     while stack:
         obj = stack.pop()
         if isinstance(obj, _UNSHARED) or id(obj) in seen:
             continue
-        if isinstance(obj, tuple):
+        if isinstance(obj, (tuple, frozenset)):
             stack.extend(obj)
             continue
         seen[id(obj)] = obj
@@ -528,13 +528,17 @@ def _load_objects(bundle):
 def test_loads_share_only_immutable_values(name):
     """Two loads of one document, and its record, share no dict, list or
     engine object: only words, coefficients, the ParameterSet and the
-    GeneratorTable, which nothing changes."""
+    GeneratorTable, which nothing changes.  The walk reaches the facts of
+    the rules that the record keeps and each load's algebra holds: the run
+    index, the rule shapes and the run-pair layout."""
     first = BUILTINS[name](verify=False)
     second = BUILTINS[name](verify=False)
     record = dsl._RECORDS[id(first.doc)]
     mine, theirs = _load_objects(first), _load_objects(second)
     kept = _objects(record)
     assert len(mine) > 100 and len(kept) > 50
+    runs = record.facts[0]
+    assert id(runs) in kept and id(first.algebra._runs) in mine
     assert not mine.keys() & theirs.keys()
     assert not mine.keys() & kept.keys()
     assert not theirs.keys() & kept.keys()

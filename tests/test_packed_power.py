@@ -5,9 +5,13 @@ rule coefficient, are Laurent polynomials over 1 in ``_packed_power``.  The
 loop below, one element product per factor, is what every other base still
 takes, and it is the reference: the packed power must store what the loop
 stores, the same words in the same order and the same coefficient terms in
-the same order, int or ``Fraction`` alike.  On a confluent algebra that the
-run-pair tables accept the products come from the tables, and on any other
-from rewriting; both must store the loop's terms.
+the same order, int or ``Fraction`` alike.  Where the run-pair tables accept
+the rules the products come from the tables, confluent or not, and on any
+other algebra from rewriting; both must store the loop's terms.  Each kind
+of step is covered: a product added in one pass (a single-term base
+coefficient times a single-term product coefficient), by the general
+product and sum otherwise, a word that cancels and comes back within a
+step, and a packing outgrown at the first step and later.
 """
 
 import random
@@ -15,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncdiff import algebra
 from ncdiff.algebra import Element
 from ncdiff.coeff import RationalFunction
 from ncdiff.dsl import load_model
@@ -153,6 +158,42 @@ def test_huge_exponents_widen_the_fields(glpq, packed_calls, expr, n, term):
     assert packed_calls == [n]
     assert stored(value.terms) == stored(loop_power(x, n).terms)
     assert term in str(value).split(" + ")
+
+
+@pytest.fixture
+def packings(monkeypatch):
+    """The bounds of the packings that powers make, in order."""
+    made = []
+    init = algebra._Packing.__init__
+
+    def counted(self, size, bound):
+        made.append(bound)
+        init(self, size, bound)
+    monkeypatch.setattr(algebra._Packing, "__init__", counted)
+    return made
+
+
+# A step adds a product in one pass where the base coefficient and the
+# product coefficient each have one term, and by _packed_product and
+# _packed_add otherwise: a Fraction coefficient; a multi-term base
+# coefficient in the same step as single-term ones; a multi-letter base
+# word; the multi-term coefficient that the tail rule d*a gives; and a power
+# whose exponents outgrow the packing at its first step, and at its eighth.
+@pytest.mark.parametrize("expr,n,repacks", [
+    ("1/2*a + d", 5, 2),
+    ("1/2*a + (q + 1)*d - b*c", 4, 1),
+    ("(q + 1)*d + 2*b - c", 4, 1),
+    ("b*c + a - 3*d", 5, 2),
+    ("q^1000*a + d", 6, 1),
+    ("q^1000*a + d", 9, 2),
+])
+def test_each_shape_of_a_step_stores_the_loop_terms(glpq, packed_calls,
+                                                    packings, expr, n,
+                                                    repacks):
+    x = glpq.eval_expression(expr)
+    value = x ** n
+    assert packed_calls == [n] and len(packings) == 1 + repacks
+    assert stored(value.terms) == stored(loop_power(x, n).terms)
 
 
 def test_cancelled_words_come_back_last(packed_calls):

@@ -140,8 +140,9 @@ def normal_words(alg: Algebra, rng, count: int):
 def compare(alg: Algebra, seed, pairs: int):
     """Compare ``pairs`` seeded products; return the tables and how many
     products rewriting took in their place."""
-    tables = _RunTables.of(alg)
-    assert tables is not None
+    layout = _RunTables.layout(alg)
+    assert layout is not None
+    tables = _RunTables(alg, *layout)
     rng = random.Random(seed)
     words = normal_words(alg, rng, 300)
     rewritten = []
@@ -240,4 +241,4 @@ def test_planted_texts():
     ' rel z*x = x*z; rel z*y = y*z;',
 ], ids=["square", "missing-pair", "tail-outside"])
 def test_shape_refused(text):
-    assert _RunTables.of(load_model(text, verify=False).algebra) is None
+    assert _RunTables.layout(load_model(text, verify=False).algebra) is None

@@ -2,7 +2,7 @@
 
 ``_ClosedForm.of`` accepts an algebra whose rules are q-commuting, each the
 only rule of its pair, and such rules are confluent by the diamond lemma;
-``_RunTables.of`` accepts an ordered PBW shape, and the tables follow
+``_RunTables.layout`` accepts an ordered PBW shape, and the tables follow
 leftmost rewriting whatever the overlaps do (see the ``algebra``
 docstring).  So a power takes either path without ``check_confluence``,
 which stays the one place that reads every overlap.  ``add_relation`` keeps
