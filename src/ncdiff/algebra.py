@@ -182,6 +182,7 @@ each class adds its own product, scaling and printing.
 
 from __future__ import annotations
 
+import weakref
 from collections import namedtuple
 from fractions import Fraction
 from operator import mul
@@ -1261,13 +1262,17 @@ class _RunTables:
     of a prefix on its left, or of a suffix on its right, is a unit swap or
     cancel, and the bases of ranks below ``left`` are q-commuting among
     themselves.  ``entries`` maps ``(x, y, m, n)`` to ``NF(x^m * y^n)``.
+
+    The algebra keeps its tables, so the tables keep it only weakly: a
+    strong reference back would make a cycle, and an algebra that took a
+    power of a sum would wait for the cycle collector.
     """
 
-    __slots__ = ("algebra", "rules", "runs", "rank", "left", "right",
+    __slots__ = ("_algebra", "rules", "runs", "rank", "left", "right",
                  "entries", "one")
 
     def __init__(self, algebra: "Algebra", rank, left: int, right: int):
-        self.algebra = algebra
+        self._algebra = weakref.ref(algebra)
         self.rules = algebra.rules
         self.runs = algebra._runs
         self.rank = rank
@@ -1332,7 +1337,7 @@ class _RunTables:
             return {_join_words(u, v): self.one}
         prefix, suffix = u[:-1], v[1:]
         if not self._carried(x, y, m + n, prefix, suffix):
-            return self.algebra.normal_form_by_rewriting(_join_words(u, v))
+            return self._rewritten(_join_words(u, v))
         entry = self._entry(x, y, m, n)
         if not (prefix or suffix):
             return entry
@@ -1340,10 +1345,12 @@ class _RunTables:
         for word, c in entry.items():
             moved = self._moved(prefix, word, suffix)
             if moved is None or moved[0] in out:
-                return self.algebra.normal_form_by_rewriting(
-                    _join_words(u, v))
+                return self._rewritten(_join_words(u, v))
             out[moved[0]] = c * moved[1]
         return out
+
+    def _rewritten(self, word) -> dict:
+        return self._algebra().normal_form_by_rewriting(word)
 
     def _carried(self, x, y, span: int, prefix, suffix) -> bool:
         """Whether the block ``x^m*y^n`` between prefix and suffix is taken
@@ -1369,8 +1376,7 @@ class _RunTables:
                 try:
                     entry = self._block(x, y, m, n, None)
                 except _Unproved:
-                    entry = self.algebra.normal_form_by_rewriting(
-                        ((x, m), (y, n)))
+                    entry = self._rewritten(((x, m), (y, n)))
             elif run[0]:
                 entry = {((y, n), (x, m)): run[1] ** (m * n)}
             else:

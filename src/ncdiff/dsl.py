@@ -31,24 +31,24 @@ sharing them changes nothing a reader sees:
   (``_RECORDS``, see ``_Record``): over the document's ParameterSet and
   GeneratorTable, the free terms of its relations, the normalized rule
   table and its facts (the run index, the rule shapes as frozensets and the
-  run-pair layout, see ``Algebra.rule_facts``), the terms of every value
+  run-pair layout, see ``Algebra.rule_facts``), and the terms of every value
   the build evaluated (automorphism images with each map's scales,
   weights, ``let`` values, wedge rules keyed by basis positions, extension
-  rows, metric and connection entries, the sides of the checks evaluated at
-  load) and which checks wait (``_Builder.check``).  All of it follows from
-  the document alone, so every load, the first one included, constructs
-  its bundle from the record: a fresh algebra on copies of the rules with
-  empty memos, and fresh maps, calculus, geometry, environment and checks,
-  each owning its dicts and lists.  A load evaluates no expression,
-  normalizes, indexes or tests no rule, finds no scales and checks no wedge
-  rule; a ``verify=True`` load still checks its maps against the relations
-  (on a first build, the evaluation checks the maps whose images the load's
-  maps copy).  Besides its own dicts and lists a record holds only
-  immutable values (words, coefficients, frozensets and tuples of ints,
-  statements of the document and the two tables), so no load can change
-  what another reads.  It is keyed on the document object and dropped with
-  it, so there is at most one per live document; gl-pq2-localized's takes
-  about 98 KB (tracemalloc), and the tests hold it under 150 KB.  A build
+  rows, metric and connection entries, and both sides of every check).
+  All of it follows from the document alone, so every load, the first one
+  included, constructs its bundle from the record: a fresh algebra on
+  copies of the rules with empty memos, and fresh maps, calculus, geometry,
+  environment and checks, each owning its dicts and lists.  A load
+  evaluates no expression, normalizes, indexes or tests no rule, finds no
+  scales and checks no wedge rule; a ``verify=True`` load still checks its
+  maps against the relations (on a first build, the evaluation checks the
+  maps whose images the load's maps copy).  Besides its own dicts and lists
+  a record holds only immutable values (words, coefficients, frozensets and
+  tuples of ints, statements of the document and the two tables), so no
+  load can change what another reads.  It is keyed on the document object
+  and dropped with it, so there is at most one per live document;
+  gl-pq2-localized's takes about 161 KB (tracemalloc), 63 KB of it the
+  sides of its 22 checks, and the tests hold it under 250 KB.  A build
   that raises keeps no record, so every error and its location come from
   evaluation.
 
@@ -843,12 +843,9 @@ class ModelBundle:
     form, let definition) lives in one environment, read with value(name).
 
     ``checks`` lists the model's check statements as CheckCases, in
-    statement order.  A check whose evaluation cannot raise, as ``_trial``
-    shows, is evaluated when ``checks`` is first read, which only the suite
-    does; any other check is evaluated by the document's first build, where
-    its error is reported, and every load gets its sides from the record
-    (see ``_Builder.check``).  So ``nf``, ``relations`` and ``confluence``
-    never evaluate a check that can be deferred.
+    statement order.  The document's first build evaluates both sides of
+    every check at its statement, where an error is reported, and every
+    load makes its CheckCases afresh from the recorded sides.
     """
 
     def __init__(self, doc, params, algebra, env):
@@ -861,19 +858,9 @@ class ModelBundle:
         self.geometry = None
         self.metrics = {}
         self.connections = {}
-        # CheckCases, and the (statement data, evaluator) pair of each
-        # check not evaluated yet
-        self._checks = []
+        self.checks = []
         self._env = env
-        self._shadows = _Shadows(env)
         self.extras = {}
-
-    @property
-    def checks(self):
-        self._checks = [case if isinstance(case, CheckCase)
-                        else _check_case(*case, self.algebra)
-                        for case in self._checks]
-        return self._checks
 
     def value(self, name: str):
         """The parameter, generator, basis form, or definition so named."""
@@ -888,13 +875,6 @@ class ModelBundle:
 
     def _eval(self, node):
         return _Evaluator(self._env, self.params, self.calculus).eval(node)
-
-    def _trial(self, node):
-        """The node evaluated with each element and form replaced by its
-        stand-in (``_Shadow``): a coefficient or a stand-in.  It raises a
-        ModelSemanticError wherever ``_eval(node)`` could."""
-        form = self._shadows.form
-        return _Evaluator(self._shadows, self.params, form).eval(node)
 
 
 class _Evaluator:
@@ -957,7 +937,7 @@ class _Evaluator:
             except ZeroDivisionError:
                 raise ModelSemanticError("zero raised to a negative power",
                                          *loc) from None
-        if isinstance(base, Form) or isinstance(base, _Shadow) and base.form:
+        if isinstance(base, Form):
             raise ModelSemanticError("cannot raise a form to a power", *loc)
         if n >= 0:
             return base ** n
@@ -983,60 +963,6 @@ class _Evaluator:
         except AlgebraError as exc:
             raise ModelSemanticError(str(exc), *loc) from None
         raise ValueError("unknown operator %r" % op)
-
-
-class _Shadow:
-    """The stand-in for every element, or every form, in a trial
-    (``ModelBundle._trial``); the form one is also the trial's calculus.
-
-    Only a product of two forms, or d of a form, raises, and only where a
-    real one could: when some descent pair (i, j), i >= j, of basis forms
-    has no wedge rule (``wedges`` false).
-    """
-
-    def __init__(self, form: bool, wedges: bool = True):
-        self.form = form
-        self.wedges = wedges
-
-    def _join(self, other):
-        return other if isinstance(other, _Shadow) and other.form else self
-
-    __add__ = __radd__ = __sub__ = __rsub__ = __rmul__ = _join
-
-    def __mul__(self, other):
-        if (self.form and not self.wedges and isinstance(other, _Shadow)
-                and other.form):
-            raise AlgebraError("a product of forms may miss a wedge rule")
-        return self._join(other)
-
-    d = __mul__  # d of a form is a product with the inner form
-
-    def __neg__(self):
-        return self
-
-    def __pow__(self, n: int):
-        return self
-
-    def inner_form(self):
-        return self
-
-
-_ELEMENT_SHADOW = _Shadow(False)
-
-
-class _Shadows:
-    """A trial's environment: the bundle's, with each element and form read
-    as its stand-in."""
-
-    def __init__(self, env: dict):
-        self.env = env
-        self.form = None
-
-    def get(self, name):
-        value = self.env.get(name)
-        if isinstance(value, Form):
-            return self.form
-        return _ELEMENT_SHADOW if isinstance(value, Element) else value
 
 
 def _invert_element(element: Element, loc) -> Element:
@@ -1182,9 +1108,6 @@ class _Filler:
                                               weights, theta_rules)
         for lab in labels:
             bundle._env[lab] = bundle.calculus.theta(lab)
-        bundle._shadows.form = _Shadow(True, all(
-            (i, j) in bundle.calculus.theta_rules
-            for i in range(len(labels)) for j in range(i + 1)))
         bundle.geometry = Geometry(bundle.calculus, {})
 
     def extension(self, name: str, matrix: list):
@@ -1206,15 +1129,8 @@ class _Filler:
             stmt, Connection, bundle.geometry,
             {key: self._made(kept) for key, kept in entries.items()})
 
-    def check(self, data, sides):
-        """A CheckCase of the recorded sides, or, for a check that waits,
-        its data and an evaluator over this statement's environment."""
-        bundle = self.bundle
-        if sides is None:
-            bundle._checks.append((data, _Evaluator(
-                dict(bundle._env), bundle.params, bundle.calculus)))
-        else:
-            bundle._checks.append(CheckCase(data[0], *map(self._made, sides)))
+    def check(self, name: str, sides):
+        self.bundle.checks.append(CheckCase(name, *map(self._made, sides)))
 
 
 class _Builder:
@@ -1355,58 +1271,17 @@ class _Builder:
         self._step("connection", stmt, table_entries)
 
     def check(self, stmt):
-        """Evaluate the check now, or defer it to the first read of
-        ``ModelBundle.checks`` where that changes nothing a reader sees.
-
-        A check is deferred when ``ModelBundle._trial`` of both sides raises
-        no ModelSemanticError: the trial runs the evaluator itself, so then
-        evaluation cannot raise either, and every load ends as it would
-        with the check evaluated here.  It must also follow the first
-        ``auto``: from there on the rules are normalized, and the final
-        ``normalize_rules`` keeps them as they are.  The evaluator keeps a
-        copy of this statement's environment and its calculus, so a later
-        ``subst`` does not reach the check.  Nothing else it reads changes
-        later: memos only come and go, and the closed form that
-        ``check_confluence`` may turn on gives the terms rewriting gives.
-        No load keeps a confluence verdict either way, since every load
-        starts from the normalized rules with no verdict.
-
-        The verdict follows from the document alone: the first ``auto``
-        comes where the document puts it, and a trial reads only what the
-        document fixes (which names are elements or forms, the values of
-        coefficient names, the wedge rules of the calc block).  So the
-        record keeps it, as the check step's sides: the terms of both sides
-        of a check evaluated here, or None for one that waits.  Every load
-        constructs from the record a bundle of its own, with each check
-        evaluated here made afresh from its terms and each check that waits
-        given an evaluator over its own environment.
-        """
+        """Evaluate both sides of the check, as forms if either is a
+        form, into the check's record step."""
+        name, lhs, rhs = stmt.data
         bundle = self.bundle
-        waits = bool(bundle.autos)
-        try:
-            for side in stmt.data[1:]:
-                bundle._trial(side)
-        except ModelSemanticError:
-            waits = False
-        sides = None
-        if not waits:
-            evaluator = _Evaluator(dict(bundle._env), bundle.params,
-                                   bundle.calculus)
-            case = _check_case(stmt.data, evaluator, bundle.algebra)
-            sides = (_kept(case.lhs), _kept(case.rhs))
-        self._step("check", stmt.data, sides)
-
-
-def _check_case(data, evaluator: _Evaluator, algebra: Algebra) -> CheckCase:
-    """Both sides of a check statement, as forms if either is a form."""
-    name, lhs, rhs = data
-    sides = [evaluator.eval(lhs), evaluator.eval(rhs)]
-    if any(isinstance(v, Form) for v in sides):
-        sides = [evaluator.calculus.embed(v) for v in sides]
-    else:
-        sides = [algebra.scalar(v) if isinstance(v, RationalFunction) else v
-                 for v in sides]
-    return CheckCase(name, *sides)
+        sides = [bundle._eval(lhs), bundle._eval(rhs)]
+        if any(isinstance(v, Form) for v in sides):
+            sides = [bundle.calculus.embed(v) for v in sides]
+        else:
+            sides = [bundle.algebra.scalar(v)
+                     if isinstance(v, RationalFunction) else v for v in sides]
+        self._step("check", name, tuple(map(_kept, sides)))
 
 
 def _construct(doc: ModelDocument, record: _Record,

@@ -8,11 +8,11 @@ import pytest
 from ncdiff import dsl
 from ncdiff.calculus import Calculus
 from ncdiff.coeff import ParameterSet, Polynomial, RationalFunction
-from ncdiff.dsl import (CheckCase, ModelDocument, ModelSemanticError,
-                        ModelSyntaxError, build_model, export_model,
-                        expression_to_text, load_model, parse_coefficient,
-                        parse_model, parse_statement, rename_atoms, tokenize)
-from ncdiff.models import BUILTINS, build_glpq, model_source
+from ncdiff.dsl import (ModelDocument, ModelSemanticError, ModelSyntaxError,
+                        build_model, export_model, expression_to_text,
+                        load_model, parse_coefficient, parse_model,
+                        parse_statement, rename_atoms, tokenize)
+from ncdiff.models import BUILTINS, _glpq_document, build_glpq, model_source
 from ncdiff.morphism import Endomorphism
 
 BASE_LINES = [
@@ -658,43 +658,51 @@ def case_layouts(bundle):
             for case in bundle.checks]
 
 
-def refuse(bundle, node):
-    """A trial that raises on every expression."""
-    raise ModelSemanticError("refused", *dsl.node_location(node))
+def statement_layouts(bundle):
+    """The layouts of the bundle's check statements, each evaluated over
+    its environment: both sides as forms where either is one."""
+    out = []
+    for stmt in bundle.doc.statements:
+        if stmt.kind == "check":
+            name, *sides = stmt.data
+            sides = [bundle._eval(side) for side in sides]
+            if any(isinstance(v, dsl.Form) for v in sides):
+                sides = [bundle.calculus.embed(v) for v in sides]
+            else:
+                sides = [bundle.algebra.scalar(v)
+                         if isinstance(v, RationalFunction) else v
+                         for v in sides]
+            out.append((name, layout(sides[0]), layout(sides[1])))
+    return out
 
 
 @pytest.fixture
 def eager(monkeypatch):
-    """Load with every check evaluated at load, as a gate that clears
-    nothing would.  The patched gate decides over an empty record table,
-    which goes with the patch, so no record of a document built before
-    skips it and none of its records outlives it."""
+    """Load as a document's first build: over an empty record table, which
+    goes with the patch, so the load evaluates its document and none of
+    its records outlives it."""
     def load(build):
         with monkeypatch.context() as patch:
             patch.setattr(dsl, "_RECORDS", {})
-            patch.setattr(dsl.ModelBundle, "_trial", refuse)
             return build(verify=False)
     return load
 
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """The names of the checks evaluated so far, in order.  The record
-    table starts empty, so each document's first load evaluates it."""
+    """The names of the checks evaluated so far, in order.  The gl-pq2
+    documents are derived first, and the record table then starts empty,
+    so each document's first load evaluates it."""
+    _glpq_document(True)
     monkeypatch.setattr(dsl, "_RECORDS", {})
     names = []
-    evaluate = dsl._check_case
+    kind = dsl._KINDS["check"]
 
-    def counted(data, evaluator, algebra):
-        names.append(data[0])
-        return evaluate(data, evaluator, algebra)
-    monkeypatch.setattr(dsl, "_check_case", counted)
+    def counted(builder, stmt):
+        names.append(stmt.data[0])
+        kind.build(builder, stmt)
+    monkeypatch.setitem(dsl._KINDS, "check", kind._replace(build=counted))
     return names
-
-
-def pending(bundle):
-    return [entry[0][0] for entry in bundle._checks
-            if not isinstance(entry, CheckCase)]
 
 
 # Check statements whose evaluation raises, with the error each load
@@ -722,6 +730,10 @@ REFUSED_CHECKS = [
 
 
 class TestDeferredChecks:
+    """The document's first build evaluates both sides of every check at
+    its statement, where an evaluation error is reported; every load makes
+    its CheckCases from the recorded sides and evaluates none."""
+
     @pytest.mark.parametrize("name,eager_names", [
         ("quantum-torus", ["theta1-from-dx", "theta2-from-dy-dx"]),
         ("gl-pq2", []),
@@ -729,24 +741,28 @@ class TestDeferredChecks:
     ])
     def test_builtins_leave_every_cleared_check_pending(
             self, name, eager_names, evaluations):
+        """No check is left pending: the first load evaluates every check
+        once, in statement order, the ones that take an inverse
+        (``eager_names``) among them, and neither reading ``checks`` nor a
+        second load evaluates one again."""
         bundle = BUILTINS[name](verify=False)
-        assert evaluations == eager_names
-        deferred = pending(bundle)
         names = [case.name for case in bundle.checks]
-        assert [n for n in names if n not in eager_names] == deferred
+        assert evaluations == names
         assert len(names) == {"quantum-torus": 3}.get(name, 22)
-        assert evaluations == eager_names + deferred
-        assert pending(bundle) == []
-        bundle.checks
-        assert evaluations == eager_names + deferred
+        assert set(eager_names) <= set(names)
+        assert [case.name for case in
+                BUILTINS[name](verify=False).checks] == names
+        assert evaluations == names
 
     @pytest.mark.parametrize("name", list(BUILTINS))
     def test_deferred_sides_are_the_eager_ones_term_for_term(self, name,
                                                              eager):
-        deferred = BUILTINS[name](verify=False)
-        assert pending(deferred)
-        assert case_layouts(deferred) == case_layouts(
-            eager(BUILTINS[name]))
+        """The sides a load makes from the record are the ones a first
+        build makes, and the ones each check statement evaluates to over
+        the load's environment, term for term."""
+        bundle = BUILTINS[name](verify=False)
+        assert case_layouts(bundle) == statement_layouts(bundle)
+        assert case_layouts(bundle) == case_layouts(eager(BUILTINS[name]))
 
     @pytest.mark.parametrize("text,message,line,col", REFUSED_CHECKS)
     def test_a_check_that_raises_stays_at_load(self, text, message, line,
@@ -769,21 +785,25 @@ class TestDeferredChecks:
         assert (err.value.line, err.value.col) == (8, 12)
 
     def test_a_power_of_a_sum_waits_with_the_eager_sides(self, eager):
+        """A power of a sum is expanded at its statement, and a load from
+        the record reads the sides a first build reads."""
         load = functools.partial(load_model, with_base(
             'check "c": (x + y)^2 == x^2 + x*y + y*x + y^2;'))
         bundle = load(verify=False)
-        assert pending(bundle) == ["c"]
+        assert bundle.checks[0].lhs == bundle.checks[0].rhs
         assert case_layouts(bundle) == case_layouts(eager(load))
 
     def test_the_torus_inverse_checks_stay_at_load(self):
         bundle = load_model(model_source("quantum-torus"))
-        assert pending(bundle) == ["inner-form"]
+        assert [case.name for case in bundle.checks] == [
+            "theta1-from-dx", "theta2-from-dy-dx", "inner-form"]
+        assert all(case.lhs == case.rhs for case in bundle.checks)
 
     def test_a_missing_wedge_rule_keeps_form_products_at_load(self):
         text = BASE.replace("  wedge t1*t1 = 0;\n", "")
         bundle = load_model(text + 'check "c": x*t1 == t1*y + d(x);\n'
                             'check "e": t2*t1 == -t1*t2;\n')
-        assert pending(bundle) == ["c"]
+        assert [case.name for case in bundle.checks] == ["c", "e"]
         for check in ('check "c": t1*t1 == 0;', 'check "c": d(t1) == 0;'):
             with pytest.raises(ModelSemanticError) as err:
                 load_model(text + check + "\n")
@@ -804,13 +824,12 @@ class TestDeferredChecks:
         lines = list(BASE_LINES)
         lines.insert(5, 'check "early": x*y*x == q*y*x*x;')
         bundle = load_model("\n".join(lines) + "\n")
-        assert pending(bundle) == []
         assert bundle.checks[0].lhs == bundle.checks[0].rhs
 
     def test_a_later_substitution_does_not_reach_a_deferred_check(self):
+        """A check reads the parameters as its statement sees them."""
         bundle = load_model(with_base('check "c": r*x == x;',
                                       'subst r = q^2;'))
-        assert pending(bundle) == ["c"]
         r = RationalFunction.parameter(bundle.params, "r")
         assert bundle.value("r") != r
         assert bundle.checks[0].lhs == bundle.algebra.gen("x").scale(r)
@@ -821,22 +840,23 @@ class TestDeferredChecks:
         torus = BUILTINS["quantum-torus"](verify=False)
         torus.algebra.check_confluence()
         assert torus.algebra._closed_form is not None
-        assert pending(torus) == ["inner-form"]
         assert case_layouts(torus) == case_layouts(
             eager(BUILTINS["quantum-torus"]))
 
     @pytest.mark.parametrize("name", list(BUILTINS))
     def test_no_load_keeps_a_confluence_verdict(self, name, eager):
-        """Deferring drops no state a later command reads: with or without
-        it, a load leaves the confluence verdict to be computed."""
+        """A load drops no state a later command reads: a first build and a
+        load from the record both leave the confluence verdict to be
+        computed."""
         assert BUILTINS[name](verify=False).algebra._confluent is None
         assert eager(BUILTINS[name]).algebra._confluent is None
 
     def test_the_gate_clears_only_what_evaluates(self, torus, glpq,
                                                  repo_module):
-        """On random expressions over the builtins, the trial raises only
-        ModelSemanticErrors; a cleared expression evaluates to a value of
-        the trial's class, and one that raises is refused."""
+        """On random expressions over the builtins, evaluation raises no
+        error but a ModelSemanticError, which a load reports at its check,
+        and every other expression evaluates to a coefficient, an element
+        or a form."""
         fuzz = repo_module("tests/test_fuzz.py")
         rng = random.Random(2511)
         cleared = refused = 0
@@ -849,51 +869,36 @@ class TestDeferredChecks:
                 except ModelSyntaxError:
                     continue
                 try:
-                    trial = bundle._trial(node)
-                except ModelSemanticError:
-                    trial = None
-                try:
                     value = bundle._eval(node)
                 except ModelSemanticError:
-                    assert trial is None, expression_to_text(node)
                     refused += 1
                     continue
-                if trial is not None:
-                    cleared += 1
-                    assert type(value) is (
-                        dsl.Form if trial is bundle._shadows.form else
-                        dsl.Element if trial is dsl._ELEMENT_SHADOW else
-                        type(trial)), expression_to_text(node)
+                cleared += 1
+                assert isinstance(value, (RationalFunction, dsl.Element,
+                                          dsl.Form)), expression_to_text(node)
         assert cleared > 300 and refused > 50
 
     def test_the_gate_does_no_engine_arithmetic(self, monkeypatch):
-        """The trials of every check of every builtin multiply, raise to a
-        power, wedge, differentiate and twist no engine value, while the
-        rest of each load does.  The record table starts empty, so every
-        document is evaluated and every check is tried."""
+        """A load after the first, its checks read, multiplies, raises to a
+        power, wedges, differentiates and twists no engine value, while
+        each builtin's first build does.  The record table starts empty,
+        so every document is evaluated."""
+        _glpq_document(True)
         monkeypatch.setattr(dsl, "_RECORDS", {})
-        inside = []
+        later = []
         calls = collections.Counter()
         for owner, name in [(dsl.Element, "__mul__"), (dsl.Element, "__pow__"),
                             (Calculus, "wedge"), (Calculus, "d"),
                             (Endomorphism, "apply")]:
             def counted(*args, _method=getattr(owner, name), _name=name):
-                calls[_name, bool(inside)] += 1
+                calls[_name, bool(later)] += 1
                 return _method(*args)
             monkeypatch.setattr(owner, name, counted)
-        trial = dsl.ModelBundle._trial
-        sides = []
-
-        def watched(bundle, node):
-            inside.append(node)
-            try:
-                return trial(bundle, node)
-            finally:
-                sides.append(inside.pop())
-        monkeypatch.setattr(dsl.ModelBundle, "_trial", watched)
         for build in BUILTINS.values():
             build(verify=False)
-        assert len(sides) >= 2 * (3 + 22 + 22)
+        later.append(True)
+        for build in BUILTINS.values():
+            assert len(build(verify=False).checks) >= 3
         assert [key for key in calls if key[1]] == []
         assert {name for name, _ in calls} >= {"__mul__", "wedge", "d",
                                               "apply"}

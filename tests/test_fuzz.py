@@ -37,10 +37,9 @@ the text afresh, and must end as the first run did, which constructed its
 bundle from the record kept for the text.  A record that dropped or
 changed a value shows here.  The fuzzer counts these replays.
 
-A model text that loads (``load_model`` with ``verify=False``) must also
-evaluate every check it deferred when its ``checks`` are read: a check is
-deferred only when its evaluation cannot raise.  The fuzzer counts the
-texts that load and the deferred checks it reads.
+The fuzzer also loads each model text (``load_model`` with
+``verify=False``), which evaluates every check of the text, and counts the
+texts that load and the checks it reads from them.
 
 Huge exponents sit on one generator, one parameter or, on the torus, one
 word or the outer runs of a conjugation ``x^-N * y^M * x^N``, and outside
@@ -267,7 +266,7 @@ class Fuzzer:
         self.runs = 0
         self.values = 0
         self.loaded = 0
-        self.deferred = 0
+        self.checks = 0
         self.repeats = 0
         self.replays = 0
         self._bundles = {}
@@ -357,31 +356,25 @@ class Fuzzer:
         else:
             self.check(argv + ["--format", fmt], None, again)
 
-    def deferred_checks(self, path, data):
-        """Load the text, if it loads, and read its checks; whether it
+    def load(self, data):
+        """Load the text, if it loads, and count its checks; whether it
         loaded."""
         try:
             bundle = dsl.load_model(data.decode("utf-8"), verify=False)
         except Exception:
             return False
         self.loaded += 1
-        self.deferred += sum(not isinstance(case, dsl.CheckCase)
-                             for case in bundle._checks)
-        try:
-            bundle.checks
-        except Exception:
-            self.fail(["load_model", path], "reading the deferred checks "
-                      "raised:\n" + traceback.format_exc())
+        self.checks += len(bundle.checks)
         return True
 
     def text(self, rng, data, directory):
-        """Write the bytes of a model text, read its deferred checks, and
-        run all four subcommands on it; a text that loads has its nf and
-        verify runs replayed over an empty record table."""
+        """Write the bytes of a model text, load it, and run all four
+        subcommands on it; a text that loads has its nf and verify runs
+        replayed over an empty record table."""
         path = os.path.join(directory, "case.ncd")
         with open(path, "wb") as handle:
             handle.write(data)
-        replay = self.replay if self.deferred_checks(path, data) else None
+        replay = self.replay if self.load(data) else None
         self.nf(path, expression(rng, self.vocabulary("quantum-torus"), 2),
                 "plain", replay)
         self.check(["verify", path, "--samples", "3",
@@ -428,32 +421,12 @@ class Fuzzer:
         return self
 
 
-def defer_every_check(monkeypatch):
-    """Patch in a gate that defers every check.  It decides over an empty
-    record table, so the documents built before are evaluated again, and
-    the table goes with the patch."""
-    monkeypatch.setattr(dsl, "_RECORDS", {})
-    monkeypatch.setattr(dsl.ModelBundle, "_trial", lambda self, node: 0)
-
-
 def test_fuzz_cli():
     fuzzer = Fuzzer().run(seed=0, cases=450)
-    assert fuzzer.values > 200 and fuzzer.loaded > 0 and fuzzer.deferred > 0
+    assert fuzzer.values > 200 and fuzzer.loaded > 0 and fuzzer.checks > 0
     assert fuzzer.repeats == 450 * 5 // 6
     assert fuzzer.replays == 2 * fuzzer.loaded == 8
     assert not fuzzer.failures, "\n\n".join(fuzzer.failures[:5])
-
-
-def test_fuzz_texts_catch_a_gate_that_defers_every_check(monkeypatch):
-    """Seed 0's texts, with no command-line run, pass with the real gate;
-    under one that defers every check, some text loads with an added check
-    that raises when read.  Only 4 of the 75 texts of the 450 cases of
-    test_fuzz_cli load, and none of them draws a check, so this runs more
-    cases."""
-    monkeypatch.setattr(Fuzzer, "check", lambda self, *args: None)
-    assert not Fuzzer().run(seed=0, cases=2700).failures
-    defer_every_check(monkeypatch)
-    assert Fuzzer().run(seed=0, cases=2700).failures
 
 
 def test_parse_back_catches_a_wrong_print():
@@ -461,14 +434,3 @@ def test_parse_back_catches_a_wrong_print():
     fuzzer.parse_back(["nf", "builtin:quantum-torus"], "t1 - 2 - x",
                       "-2 + x + t1")
     assert len(fuzzer.failures) == 1
-
-
-def test_deferred_checks_oracle_catches_a_raising_check(monkeypatch):
-    """Under a gate that defers every check, a check that divides by zero
-    loads and raises when read."""
-    defer_every_check(monkeypatch)
-    text = model_source("quantum-torus") + 'check "c": x/(q - q) == x;\n'
-    fuzzer = Fuzzer()
-    fuzzer.deferred_checks("case.ncd", text.encode())
-    assert len(fuzzer.failures) == 1
-    assert "division by zero" in fuzzer.failures[0]

@@ -14,28 +14,31 @@ and every memoized tree, holds only immutable values; that a memo answers
 each text with that text's own parse, never stores an error and stays
 within its bound; that the gl-pq2 documents are derived as a fresh parse
 and build would derive them; that a load constructed from a record holds
-what evaluation gave, term for term and in stored order, and defers what
-a cold build does; that a record goes with its document, is never kept
-for a build that raises, and stays within the bound the ``dsl`` docstring
-states; that a verified load still checks the maps of a record made
-unverified; and that every load still gets a bundle of its own, sharing
-only immutable values with other loads and with the record.
+what evaluation gave, term for term and in stored order, the sides of its
+checks included, and evaluates no expression; that a record goes with its
+document, is never kept for a build that raises, and stays within the
+bound the ``dsl`` docstring states; that a verified load still checks the
+maps of a record made unverified; that every load still gets a bundle of
+its own, sharing only immutable values with other loads and with the
+record; and that a bundle is freed when its last reference goes.
 """
 
 import gc
 import hashlib
 import itertools
 import random
+import functools
 import tracemalloc
+import weakref
 
 import pytest
 
 from ncdiff import dsl
 from ncdiff.algebra import AlgebraError, Element, GeneratorTable
 from ncdiff.coeff import ParameterSet, RationalFunction
-from ncdiff.dsl import (CheckCase, ModelDocument, ModelError,
-                        ModelSemanticError, ModelSyntaxError, build_model,
-                        export_model, parse_model, parse_statement)
+from ncdiff.dsl import (ModelDocument, ModelError, ModelSemanticError,
+                        ModelSyntaxError, build_model, export_model,
+                        parse_model, parse_statement)
 from ncdiff.models import (BUILTINS, _adjoin_det_inverse, _det_scales,
                            _glpq_document, _with_mirror_checks,
                            available_models, model_source, run_suite)
@@ -213,8 +216,25 @@ def test_loads_share_no_engine_state(name):
     assert first.algebra._nf_cache
     assert second.algebra is not first.algebra
     assert second.algebra._nf_cache == {}
-    assert second._checks is not first._checks
+    assert second.checks is not first.checks
     assert second._env is not first._env
+
+
+@pytest.mark.parametrize("expr", ["(a + b)^3", "(a + d)^3", "(b + c)^4"])
+def test_a_bundle_that_took_a_power_of_a_sum_is_freed(expr):
+    """With the cycle collector off, a gl-pq2 bundle whose algebra built
+    its run-pair tables goes, algebra included, when its last reference
+    does: the tables hold no strong reference back to the algebra."""
+    bundle = BUILTINS["gl-pq2"](verify=False)
+    gc.disable()
+    try:
+        bundle.eval_expression(expr)
+        assert bundle.algebra._tables
+        refs = weakref.ref(bundle), weakref.ref(bundle.algebra)
+        del bundle
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 # -- the expression memo ------------------------------------------------------
@@ -326,52 +346,80 @@ def _recorded_documents(texts, repo_module):
 
 
 def _deferrals(bundle):
-    """The positions of the checks that wait, then the name and printed
-    sides of every check."""
-    waiting = [i for i, case in enumerate(bundle._checks)
-               if not isinstance(case, CheckCase)]
-    return waiting, [(case.name, str(case.lhs), str(case.rhs))
-                     for case in bundle.checks]
+    """The name and printed sides of every check, read from ``checks``."""
+    return [(case.name, str(case.lhs), str(case.rhs))
+            for case in bundle.checks]
 
 
-def _no_trial(bundle, node):
-    raise AssertionError("a warm build ran a trial")
+def _evaluations(monkeypatch):
+    """A list that gets each expression node evaluated from now on."""
+    nodes = []
+    evaluate = dsl._Evaluator.eval
+
+    def counted(evaluator, node):
+        nodes.append(node)
+        return evaluate(evaluator, node)
+    monkeypatch.setattr(dsl._Evaluator, "eval", counted)
+    return nodes
 
 
 def test_a_warm_build_defers_what_a_cold_one_does(texts, monkeypatch):
     """Each document is built cold, the record table cleared before it.
     Then the documents are built again, each first over the table another
-    document left, and then once more warm, with every trial refused: each
-    time the same checks wait, at the same positions, and read the same
-    sides."""
+    document left, and then once more warm: each time every check reads
+    the same sides, and the warm builds evaluate no expression."""
     monkeypatch.setattr(dsl, "_RECORDS", {})
     docs = _loadable_documents(texts)
     cold = []
     for doc in docs:
         dsl._RECORDS.clear()
         cold.append(_deferrals(build_model(doc, verify=False)))
-    assert sum(bool(waiting) for waiting, _ in cold) >= 10
+    assert sum(bool(checks) for checks in cold) >= 10
     for doc, want in zip(docs, cold):
         assert _deferrals(build_model(doc, verify=False)) == want
     assert set(dsl._RECORDS) == {id(doc) for doc in docs}
-    monkeypatch.setattr(dsl.ModelBundle, "_trial", _no_trial)
+    nodes = _evaluations(monkeypatch)
     for doc, want in zip(reversed(docs), reversed(cold)):
         assert _deferrals(build_model(doc, verify=False)) == want
+    assert nodes == []
 
 
-def _waits(record):
-    return [step[2] is None for step in record.steps if step[0] == "check"]
+@pytest.mark.parametrize("name", sorted(BUILTINS) + ["gl-pq2-rfree"])
+def test_a_later_load_evaluates_no_expression(name, monkeypatch):
+    """A load after the first, its checks read, evaluates no expression
+    node, verified or not; the r-free gl-pq2 text loads unverified."""
+    if name == "gl-pq2-rfree":
+        doc = parse_model(_rfree_text())
+        build = functools.partial(build_model, doc)
+        verifies = (False,)
+    else:
+        build = BUILTINS[name]
+        verifies = (False, True)
+    build(verify=False)
+    nodes = _evaluations(monkeypatch)
+    for verify in verifies:
+        bundle = build(verify=verify)
+        assert len(bundle.checks) >= 3
+    assert nodes == []
+
+
+def _sides(record):
+    """The name and recorded sides of every check step."""
+    return [step[1:] for step in record.steps if step[0] == "check"]
 
 
 def test_the_deferrals_of_a_document_go_with_it(monkeypatch):
-    """The record of a document, which holds whether each check waits, goes
-    with the document; a build that raises leaves none."""
+    """The record of a document, which holds both sides of each check,
+    goes with the document; a build that raises leaves none."""
     monkeypatch.setattr(dsl, "_RECORDS", {})
     torus = model_source("quantum-torus")
     doc = ModelDocument(parse_model(torus).statements, "copy")
     build_model(doc, verify=False)
     assert list(dsl._RECORDS) == [id(doc)]
-    assert _waits(dsl._RECORDS[id(doc)]) == [False, False, True]
+    sides = _sides(dsl._RECORDS[id(doc)])
+    assert [name for name, _ in sides] == [
+        "theta1-from-dx", "theta2-from-dy-dx", "inner-form"]
+    assert all(len(pair) == 2 for _, pair in sides)
     del doc
     gc.collect()
     assert dsl._RECORDS == {}
@@ -401,14 +449,12 @@ def _value(value):
 
 
 def _check_layout(case):
-    if isinstance(case, CheckCase):
-        return case.name, _value(case.lhs), _value(case.rhs)
-    return "waits", case[0]
+    return case.name, _value(case.lhs), _value(case.rhs)
 
 
 def _layout(bundle):
     """Everything a load holds, in stored order, down to the terms of every
-    coefficient; the deferred checks are read at the end."""
+    coefficient."""
     algebra = bundle.algebra
     out = [("rules", [(pair, [_terms(rhs) for rhs in rhs_list])
                       for pair, rhs_list in algebra.rules.items()]),
@@ -420,7 +466,7 @@ def _layout(bundle):
                        None if endo._scales is None else
                        [(sym, _coeff(c)) for sym, c in endo._scales.items()])
                       for name, endo in bundle.autos.items()]),
-           ("checks", [_check_layout(case) for case in bundle._checks])]
+           ("checks", [_check_layout(case) for case in bundle.checks])]
     calc = bundle.calculus
     if calc is not None:
         out += [("calculus", calc.labels,
@@ -438,7 +484,6 @@ def _layout(bundle):
                 ("connections", [(name, [(key, _value(form))
                                          for key, form in conn.table.items()])
                                  for name, conn in bundle.connections.items()])]
-    out.append(("read", [_check_layout(case) for case in bundle.checks]))
     return out
 
 
@@ -521,7 +566,7 @@ def _load_objects(bundle):
     return _objects(bundle.algebra.rules, bundle.algebra.relations,
                     bundle._env, bundle.autos, bundle.calculus,
                     geometry and geometry.extensions, bundle.metrics,
-                    bundle.connections, bundle._checks)
+                    bundle.connections, bundle.checks)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
@@ -594,7 +639,7 @@ def test_the_record_of_gl_pq2_localized_is_bounded():
         size = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert record.steps and 20_000 < size < 150_000
+    assert record.steps and 20_000 < size < 250_000
 
 
 def test_a_document_equals_itself_without_an_export(monkeypatch):

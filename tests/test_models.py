@@ -1,5 +1,11 @@
 """Tests for the shipped models and the structural verification suite."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from ncdiff import dsl, models
@@ -12,6 +18,35 @@ from ncdiff.models import (CheckResult, SuiteReport, _det_scales,
                            model_source, run_suite, scalar_ratio)
 
 from test_verify_pins import wrong_action_text
+
+# In a fresh interpreter: loads both gl-pq2 documents several times, reads
+# their checks and runs the suite, counting the evaluations of each side of
+# each check under the document being built ("load" outside a build), and
+# prints the counts as JSON.
+_COUNT_CHECK_EVALUATIONS = """
+import collections, json
+from ncdiff import dsl
+from ncdiff.models import BUILTINS, run_suite
+kind, evaluate = dsl._KINDS["check"], dsl._Evaluator.eval
+sides, building, counts = {}, [], collections.Counter()
+def check(builder, stmt):
+    sides.update((id(side), stmt.data[0]) for side in stmt.data[1:])
+    building.append(builder.doc.name)
+    kind.build(builder, stmt)
+    building.pop()
+def counted(evaluator, node):
+    if id(node) in sides:
+        counts[(building or ["load"])[-1] + "/" + sides[id(node)]] += 1
+    return evaluate(evaluator, node)
+dsl._KINDS["check"] = kind._replace(build=check)
+dsl._Evaluator.eval = counted
+for name in ("gl-pq2-localized", "gl-pq2") * 2:
+    for verify in (False, True):
+        BUILTINS[name](verify=verify).checks
+run_suite(BUILTINS["gl-pq2-localized"](), 1)
+print(json.dumps(counts))
+"""
+
 
 TORUS_ANCHORS = [
     "relations",
@@ -159,21 +194,23 @@ class TestLocalizedBundle:
         assert all(case.lhs == case.rhs
                    for case in glpq_localized.checks)
 
-    def test_no_build_evaluates_a_check(self, monkeypatch):
-        """The first build, read only for the determinant's scales, is
-        dropped with its checks never evaluated; the second build's are
-        evaluated when the suite reads them."""
-        evaluated = []
-        evaluate = dsl._check_case
-
-        def counted(data, evaluator, algebra):
-            evaluated.append(data[0])
-            return evaluate(data, evaluator, algebra)
-        monkeypatch.setattr(dsl, "_check_case", counted)
-        bundle = build_glpq(adjoin_det_inverse=True)
-        assert evaluated == []
-        assert [case.name for case in bundle.checks] == evaluated
-        assert len(evaluated) == 22
+    def test_each_check_is_evaluated_once_per_process(self):
+        """In a fresh interpreter, the gl-pq2 build that the localized
+        document is derived from and the first gl-pq2-localized build each
+        evaluate both sides of each of their document's 22 checks once;
+        later loads, verified or not, the suite included, evaluate
+        none."""
+        src = str(pathlib.Path(models.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", _COUNT_CHECK_EVALUATIONS],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout)
+        assert len(counts) == 44
+        assert {key.split("/")[0] for key in counts} == {
+            "gl-pq2", "gl-pq2-localized"}
+        assert set(counts.values()) == {2}
 
     def test_calculus_rebuilt(self, glpq, glpq_localized):
         assert glpq_localized.calculus is not glpq.calculus

@@ -39,10 +39,10 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     fuzzer = load_fuzzer().Fuzzer().run(args.seed, args.cases)
     print("seed %d: %d cases, %d runs, %d values parsed back, %d texts "
-          "loaded, %d deferred checks read, %d repeats checked, %d replays "
+          "loaded, %d checks read, %d repeats checked, %d replays "
           "checked, %d failures, %.1f s"
           % (args.seed, args.cases, fuzzer.runs, fuzzer.values,
-             fuzzer.loaded, fuzzer.deferred, fuzzer.repeats, fuzzer.replays,
+             fuzzer.loaded, fuzzer.checks, fuzzer.repeats, fuzzer.replays,
              len(fuzzer.failures), time.perf_counter() - start))
     for failure in fuzzer.failures:
         print(failure)
