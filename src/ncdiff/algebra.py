@@ -131,15 +131,26 @@ accumulated sum stores the same value with its terms in another order.
 of ``P`` meets on its left, or a letter of ``S`` on its right, is a unit
 swap or cancel, and the bases below ``left``, those of ``P`` among them, are
 q-commuting among themselves; in rising words that is one rank test on the
-last run of ``P`` and one on the first of ``S``.  Each normal word ``w`` of
-the block then ends as ``NF(P*w*S)``, one word times a unit that depends on
-``w`` alone, and where those words are distinct the stored normal form is
-the entry's, each word moved and its coefficient times its unit.  Any other
-product is rewritten.  The tables serve a power from its first product.
-The facts they rest on depend on the rules alone, so an algebra built from
-a document's record (``Algebra.presented``) takes the run index, the rule
-shapes and the tables' layout from there, and one built otherwise derives
-them on first use.
+last run of ``P`` and one on the first of ``S``.  The stored normal form
+is then the entry's, each normal word ``w`` of the block moved to
+``NF(P*w*S)`` and its coefficient times the unit of that move, with no
+fallback.  A carried ``P*w*S`` reduces by carry steps only: unit swaps and
+cancels among the q-commuting bases below ``left`` (the prefix, below),
+and the unit rules that the letters of ``S`` meet.  So ``NF(P*w*S)`` is one
+word times a Laurent unit.  Carry steps keep a word's signed exponent
+vector (an inverse symbol counting negative), and a normal word, rising in
+rank with at most one run per base, is the only normal word of its vector:
+distinct normal words of one block move to distinct words.
+
+Any other product is rewritten: a block not carried, one under a tail rule
+longer than ``_TABLE_SPAN``, and an entry whose reduction meets a junction
+it cannot carry (``_Unproved``).  Each power builds its own tables
+(``Algebra._normal_product``), which keep the algebra; the algebra keeps
+none, so they go when the power returns.  The facts they rest on depend on
+the rules alone, so an algebra built from a document's record
+(``Algebra.presented``) takes the run index, the rule shapes and the
+tables' layout from there, and one built otherwise derives them on first
+use.
 
 Why the tables need no confluence.  Rewriting is a function of the word
 whatever the overlaps do: leftmost reduction with the first rule of each
@@ -182,7 +193,6 @@ each class adds its own product, scaling and printing.
 
 from __future__ import annotations
 
-import weakref
 from collections import namedtuple
 from fractions import Fraction
 from operator import mul
@@ -726,17 +736,17 @@ class Algebra:
         algebra._runs = dict(runs)
         algebra._rules_moved()
         algebra._shapes = shapes
-        algebra._layout = layout or False
+        algebra._layout = layout
         return algebra
 
     def rule_facts(self):
         """What ``rules_changed`` and the shape tests derive from the rules:
         the run index, which ``presented`` copies, the rule shapes as two
-        frozensets, and the run-pair layout, or None where the tables
+        frozensets, and the run-pair layout, or False where the tables
         refuse the rules."""
         bases, pairs = self._rule_shapes()
         return (self._runs, (frozenset(bases), frozenset(pairs)),
-                self._run_layout() or None)
+                self._run_layout())
 
     # -- presentation ----------------------------------------------------
 
@@ -754,12 +764,11 @@ class Algebra:
 
     def _rules_moved(self) -> None:
         """Forget the memoized normal forms, the confluence verdict, and
-        the rule shapes and run-pair layout with the closed form and the
-        run-pair tables that rest on them."""
+        the rule shapes and run-pair layout with the closed form that rests
+        on them."""
         self._nf_cache = {}
         self._confluent = None
         self._closed_form = None
-        self._tables = None
         self._shapes = None
         self._layout = None
 
@@ -1049,16 +1058,14 @@ class Algebra:
         """The function ``(u, v) -> NF(u*v)`` of two normal words that
         ``Element._packed_power`` takes its normal forms from.
 
-        A q-commuting algebra takes them all in closed form.  Otherwise the
-        run-pair tables take every product where they accept the rules, and
-        ``normal_form_word`` takes them all where they refuse.
+        A q-commuting algebra takes them all in closed form.  Otherwise each
+        call builds run-pair tables of its own where they accept the rules,
+        and ``normal_form_word`` takes every product where they refuse.
         """
         if self._closed() is None:
-            if self._tables is None:
-                layout = self._run_layout()
-                self._tables = layout and _RunTables(self, *layout)
-            if self._tables:
-                return self._tables.product
+            layout = self._run_layout()
+            if layout:
+                return _RunTables(self, *layout).product
         normal_form_word = self.normal_form_word
 
         def product(u, v):
@@ -1262,17 +1269,13 @@ class _RunTables:
     of a prefix on its left, or of a suffix on its right, is a unit swap or
     cancel, and the bases of ranks below ``left`` are q-commuting among
     themselves.  ``entries`` maps ``(x, y, m, n)`` to ``NF(x^m * y^n)``.
-
-    The algebra keeps its tables, so the tables keep it only weakly: a
-    strong reference back would make a cycle, and an algebra that took a
-    power of a sum would wait for the cycle collector.
     """
 
-    __slots__ = ("_algebra", "rules", "runs", "rank", "left", "right",
+    __slots__ = ("algebra", "rules", "runs", "rank", "left", "right",
                  "entries", "one")
 
     def __init__(self, algebra: "Algebra", rank, left: int, right: int):
-        self._algebra = weakref.ref(algebra)
+        self.algebra = algebra
         self.rules = algebra.rules
         self.runs = algebra._runs
         self.rank = rank
@@ -1337,20 +1340,15 @@ class _RunTables:
             return {_join_words(u, v): self.one}
         prefix, suffix = u[:-1], v[1:]
         if not self._carried(x, y, m + n, prefix, suffix):
-            return self._rewritten(_join_words(u, v))
+            return self.algebra.normal_form_by_rewriting(_join_words(u, v))
         entry = self._entry(x, y, m, n)
         if not (prefix or suffix):
             return entry
         out = {}
         for word, c in entry.items():
-            moved = self._moved(prefix, word, suffix)
-            if moved is None or moved[0] in out:
-                return self._rewritten(_join_words(u, v))
-            out[moved[0]] = c * moved[1]
+            word, unit = self._moved(prefix, word, suffix)
+            out[word] = c * unit
         return out
-
-    def _rewritten(self, word) -> dict:
-        return self._algebra().normal_form_by_rewriting(word)
 
     def _carried(self, x, y, span: int, prefix, suffix) -> bool:
         """Whether the block ``x^m*y^n`` between prefix and suffix is taken
@@ -1376,7 +1374,8 @@ class _RunTables:
                 try:
                     entry = self._block(x, y, m, n, None)
                 except _Unproved:
-                    entry = self._rewritten(((x, m), (y, n)))
+                    entry = self.algebra.normal_form_by_rewriting(
+                        ((x, m), (y, n)))
             elif run[0]:
                 entry = {((y, n), (x, m)): run[1] ** (m * n)}
             else:
@@ -1421,38 +1420,23 @@ class _RunTables:
             outer = leaf
 
             def leaf(word):
-                moved = self._moved(prefix, word, suffix)
-                if moved is None:
-                    raise _Unproved
-                return _scaled(outer(moved[0]), moved[1])
+                word, unit = self._moved(prefix, word, suffix)
+                return _scaled(outer(word), unit)
         if (x, y) in self.runs:
             (word, c), = self._entry(x, y, m, n).items()
             return _scaled(leaf(word), c)
         return self._block(x, y, m, n, leaf)
 
     def _moved(self, prefix, word, suffix):
-        """(NF word, unit) of ``prefix*word*suffix``, or None unless each
-        of the two products is one word with a unit coefficient."""
+        """(NF word, unit) of ``prefix*word*suffix``, carried: one word times
+        a Laurent unit, as carry steps alone reduce it (module docstring)."""
         unit = self.one
         if prefix:
-            moved = self._unit_term(prefix, word)
-            if moved is None:
-                return None
-            word, unit = moved
+            (word, unit), = self.product(prefix, word).items()
         if suffix:
-            moved = self._unit_term(word, suffix)
-            if moved is None:
-                return None
-            word, unit = moved[0], unit * moved[1]
+            (word, c), = self.product(word, suffix).items()
+            unit = unit * c
         return word, unit
-
-    def _unit_term(self, u, v):
-        nf = self.product(u, v)
-        if len(nf) == 1:
-            (word, c), = nf.items()
-            if c._is_unit():
-                return word, c
-        return None
 
 
 def _scaled(terms: dict, unit) -> dict:

@@ -1,8 +1,10 @@
 import importlib.util
 import os
+import weakref
 
 import pytest
 
+from ncdiff import algebra
 from ncdiff.dsl import ModelDocument
 from ncdiff.models import build_glpq, build_quantum_torus
 
@@ -45,3 +47,17 @@ def repo_module():
         spec.loader.exec_module(module)
         return module
     return load
+
+
+@pytest.fixture
+def run_tables(monkeypatch):
+    """A weak reference to each ``_RunTables`` built from now on, in order:
+    the tables class is replaced by a subclass that records them."""
+    made = []
+
+    class Recorded(algebra._RunTables):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+    monkeypatch.setattr(algebra, "_RunTables", Recorded)
+    return made

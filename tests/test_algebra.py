@@ -617,6 +617,15 @@ class TestMatchesRecursiveCore:
             self._compare(_random_rule_system(rng), rng, 30, 4, 3)
 
 
+# Confluent, with a square y*z*x of y*x that is one word, and a cube that
+# meets the rule z*z = z + 1 and is not.
+_UNIT_SQUARE = """model "unit-square";
+param q;
+gen x, y, z;
+rel x*y = z;
+rel z*z = z + 1;
+"""
+
 _NON_CONFLUENT = """model "non-confluent";
 param q;
 gen x, y;
@@ -702,6 +711,18 @@ class TestMonomialPowers:
         assert alg.is_confluent()
         _, fallback = self._compare_random(alg, 15)
         assert fallback
+
+    def test_a_unit_square_with_a_cube_of_two_terms_falls_back(self):
+        """Squaring stops at the product of the base by its square, after a
+        square that is one unit word, and the loop takes the power."""
+        alg = load_model(_UNIT_SQUARE).algebra
+        assert alg.is_confluent() and alg._closed() is None
+        base = alg.gen("y") * alg.gen("x")
+        assert (base * base)._is_unit_monomial()
+        assert not (base * base * base)._is_unit_monomial()
+        assert base._squared_power(3) is None
+        assert str(base ** 3) == "y*x + y*z*x"
+        self._compare(alg, [base], max_n=5)
 
     def test_closed_form(self, torus):
         alg = torus.algebra

@@ -254,6 +254,30 @@ def test_planted_wedge_takes_the_direct_path(case, monkeypatch):
     assert statuses["d-twice"] == ("pass" if control else "fail")
 
 
+def test_a_missing_theta_rule_takes_the_direct_path(monkeypatch):
+    """Without a rule for the descent t2*t2, wedge is not known to be
+    associative, so d-twice applies d twice to every generator and basis
+    form, and passes as the direct computation does; with the rule it is
+    deduced."""
+    head = PLANTED_HEAD + _calc_block(("phi1", "phi2"), ("1", "0"),
+                                      EXTERIOR[:2])
+    bundle = load_model(head, verify=False)
+    calc = bundle.calculus
+    passed = {record[0] for record in _algebra_checks(bundle) if record[2]}
+    assert _laws_proved(bundle, passed) and (1, 1) not in calc.theta_rules
+    assert _wedge_associative(calc) is False
+    firsts = ([g for _, g in calc.generator_elements()]
+              + [calc.theta(lab) for lab in calc.labels])
+    assert all(calc.d(calc.d(x)).is_zero() for x in firsts)
+    calls = []
+    _count(monkeypatch, calculus.Calculus, "d", calls)
+    assert _statuses(run_suite(bundle))["d-twice"] == "pass"
+    assert calls
+    control = load_model(PLANTED_HEAD + _calc_block(
+        ("phi1", "phi2"), ("1", "0"), EXTERIOR[:3]), verify=False)
+    assert _wedge_associative(control.calculus) is True
+
+
 TORUS_EXTENSIONS = """
 extension phi1 { %s }
 extension phi2 { %s }

@@ -739,7 +739,7 @@ class TestDeferredChecks:
         ("gl-pq2", []),
         ("gl-pq2-localized", []),
     ])
-    def test_builtins_leave_every_cleared_check_pending(
+    def test_a_first_load_evaluates_every_check_once(
             self, name, eager_names, evaluations):
         """No check is left pending: the first load evaluates every check
         once, in statement order, the ones that take an inverse
@@ -755,8 +755,7 @@ class TestDeferredChecks:
         assert evaluations == names
 
     @pytest.mark.parametrize("name", list(BUILTINS))
-    def test_deferred_sides_are_the_eager_ones_term_for_term(self, name,
-                                                             eager):
+    def test_recorded_sides_are_the_first_build_ones(self, name, eager):
         """The sides a load makes from the record are the ones a first
         build makes, and the ones each check statement evaluates to over
         the load's environment, term for term."""
@@ -826,7 +825,7 @@ class TestDeferredChecks:
         bundle = load_model("\n".join(lines) + "\n")
         assert bundle.checks[0].lhs == bundle.checks[0].rhs
 
-    def test_a_later_substitution_does_not_reach_a_deferred_check(self):
+    def test_a_later_substitution_does_not_reach_an_earlier_check(self):
         """A check reads the parameters as its statement sees them."""
         bundle = load_model(with_base('check "c": r*x == x;',
                                       'subst r = q^2;'))
@@ -834,7 +833,7 @@ class TestDeferredChecks:
         assert bundle.value("r") != r
         assert bundle.checks[0].lhs == bundle.algebra.gen("x").scale(r)
 
-    def test_deferred_values_survive_the_closed_form(self, eager):
+    def test_recorded_sides_survive_the_closed_form(self, eager):
         """check_confluence turns on the torus closed form, as run_suite
         does before it reads the checks; the stored sides do not move."""
         torus = BUILTINS["quantum-torus"](verify=False)
@@ -851,7 +850,7 @@ class TestDeferredChecks:
         assert BUILTINS[name](verify=False).algebra._confluent is None
         assert eager(BUILTINS[name]).algebra._confluent is None
 
-    def test_the_gate_clears_only_what_evaluates(self, torus, glpq,
+    def test_evaluation_raises_only_model_errors(self, torus, glpq,
                                                  repo_module):
         """On random expressions over the builtins, evaluation raises no
         error but a ModelSemanticError, which a load reports at its check,
@@ -878,7 +877,7 @@ class TestDeferredChecks:
                                           dsl.Form)), expression_to_text(node)
         assert cleared > 300 and refused > 50
 
-    def test_the_gate_does_no_engine_arithmetic(self, monkeypatch):
+    def test_a_later_load_does_no_engine_arithmetic(self, monkeypatch):
         """A load after the first, its checks read, multiplies, raises to a
         power, wedges, differentiates and twists no engine value, while
         each builtin's first build does.  The record table starts empty,

@@ -14,6 +14,9 @@ extension record without a probe.
 The ``{localized}`` placeholder stands for the exported document of the
 builtin gl-pq2-localized; its case shares the builtin's golden file, which
 the table ``_SHARED_GOLDEN`` records.
+The ``{two-tail}`` placeholder stands for ``tests/data/two_tail.ncd``, a
+PBW algebra with two tail rules, d*a and e*c, on which the run-pair tables
+of a power rewrite the blocks whose context they cannot carry.
 
 Each case runs twice in a row, and the second run, whose load constructs
 its bundle from the record the first one kept, must give the same bytes.
@@ -35,6 +38,7 @@ from ncdiff.dsl import export_model
 from ncdiff.models import build_glpq, model_source
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+DATA_DIR = pathlib.Path(__file__).parent / "data"
 WORKLOADS = pathlib.Path(__file__).parent.parent / "bench" / "workloads.py"
 
 _EXPRESSIONS = {
@@ -58,6 +62,11 @@ _MIXED_EXPANSION = "(1/2*a + (q + 1)*d - b*c)^4"
 # process takes its products in closed form, and the golden was written when
 # they were rewritten step by step.
 _TORUS_EXPANSION = "(x + 2*y^-1 - x*y)^6"
+
+# A power of a sum on the two-tail text, whose tables meet blocks they
+# cannot prove and rewrite them.  The golden was written when the tables
+# were kept on the algebra.
+_TWO_TAIL_EXPANSION = "(a^2 + d^2 + c - e)^3"
 
 _RELATIONS = {
     "quantum-torus": ["--forms", "dx,dy", "--elements", "x,y"],
@@ -93,6 +102,8 @@ def _cases():
                   ["nf", "builtin:gl-pq2", "-e", _MIXED_EXPANSION], 0))
     cases.append(("quantum-torus-expand.nf.plain",
                   ["nf", "builtin:quantum-torus", "-e", _TORUS_EXPANSION], 0))
+    cases.append(("two-tail-expand.nf.plain",
+                  ["nf", "{two-tail}", "-e", _TWO_TAIL_EXPANSION], 0))
     cases.append(("gl-pq2-rfree.verify.plain", ["verify", "{rfree}"], 1))
     cases.append(("torus-wrong-action.verify.plain",
                   ["verify", "{wrong-action}"], 1))
@@ -139,6 +150,8 @@ _PLACEHOLDERS = {
     "{localized}": ("gl_pq2_localized.ncd",
                     lambda: export_model(
                         build_glpq(adjoin_det_inverse=True).doc)),
+    "{two-tail}": ("two_tail.ncd",
+                   lambda: (DATA_DIR / "two_tail.ncd").read_text()),
 }
 
 

@@ -221,15 +221,16 @@ def test_loads_share_no_engine_state(name):
 
 
 @pytest.mark.parametrize("expr", ["(a + b)^3", "(a + d)^3", "(b + c)^4"])
-def test_a_bundle_that_took_a_power_of_a_sum_is_freed(expr):
-    """With the cycle collector off, a gl-pq2 bundle whose algebra built
-    its run-pair tables goes, algebra included, when its last reference
-    does: the tables hold no strong reference back to the algebra."""
+def test_a_bundle_that_took_a_power_of_a_sum_is_freed(expr, run_tables):
+    """With the cycle collector off, the run-pair tables of a power of a
+    sum on gl-pq2 go when the power returns, and the bundle goes, algebra
+    included, when its last reference does: the algebra keeps no tables."""
     bundle = BUILTINS["gl-pq2"](verify=False)
     gc.disable()
     try:
         bundle.eval_expression(expr)
-        assert bundle.algebra._tables
+        assert len(run_tables) == 1
+        assert [ref() for ref in run_tables] == [None]
         refs = weakref.ref(bundle), weakref.ref(bundle.algebra)
         del bundle
         assert [ref() for ref in refs] == [None, None]
@@ -363,7 +364,7 @@ def _evaluations(monkeypatch):
     return nodes
 
 
-def test_a_warm_build_defers_what_a_cold_one_does(texts, monkeypatch):
+def test_a_warm_build_reads_the_checks_a_cold_one_does(texts, monkeypatch):
     """Each document is built cold, the record table cleared before it.
     Then the documents are built again, each first over the table another
     document left, and then once more warm: each time every check reads
@@ -408,7 +409,7 @@ def _sides(record):
     return [step[1:] for step in record.steps if step[0] == "check"]
 
 
-def test_the_deferrals_of_a_document_go_with_it(monkeypatch):
+def test_the_check_sides_of_a_document_go_with_it(monkeypatch):
     """The record of a document, which holds both sides of each check,
     goes with the document; a build that raises leaves none."""
     monkeypatch.setattr(dsl, "_RECORDS", {})

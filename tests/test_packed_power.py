@@ -219,7 +219,7 @@ def test_a_denominator_takes_the_loop(glpq, packed_calls):
     assert packed_calls == []
 
 
-def test_a_non_confluent_algebra_is_rewritten(packed_calls):
+def test_a_non_confluent_algebra_is_rewritten(packed_calls, run_tables):
     alg = load_model(_NOT_CONFLUENT, verify=False).algebra
     x, y = alg.gen("x"), alg.gen("y")
     bases = (x + y, 2 * x - 3 * y + x * y, x * x + 2 * y * x)
@@ -228,13 +228,35 @@ def test_a_non_confluent_algebra_is_rewritten(packed_calls):
             assert stored((base ** n).terms) == stored(
                 loop_power(base, n).terms), (str(base), n)
     assert packed_calls == list(range(2, 7)) * len(bases)
-    assert alg._confluent is None and alg._tables is False
+    assert alg._confluent is None and alg._layout is False
+    assert run_tables == []
 
 
-def test_a_tail_rule_inside_an_overlap(packed_calls):
+def test_a_multi_term_product_cancels_a_word(glpq, packed_calls,
+                                            monkeypatch):
+    """In the square of 1 + k*b*c + d + a with k = (p - 1/q)/2, the products
+    1*(b*c) and (b*c)*1 give b*c the coefficient 2*k, and d*a then adds
+    -(p - 1/q) by its multi-term tail coefficient, which cancels the word."""
+    emptied = []
+    packed_add = algebra._packed_add
+
+    def counted(out, add):
+        out = packed_add(out, add)
+        emptied.append(not out)
+        return out
+    monkeypatch.setattr(algebra, "_packed_add", counted)
+    x = glpq.eval_expression("1 + (p - 1/q)/2*b*c + d + a")
+    for n in (2, 3, 4):
+        assert stored((x ** n).terms) == stored(loop_power(x, n).terms), n
+    assert packed_calls == [2, 3, 4] and emptied.count(True) == 3
+    b, c = glpq.algebra.table.index("b"), glpq.algebra.table.index("c")
+    assert ((b, 1), (c, 1)) not in (x ** 2).terms
+
+
+def test_a_tail_rule_inside_an_overlap(packed_calls, run_tables):
     alg = load_model(_GL_FIVE).algebra
     for x, n in seeded_bases(alg, 34, 24):
         assert stored((x ** n).terms) == stored(loop_power(x, n).terms), (
             str(x), n)
     assert len(packed_calls) == 24
-    assert alg.check_confluence() == [] and alg._tables
+    assert alg.check_confluence() == [] and len(run_tables) == 24

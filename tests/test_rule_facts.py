@@ -54,7 +54,7 @@ def _documents(repo_module):
                + pbw_texts(60, 10, planted_text)])
 
 
-def test_a_load_holds_the_facts_its_rules_give(repo_module):
+def test_a_load_holds_the_facts_its_rules_give(repo_module, run_tables):
     """Every builtin, every loadable corpus text, the benchmark's rank-3..5
     spaces and the PBW and planted texts of the run-pair tests: a load's
     run index, shapes and layout are those of a fresh algebra on
@@ -66,14 +66,14 @@ def test_a_load_holds_the_facts_its_rules_give(repo_module):
         assert id(doc) in record_table
         assert all(isinstance(part, frozenset) for part in alg._shapes)
         assert alg._closed_form is None and not alg._nf_cache
-        assert alg._tables is None and alg._layout is not None
+        assert run_tables == [] and alg._layout is not None
         _assert_facts_derived(alg)
         refused += alg._layout is False
         accepted += bool(alg._layout)
     assert refused >= 2 and accepted >= 50
 
 
-def test_a_new_relation_forgets_the_facts():
+def test_a_new_relation_forgets_the_facts(run_tables):
     """A second rule for gl-pq2's pair b*a leaves that pair unshaped, so the
     tables carry no prefix past it; the algebra derives its facts again and
     a power still stores the loop's terms."""
@@ -87,8 +87,8 @@ def test_a_new_relation_forgets_the_facts():
     assert alg._shapes is None and alg._layout is None
     x = alg.gen("a") + alg.gen("b") + alg.gen("d")
     assert stored((x ** 4).terms) == stored(loop_power(x, 4).terms)
-    assert alg._tables and alg._tables.left < before[1]
-    assert alg._layout == (before[0], alg._tables.left, before[2])
+    assert len(run_tables) == 1 and alg._layout[1] < before[1]
+    assert alg._layout[::2] == before[::2]
     _assert_facts_derived(alg)
 
 

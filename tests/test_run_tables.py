@@ -18,12 +18,16 @@ rule whose overlaps do not close, and swaps of inverse symbols declared with
 constants other than the ones ``_conjugated`` derives.
 """
 
+import pathlib
 import random
+import sys
 
 import pytest
 
+from ncdiff import algebra
 from ncdiff.algebra import Algebra, _join_words, _RunTables, word_from_runs
 from ncdiff.dsl import load_model
+from ncdiff.models import BUILTINS
 
 from test_closed_form import q_commuting_text, stored
 
@@ -236,9 +240,89 @@ def test_planted_texts():
     'model "m"; param q; gen x, y; rel x*x = y; rel y*x = q*x*y;',
     # y*x has no rule, so a normal word need not rise.
     'model "m"; param q; gen x, y, z; rel z*x = q*x*z; rel z*y = y*z;',
-    # The tail z*z is not between x and y.
+    # y*x = q*x*y + z^2 orients to the square rule z*z.
     'model "m"; param q; gen x, y, z; rel y*x = q*x*y + z^2;'
     ' rel z*x = x*z; rel z*y = y*z;',
-], ids=["square", "missing-pair", "tail-outside"])
+    # The rule x*y has its left letter of lower rank.
+    'model "m"; param q; gen x, y, z; rel x*y = z; rel y*x = q*x*y;'
+    ' rel z*x = x*z; rel z*y = y*z;',
+    # y*x cancels two different generators.
+    'model "m"; param q; gen x, y; rel y*x = 2;',
+    # The tail w ranks below x.
+    'model "m"; param q; gen w, x, y; rel x*w = w*x; rel y*w = w*y;'
+    ' rel y*x = q*x*y + w;',
+    # The tail z ranks above y.
+    'model "m"; param q; gen x, y, z; rel y*x = q*x*y + z;'
+    ' rel z*x = x*z; rel z*y = y*z;',
+    # The tail y*x falls in rank.
+    'model "m"; param q; gen x, y, z; rel z*x = x*z + y*x; rel z*y = y*z;',
+], ids=["square", "missing-pair", "tail-outside", "rule-rises",
+        "cancel-across-bases", "tail-below", "tail-above", "tail-falls"])
 def test_shape_refused(text):
     assert _RunTables.layout(load_model(text, verify=False).algebra) is None
+
+
+# -- the fallbacks that stay ----------------------------------------------
+
+TWO_TAIL = (pathlib.Path(__file__).parent / "data" / "two_tail.ncd").read_text()
+
+
+def _product(alg: Algebra, u, v):
+    """``product(u, v)`` of fresh tables, compared with rewriting; the words
+    rewriting took in its place, how many ``_Unproved`` were raised and the
+    callers of ``_join_words``, in order."""
+    u, v = [tuple((alg.table.index(name), n) for name, n in word)
+            for word in (u, v)]
+    tables = _RunTables(alg, *_RunTables.layout(alg))
+    reference = alg.normal_form_by_rewriting
+    rewritten, raised, joins = [], [], []
+
+    class Counted(algebra._Unproved):
+        def __init__(self):
+            raised.append(self)
+
+    def join(w1, w2):
+        joins.append(sys._getframe(1).f_code.co_name)
+        return _join_words(w1, w2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(alg, "normal_form_by_rewriting", lambda word: (
+            rewritten.append(word) or reference(word)))
+        patch.setattr(algebra, "_Unproved", Counted)
+        patch.setattr(algebra, "_join_words", join)
+        got = tables.product(u, v)
+    assert stored(got) == stored(reference(_join_words(u, v)))
+    return rewritten, len(raised), joins
+
+
+def test_an_unproved_block_is_rewritten():
+    """On the two-tail text, filling ``d^2*a^2`` splices the tail ``p*b*c``
+    of d*a after a ``d``.  The junction ``d*b`` then has the suffix ``c``,
+    which the tail rule e*c keeps from being carried, so the entry is
+    rewritten."""
+    alg = load_model(TWO_TAIL, verify=False).algebra
+    rewritten, raised, _ = _product(alg, [("d", 2)], [("a", 2)])
+    d, a = alg.table.index("d"), alg.table.index("a")
+    assert raised == 1 and rewritten[-1] == ((d, 2), (a, 2))
+
+
+def test_a_junction_without_a_rule_is_joined():
+    """Filling ``z^3*x^2`` splices the tail ``q*z`` of z*x after ``z^2``,
+    and ``_tree`` joins the words at that junction ``z*z``, which no rule
+    rewrites."""
+    alg = load_model('model "m"; param q; gen x, y, z; rel y*x = q*x*y;'
+                     ' rel z*x = x*z + q*z; rel z*y = y*z;',
+                     verify=False).algebra
+    rewritten, raised, joins = _product(alg, [("z", 3)], [("x", 2)])
+    assert rewritten == [] and raised == 0 and "_tree" in joins
+
+
+def test_a_block_past_the_span_is_rewritten():
+    """``d^64*a`` on gl-pq2 spans 65 letters under the tail rule d*a, one
+    more than ``_TABLE_SPAN``, and is rewritten once; ``d^63*a`` is not."""
+    alg = BUILTINS["gl-pq2"](verify=False).algebra
+    d, a = alg.table.index("d"), alg.table.index("a")
+    assert algebra._TABLE_SPAN == 64
+    rewritten, _, _ = _product(alg, [("d", 64)], [("a", 1)])
+    assert rewritten == [((d, 64), (a, 1))]
+    rewritten, _, _ = _product(alg, [("d", 63)], [("a", 1)])
+    assert rewritten == []

@@ -45,11 +45,11 @@ rel z*y = q*y*z;
 
 
 @pytest.mark.parametrize("name", ["gl-pq2", "gl-pq2-localized"])
-def test_a_cold_power_of_a_sum_reads_no_verdict(name):
+def test_a_cold_power_of_a_sum_reads_no_verdict(name, run_tables):
     bundle = BUILTINS[name](verify=False)
     alg = bundle.algebra
     value = bundle.eval_expression(_EXPANSION)
-    assert alg._confluent is None and alg._tables
+    assert alg._confluent is None and len(run_tables) == 1
     assert alg._closed_form is None
     reference = BUILTINS[name](verify=False)
     base = reference.eval_expression(_EXPANSION[1:_EXPANSION.index(")")])
