@@ -45,29 +45,31 @@ repeated squaring when the rules are confluent: then normal forms are
 unique, the product is associative, and every order of multiplication ends
 in the same word with the same coefficient, whose stored form (one term over
 exactly 1) depends only on its value.  Without confluence the grouping can
-change the answer, so such powers, like all multi-term ones, multiply the
-base in one factor at a time.  Squaring stops, and the power is taken again
-one factor at a time, as soon as a product is not a single unit term.  A
-multi-term power whose coefficients and rule coefficients are all over 1 is
-taken with packed exponent vectors (``Element._packed_power``), cancelling
-and ordering terms as the products do, so it stores the loop's terms.
+change the answer, so such powers, like all others, multiply the base in
+one factor at a time.  Squaring stops, and the power is taken again one
+factor at a time, as soon as a product is not a single unit term.  Any
+other power whose coefficients and rule coefficients are all over 1, of a
+sum or of a word that neither the closed form nor squaring took, is taken
+with packed exponent vectors (``Element._packed_power``), cancelling and
+ordering terms as the products do, so it stores the loop's terms.
 
 Each step of that power multiplies every coefficient ``c1`` it holds by
 each base coefficient ``c2`` and by the coefficient ``f`` of the normal
 form of each product of their words, and adds the result.  It reads every
 normal form once, packing each single-term coefficient into one monomial
 code and one rational factor and finding the step's largest exponent in
-the same pass.  Where ``f`` has one term, the step adds straight into the
-target word's coefficient, term by term in order, each term shifted by the
-codes and scaled by the factors: the terms of ``c1`` by those of ``c2`` and
-``f`` where ``c2`` has one term too, else the terms of ``c1*c2``, taken
-once per pair, by those of ``f``.  That stores what multiplying and then
-adding stores: the arithmetic is exact, so ``(ca*cb)*cf == ca*(cb*cf)``,
-the codes add the same way, and a product by a single nonzero term never
-cancels, so only the sum drops terms.  A multi-term ``f`` is multiplied
-and added as a polynomial.  A power whose exponents outgrow its packing
-repacks into one sized for four times the bound reached, so that it
-repacks once or twice.
+the same pass.  Every product is added in one pass straight into the
+target word's coefficient, term by term in order, each term of a packed
+polynomial shifted by a code and scaled by a factor: the terms of ``c1``,
+shifted and scaled by ``c2`` and ``f`` where both have one term; of
+``c1*c2``, taken once per pair, by ``f`` where only ``f`` has one; and of
+``c1*f`` or ``c1*c2*f``, by ``c2`` or not at all, where ``f`` has several.
+That stores what multiplying and then adding stores: the arithmetic is
+exact, so ``(ca*cb)*cf == ca*(cb*cf)``, the codes add the same way, and
+shifting by a code and scaling by a nonzero number map distinct terms to
+distinct terms, so only the sums cancel, in the same places.  A power whose
+exponents outgrow its packing repacks into one sized for four times the
+bound reached, so that it repacks once or twice.
 
 Closed form.  An algebra is q-commuting when its rules are exactly: a unit
 swap ``h*b -> c_hb*b*h`` for every pair of base generators ``h > b``; the
@@ -76,7 +78,7 @@ inverse and by ``1/c_hb`` otherwise; and the cancels ``g*g^-1 -> 1`` and
 ``g^-1*g -> 1`` of each invertible generator, each the only rule of its
 pair.  Such rules are confluent by the diamond lemma, so no verdict is
 needed: ``Algebra._closed`` reads the shapes, and once a power of a unit
-monomial or of a sum, or ``check_confluence``, has asked for it, the algebra
+monomial, a packed power or ``check_confluence`` has asked for it, the algebra
 keeps the table of the ``c_hb``, and until the rules change:
 
 * the normal form of a word is its exponent vector ``e`` (one integer per
@@ -101,7 +103,7 @@ rational factor an int when integral.  Every other algebra, and one that
 nothing has asked for its closed form yet, is rewritten step by step;
 ``normal_form_by_rewriting`` stays callable on all of them as the reference.
 
-Run-pair tables.  A power of a sum (``Element._packed_power``) needs the
+Run-pair tables.  A packed power (``Element._packed_power``) needs the
 normal form of many products ``u*v`` of two normal words.  On an algebra
 without a closed form it takes them from ``_RunTables`` (as Levandovskyy and
 Schoenemann's Plural does for G-algebras, ISSAC 2003) when the rules have an
@@ -495,8 +497,7 @@ class Element(LinearSum):
                 out = self._squared_power(n)
                 if out is not None:
                     return out
-        if (n > 1 and len(self.terms) > 1
-                and all(len(c.den.terms) == 1 for c in self.terms.values())
+        if (n > 1 and all(len(c.den.terms) == 1 for c in self.terms.values())
                 and all(len(c.den.terms) == 1
                         for rhs_list in self.algebra.rules.values()
                         for rhs in rhs_list for c in rhs.values())):
@@ -507,7 +508,7 @@ class Element(LinearSum):
         return out
 
     def _packed_power(self, n: int) -> "Element":
-        """self**n, factor by factor as the loop takes it, for a sum whose
+        """self**n, factor by factor as the loop takes it, for a base whose
         coefficients and normal forms are Laurent polynomials over 1."""
         alg = self.algebra
         size = len(alg.params)
@@ -534,22 +535,17 @@ class Element(LinearSum):
             terms = {}
             for c1 in out.values():
                 for pb, cb, c2 in factors:
-                    coeff = None
+                    if pb is None:
+                        head, hshift, hscale = _packed_product(c1, c2), 0, 1
+                    else:
+                        head, hshift, hscale = c1, pb, cb
                     for word, pm, f in next(rows):
-                        if coeff is None and (pb is None or pm is None):
-                            coeff = _packed_product(c1, c2)
                         if pm is None:
-                            c = _packed_product(coeff, f)
-                            prev = terms.get(word)
-                            if prev is None:
-                                terms[word] = dict(c)
-                            elif not _packed_add(prev, c):
-                                del terms[word]
-                            continue
-                        if pb is None:
-                            source, shift, scale = coeff, pm, f
+                            source, shift, scale = (
+                                _packed_product(head, f), hshift, hscale)
                         else:
-                            source, shift, scale = c1, pb + pm, cb * f
+                            source, shift, scale = (
+                                head, hshift + pm, hscale * f)
                         prev = terms.get(word)
                         if prev is None:
                             terms[word] = {k + shift: v * scale
@@ -630,30 +626,18 @@ class _Packing:
             for code, c in packed.items()}
 
 
-def _packed_add(out: dict, add: dict) -> dict:
-    """out + add in place, ordered and cancelled as by Polynomial.__add__."""
-    for m, c in add.items():
-        s = out.get(m, 0) + c
-        if s:
-            out[m] = s
-        else:
-            del out[m]
-    return out
-
-
 def _packed_product(a: dict, b: dict) -> dict:
     """The product of packed polynomials, ordered and cancelled as by
-    Polynomial.__mul__; a factor of exactly 1 gives the other itself."""
-    if len(a) == 1:
-        a, b = b, a
-    if len(b) == 1:
-        (pb, cb), = b.items()
-        if cb == 1 and not pb:
-            return a
-        return {pa + pb: ca * cb for pa, ca in a.items()}
+    Polynomial.__mul__."""
     out = {}
     for pa, ca in a.items():
-        _packed_add(out, {pa + pb: ca * cb for pb, cb in b.items()})
+        for pb, cb in b.items():
+            k = pa + pb
+            s = out.get(k, 0) + ca * cb
+            if s:
+                out[k] = s
+            else:
+                del out[k]
     return out
 
 
@@ -1306,7 +1290,9 @@ class _RunTables:
         for (x, y), rhs_list in rules.items():
             run = runs.get((x, y))
             if rank[x] == rank[y]:
-                if x == y or run is None or run[0]:
+                # Else a generator and its inverse, whose first rule is
+                # always the cancel by 1 that Algebra.__init__ writes.
+                if x == y:
                     return None
             elif rank[x] < rank[y] or run is not None and not run[0]:
                 return None

@@ -1,3 +1,4 @@
+import pathlib
 import random
 from fractions import Fraction
 
@@ -626,6 +627,11 @@ rel x*y = z;
 rel z*z = z + 1;
 """
 
+# Confluent with no closed form, since z*z = 1 is no swap: its unit powers
+# are squared.
+_INVOLUTION = (pathlib.Path(__file__).parent / "data"
+               / "involution.ncd").read_text()
+
 _NON_CONFLUENT = """model "non-confluent";
 param q;
 gen x, y;
@@ -723,6 +729,30 @@ class TestMonomialPowers:
         assert base._squared_power(3) is None
         assert str(base ** 3) == "y*x + y*z*x"
         self._compare(alg, [base], max_n=5)
+
+    def test_unit_powers_without_a_closed_form_are_squared(self, glpq,
+                                                            monkeypatch):
+        """A unit monomial whose powers stay unit need not be a word of
+        shaped bases: z holds the rule z*z.  Such powers, and those of
+        gl-pq2's b*c, are squared, whatever the exponent."""
+        squared = []
+        squared_power = Element._squared_power
+
+        def counted(self, n):
+            out = squared_power(self, n)
+            squared.append(out is not None)
+            return out
+        monkeypatch.setattr(Element, "_squared_power", counted)
+        alg = load_model(_INVOLUTION).algebra
+        assert alg._closed() is None
+        x, z = alg.gen("x"), alg.gen("z")
+        n = 100000000001
+        assert str(z ** n) == "z"
+        assert str((x * z) ** n) == "x^%d*z" % n
+        assert str(glpq.eval_expression("b*c") ** (n - 1)) == (
+            "p^4999999999950000000000*q^-4999999999950000000000"
+            " * b^100000000000*c^100000000000")
+        assert squared == [True] * 3
 
     def test_closed_form(self, torus):
         alg = torus.algebra

@@ -346,7 +346,7 @@ def _recorded_documents(texts, repo_module):
     return list({id(doc): doc for doc in docs}.values())
 
 
-def _deferrals(bundle):
+def _check_sides(bundle):
     """The name and printed sides of every check, read from ``checks``."""
     return [(case.name, str(case.lhs), str(case.rhs))
             for case in bundle.checks]
@@ -374,14 +374,14 @@ def test_a_warm_build_reads_the_checks_a_cold_one_does(texts, monkeypatch):
     cold = []
     for doc in docs:
         dsl._RECORDS.clear()
-        cold.append(_deferrals(build_model(doc, verify=False)))
+        cold.append(_check_sides(build_model(doc, verify=False)))
     assert sum(bool(checks) for checks in cold) >= 10
     for doc, want in zip(docs, cold):
-        assert _deferrals(build_model(doc, verify=False)) == want
+        assert _check_sides(build_model(doc, verify=False)) == want
     assert set(dsl._RECORDS) == {id(doc) for doc in docs}
     nodes = _evaluations(monkeypatch)
     for doc, want in zip(reversed(docs), reversed(cold)):
-        assert _deferrals(build_model(doc, verify=False)) == want
+        assert _check_sides(build_model(doc, verify=False)) == want
     assert nodes == []
 
 

@@ -1,17 +1,19 @@
-"""Multi-term powers with packed exponents against the factor-by-factor loop.
+"""Powers with packed exponents against the factor-by-factor loop.
 
-``Element.__pow__`` takes a power of a sum whose coefficients, and every
-rule coefficient, are Laurent polynomials over 1 in ``_packed_power``.  The
-loop below, one element product per factor, is what every other base still
+``Element.__pow__`` takes a power whose coefficients, and every rule
+coefficient, are Laurent polynomials over 1 in ``_packed_power``, unless
+its base is one word that the closed form or squaring serves.  The loop
+below, one element product per factor, is what every other base still
 takes, and it is the reference: the packed power must store what the loop
 stores, the same words in the same order and the same coefficient terms in
 the same order, int or ``Fraction`` alike.  Where the run-pair tables accept
 the rules the products come from the tables, confluent or not, and on any
 other algebra from rewriting; both must store the loop's terms.  Each kind
-of step is covered: a product added in one pass (a single-term base
-coefficient times a single-term product coefficient), by the general
-product and sum otherwise, a word that cancels and comes back within a
-step, and a packing outgrown at the first step and later.
+of step is covered: a product added shifted and scaled (a single-term
+base coefficient times a single-term product coefficient), through
+``_packed_product`` where either has several terms, a word that cancels
+and comes back within a step, and a packing outgrown at the first step and
+later.
 """
 
 import random
@@ -21,7 +23,7 @@ import pytest
 
 from ncdiff import algebra
 from ncdiff.algebra import Element
-from ncdiff.coeff import RationalFunction
+from ncdiff.coeff import ParameterSet, Polynomial, RationalFunction
 from ncdiff.dsl import load_model
 
 from test_closed_form import stored
@@ -173,12 +175,13 @@ def packings(monkeypatch):
     return made
 
 
-# A step adds a product in one pass where the base coefficient and the
-# product coefficient each have one term, and by _packed_product and
-# _packed_add otherwise: a Fraction coefficient; a multi-term base
-# coefficient in the same step as single-term ones; a multi-letter base
-# word; the multi-term coefficient that the tail rule d*a gives; and a power
-# whose exponents outgrow the packing at its first step, and at its eighth.
+# A step adds each product in one pass, shifted and scaled where the base
+# coefficient and the product coefficient each have one term, and from
+# _packed_product where either has several: a Fraction coefficient; a
+# multi-term base coefficient in the same step as single-term ones; a
+# multi-letter base word; the multi-term coefficient that the tail rule d*a
+# gives; and a power whose exponents outgrow the packing at its first step,
+# and at its eighth.
 @pytest.mark.parametrize("expr,n,repacks", [
     ("1/2*a + d", 5, 2),
     ("1/2*a + (q + 1)*d - b*c", 4, 1),
@@ -232,23 +235,14 @@ def test_a_non_confluent_algebra_is_rewritten(packed_calls, run_tables):
     assert run_tables == []
 
 
-def test_a_multi_term_product_cancels_a_word(glpq, packed_calls,
-                                            monkeypatch):
+def test_a_multi_term_product_cancels_a_word(glpq, packed_calls):
     """In the square of 1 + k*b*c + d + a with k = (p - 1/q)/2, the products
     1*(b*c) and (b*c)*1 give b*c the coefficient 2*k, and d*a then adds
     -(p - 1/q) by its multi-term tail coefficient, which cancels the word."""
-    emptied = []
-    packed_add = algebra._packed_add
-
-    def counted(out, add):
-        out = packed_add(out, add)
-        emptied.append(not out)
-        return out
-    monkeypatch.setattr(algebra, "_packed_add", counted)
     x = glpq.eval_expression("1 + (p - 1/q)/2*b*c + d + a")
     for n in (2, 3, 4):
         assert stored((x ** n).terms) == stored(loop_power(x, n).terms), n
-    assert packed_calls == [2, 3, 4] and emptied.count(True) == 3
+    assert packed_calls == [2, 3, 4]
     b, c = glpq.algebra.table.index("b"), glpq.algebra.table.index("c")
     assert ((b, 1), (c, 1)) not in (x ** 2).terms
 
@@ -260,3 +254,50 @@ def test_a_tail_rule_inside_an_overlap(packed_calls, run_tables):
             str(x), n)
     assert len(packed_calls) == 24
     assert alg.check_confluence() == [] and len(run_tables) == 24
+
+
+def test_a_single_word_base_is_packed(glpq, torus, packed_calls):
+    """A one-word base that neither the closed form nor squaring takes is
+    packed: a*d, whose square picks up the tail of d*a, and one-word bases
+    whose coefficient is a sum."""
+    bases = [glpq.eval_expression(e) for e in ("a*d", "(1 + q)*a*d")]
+    bases.append(torus.eval_expression("(1 + q)*x*y"))
+    for x in bases:
+        for n in range(2, 7):
+            assert stored((x ** n).terms) == stored(loop_power(x, n).terms), (
+                str(x), n)
+    assert packed_calls == list(range(2, 7)) * len(bases)
+
+
+def test_packed_products_store_the_polynomial_products():
+    """Seeded Laurent polynomials of one term and of many, with int and
+    Fraction coefficients and negative exponents, and products whose sums
+    cancel: ``_packed_product`` stores the terms of ``Polynomial.__mul__``,
+    in order, int or ``Fraction`` alike."""
+    params = ParameterSet(("p", "q"))
+    rng = random.Random(48)
+    numbers = (1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2))
+
+    def polynomial():
+        return Polynomial(params, {
+            (rng.randint(-1, 1), rng.randint(-2, 1)): rng.choice(numbers)
+            for _ in range(rng.choice((1, 1, 2, 3, 6)))})
+
+    def signs_flipped(a):
+        return Polynomial(params, {m: c * rng.choice((1, -1))
+                                   for m, c in a.terms.items()})
+    pairs = [(polynomial(), polynomial()) for _ in range(200)]
+    # (t1 + t2)*(t1 - t2) and the like: the cross terms cancel.
+    pairs += [(a, signs_flipped(a))
+              for a in [polynomial() for _ in range(100)]]
+    packing = algebra._Packing(len(params), 4)
+    cancelled = 0
+    for a, b in pairs:
+        product = packing.unpacked(algebra._packed_product(
+            packing.pack(a.terms), packing.pack(b.terms)))
+        want = (a * b).terms
+        assert [(m, c, type(c)) for m, c in product.items()] == [
+            (m, c, type(c)) for m, c in want.items()], (a, b)
+        cancelled += len(want) < len({tuple(map(sum, zip(ma, mb)))
+                                      for ma in a.terms for mb in b.terms})
+    assert cancelled >= 20

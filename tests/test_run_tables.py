@@ -18,6 +18,7 @@ rule whose overlaps do not close, and swaps of inverse symbols declared with
 constants other than the ones ``_conjugated`` derives.
 """
 
+import json
 import pathlib
 import random
 import sys
@@ -260,6 +261,29 @@ def test_planted_texts():
         "cancel-across-bases", "tail-below", "tail-above", "tail-falls"])
 def test_shape_refused(text):
     assert _RunTables.layout(load_model(text, verify=False).algebra) is None
+
+
+def test_every_inverse_pair_cancels_first(repo_module):
+    """``layout`` refuses a rule on two symbols of one base only when it is
+    a square: the other such pairs are a generator and its inverse, whose
+    first rule is the cancel by 1 that ``Algebra`` writes before any
+    relation, indexed as a run, even where a relation adds a rule there."""
+    recorded = json.loads((pathlib.Path(__file__).parent / "data"
+                           / "dsl_corpus.json").read_text())
+    texts = [text for case_id, text in repo_module(
+        "tests/test_dsl_corpus.py").CASES
+        if "ok" in recorded[case_id]["no-verify"]]
+    invertible = 'model "m"; param q; gen x, y; invertible x;'
+    added = [invertible + " rel x*x^-1 = q;", invertible + " rel x^-1*x = y;"]
+    algebras = [build(verify=False).algebra for build in BUILTINS.values()]
+    algebras += [load_model(text, verify=False).algebra
+                 for text in texts + added]
+    for alg in algebras:
+        for pair in alg.table.inverse_index.items():
+            assert alg.rules[pair][0] == {(): 1}
+            assert alg._runs[pair] == (False, 1)
+    assert [len(rhs_list) for alg in algebras[-2:]
+            for rhs_list in alg.rules.values() if len(rhs_list) > 1] == [2, 2]
 
 
 # -- the fallbacks that stay ----------------------------------------------
