@@ -4,12 +4,17 @@ Every value prints as a sum of signed terms.  A polynomial's terms are its
 monomials, highest first in the graded order; an element's are its words in
 deg-lex order, each scaled by its coefficient; a form's are its basis forms
 by grade, each scaled by its element coefficient; a tensor's and a derived
-relation's are built the same way.  The terms of one print are built once, as
-(negative, text) pairs, and joined by ``_join``: the first term keeps only a
-leading minus, the others are preceded by `` + `` or `` - ``.  Negating a
-stream flips its signs; no coefficient is spelled twice to find its sign.
-A print spells each distinct monomial and number once (a bare quotient once
-in its numerator and once in its denominator) and keeps nothing after.
+relation's are built the same way.  A polynomial's terms are joined as they
+are spelled (``_Spelling._sum``), any other value's are built once per print
+as (negative, text) pairs and joined by ``_join``: the first term keeps only
+a leading minus, the others are preceded by `` + `` or `` - ``.  Pulling a
+polynomial's leading minus out flips its signs; no coefficient is spelled
+twice to find its sign.  A print sorts the distinct monomials of all its
+coefficients, numerators and denominators, once in the graded order, spells
+each of them and each number once, and keeps nothing after: every
+coefficient orders its terms by their int ranks in that one table
+(``_Spelling._table``), which a lone polynomial or quotient builds over its
+own terms.
 
 The two spellings, ``PLAIN`` and ``LATEX``, differ in their tokens and in
 two rules kept per spelling by design:
@@ -37,16 +42,32 @@ from . import algebra
 from .coeff import _grlex_key, int_text
 
 
-def _join(terms, flip: bool = False) -> str:
-    """Signed (negative, text) terms as one sum, every sign flipped by flip."""
-    pieces = []
-    for negative, text in terms:
-        pieces.append(" - " if negative != flip else " + ")
-        pieces.append(text)
+def _joined(pieces: list) -> str:
+    """Alternating signs (`` + `` or `` - ``) and texts as one sum: the
+    first sign becomes a leading minus or nothing."""
     if not pieces:
         return "0"
     pieces[0] = "-" if pieces[0] == " - " else ""
     return "".join(pieces)
+
+
+def _join(terms) -> str:
+    """Signed (negative, text) terms as one sum."""
+    pieces = []
+    for negative, text in terms:
+        pieces.append(" - " if negative else " + ")
+        pieces.append(text)
+    return _joined(pieces)
+
+
+def _parts(coefficients) -> list:
+    """The numerator of each coefficient, and its denominator unless 1."""
+    polys = []
+    for rf in coefficients:
+        polys.append(rf.num)
+        if not rf.den.is_one():
+            polys.append(rf.den)
+    return polys
 
 
 class _Spelling:
@@ -70,37 +91,56 @@ class _Spelling:
                 factors.append(power % (name, int_text(e)))
         return self.times.join(factors)
 
-    def _poly_terms(self, poly, memo=None) -> list:
-        """A polynomial's terms, highest first.  memo keeps, for one print,
-        each exponent vector's sort key and factors and each magnitude's
-        number; a sum given none makes its own, a single term makes none."""
-        names = poly.params.names
-        if len(poly.terms) == 1:
-            (mono, c), = poly.terms.items()
-            return [self._monomial(c, self._power_product(zip(names, mono)),
-                                   memo)]
-        memo = {} if memo is None else memo
-        spelt = []
-        for mono, c in poly.terms.items():
-            entry = memo.get(mono) or memo.setdefault(mono, (
-                _grlex_key(mono), self._power_product(zip(names, mono))))
-            spelt.append(entry + (c,))
-        spelt.sort(reverse=True)  # distinct keys: nothing after them compares
-        return [self._monomial(c, factors, memo) for _, factors, c in spelt]
+    def _table(self, polys) -> tuple:
+        """(rank, spelt, numbers) for one print: rank maps each distinct
+        monomial of polys to its place in the graded order, spelt to its
+        factors and, ready for a number in front, the factors after the
+        times token; numbers keeps each magnitude's text once spelled."""
+        monos = set()
+        names = ()
+        for poly in polys:
+            monos.update(poly.terms)
+            names = poly.params.names
+        times, product = self.times, self._power_product
+        rank, spelt = {}, {}
+        for i, mono in enumerate(sorted(monos, key=_grlex_key)
+                                 if len(monos) > 1 else monos):
+            rank[mono] = i
+            factors = product(zip(names, mono))
+            spelt[mono] = factors, times + factors if factors else ""
+        return rank, spelt, {}
 
-    def _monomial(self, c, factors: str, memo):
-        """The signed term c times the factors; memo, if any, keeps numbers."""
-        magnitude = -c if c < 0 else c
-        if factors and magnitude == 1:
-            return c < 0, factors
-        number = memo.get(magnitude) if memo else None
-        if number is None:
-            number = int_text(magnitude.numerator)
-            if magnitude.denominator != 1:
-                number = self.ratio % (number, int_text(magnitude.denominator))
-            if memo is not None:
-                memo[magnitude] = number
-        return c < 0, number + self.times + factors if factors else number
+    def _sum(self, poly, table, pull: bool = False):
+        """(negative, text) of a polynomial, its terms highest first, each
+        one lookup in the print's table and at most one concatenation.  pull
+        takes a leading minus out of text into negative, flipping every
+        sign of the sum."""
+        terms = poly.terms
+        rank, spelt, numbers = table
+        monos = (sorted(terms, key=rank.__getitem__, reverse=True)
+                 if len(terms) > 1 else terms)
+        negative = pull and terms[next(iter(monos))] < 0
+        minus, plus = (" + ", " - ") if negative else (" - ", " + ")
+        pieces = []
+        for mono in monos:
+            c = terms[mono]
+            if c < 0:
+                pieces.append(minus)
+                c = -c
+            else:
+                pieces.append(plus)
+            factors, tail = spelt[mono]
+            if factors and c == 1:
+                pieces.append(factors)
+                continue
+            number = numbers.get(c)
+            if number is None:
+                number = int_text(c.numerator)
+                if c.denominator != 1:
+                    number = self.ratio % (number, int_text(c.denominator))
+                numbers[c] = number
+            pieces.append(number + tail)
+        return negative, _joined(pieces)
 
     def _word(self, table, word) -> str:
         """A word's factors; the empty word is the empty text."""
@@ -120,44 +160,46 @@ class _Spelling:
             return negative, body
         return negative, self.scaled % (text, body)
 
-    def _element_terms(self, element, memo) -> list:
-        table = element.algebra.table
+    def _element_terms(self, element, table) -> list:
+        gens = element.algebra.table
         terms = element.terms
         words = terms if len(terms) == 1 else sorted(terms,
                                                      key=algebra.deg_lex_key)
-        return [self._scaled(*self.coefficient(terms[word], memo),
-                             self._word(table, word)) for word in words]
+        return [self._scaled(*self.coefficient(terms[word], table),
+                             self._word(gens, word)) for word in words]
 
-    def _grouped(self, element, body: str, memo):
+    def _grouped(self, element, body: str, table):
         """The term (element) times body, the element always wrapped."""
         return False, self.grouped % (
-            self.group % _join(self._element_terms(element, memo)), body)
+            self.group % _join(self._element_terms(element, table)), body)
 
     def _labels(self, labels, key, joiner: str) -> str:
         return joiner.join([self.label(labels[p]) for p in key])
 
-    def fraction(self, num: list, flip: bool, den, memo=None) -> str:
-        """num/den from the numerator's terms, their signs flipped by flip."""
-        text = _join(num, flip)
-        if den.is_one():
-            return text
-        if len(num) > 1:
+    def fraction(self, rf, table, pull: bool = False):
+        """(negative, text) of num/den, with the numerator's leading minus
+        pulled out by pull."""
+        negative, text = self._sum(rf.num, table, pull)
+        if rf.den.is_one():
+            return negative, text
+        if len(rf.num.terms) > 1:
             text = self.numerator % text
-        return self.over % (text, _join(self._poly_terms(den, memo)))
+        return negative, self.over % (text, self._sum(rf.den, table)[1])
 
     def polynomial(self, poly) -> str:
-        return _join(self._poly_terms(poly))
+        return self._sum(poly, self._table((poly,)))[1]
 
     def rational(self, rf) -> str:
-        return self.fraction(self._poly_terms(rf.num), False, rf.den)
+        return self.fraction(rf, self._table(_parts((rf,))))[1]
 
     def element(self, element) -> str:
         return _join(self._element_terms(
-            element, {} if len(element.terms) > 1 else None))
+            element, self._table(_parts(element.terms.values()))))
 
     def form(self, form) -> str:
         labels = form.calculus.labels
-        memo = {}
+        table = self._table(_parts([c for x in form.terms.values()
+                                    for c in x.terms.values()]))
         out = []
         for key in sorted(form.terms, key=lambda k: (len(k), k)):
             coeff = form.terms[key]
@@ -165,25 +207,26 @@ class _Spelling:
             if not key:
                 # The grade-0 part sorts first, so its terms lead the sum,
                 # each keeping its own sign.
-                out += self._element_terms(coeff, memo)
+                out += self._element_terms(coeff, table)
             elif len(coeff.terms) > 1:
-                out.append(self._grouped(coeff, body, memo))
+                out.append(self._grouped(coeff, body, table))
             else:
-                (term,) = self._element_terms(coeff, memo)
+                (term,) = self._element_terms(coeff, table)
                 out.append(self._scaled(*term, False, body))
         return _join(out)
 
     def tensor(self, tensor) -> str:
         labels = tensor.calculus.labels
-        memo = {}
+        table = self._table(_parts([c for x in tensor.terms.values()
+                                    for c in x.terms.values()]))
         return _join([self._grouped(tensor.terms[key],
                                     self._labels(labels, key, self.otimes),
-                                    memo)
+                                    table)
                       for key in sorted(tensor.terms)])
 
     def relation(self, rel) -> str:
-        memo = {}
-        terms = [self._scaled(*self.coefficient(rf, memo),
+        table = self._table(_parts([rf for rf, _ in rel.terms]))
+        terms = [self._scaled(*self.coefficient(rf, table),
                               self.dot.join([self.name % n for n in names]))
                  for rf, names in rel.terms]
         return "%s = %s" % (self.dot.join([self.name % n for n in rel.left]),
@@ -210,11 +253,10 @@ class _Plain(_Spelling):
     def label(label: str) -> str:
         return label
 
-    def coefficient(self, rf, memo=None):
+    def coefficient(self, rf, table):
         """(negative, text, wrapped) of a coefficient in front of a body."""
-        num = self._poly_terms(rf.num, memo)
-        negative = num[0][0] and (len(num) == 1 or rf.den.is_one())
-        text = self.fraction(num, negative, rf.den, memo)
+        negative, text = self.fraction(
+            rf, table, len(rf.num.terms) == 1 or rf.den.is_one())
         if " " in text or "/" in text:
             return negative, self.group % text, True
         return negative, text, False
@@ -241,13 +283,11 @@ class _Latex(_Spelling):
             return "\\theta^{%s}" % label[1:]
         return "\\theta^{\\mathrm{%s}}" % label
 
-    def coefficient(self, rf, memo=None):
+    def coefficient(self, rf, table):
         """(negative, text, wrapped) of a coefficient in front of a body."""
-        num = self._poly_terms(rf.num, memo)
-        if len(num) == 1 and rf.den.is_one():
-            return num[0] + (False,)
-        return False, self.group % self.fraction(num, False, rf.den,
-                                                 memo), True
+        if len(rf.num.terms) == 1 and rf.den.is_one():
+            return self._sum(rf.num, table, True) + (False,)
+        return False, self.group % self.fraction(rf, table)[1], True
 
 
 PLAIN = _Plain()

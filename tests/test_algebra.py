@@ -763,14 +763,36 @@ class TestMonomialPowers:
         expected = Element(alg, {word: q ** -(n * (n + 1) // 2)})
         assert _dump(((y * x) ** n).terms) == _dump(expected.terms)
 
-    def test_non_confluent_keeps_the_loop(self):
+    @staticmethod
+    def _packed_calls(monkeypatch):
+        """The exponents of the calls to Element._packed_power, in order."""
+        calls = []
+        packed_power = Element._packed_power
+
+        def counted(self, n):
+            calls.append(n)
+            return packed_power(self, n)
+        monkeypatch.setattr(Element, "_packed_power", counted)
+        return calls
+
+    def test_non_confluent_unit_power_takes_the_packed_power(self,
+                                                             monkeypatch):
+        # Squaring may not take a unit monomial on a non-confluent algebra,
+        # and its coefficients are over 1, so the packed power takes x**3,
+        # one factor at a time as x*x*x does.
         alg = load_model(_NON_CONFLUENT).algebra
         assert not alg.is_confluent()
         x = alg.gen("x")
+        calls = self._packed_calls(monkeypatch)
         assert str(x ** 3) == "q * x*y"
+        assert calls == [3]
         assert _dump((x ** 3).terms) == _dump((x * x * x).terms)
 
-    def test_confluence_cache_resets_on_new_rule(self):
+    def test_a_new_rule_hands_a_unit_power_to_the_packed_power(
+            self, monkeypatch):
+        # A new rule resets the confluence verdict: x**3 is first taken in
+        # closed form, and after x*x = y makes the algebra non-confluent, by
+        # the packed power.
         params = ParameterSet(("q",))
         alg = Algebra(params, GeneratorTable(("x", "y")))
         xi, yi = alg.table.index("x"), alg.table.index("y")
@@ -778,10 +800,13 @@ class TestMonomialPowers:
             {concat_words(single_word(yi), single_word(xi)): rf(params, 1)},
             {concat_words(single_word(xi), single_word(yi)): rf(params, "q")})
         x = alg.gen("x")
+        calls = self._packed_calls(monkeypatch)
         assert str(x ** 3) == "x^3"
         assert alg.is_confluent()
+        assert calls == []
         alg.add_relation({((xi, 2),): rf(params, 1)},
                          {single_word(yi): rf(params, 1)})
         assert not alg.is_confluent()
         assert str(x ** 3) == "q * x*y"
+        assert calls == [3]
         assert _dump((x ** 3).terms) == _dump((x * x * x).terms)

@@ -58,6 +58,12 @@ _EXPANSION = "(b + 3*d - 2*a + 2*c)^5"
 # pass.
 _MIXED_EXPANSION = "(1/2*a + (q + 1)*d - b*c)^4"
 
+# A power of a sum whose coefficients have multi-term denominators, whose
+# monomials also occur in numerators.  Its base coefficients are not over 1,
+# so the power multiplies one factor at a time.  The golden was written
+# before a print sorted the monomials of a value once.
+_DENOMINATOR_EXPANSION = "(a/(q + 1) + d - b/(p + q))^3"
+
 # A power of a sum on the quantum torus, inverse symbols included: a cold
 # process takes its products in closed form, and the golden was written when
 # they were rewritten step by step.
@@ -98,8 +104,14 @@ def _cases():
         cases.append(("gl-pq2-expand.nf.%s" % fmt,
                       ["nf", "builtin:gl-pq2", "-e", _EXPANSION,
                        "--format", fmt], 0))
-    cases.append(("gl-pq2-mixed-expand.nf.plain",
-                  ["nf", "builtin:gl-pq2", "-e", _MIXED_EXPANSION], 0))
+    for fmt in ("plain", "latex", "json"):
+        cases.append(("gl-pq2-mixed-expand.nf.%s" % fmt,
+                      ["nf", "builtin:gl-pq2", "-e", _MIXED_EXPANSION,
+                       "--format", fmt], 0))
+    for fmt in ("plain", "latex"):
+        cases.append(("gl-pq2-denominators-expand.nf.%s" % fmt,
+                      ["nf", "builtin:gl-pq2", "-e", _DENOMINATOR_EXPANSION,
+                       "--format", fmt], 0))
     cases.append(("quantum-torus-expand.nf.plain",
                   ["nf", "builtin:quantum-torus", "-e", _TORUS_EXPANSION], 0))
     cases.append(("two-tail-expand.nf.plain",

@@ -430,6 +430,79 @@ def test_expansions(request, model, base):
         assert latex_value(x) == latex_element(x)
 
 
+def shared_monomial_pool(params, rng):
+    """Coefficients over six shared Laurent monomials, negative exponents
+    included: sums of one to six of them with integer, Fraction and huge
+    coefficients of both signs, and quotients of those over sums of two to
+    four of them, so that one value's numerators and multi-term
+    denominators repeat each other's monomials."""
+    monos = list({tuple(rng.randint(-3, 3) for _ in params.names)
+                  for _ in range(6)})
+    numbers = (1, -1, 2, -3, Fraction(3, 2), Fraction(-1, 3), 10 ** 4400,
+               -10 ** 4400)
+
+    def drawn(low, high):
+        return RationalFunction(Polynomial(params, {
+            mono: rng.choice(numbers)
+            for mono in rng.sample(monos, rng.randint(low, min(high,
+                                                                len(monos))))}))
+    sums = [drawn(1, 6) for _ in range(12)]
+    quotients = [rng.choice(sums) / drawn(2, 4) for _ in range(8)]
+    return sums + quotients
+
+
+def shared_elements(alg, rng, pool, count):
+    """Sums of up to six words, each coefficient from pool."""
+    return [Element(alg, {w: rng.choice(pool) for w in
+                          sized_random_element(alg, rng, 6, 3).terms})
+            for _ in range(count)]
+
+
+def test_values_sharing_monomials(bundle):
+    """One print's coefficients repeat the same monomials in numerators
+    and denominators; every value prints as the reference does."""
+    rng = random.Random(16)
+    pool = shared_monomial_pool(bundle.params, rng)
+    assert any(len(c.den.terms) > 1 for c in pool)
+    for c in pool:
+        assert str(c) == rf_str(c)
+        assert latex_value(c) == latex_coefficient(c)
+    elts = shared_elements(bundle.algebra, rng, pool, 30)
+    for x in elts:
+        assert str(x) == element_str(x)
+        assert latex_value(x) == latex_element(x)
+    calc = bundle.calculus
+    for w in forms(calc, elts, rng, 30):
+        assert str(w) == form_str(w)
+        assert latex_value(w) == latex_form(w)
+    for g in tensors(calc, elts, rng, 20):
+        assert str(g) == tensor_str(g)
+
+
+def test_one_sort_per_print(glpq, monkeypatch, repo_module):
+    """A print sorts the distinct monomials of its value once: on a seed-1
+    nf-expand result, whose coefficients repeat about a hundred monomials
+    over thousands of terms, no print computes more graded-order keys than
+    the value has distinct monomials."""
+    workloads = repo_module("bench/workloads.py")
+    ops = next(workloads.ExpandWorkload(1, "").rounds())
+    op = max(ops, key=lambda op: (op.expect["k"], len(op.expect["terms"])))
+    x = glpq.eval_expression(op.argv[3])
+    monos = {m for c in x.terms.values()
+             for m in (c.num.terms if c.den.is_one()
+                       else [*c.num.terms, *c.den.terms])}
+    terms = sum(len(c.num.terms) for c in x.terms.values())
+    assert terms > 5 * len(monos)
+    keys = []
+    grlex_key = render._grlex_key
+    monkeypatch.setattr(render, "_grlex_key",
+                        lambda mono: keys.append(mono) or grlex_key(mono))
+    for spell in (str, latex_value):
+        del keys[:]
+        spell(x)
+        assert 0 < len(keys) <= len(monos)
+
+
 def test_no_printing_state_outlives_a_print(glpq):
     x = glpq.eval_expression("(b + 3*d - 2*a + 2*c)^8")
     assert len(x.terms) == 165
