@@ -622,7 +622,8 @@ class _Packing:
         offset = half * sum(self.units)  # makes every field nonnegative
         return {vectors.get(code) or vectors.setdefault(code, tuple(
             (code + offset >> bits * i & 2 * half - 1) - half
-            for i in range(len(self.units)))): _exact(c)
+            for i in range(len(self.units)))):
+            c if c.__class__ is int else _exact(c)
             for code, c in packed.items()}
 
 

@@ -31,24 +31,24 @@ sharing them changes nothing a reader sees:
   (``_RECORDS``, see ``_Record``): over the document's ParameterSet and
   GeneratorTable, the free terms of its relations, the normalized rule
   table and its facts (the run index, the rule shapes as frozensets and the
-  run-pair layout, see ``Algebra.rule_facts``), and the terms of every value
+  run-pair layout, see ``Algebra.rule_facts``), the terms of every value
   the build evaluated (automorphism images with each map's scales,
   weights, ``let`` values, wedge rules keyed by basis positions, extension
-  rows, metric and connection entries, and both sides of every check).
+  rows, metric and connection entries), and the verdict of every check.
   All of it follows from the document alone, so every load, the first one
   included, constructs its bundle from the record: a fresh algebra on
   copies of the rules with empty memos, and fresh maps, calculus, geometry,
-  environment and checks, each owning its dicts and lists.  A load
+  environment and list of checks, each owning its dicts and lists.  A load
   evaluates no expression, normalizes, indexes or tests no rule, finds no
-  scales and checks no wedge rule; a ``verify=True`` load still checks its
-  maps against the relations (on a first build, the evaluation checks the
-  maps whose images the load's maps copy).  Besides its own dicts and lists
-  a record holds only immutable values (words, coefficients, frozensets and
-  tuples of ints, statements of the document and the two tables), so no
-  load can change what another reads.  It is keyed on the document object
-  and dropped with it, so there is at most one per live document;
-  gl-pq2-localized's takes about 161 KB (tracemalloc), 63 KB of it the
-  sides of its 22 checks, and the tests hold it under 250 KB.  A build
+  scales, checks no wedge rule and subtracts no sides of a check; a
+  ``verify=True`` load still checks its maps against the relations (on a
+  first build, the evaluation checks the maps whose images the load's maps
+  copy).  Besides its own dicts and lists a record holds only immutable
+  values (words, coefficients, frozensets and tuples of ints, CheckCases,
+  statements of the document and the two tables), so no load can change
+  what another reads.  It is keyed on the document object and dropped with
+  it, so there is at most one per live document; gl-pq2-localized's takes
+  about 99 KB (tracemalloc), and the tests hold it under 150 KB.  A build
   that raises keeps no record, so every error and its location come from
   evaluation.
 
@@ -831,8 +831,8 @@ class _StaticChecker:
 
 # -- building -----------------------------------------------------------------
 
-# One named identity from a model file, evaluated on both sides.
-CheckCase = collections.namedtuple("CheckCase", "name lhs rhs")
+# A named identity and its witness: None where it holds, else lhs - rhs.
+CheckCase = collections.namedtuple("CheckCase", "name witness")
 
 
 class ModelBundle:
@@ -843,9 +843,9 @@ class ModelBundle:
     form, let definition) lives in one environment, read with value(name).
 
     ``checks`` lists the model's check statements as CheckCases, in
-    statement order.  The document's first build evaluates both sides of
-    every check at its statement, where an error is reported, and every
-    load makes its CheckCases afresh from the recorded sides.
+    statement order: the immutable verdicts of the document's first build,
+    which evaluates both sides of every check at its statement, where an
+    error is reported.
     """
 
     def __init__(self, doc, params, algebra, env):
@@ -1029,8 +1029,8 @@ class _Record:
     index, the rule shapes and the run-pair layout, which each load's
     algebra takes instead of deriving them again.  ``steps`` holds the
     rest, in statement order: each is the name of a _Filler method and its
-    arguments, whose values are coefficients or recorded terms
-    (``_kept``).
+    arguments, whose values are coefficients, recorded terms (``_kept``)
+    or CheckCases.
     """
 
     __slots__ = ("params", "table", "names", "relations", "rules", "one",
@@ -1129,8 +1129,8 @@ class _Filler:
             stmt, Connection, bundle.geometry,
             {key: self._made(kept) for key, kept in entries.items()})
 
-    def check(self, name: str, sides):
-        self.bundle.checks.append(CheckCase(name, *map(self._made, sides)))
+    def check(self, case: CheckCase):
+        self.bundle.checks.append(case)
 
 
 class _Builder:
@@ -1152,12 +1152,18 @@ class _Builder:
         self.bundle = self.filler.bundle
 
     def evaluate(self) -> _Record:
-        """The document's record, evaluated one statement at a time; the
-        builder's bundle then holds what it gives a load."""
-        for stmt in self.doc.statements:
+        """The document's record, evaluated one statement at a time, the
+        rules normalized once where the relations end (stage 5 begins);
+        the builder's bundle then holds what it gives a load."""
+        statements = self.doc.statements
+        late = next((i for i, stmt in enumerate(statements)
+                     if _KINDS[stmt.kind].stage == 5), len(statements))
+        for stmt in statements[:late]:
             _KINDS[stmt.kind].build(self, stmt)
         algebra = self.bundle.algebra
         algebra.normalize_rules()
+        for stmt in statements[late:]:
+            _KINDS[stmt.kind].build(self, stmt)
         self.record.relations = algebra.relations
         self.record.rules = algebra.rules
         self.record.one = algebra._one
@@ -1194,13 +1200,10 @@ class _Builder:
 
     def auto(self, stmt):
         name, entries = stmt.data
-        algebra = self.bundle.algebra
-        if not self.bundle.autos:
-            algebra.normalize_rules()
         images = {gen_name: self._element(
                       expr, stmt, "image of %r must be an element", gen_name)
                   for gen_name, expr in entries}
-        endo = _located(stmt, Endomorphism, algebra, images, name)
+        endo = _located(stmt, Endomorphism, self.bundle.algebra, images, name)
         self._step("auto", stmt, {sym: img.terms
                                   for sym, img in endo.images.items()},
                    endo._scales)
@@ -1271,17 +1274,14 @@ class _Builder:
         self._step("connection", stmt, table_entries)
 
     def check(self, stmt):
-        """Evaluate both sides of the check, as forms if either is a
-        form, into the check's record step."""
+        """Record the check's verdict.  Subtraction embeds both sides as
+        forms if either is a form, else a scalar as an element."""
         name, lhs, rhs = stmt.data
-        bundle = self.bundle
-        sides = [bundle._eval(lhs), bundle._eval(rhs)]
-        if any(isinstance(v, Form) for v in sides):
-            sides = [bundle.calculus.embed(v) for v in sides]
-        else:
-            sides = [bundle.algebra.scalar(v)
-                     if isinstance(v, RationalFunction) else v for v in sides]
-        self._step("check", name, tuple(map(_kept, sides)))
+        difference = self.bundle._eval(lhs) - self.bundle._eval(rhs)
+        if isinstance(difference, RationalFunction):
+            difference = self.bundle.algebra.scalar(difference)
+        self._step("check", CheckCase(
+            name, None if difference.is_zero() else str(difference)))
 
 
 def _construct(doc: ModelDocument, record: _Record,

@@ -131,12 +131,12 @@ def test_criterion_03_declared_identities(glpq, glpq_rfree_doc):
         problems.append("expected 22 declared identities, found %d"
                         % len(cases))
     for name in sorted(cases):
-        if not cases[name].lhs == cases[name].rhs:
+        if cases[name].witness is not None:
             problems.append("identity %s fails" % name)
 
     raw = build_model(glpq_rfree_doc, verify=False)
     raw_cases = {case.name: case for case in raw.checks}
-    if raw_cases["mc1-a"].lhs == raw_cases["mc1-a"].rhs:
+    if raw_cases["mc1-a"].witness is None:
         problems.append("mc1-a passes without the parameter substitution")
     report("criterion 03: declared model identities", problems)
 

@@ -17,6 +17,11 @@ the table ``_SHARED_GOLDEN`` records.
 The ``{two-tail}`` placeholder stands for ``tests/data/two_tail.ncd``, a
 PBW algebra with two tail rules, d*a and e*c, on which the run-pair tables
 of a power rewrite the blocks whose context they cannot carry.
+The ``{check-kinds}`` placeholder stands for ``tests/data/check_kinds.ncd``,
+whose checks fail with a witness of every kind: a scalar, a quotient, an
+element, a form, and a scalar against a form; one check passes.  Its
+goldens were written when every load copied the recorded sides of each
+check and the suite subtracted them.
 
 Each case runs twice in a row, and the second run, whose load constructs
 its bundle from the record the first one kept, must give the same bytes.
@@ -120,6 +125,9 @@ def _cases():
     cases.append(("torus-wrong-action.verify.plain",
                   ["verify", "{wrong-action}"], 1))
     cases.append(("rank-5.verify.plain", ["verify", "{rank-5}"], 0))
+    for fmt in ("plain", "json"):
+        cases.append(("check-kinds.verify.%s" % fmt,
+                      ["verify", "{check-kinds}", "--format", fmt], 1))
     cases.append(("gl-pq2-localized-exported.nf.plain",
                   ["nf", "{localized}", "-e",
                    _EXPRESSIONS["gl-pq2-localized"]], 0))
@@ -164,6 +172,8 @@ _PLACEHOLDERS = {
                         build_glpq(adjoin_det_inverse=True).doc)),
     "{two-tail}": ("two_tail.ncd",
                    lambda: (DATA_DIR / "two_tail.ncd").read_text()),
+    "{check-kinds}": ("check_kinds.ncd",
+                      lambda: (DATA_DIR / "check_kinds.ncd").read_text()),
 }
 
 

@@ -14,13 +14,14 @@ and every memoized tree, holds only immutable values; that a memo answers
 each text with that text's own parse, never stores an error and stays
 within its bound; that the gl-pq2 documents are derived as a fresh parse
 and build would derive them; that a load constructed from a record holds
-what evaluation gave, term for term and in stored order, the sides of its
-checks included, and evaluates no expression; that a record goes with its
-document, is never kept for a build that raises, and stays within the
-bound the ``dsl`` docstring states; that a verified load still checks the
-maps of a record made unverified; that every load still gets a bundle of
-its own, sharing only immutable values with other loads and with the
-record; and that a bundle is freed when its last reference goes.
+what evaluation gave, term for term and in stored order, the verdicts of
+its checks included, and evaluates no expression (nor, unverified,
+subtracts a value); that a record goes with its document, is never kept
+for a build that raises, and stays within the bound the ``dsl`` docstring
+states; that a verified load still checks the maps of a record made
+unverified; that every load still gets a bundle of its own, sharing only
+immutable values with other loads and with the record; and that a bundle
+is freed when its last reference goes.
 """
 
 import gc
@@ -34,13 +35,13 @@ import weakref
 import pytest
 
 from ncdiff import dsl
-from ncdiff.algebra import AlgebraError, Element, GeneratorTable
+from ncdiff.algebra import AlgebraError, Element, GeneratorTable, LinearSum
 from ncdiff.coeff import ParameterSet, RationalFunction
 from ncdiff.dsl import (ModelDocument, ModelError, ModelSemanticError,
                         ModelSyntaxError, build_model, export_model,
                         parse_model, parse_statement)
 from ncdiff.models import (BUILTINS, _adjoin_det_inverse, _det_scales,
-                           _glpq_document, _with_mirror_checks,
+                           _glpq_document, _model_checks, _with_mirror_checks,
                            available_models, model_source, run_suite)
 
 # sha256 of export_model of the gl-pq2-localized document, as the builder
@@ -346,10 +347,9 @@ def _recorded_documents(texts, repo_module):
     return list({id(doc): doc for doc in docs}.values())
 
 
-def _check_sides(bundle):
-    """The name and printed sides of every check, read from ``checks``."""
-    return [(case.name, str(case.lhs), str(case.rhs))
-            for case in bundle.checks]
+def _check_verdicts(bundle):
+    """The name and witness of every check, read from ``checks``."""
+    return [(case.name, case.witness) for case in bundle.checks]
 
 
 def _evaluations(monkeypatch):
@@ -368,27 +368,30 @@ def test_a_warm_build_reads_the_checks_a_cold_one_does(texts, monkeypatch):
     """Each document is built cold, the record table cleared before it.
     Then the documents are built again, each first over the table another
     document left, and then once more warm: each time every check reads
-    the same sides, and the warm builds evaluate no expression."""
+    the same verdict, and the warm builds evaluate no expression."""
     monkeypatch.setattr(dsl, "_RECORDS", {})
     docs = _loadable_documents(texts)
     cold = []
     for doc in docs:
         dsl._RECORDS.clear()
-        cold.append(_check_sides(build_model(doc, verify=False)))
+        cold.append(_check_verdicts(build_model(doc, verify=False)))
     assert sum(bool(checks) for checks in cold) >= 10
     for doc, want in zip(docs, cold):
-        assert _check_sides(build_model(doc, verify=False)) == want
+        assert _check_verdicts(build_model(doc, verify=False)) == want
     assert set(dsl._RECORDS) == {id(doc) for doc in docs}
     nodes = _evaluations(monkeypatch)
     for doc, want in zip(reversed(docs), reversed(cold)):
-        assert _check_sides(build_model(doc, verify=False)) == want
+        assert _check_verdicts(build_model(doc, verify=False)) == want
     assert nodes == []
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS) + ["gl-pq2-rfree"])
 def test_a_later_load_evaluates_no_expression(name, monkeypatch):
     """A load after the first, its checks read, evaluates no expression
-    node, verified or not; the r-free gl-pq2 text loads unverified."""
+    node, verified or not.  An unverified load subtracts no element or
+    form, and the suite's records of its checks subtract none: each reads
+    the verdict the first build recorded.  The r-free gl-pq2 text loads
+    unverified."""
     if name == "gl-pq2-rfree":
         doc = parse_model(_rfree_text())
         build = functools.partial(build_model, doc)
@@ -398,29 +401,38 @@ def test_a_later_load_evaluates_no_expression(name, monkeypatch):
         verifies = (False, True)
     build(verify=False)
     nodes = _evaluations(monkeypatch)
+    subtractions = []
+    subtract = LinearSum.__sub__
+    monkeypatch.setattr(LinearSum, "__sub__", lambda a, b: (
+        subtractions.append(a) or subtract(a, b)))
     for verify in verifies:
         bundle = build(verify=verify)
-        assert len(bundle.checks) >= 3
+        assert verify or subtractions == []
+        subtractions.clear()  # a verified load checks its maps
+        records = list(_model_checks(bundle))
+        assert len(records) == len(bundle.checks) >= 3
+        assert [(ok, witness) for *_, ok, witness in records] == [
+            (case.witness is None, case.witness) for case in bundle.checks]
+        assert subtractions == []
     assert nodes == []
 
 
-def _sides(record):
-    """The name and recorded sides of every check step."""
-    return [step[1:] for step in record.steps if step[0] == "check"]
+def _verdicts(record):
+    """The recorded CheckCase of every check step."""
+    return [step[1] for step in record.steps if step[0] == "check"]
 
 
-def test_the_check_sides_of_a_document_go_with_it(monkeypatch):
-    """The record of a document, which holds both sides of each check,
+def test_the_check_verdicts_of_a_document_go_with_it(monkeypatch):
+    """The record of a document, which holds the verdict of each check,
     goes with the document; a build that raises leaves none."""
     monkeypatch.setattr(dsl, "_RECORDS", {})
     torus = model_source("quantum-torus")
     doc = ModelDocument(parse_model(torus).statements, "copy")
     build_model(doc, verify=False)
     assert list(dsl._RECORDS) == [id(doc)]
-    sides = _sides(dsl._RECORDS[id(doc)])
-    assert [name for name, _ in sides] == [
-        "theta1-from-dx", "theta2-from-dy-dx", "inner-form"]
-    assert all(len(pair) == 2 for _, pair in sides)
+    assert _verdicts(dsl._RECORDS[id(doc)]) == [
+        ("theta1-from-dx", None), ("theta2-from-dy-dx", None),
+        ("inner-form", None)]
     del doc
     gc.collect()
     assert dsl._RECORDS == {}
@@ -449,10 +461,6 @@ def _value(value):
     return type(value).__name__, str(value), layout
 
 
-def _check_layout(case):
-    return case.name, _value(case.lhs), _value(case.rhs)
-
-
 def _layout(bundle):
     """Everything a load holds, in stored order, down to the terms of every
     coefficient."""
@@ -467,7 +475,7 @@ def _layout(bundle):
                        None if endo._scales is None else
                        [(sym, _coeff(c)) for sym, c in endo._scales.items()])
                       for name, endo in bundle.autos.items()]),
-           ("checks", [_check_layout(case) for case in bundle.checks])]
+           ("checks", _check_verdicts(bundle))]
     calc = bundle.calculus
     if calc is not None:
         out += [("calculus", calc.labels,
@@ -640,7 +648,7 @@ def test_the_record_of_gl_pq2_localized_is_bounded():
         size = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert record.steps and 20_000 < size < 250_000
+    assert record.steps and 20_000 < size < 150_000
 
 
 def test_a_document_equals_itself_without_an_export(monkeypatch):

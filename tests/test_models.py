@@ -191,8 +191,8 @@ class TestLocalizedBundle:
 
     def test_checks_transferred(self, glpq, glpq_localized):
         assert len(glpq_localized.checks) == len(glpq.checks)
-        assert all(case.lhs == case.rhs
-                   for case in glpq_localized.checks)
+        assert glpq_localized.checks == [(case.name, None)
+                                         for case in glpq.checks]
 
     def test_each_check_is_evaluated_once_per_process(self):
         """In a fresh interpreter, the gl-pq2 build that the localized
