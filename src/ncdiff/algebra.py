@@ -95,11 +95,18 @@ keeps the table of the ``c_hb``, and until the rules change:
   a Laurent-unit ``c`` is the word with exponents ``n*e`` times
   ``c^n * prod c_hb^(C(n, 2)*e_h*e_b)``: the ``n`` copies of ``w`` are
   already sorted, and each of the ``C(n, 2)`` pairs of copies crosses every
-  ``h`` of the first with every ``b`` of the second.
+  ``h`` of the first with every ``b`` of the second;
+* the product of two unit monomials ``c*x^m`` and ``c'*x^n`` is
+  ``c*c' * prod c_hb^(m_h*n_b) * x^(m+n)``: every ``h`` of the left factor
+  crosses every ``b`` of the right.
 
-The stored coefficient is the one rewriting stores: both are Laurent units
-of the same value, and a unit is stored as its single term over 1, its
-rational factor an int when integral.  Every other algebra, and one that
+``_ClosedForm.times`` and ``_ClosedForm.raised`` take the last two on
+exponent vectors, for the power above and for the monomial lane of
+``dsl._Evaluator``, which folds a product of unit monomials into one
+exponent vector once the closed form is built.  The stored coefficient is
+the one rewriting stores: both are Laurent units of the same value, and a
+unit is stored as its single term over 1, its rational factor an int when
+integral, and 1 as the algebra's own 1.  Every other algebra, and one that
 nothing has asked for its closed form yet, is rewritten step by step;
 ``normal_form_by_rewriting`` stays callable on all of them as the reference.
 
@@ -197,7 +204,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from . import render
 from .coeff import (ParameterSet, Polynomial, Printable, RationalFunction,
@@ -1128,7 +1135,8 @@ class _ClosedForm:
     inverse symbol counting negative.  ``pairs`` lists, for each pair of
     bases ``h > b`` with a swap constant other than 1, the flat index
     ``h*size + b``, the exponent vector of the constant's monomial and its
-    rational factor.
+    rational factor.  Products and powers of unit monomials are taken on
+    triples (see the comment above ``vector``).
     """
 
     __slots__ = ("swaps", "size", "position", "sign", "letters", "pairs",
@@ -1189,48 +1197,89 @@ class _ClosedForm:
                 if totals[h]:
                     crossed[h * size + b] += totals[h] * count
             totals[b] += count
-        return {self._word(totals): self._unit(crossed)}
+        return {self._word(totals): self._coefficient(*self._crossed(
+            [0] * len(self.params), 1,
+            [crossed[index] for index, _, _ in self.pairs]))}
 
     def power(self, word, coeff, n: int) -> dict:
         """The normal form of ``(coeff*word)**n`` for a normal-form word and
         a Laurent-unit coefficient."""
-        size, position, sign = self.size, self.position, self.sign
-        totals = [0] * size
+        (mono, factor), = coeff.num.terms.items()
+        return self.monomial(self.raised((mono, factor, self.vector(word)), n))
+
+    # A unit monomial ``c*m*x^e`` is the triple ``(m, c, e)``: the exponent
+    # vector of its coefficient's monomial over the parameters, the
+    # coefficient's rational factor, and the exponent vector of its word
+    # over the bases, or None for a scalar.
+
+    def vector(self, word) -> list:
+        """The exponent vector of a normal-form word."""
+        totals = [0] * self.size
         for sym, count in word:
-            totals[position[sym]] = sign[sym] * count
-        unit = self.one
-        if len(word) > 1:
-            pairs = n * (n - 1) // 2
-            unit = self._unit({
-                index: pairs * totals[index // size] * totals[index % size]
-                for index, _, _ in self.pairs})
-        if not coeff.num.is_one():
-            unit = coeff ** n * unit
-        return {self._word([n * t for t in totals]): unit}
+            totals[self.position[sym]] = self.sign[sym] * count
+        return totals
+
+    def times(self, left, right):
+        """The product of two unit monomials: ``x^m * x^n`` is
+        ``prod c_hb^(m_h*n_b) * x^(m+n)``, each letter of ``h`` in the left
+        factor crossing each letter of ``b`` in the right."""
+        (mono, factor, m), (mono2, factor2, n) = left, right
+        mono, factor = list(map(add, mono, mono2)), factor * factor2
+        if m is None or n is None:
+            return mono, factor, n if m is None else m
+        size = self.size
+        crossed = [m[index // size] * n[index % size]
+                   for index, _, _ in self.pairs]
+        if any(crossed):
+            mono, factor = self._crossed(mono, factor, crossed)
+        return mono, factor, list(map(add, m, n))
+
+    def raised(self, base, n: int):
+        """``(c*x^e)^n`` of a unit monomial, ``c^n * prod
+        c_hb^(C(n, 2)*e_h*e_b) * x^(n*e)``; for ``n < 0`` only a single
+        letter, which crosses nothing, is raised."""
+        mono, factor, e = base
+        if any(mono):
+            mono = [n * k for k in mono]
+        if factor != 1:
+            factor = Fraction(factor) ** n
+        if e is None:
+            return mono, factor, None
+        size, pairs = self.size, n * (n - 1) // 2
+        crossed = [pairs * e[index // size] * e[index % size]
+                   for index, _, _ in self.pairs]
+        if any(crossed):
+            mono, factor = self._crossed(mono, factor, crossed)
+        return mono, factor, [n * k for k in e]
+
+    def monomial(self, triple) -> dict:
+        """The normal form of a unit monomial with a word."""
+        mono, factor, e = triple
+        return {self._word(e): self._coefficient(mono, factor)}
+
+    def _coefficient(self, mono, factor):
+        """A Laurent unit as rewriting stores it: one term over exactly 1,
+        its factor an int when integral, and the algebra's 1 for 1."""
+        if factor == 1 and not any(mono):
+            return self.one
+        if factor.__class__ is not int:
+            factor = _exact(factor)
+        return RationalFunction._make(Polynomial._make(
+            self.params, {tuple(mono): factor}), self.one.den)
 
     def _word(self, totals):
-        return tuple((letters[0], t) if t > 0 else (letters[1], -t)
-                     for letters, t in zip(self.letters, totals) if t)
+        return tuple([(letters[0], t) if t > 0 else (letters[1], -t)
+                      for letters, t in zip(self.letters, totals) if t])
 
-    def _unit(self, crossed):
-        """The product of ``c_hb ** crossed[h*size + b]`` over the pairs."""
-        mono = None
-        factor = 1
-        for index, pair_mono, pair_factor in self.pairs:
-            n = crossed[index]
-            if not n:
-                continue
-            if mono is None:
-                mono = [n * e for e in pair_mono]
-            else:
-                mono = [m + n * e for m, e in zip(mono, pair_mono)]
-            if pair_factor != 1:
-                factor *= Fraction(pair_factor) ** n
-        if mono is None:
-            return self.one
-        return RationalFunction._make(
-            Polynomial._make(self.params, {tuple(mono): _exact(factor)}),
-            self.one.den)
+    def _crossed(self, mono, factor, crossed):
+        """``(mono, factor)`` times ``c_hb ** k`` for each pair of ``pairs``
+        and its count ``k`` in ``crossed``."""
+        for (_, pair_mono, pair_factor), k in zip(self.pairs, crossed):
+            if k:
+                mono = [m + k * e for m, e in zip(mono, pair_mono)]
+                if pair_factor != 1:
+                    factor *= Fraction(pair_factor) ** k
+        return mono, factor
 
 
 # The largest m + n of a block x^m * y^n under a rule other than a run rule

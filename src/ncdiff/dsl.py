@@ -41,9 +41,10 @@ sharing them changes nothing a reader sees:
   environment and list of checks, each owning its dicts and lists.  A load
   evaluates no expression, normalizes, indexes or tests no rule, finds no
   scales, checks no wedge rule and subtracts no sides of a check; a
-  ``verify=True`` load still checks its maps against the relations (on a
-  first build, the evaluation checks the maps whose images the load's maps
-  copy).  Besides its own dicts and lists a record holds only immutable
+  ``verify=True`` load checks its maps against the relations only while no
+  verified build or load of the document has (a verified first build
+  checks them as it evaluates them, and every load's maps copy their
+  images).  Besides its own dicts and lists a record holds only immutable
   values (words, coefficients, frozensets and tuples of ints, CheckCases,
   statements of the document and the two tables), so no load can change
   what another reads.  It is keyed on the document object and dropped with
@@ -874,16 +875,30 @@ class ModelBundle:
         return self._eval(_parse_expression_text(text))
 
     def _eval(self, node):
-        return _Evaluator(self._env, self.params, self.calculus).eval(node)
+        return _Evaluator(self._env, self.params, self.calculus,
+                          self.algebra).eval(node)
 
 
 class _Evaluator:
-    """Evaluates expression trees into coefficients, elements, or forms."""
+    """Evaluates expression trees into coefficients, elements, or forms.
 
-    def __init__(self, env: dict, params: ParameterSet, calculus):
+    Given the algebra, it has a monomial lane: once the algebra's closed
+    form is built (the lane never builds it), a ``*`` chain or a power of
+    names of unit monomials (one word with a Laurent-unit coefficient, or
+    a Laurent-unit scalar), their integer powers and nested chains of the
+    same kind is folded into one unit monomial on exponent vectors
+    (``_ClosedForm.times`` and ``raised``).  A negative power folds only
+    where ``_invert_element`` takes it.  Anything else, and a chain of
+    scalars only, is declined before any value is built, so the
+    step-by-step path gives every other value, error and location.
+    """
+
+    def __init__(self, env: dict, params: ParameterSet, calculus,
+                 algebra: Algebra | None = None):
         self.env = env
         self.params = params
         self.calculus = calculus
+        self.algebra = algebra
 
     def eval(self, node):
         kind = node[0]
@@ -898,6 +913,12 @@ class _Evaluator:
             return self._call(node)
         if kind == "neg":
             return -self.eval(node[1])
+        if kind in ("pow", "chain") and self.algebra is not None:
+            closed = self.algebra._closed_form
+            if closed is not None:
+                folded = self._folded(node, closed)
+                if folded is not None and folded[2] is not None:  # a word
+                    return Element(self.algebra, closed.monomial(folded))
         if kind == "pow":
             return self._pow(node)
         if kind == "chain":
@@ -906,6 +927,44 @@ class _Evaluator:
                 value = self._apply(op, value, self.eval(operand), loc)
             return value
         raise ValueError("unknown node kind %r" % kind)
+
+    def _folded(self, node, closed):
+        """The unit monomial of a node the lane folds, as a ``_ClosedForm``
+        triple, else None."""
+        kind = node[0]
+        if kind == "name":
+            value, vector = self.env.get(node[1]), None
+            if (value.__class__ is Element and value.algebra is self.algebra
+                    and len(value.terms) == 1):
+                (word, value), = value.terms.items()
+                vector = closed.vector(word)
+            if value.__class__ is not RationalFunction or not value._is_unit():
+                return None
+            (mono, factor), = value.num.terms.items()
+            return mono, factor, vector
+        if kind == "pow":
+            base = self._folded(node[1], closed)
+            if base is None:
+                return None
+            mono, factor, vector = base
+            if node[2] < 0 and vector is not None:
+                bases = [i for i, e in enumerate(vector) if e]
+                if (factor != 1 or any(mono) or len(bases) != 1
+                        or closed.letters[bases[0]][1] is None):
+                    return None
+            return closed.raised(base, node[2])
+        if kind == "chain":
+            for op, _, _ in node[2]:
+                if op != "*":
+                    return None
+            value = self._folded(node[1], closed)
+            for _, operand, _ in node[2]:
+                right = value and self._folded(operand, closed)
+                if right is None:
+                    return None
+                value = closed.times(value, right)
+            return value
+        return None
 
     def _call(self, node):
         fname, arg, loc = node[1], node[2], node_location(node)
@@ -1024,7 +1083,8 @@ class _Record:
     cancel rules hold: each load's algebra takes it as its own, so that
     a shape test after a later change of its rules finds it there by
     identity, as on the built algebra, and compares no coefficients.
-    ``facts`` holds what
+    ``checked`` tells whether a verified build or load has checked the
+    maps against the relations.  ``facts`` holds what
     depends on the rule table alone (``Algebra.rule_facts``): the run
     index, the rule shapes and the run-pair layout, which each load's
     algebra takes instead of deriving them again.  ``steps`` holds the
@@ -1033,8 +1093,8 @@ class _Record:
     or CheckCases.
     """
 
-    __slots__ = ("params", "table", "names", "relations", "rules", "one",
-                 "facts", "steps")
+    __slots__ = ("params", "table", "names", "relations", "rules",
+                 "checked", "one", "facts", "steps")
 
     def __init__(self, params: ParameterSet, table: GeneratorTable):
         self.params = params
@@ -1042,6 +1102,7 @@ class _Record:
         self.names = {n: RationalFunction.parameter(params, n)
                       for n in params.names}
         self.relations = self.rules = self.one = self.facts = None
+        self.checked = False
         self.steps = []
 
 
@@ -1310,16 +1371,19 @@ _RECORDS = {}
 def build_model(doc: ModelDocument, verify: bool = True) -> ModelBundle:
     """A bundle of live objects for the document, constructed from its
     record, which the document's first build evaluates.  A verified load
-    checks its maps against the relations; on the first build the
-    evaluation has checked the maps it made, whose images the load's maps
-    copy, so they are not checked twice."""
+    checks its maps against the relations until one verified build or load
+    of the document has: the maps of every load copy the recorded images,
+    so they are not checked twice.  A verified first build checks them as
+    it evaluates them."""
     record = _RECORDS.get(id(doc))
     if record is None:
         record = _Builder(doc, verify).evaluate()
+        record.checked = verify
         _RECORDS[id(doc)] = record
         weakref.finalize(doc, _RECORDS.pop, id(doc), None)
-        verify = False
-    return _construct(doc, record, verify)
+    bundle = _construct(doc, record, verify and not record.checked)
+    record.checked = record.checked or verify
+    return bundle
 
 
 def load_model(text: str, verify: bool = True) -> ModelBundle:

@@ -19,9 +19,10 @@ its checks included, and evaluates no expression (nor, unverified,
 subtracts a value); that a record goes with its document, is never kept
 for a build that raises, and stays within the bound the ``dsl`` docstring
 states; that a verified load still checks the maps of a record made
-unverified; that every load still gets a bundle of its own, sharing only
-immutable values with other loads and with the record; and that a bundle
-is freed when its last reference goes.
+unverified, and no load checks them again once a verified build or load
+of the document has; that every load still gets a bundle of its own,
+sharing only immutable values with other loads and with the record; and
+that a bundle is freed when its last reference goes.
 """
 
 import gc
@@ -43,6 +44,7 @@ from ncdiff.dsl import (ModelDocument, ModelError, ModelSemanticError,
 from ncdiff.models import (BUILTINS, _adjoin_det_inverse, _det_scales,
                            _glpq_document, _model_checks, _with_mirror_checks,
                            available_models, model_source, run_suite)
+from ncdiff.morphism import Endomorphism
 
 # sha256 of export_model of the gl-pq2-localized document, as the builder
 # wrote it when it built gl-pq2 once per load.
@@ -632,6 +634,32 @@ def test_a_verified_load_checks_the_maps_a_record_holds(monkeypatch):
               for info in (cold, warm)]
     assert raised[0] == raised[1]
     assert raised[0][0] == "'phi1' does not respect the relations"
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_a_verified_load_checks_the_maps_once_per_record(first, monkeypatch):
+    """After a verified first build, a warm verified load checks no map;
+    after an unverified one, the first verified load checks them all and
+    the next one none."""
+    monkeypatch.setattr(dsl, "_RECORDS", {})
+    doc = parse_model(model_source("gl-pq2"))
+    checked = []
+    respects = Endomorphism.respects_relations
+
+    def counted(endo):
+        checked.append(endo.name)
+        return respects(endo)
+    monkeypatch.setattr(Endomorphism, "respects_relations", counted)
+    build_model(doc, verify=first)
+    maps = len(checked)
+    assert (maps > 0) is first
+    if not first:
+        build_model(doc, verify=True)
+        assert len(checked) > 0
+    checked.clear()
+    for verify in (True, False, True):
+        build_model(doc, verify=verify)
+    assert checked == []
 
 
 def test_the_record_of_gl_pq2_localized_is_bounded():
